@@ -244,7 +244,8 @@ def quantitative_rhs(params: BoundParams, mode: str) -> BoundReport:
         raise ValueError(f"unknown mode {mode!r}")
     rep = BoundReport(bound_id=mode, rhs=float(rhs), constants=consts,
                       validity=validity)
-    assert rep.rhs <= 0.0
+    if not rep.rhs <= 0.0:
+        raise ValidityViolation(f"{mode} bound right-hand side {rep.rhs} > 0")
     return rep
 
 

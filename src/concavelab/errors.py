@@ -63,7 +63,7 @@ class RangeViolation(ConcavelabError):
 
 
 class ValidityViolation(ConcavelabError):
-    """A quantitative bound's validity gate fails."""
+    """A quantitative bound's validity gate or certificate fails."""
 
 
 class NonuniqueWarning(UserWarning):

@@ -110,6 +110,13 @@ def test_quant_oscillation():
     assert rep.rhs <= 0
 
 
+def test_quant_positive_rhs_raises():
+    # a negative oscillation drives the right-hand side above 0
+    p = BoundParams(osc_a2=-1.0)
+    with pytest.raises(ValidityViolation, match="right-hand side"):
+        quantitative_rhs(p, "oscillation")
+
+
 def test_quant_rough():
     p = BoundParams(q=0.0, m=1.0, M=1.1, osc_a=0.1, sup_norm_u_inf=1.0)
     rep = quantitative_rhs(p, "rough")

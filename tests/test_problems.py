@@ -1,11 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from concavelab import (Problem, SourceTerm, Weight, build_discretization,
-                        check_hypotheses, disk, sup_slope_lambda,
-                        unit_square, weight_concavity_defect)
+                        check_hypotheses, disk, inner_region_mask,
+                        sup_slope_lambda, unit_square,
+                        weight_concavity_defect)
+from concavelab.problems import _concavity_min
+from concavelab.scenarios import _weight_min_C
 
 
 @pytest.fixture(scope="module")
@@ -95,9 +99,13 @@ def test_hypotheses_reject_bad_M(square16):
 
 
 def test_weight_defect_zero_for_constant(square16):
-    p = Problem(domain=unit_square(), weight=Weight(kind="constant", c=1.0),
-                source=SourceTerm(kind="one"))
-    assert weight_concavity_defect(p, square16, 1.0) == pytest.approx(0.0)
+    for w in (Weight(kind="constant", c=2.5),
+              Weight(kind="separable_power_time", c=0.7, gamma=0.5)):
+        assert w.spatially_constant
+        p = Problem(domain=unit_square(), weight=w,
+                    source=SourceTerm(kind="one"))
+        for theta in (0.0, 1.0, math.inf):
+            assert weight_concavity_defect(p, square16, theta) == 0.0
 
 
 def test_weight_defect_positive_for_ripple(square16):
@@ -116,6 +124,113 @@ def test_weight_defect_monotone_in_eps(square16):
                     source=SourceTerm(kind="one"))
         defects.append(weight_concavity_defect(p, square16, 1.0))
     assert defects[0] <= defects[1] <= defects[2]
+
+
+def _reference_mins(weight, spec, pts, prof, thetas):
+    """Signed min of the concavity function of a^theta per theta, by one
+    full triu_indices gather per lambda (the unchunked scan)."""
+    def transform(a, theta):
+        if math.isinf(theta):
+            return a
+        if theta == 0.0:
+            return np.log(np.maximum(a, 1e-300))
+        return np.sign(a) * np.abs(a) ** theta
+
+    idx1, idx3 = np.triu_indices(len(pts), k=1)
+    worst = dict.fromkeys(thetas, math.inf)
+    for lm in np.linspace(0.0, 1.0, 17)[1:-1]:
+        x2 = lm * pts[idx3] + (1 - lm) * pts[idx1]
+        a2 = weight.spatial_at(spec, x2)
+        for theta in thetas:
+            vals = transform(prof, theta)
+            c = transform(a2, theta) - lm * vals[idx3] \
+                - (1 - lm) * vals[idx1]
+            worst[theta] = min(worst[theta], float(c.min()))
+    return worst
+
+
+@pytest.fixture(scope="module")
+def square32():
+    # 961 interior nodes: 461,280 pairs, several chunks of the scan
+    return build_discretization(unit_square(), 1.0 / 32.0)
+
+
+_SCAN_WEIGHTS = (Weight(kind="ramp_bump_perturbed", eps=0.2),
+                 Weight(kind="smoothed_bang_bang", a1=1.0, a2=0.5),
+                 Weight(kind="distance_power", c=1.0, omega=2.0))
+
+
+@pytest.mark.parametrize("weight", _SCAN_WEIGHTS, ids=lambda w: w.kind)
+@pytest.mark.parametrize("masked", [False, True])
+def test_weight_defect_bit_exact(square32, weight, masked):
+    p = Problem(domain=unit_square(), weight=weight,
+                source=SourceTerm(kind="one"))
+    mask = inner_region_mask(square32, 0.2) if masked else None
+    prof = weight.spatial_profile(square32)
+    pts = square32.interior_points
+    if masked:
+        prof, pts = prof[mask], pts[mask]
+    thetas = (0.0, 1.0, math.inf)
+    ref = _reference_mins(weight, p.domain, pts, prof, thetas)
+    for theta in thetas:
+        got = weight_concavity_defect(p, square32, theta, mask=mask)
+        assert got == max(0.0, -ref[theta])
+    assert ref[1.0] < 0.0  # every weight here has a positive defect
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_weight_min_C_bit_exact(square32, masked):
+    w = Weight(kind="ramp_bump_perturbed", eps=0.2)
+    p = Problem(domain=unit_square(), weight=w,
+                source=SourceTerm(kind="one"))
+    mask = inner_region_mask(square32, 0.2) if masked else None
+    prof = w.spatial_profile(square32)
+    pts = square32.interior_points
+    if masked:
+        prof, pts = prof[mask], pts[mask]
+    stride = math.ceil(len(pts) / 240)
+    ref = _reference_mins(w, p.domain, pts[::stride], prof[::stride],
+                          (math.inf,))
+    assert _weight_min_C(p, square32, mask) == ref[math.inf]
+
+
+def test_pair_scan_visits_every_pair_once(square16):
+    # a stand-in weight records the points the scan evaluates; they
+    # must be the lambda points of each pair i < j, each exactly once
+    class Recorder:
+        def __init__(self):
+            self.calls = []
+
+        def spatial_at(self, spec, x2):
+            self.calls.append(x2.copy())
+            return np.zeros(len(x2))
+
+    pts = square16.interior_points
+    rec = Recorder()
+    _concavity_min(rec, unit_square(), pts, np.zeros(len(pts)), 1.0)
+    assert len(rec.calls) > 15  # more than one chunk
+    idx1, idx3 = np.triu_indices(len(pts), k=1)
+    ref = np.concatenate([lm * pts[idx3] + (1 - lm) * pts[idx1]
+                          for lm in np.linspace(0.0, 1.0, 17)[1:-1]])
+    got = np.concatenate(rec.calls)
+    assert got.shape == ref.shape
+    assert np.array_equal(got[np.lexsort(got.T)], ref[np.lexsort(ref.T)])
+
+
+def test_weight_defect_memory_bounded():
+    # h=1/48: 2,209 nodes, 2.4M pairs; gathering them all at once
+    # peaks near 250 MB
+    dom = build_discretization(unit_square(), 1.0 / 48.0)
+    p = Problem(domain=unit_square(),
+                weight=Weight(kind="ramp_bump_perturbed", eps=0.05),
+                source=SourceTerm(kind="one"))
+    tracemalloc.start()
+    try:
+        weight_concavity_defect(p, dom, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_truncation_caps_time():

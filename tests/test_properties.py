@@ -3,9 +3,11 @@ violations beyond 1e-10 allowed."""
 
 import json
 
+import numpy as np
 import pytest
 
 from concavelab import run_property_suite
+from concavelab.errors import ValidityViolation
 
 DRAWS = 10000
 
@@ -61,3 +63,25 @@ def test_different_seeds_differ():
     ma = [e["worst_margin"] for e in a["results"]]
     mb = [e["worst_margin"] for e in b["results"]]
     assert ma != mb
+
+
+def test_difference_bound_certificate_raises(monkeypatch):
+    # draw the subtracted term's exponent from [1, 2], where t^gamma is
+    # not harmonically concave, so the certificate must fail
+    real = np.random.default_rng
+
+    class ConvexExponents:
+        def __init__(self, seed):
+            self._rng = real(seed)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+        def uniform(self, low=0.0, high=1.0, size=None):
+            if (low, high) == (-1.0, 0.0):
+                low, high = 1.0, 2.0
+            return self._rng.uniform(low, high, size)
+
+    monkeypatch.setattr(np.random, "default_rng", ConvexExponents)
+    with pytest.raises(ValidityViolation, match="harmonically concave"):
+        run_property_suite(seed=1, draws=500)
