@@ -151,31 +151,55 @@ def _polygon_signed_distance(verts, p):
     return np.where(inside, d, -d)
 
 
+# points per block of the ellipse bracket scan: 256 x 257 doubles keep
+# each temporary of the scan at about 0.5 MB
+_ELLIPSE_BLOCK = 256
+
+
+def _ellipse_g(t, a, b, px, py):
+    """Critical-angle function of the squared distance from (px, py) to
+    the ellipse point (a cos t, b sin t)."""
+    return ((a * a - b * b) * np.cos(t) * np.sin(t)
+            - px * a * np.sin(t) + py * b * np.cos(t))
+
+
 def _ellipse_boundary_distance(a, b, px, py):
-    """Distance from (px, py) to the ellipse x^2/a^2 + y^2/b^2 = 1.
+    """Distance from the points (px, py) (1-D arrays) to the ellipse
+    x^2/a^2 + y^2/b^2 = 1.
 
-    Works in the first quadrant by symmetry; the critical angles of the
-    squared distance solve g(t) = (a^2-b^2) cos t sin t - px a sin t
-    + py b cos t = 0, found by a bracketed root solve (abs tol 1e-10).
+    Works in the first quadrant by symmetry.  A 257-point scan of
+    _ellipse_g over [0, pi/2], one array per block of points, brackets
+    the critical angles; a scalar root solve (abs tol 1e-12) refines
+    each bracket.  The distance is the least over the end angles, the
+    exact zeros of the scan and the roots.
     """
-    px, py = abs(float(px)), abs(float(py))
-
-    def g(t):
-        return ((a * a - b * b) * np.cos(t) * np.sin(t)
-                - px * a * np.sin(t) + py * b * np.cos(t))
-
-    def dist(t):
-        return np.hypot(px - a * np.cos(t), py - b * np.sin(t))
-
+    px, py = np.abs(px), np.abs(py)
     ts = np.linspace(0.0, 0.5 * np.pi, 257)
-    gs = np.array([g(t) for t in ts])
-    cands = [0.0, 0.5 * np.pi]
-    for i in range(len(ts) - 1):
-        if gs[i] == 0.0:
-            cands.append(ts[i])
-        elif gs[i] * gs[i + 1] < 0:
-            cands.append(brentq(g, ts[i], ts[i + 1], xtol=1e-12))
-    return min(dist(t) for t in cands)
+
+    def dist(t, x, y):
+        return np.hypot(x - a * np.cos(t), y - b * np.sin(t))
+
+    out = np.minimum(dist(0.0, px, py), dist(0.5 * np.pi, px, py))
+    for start in range(0, px.size, _ELLIPSE_BLOCK):
+        gs = _ellipse_g(ts, a, b, px[start:start + _ELLIPSE_BLOCK, None],
+                        py[start:start + _ELLIPSE_BLOCK, None])
+        zero = gs[:, :-1] == 0.0
+        for r, i in zip(*np.nonzero(zero | (gs[:, :-1] * gs[:, 1:] < 0))):
+            k = start + r
+            t = ts[i] if zero[r, i] else brentq(
+                _ellipse_g, ts[i], ts[i + 1],
+                args=(a, b, float(px[k]), float(py[k])), xtol=1e-12)
+            out[k] = min(out[k], dist(t, px[k], py[k]))
+    return out
+
+
+def _inside(spec: DomainSpec, pts) -> np.ndarray:
+    """Strict-interior predicate on an (n, 2) array of points: the sign
+    rule of distance_to_boundary, without the ellipse root solve."""
+    if spec.kind == "ellipse":
+        a, b = spec.semi_axes
+        return (pts[:, 0] / a) ** 2 + (pts[:, 1] / b) ** 2 < 1.0
+    return distance_to_boundary(spec, pts) > 0
 
 
 def distance_to_boundary(spec: DomainSpec, x) -> float:
@@ -194,17 +218,10 @@ def distance_to_boundary(spec: DomainSpec, x) -> float:
         d = spec.radius - np.linalg.norm(p, axis=-1)
     elif spec.kind == "ellipse":
         a, b = spec.semi_axes
-        if scalar:
-            dd = _ellipse_boundary_distance(a, b, p[0], p[1])
-            s = 1.0 if (p[0] / a) ** 2 + (p[1] / b) ** 2 < 1.0 else -1.0
-            return float(s * dd)
         flat = p.reshape(-1, 2)
-        out = np.empty(flat.shape[0])
-        for i, q in enumerate(flat):
-            dd = _ellipse_boundary_distance(a, b, q[0], q[1])
-            s = 1.0 if (q[0] / a) ** 2 + (q[1] / b) ** 2 < 1.0 else -1.0
-            out[i] = s * dd
-        return out.reshape(p.shape[:-1])
+        dd = _ellipse_boundary_distance(a, b, flat[:, 0], flat[:, 1])
+        d = np.where(_inside(spec, flat), dd, -dd)
+        d = d.reshape(p.shape[:-1])
     elif spec.kind == "convex_polygon":
         d = _polygon_signed_distance(spec.vertices, p)
     else:
@@ -264,7 +281,8 @@ class DiscretizedDomain:
     interior_idx : (N, 2) array of (iy, ix) indices of interior nodes
     index_of : (ny, nx) map to the interior ordinal, -1 elsewhere
     fractions : (N, 4) cut-cell fractions theta in (0, 1] for the
-        E, W, N, S neighbor directions (1 when the neighbor is interior)
+        E, W, N, S neighbor directions (1 when the neighbor is interior),
+        found by one array bisection over all cut edges
     """
 
     spec: DomainSpec
@@ -293,36 +311,37 @@ class DiscretizedDomain:
         iy, ix = self.interior_idx[:, 0], self.interior_idx[:, 1]
         return self.dist[iy, ix]
 
-    @property
-    def is_rectangular(self) -> bool:
-        return bool(np.all(self.fractions == 1.0))
-
 
 _DIRS = np.array([[0, 1], [0, -1], [1, 0], [-1, 0]])  # E, W, N, S as (diy,dix)
 
 
-def _crossing_fraction(spec, p, direction, h):
-    """Fraction s in (0,1] at which the segment p -> p + h*direction
-    crosses the boundary (bisection on the signed distance)."""
-    d = np.asarray(direction, dtype=float)
+def _cut_fractions(spec: DomainSpec, p, d, h) -> np.ndarray:
+    """Fractions s in (0, 1] at which the segments p -> p + h*d cross
+    the boundary, for all (n, 2) starts p and directions d at once.
 
-    def f(s):
-        return distance_to_boundary(spec, p + s * h * d)
+    A segment whose far end is inside gets 1 (on-boundary ends are not
+    inside).  The others take 60 halvings of [0, 1] on the inside
+    predicate, keep the upper end and are floored at 1e-12.
+    """
+    def inside(s):
+        return _inside(spec, p + (s * h)[:, None] * d)
 
-    lo, hi = 0.0, 1.0
-    if f(1.0) > 0:  # neighbor inside (on-boundary nodes have f==0)
-        return 1.0
+    lo, hi = np.zeros(len(p)), np.ones(len(p))
+    far_inside = inside(hi)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return max(hi, 1e-12)
+        ins = inside(mid)
+        lo = np.where(ins, mid, lo)
+        hi = np.where(ins, hi, mid)
+    return np.where(far_inside, 1.0, np.maximum(hi, 1e-12))
 
 
 def build_discretization(spec: DomainSpec, h: float) -> DiscretizedDomain:
-    """Uniform-grid discretization with cut-cell boundary fractions."""
+    """Uniform-grid discretization with cut-cell boundary fractions.
+
+    Every (interior node, direction) pair whose neighbor is not interior
+    (or off the grid) gets its fraction from one array bisection over
+    all such pairs (_cut_fractions)."""
     if h <= 0:
         raise ValueError("h must be positive")
     if h >= spec.inradius:
@@ -357,16 +376,12 @@ def build_discretization(spec: DomainSpec, h: float) -> DiscretizedDomain:
     index_of = np.full((ny, nx), -1, dtype=int)
     index_of[iy, ix] = np.arange(len(iy))
 
+    nb_inside = np.pad(interior, 1)[iy[:, None] + 1 + _DIRS[:, 0],
+                                    ix[:, None] + 1 + _DIRS[:, 1]]
+    k, a = np.nonzero(~nb_inside)
     fractions = np.ones((len(iy), 4))
-    for k in range(len(iy)):
-        j, i = iy[k], ix[k]
-        p = np.array([xs[i], ys[j]])
-        for a, (diy, dix) in enumerate(_DIRS):
-            jj, ii = j + diy, i + dix
-            if 0 <= jj < ny and 0 <= ii < nx and interior[jj, ii]:
-                continue
-            fractions[k, a] = _crossing_fraction(
-                spec, p, np.array([dix, diy]), h)
+    fractions[k, a] = _cut_fractions(
+        spec, np.column_stack([xs[ix[k]], ys[iy[k]]]), _DIRS[a, ::-1], h)
 
     return DiscretizedDomain(spec=spec, h=h, xs=xs, ys=ys,
                              classification=classification, dist=dist,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +62,6 @@ class Trajectory:
     fields: list  # list of value arrays aligned with times
     stationary: np.ndarray | None = None
     monotone: bool = False
-    max_dt_values: list = dc_field(default_factory=list)
 
     def field_at(self, k: int) -> Field:
         return Field(self.dom, self.fields[k], self.times[k])
@@ -135,17 +134,16 @@ def advance(problem: Problem, dom: DiscretizedDomain, u: Field,
     if problem.source.kind in _STIFF_SOURCES:
         # predictor, then one linearized correction of the source term:
         # (I + dt(-Lap) - dt diag(bs)) u+ = u + dt (b(u*) - bs u*)
-        star = solve_shifted_poisson(dt, rhs, x0=u.values).values
+        star = solve_shifted_poisson(dt, rhs).values
         star = np.maximum(star, 0.0)
         eps = 1e-7 * np.maximum(star, 1e-7)
         b_star = problem.source_values(dom, star, tn)
         bs = (problem.source_values(dom, star + eps, tn) - b_star) / eps
         bs = np.minimum(bs, 0.0)  # keep the implicit part dissipative
         rhs2 = Field(dom, u.values + dt * (b_star - bs * star), tn)
-        new = solve_shifted_poisson(dt, rhs2, diag_shift=-dt * bs,
-                                    x0=star)
+        new = solve_shifted_poisson(dt, rhs2, diag_shift=-dt * bs)
     else:
-        new = solve_shifted_poisson(dt, rhs, x0=u.values)
+        new = solve_shifted_poisson(dt, rhs)
     vals = new.values
     if np.max(np.abs(vals)) > BLOWUP_THRESHOLD:
         raise StateBlowup(f"sup norm {np.max(np.abs(vals)):.3e} exceeds 1e6")
@@ -192,7 +190,6 @@ def solve_trajectory(problem: Problem, dom: DiscretizedDomain,
         u = Field(dom, np.zeros(dom.n_interior), 0.0)
         t = 0.0
 
-    max_dts = []
     s1 = float(grid.snapshots[0])
     for ts in grid.snapshots:
         span = ts - t
@@ -203,11 +200,9 @@ def solve_trajectory(problem: Problem, dom: DiscretizedDomain,
         step_cap = max(t / 32.0, s1 / 512.0)
         n = max(n, int(math.ceil(span / step_cap - 1e-12)))
         step = span / n
-        prev = u.values.copy()
         for _ in range(n):
             u = advance(problem, dom, u, t, step)
             t += step
-        max_dts.append(float(np.max(np.abs(u.values - prev)) / span))
         times.append(ts)
         fields.append(u.values.copy())
 
@@ -215,7 +210,7 @@ def solve_trajectory(problem: Problem, dom: DiscretizedDomain,
     monotone = all(np.all(fields[k + 1] >= fields[k] - tau_mono)
                    for k in range(len(fields) - 1))
     return Trajectory(dom=dom, times=np.asarray(times), fields=fields,
-                      monotone=monotone, max_dt_values=max_dts)
+                      monotone=monotone)
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +239,36 @@ def dump_field_binary(f: Field, path) -> None:
 
 
 def load_field_csv(dom: DiscretizedDomain, path, time=None) -> Field:
+    """Read a dump_field_csv file back onto the interior nodes of dom.
+
+    Each row is mapped to the grid node at round((x - xs[0]) / h),
+    round((y - ys[0]) / h).  ValueError if a row lies more than 1e-9*h
+    off that node or on a non-interior node, if two rows share a node,
+    or if an interior node has no row.
+    """
     data = np.genfromtxt(path, delimiter=",", names=True)
-    vals = np.zeros(dom.n_interior)
-    pts = dom.interior_points
-    xs = np.atleast_1d(data["x"])
-    ys = np.atleast_1d(data["y"])
-    vs = np.atleast_1d(data["value"])
-    for x, y, v in zip(xs, ys, vs):
-        k = int(np.argmin(np.hypot(pts[:, 0] - x, pts[:, 1] - y)))
-        vals[k] = v
+    x = np.atleast_1d(data["x"])
+    y = np.atleast_1d(data["y"])
+    h = dom.h
+    fx = np.rint((x - dom.xs[0]) / h)
+    fy = np.rint((y - dom.ys[0]) / h)
+    near = ((np.abs(x - (dom.xs[0] + h * fx)) <= 1e-9 * h)
+            & (np.abs(y - (dom.ys[0] + h * fy)) <= 1e-9 * h))
+    ny, nx = dom.index_of.shape
+    on = (fx >= 0) & (fx < nx) & (fy >= 0) & (fy < ny)
+    k = np.full(x.size, -1)
+    k[on] = dom.index_of[fy[on].astype(int), fx[on].astype(int)]
+    counts = np.bincount(k[k >= 0], minlength=dom.n_interior)
+    for bad, what in ((~near, "lies more than 1e-9*h off a grid node"),
+                      (k < 0, "is not on an interior node"),
+                      (counts[k] > 1, "repeats an interior node")):
+        if bad.any():
+            r = int(np.argmax(bad))
+            raise ValueError(f"{path}: row {r + 1} at ({x[r]!r}, {y[r]!r}) "
+                             f"{what}")
+    if np.any(counts == 0):
+        raise ValueError(f"{path}: {int(np.sum(counts == 0))} interior "
+                         f"node(s) have no row")
+    vals = np.empty(dom.n_interior)
+    vals[k] = np.atleast_1d(data["value"])
     return Field(dom, vals, time)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from concavelab import (build_discretization, convex_polygon, disk,
                         distance_to_boundary, ellipse, inner_region_mask,
                         rectangle, unit_square)
-from concavelab.domains import boundary_normal
+from concavelab import domains
+from concavelab.domains import _DIRS, boundary_normal
 from concavelab.errors import NonConvexPolygon
 
 
@@ -97,3 +100,94 @@ def test_strong_convexity_flags():
     assert disk().strongly_convex
     assert ellipse(1.0, 0.5).strongly_convex
     assert not unit_square().strongly_convex
+
+
+def test_ellipse_distance_independent_of_scan_blocks(monkeypatch):
+    # the bracket scan runs over blocks of points; the split must not
+    # change any distance
+    e = ellipse(1.3, 0.6)
+    pts = np.random.default_rng(5).uniform(-1.5, 1.5, (300, 2))
+    whole = distance_to_boundary(e, pts)
+    monkeypatch.setattr(domains, "_ELLIPSE_BLOCK", 7)
+    assert np.array_equal(distance_to_boundary(e, pts), whole)
+    single = [distance_to_boundary(e, p) for p in pts[:20]]
+    assert np.array_equal(single, whole[:20])
+
+
+# ---------------------------------------------------------------------------
+# cut-cell fractions against a scalar reference bisection
+# ---------------------------------------------------------------------------
+
+def _reference_fraction(spec, p, d, h):
+    """One segment p -> p + h*d: 60 halvings on the signed distance."""
+    def f(s):
+        return distance_to_boundary(spec, p + s * h * d)
+
+    lo, hi = 0.0, 1.0
+    if f(1.0) > 0:
+        return 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return max(hi, 1e-12)
+
+
+def _reference_fractions(dom):
+    ny, nx = dom.index_of.shape
+    out = np.ones((dom.n_interior, 4))
+    for k, (j, i) in enumerate(dom.interior_idx):
+        p = np.array([dom.xs[i], dom.ys[j]])
+        for a, (diy, dix) in enumerate(_DIRS):
+            jj, ii = j + diy, i + dix
+            if 0 <= jj < ny and 0 <= ii < nx and dom.index_of[jj, ii] >= 0:
+                continue
+            out[k, a] = _reference_fraction(
+                dom.spec, p, np.array([dix, diy], dtype=float), dom.h)
+    return out
+
+
+_GRID = st.sampled_from([1 / 7, 1 / 9, 1 / 10, 1 / 12, 0.13])
+_FAST = settings(max_examples=25, deadline=None, derandomize=True,
+                 database=None)
+_SLOW = settings(max_examples=8, deadline=None, derandomize=True,
+                 database=None)
+
+
+@_FAST
+@given(w=st.floats(0.5, 2.0), hgt=st.floats(0.5, 2.0), h=_GRID)
+def test_rectangle_fractions_match_scalar_bisection(w, hgt, h):
+    dom = build_discretization(rectangle(w, hgt), h)
+    assert np.array_equal(dom.fractions, _reference_fractions(dom))
+
+
+@_FAST
+@given(r=st.floats(0.4, 1.5), h=_GRID)
+def test_disk_fractions_match_scalar_bisection(r, h):
+    dom = build_discretization(disk(r), h)
+    assert np.array_equal(dom.fractions, _reference_fractions(dom))
+
+
+@_SLOW
+@given(a=st.floats(0.4, 1.2), b=st.floats(0.4, 1.2), h=_GRID)
+def test_ellipse_fractions_match_scalar_bisection(a, b, h):
+    # the scalar reference decides the sign by a root solve, which reads
+    # 0 within an ulp of the boundary; the array pass uses the implicit
+    # equation there, so the two may differ in the last bits
+    dom = build_discretization(ellipse(a, b), h)
+    assert np.max(np.abs(dom.fractions - _reference_fractions(dom))) <= 1e-13
+
+
+@_SLOW
+@given(n=st.integers(4, 8), turn=st.floats(0.0, 2 * np.pi),
+       jitter=st.lists(st.floats(-0.2, 0.2), min_size=8, max_size=8),
+       r=st.floats(0.7, 1.1), h=_GRID)
+def test_polygon_fractions_match_scalar_bisection(n, turn, jitter, r, h):
+    # vertices on a circle, each within a fifth of a step of an even
+    # spread: convex, with the inradius above 2h on every grid drawn
+    t = turn + 2 * np.pi * (np.arange(n) + np.array(jitter[:n])) / n
+    spec = convex_polygon(np.column_stack([r * np.cos(t), r * np.sin(t)]))
+    dom = build_discretization(spec, h)
+    assert np.max(np.abs(dom.fractions - _reference_fractions(dom))) <= 1e-13

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from concavelab import (Field, apply_laplacian, build_discretization, disk,
-                        field_from_function, poisson_solve,
-                        principal_eigenpair, unit_square)
-from concavelab.operators import bilinear_interp, solve_shifted_poisson
+from concavelab import (Field, apply_laplacian, build_discretization,
+                        convex_polygon, disk, ellipse, field_from_function,
+                        poisson_solve, principal_eigenpair, rectangle,
+                        unit_square)
+from concavelab.domains import _DIRS
+from concavelab.operators import (bilinear_interp, neg_laplacian_matrix,
+                                  solve_shifted_poisson)
 
 
 @pytest.fixture(scope="module")
@@ -89,3 +95,75 @@ def test_bilinear_interp_linear_exact(square32):
     # exact away from the boundary fill
     assert np.allclose(bilinear_interp(square32, g, pts),
                        2 * pts[:, 0] - pts[:, 1], atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# assembly against a per-node loop
+# ---------------------------------------------------------------------------
+
+def _reference_neg_laplacian(dom):
+    h2 = dom.h * dom.h
+    N = dom.n_interior
+    rows, cols, vals = [], [], []
+    diag = np.zeros(N)
+    idx = dom.index_of
+    ny, nx = idx.shape
+    for k in range(N):
+        j, i = dom.interior_idx[k]
+        for a0, a1 in ((0, 1), (2, 3)):
+            tp = dom.fractions[k, a0]
+            tm = dom.fractions[k, a1]
+            diag[k] += 2.0 / (tp * tm * h2)
+            for a, t in ((a0, tp), (a1, tm)):
+                diy, dix = _DIRS[a]
+                jj, ii = j + diy, i + dix
+                if 0 <= jj < ny and 0 <= ii < nx and idx[jj, ii] >= 0 \
+                        and t == 1.0:
+                    rows.append(k)
+                    cols.append(idx[jj, ii])
+                    vals.append(-2.0 / (t * (tp + tm) * h2))
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(N, N))
+    A += sp.diags(diag)
+    return A.tocsr()
+
+
+_SPECS = st.one_of(
+    st.builds(rectangle, st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+    st.builds(disk, st.floats(0.4, 1.5)),
+    st.builds(ellipse, st.floats(0.4, 1.2), st.floats(0.4, 1.2)),
+    st.builds(lambda r, t: convex_polygon(
+        [(r * np.cos(t + s), r * np.sin(t + s))
+         for s in (0.0, 1.5, 2.6, 3.9, 5.0)]),
+        st.floats(0.6, 1.2), st.floats(0.0, 2 * np.pi)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(spec=_SPECS, h=st.sampled_from([1 / 8, 1 / 11, 1 / 16]))
+def test_neg_laplacian_matches_node_loop(spec, h):
+    dom = build_discretization(spec, h)
+    A, R = neg_laplacian_matrix(dom), _reference_neg_laplacian(dom)
+    assert np.array_equal(A.indptr, R.indptr)
+    assert np.array_equal(A.indices, R.indices)
+    assert np.array_equal(A.data, R.data)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(a=st.floats(0.4, 1.5), b=st.floats(0.4, 1.5),
+       h=st.sampled_from([1 / 8, 1 / 11, 1 / 16, 1 / 32]))
+def test_laplacian_exact_on_quadratic_vanishing_on_curved_boundary(a, b, h):
+    # u = 1 - (x/a)^2 - (y/b)^2 is quadratic along each grid line and 0
+    # where the line leaves the domain, so the cut-cell stencil, boundary
+    # value 0 included, reproduces -Lap u = 2/a^2 + 2/b^2 at every node
+    for spec in (disk(a), ellipse(a, b)):
+        ax, by = (a, a) if spec.kind == "disk" else (a, b)
+        dom = build_discretization(spec, h)
+        u = field_from_function(dom,
+                                lambda x, y: 1 - (x / ax) ** 2 - (y / by) ** 2)
+        cut = np.any(dom.fractions < 1.0, axis=1)
+        assert cut.any()
+        A = neg_laplacian_matrix(dom)
+        # rounding in u and in the crossing points, amplified by the
+        # row's absolute sum (large where a fraction is tiny)
+        tol = 1e-14 * (abs(A) @ np.ones(dom.n_interior))
+        err = np.abs(A @ u.values - (2 / ax ** 2 + 2 / by ** 2))
+        assert np.all(err <= tol)

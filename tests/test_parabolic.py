@@ -115,7 +115,47 @@ def test_field_dump_roundtrip_csv(square16, tmp_path):
     path = tmp_path / "f.csv"
     dump_field_csv(f, path)
     g = load_field_csv(square16, path)
-    assert np.allclose(g.values, f.values)
+    assert np.array_equal(g.values, f.values)
+
+
+def _dumped_rows(dom, tmp_path):
+    path = tmp_path / "f.csv"
+    dump_field_csv(Field(dom, np.arange(dom.n_interior, dtype=float)), path)
+    return path, path.read_text().splitlines()
+
+
+def _load_rows(dom, path, lines):
+    path.write_text("\n".join(lines) + "\n")
+    return load_field_csv(dom, path)
+
+
+def test_load_csv_rejects_row_off_grid_node(square16, tmp_path):
+    path, lines = _dumped_rows(square16, tmp_path)
+    x, y, v = lines[1].split(",")
+    lines[1] = f"{float(x) + 1e-6 * square16.h!r},{y},{v}"
+    with pytest.raises(ValueError, match="off a grid node"):
+        _load_rows(square16, path, lines)
+
+
+def test_load_csv_rejects_row_on_noninterior_node(square16, tmp_path):
+    # (0, 0) is a grid corner on the boundary; (2, 2) is off the grid
+    for row in ("0.0,0.0,1.0", "2.0,2.0,1.0"):
+        path, lines = _dumped_rows(square16, tmp_path)
+        lines[1] = row
+        with pytest.raises(ValueError, match="not on an interior node"):
+            _load_rows(square16, path, lines)
+
+
+def test_load_csv_rejects_duplicate_row(square16, tmp_path):
+    path, lines = _dumped_rows(square16, tmp_path)
+    with pytest.raises(ValueError, match="repeats an interior node"):
+        _load_rows(square16, path, lines + [lines[5]])
+
+
+def test_load_csv_rejects_missing_interior_node(square16, tmp_path):
+    path, lines = _dumped_rows(square16, tmp_path)
+    with pytest.raises(ValueError, match="1 interior node"):
+        _load_rows(square16, path, lines[:3] + lines[4:])
 
 
 def test_field_dump_binary_header(square16, tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -86,3 +87,17 @@ def test_ramp_scenarios_cover_eps_sweep():
     eps = sorted(get_scenario(f"ramp-le-eps{tag}").weight.eps
                  for tag in ("05", "1", "2"))
     assert eps == [0.05, 0.1, 0.2]
+
+
+REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / \
+    "reference"
+
+
+@pytest.mark.parametrize("sid", ["logistic-square", "lane-emden-disk",
+                                 "ramp-le-eps05", "saturable-square"])
+def test_report_matches_stored_reference(sid):
+    # the stored reports are byte-for-byte what run_scenario produced
+    # when they were made (numpy 2.4.6, scipy 1.17.1); a change that
+    # leaves the numerics alone must reproduce them exactly
+    ref = (REFERENCE_DIR / f"{sid}-h16.json").read_text()
+    assert run_scenario(get_scenario(sid), h=1.0 / 16.0).to_json() == ref
