@@ -19,7 +19,7 @@ import numpy as np
 
 from .domains import DiscretizedDomain
 from .errors import EmptySampler, OutOfDomain
-from .operators import Field, bilinear_interp
+from .operators import Field, bilinear_interp, pair_scan
 from .parabolic import Trajectory
 
 INF = math.inf
@@ -188,17 +188,15 @@ def harmonic_combination(g1, g2, g3, lam):
 class SamplerConfig:
     """Scan configuration for min_defect.
 
-    pair_stride subsamples the interior nodes for the exhaustive pair
-    scan; audit_times are tuple-endpoint times (default: a subset of the
-    snapshot times, plus inf when a stationary slice exists).
+    lambdas is the stage-1 lambda grid (its interior points are
+    scanned); audit_times are tuple-endpoint times (default: a subset of
+    the snapshot times, plus inf when a stationary slice exists and
+    include_infinity is set).
     """
 
-    pair_stride: int | None = None
     lambdas: np.ndarray = dc_field(
         default_factory=lambda: np.linspace(0.0, 1.0, 17))
     audit_times: list | None = None
-    max_scan_nodes: int = 240
-    refine_candidates: int = 32
     include_infinity: bool = True
 
 
@@ -269,35 +267,37 @@ def _default_times(ev, mode, cfg):
     return times
 
 
-def _scan_nodes(dom: DiscretizedDomain, cfg: SamplerConfig):
-    n = dom.n_interior
-    stride = cfg.pair_stride
-    if stride is None:
-        stride = max(1, int(math.ceil(math.sqrt(n / cfg.max_scan_nodes) )))
-        # stride over the 2-D index lattice, not the flat list, so the
-        # subsample stays spatially uniform
-        iy, ix = dom.interior_idx[:, 0], dom.interior_idx[:, 1]
-        keep = (iy % stride == 0) & (ix % stride == 0)
-        sel = np.nonzero(keep)[0]
-    else:
-        sel = np.arange(0, n, stride)
-    return sel
+#: interior nodes the stage-1 and quasiconcavity pair scans subsample
+_SCAN_NODES = 240
+#: stage-1 minima that stage 2 refines
+_REFINE_CANDIDATES = 32
+
+
+def _scan_nodes(dom: DiscretizedDomain, max_nodes: int) -> np.ndarray:
+    """Interior nodes on every k-th row and column of the grid, with the
+    stride k = ceil(sqrt(N / max_nodes)) (all nodes when N <= max_nodes).
+    Striding the 2-D index lattice, not the flat node list, keeps the
+    subsample spatially uniform."""
+    stride = max(1, int(math.ceil(math.sqrt(dom.n_interior / max_nodes))))
+    iy, ix = dom.interior_idx[:, 0], dom.interior_idx[:, 1]
+    return np.nonzero((iy % stride == 0) & (ix % stride == 0))[0]
 
 
 def min_defect(ev, mode: str, cfg: SamplerConfig | None = None,
                c_tol: float = 10.0) -> DefectReport:
     """Two-stage minimization of the concavity function.
 
-    Stage 1: exhaustive scan over strided interior-node pairs, the
-    lambda grid, and snapshot-time pairs (space mode: each audited time
-    separately).  Stage 2: coordinate-descent refinement on the full
-    grid with golden-section in lambda around the best candidates.
+    Stage 1: exhaustive pair_scan over lattice-strided interior-node
+    pairs and the lambda grid, once per snapshot-time pair (space mode:
+    each audited time separately).  Stage 2: coordinate-descent
+    refinement on the full grid with golden-section in lambda around
+    the best candidates.
     """
     if mode not in ("space", "spacetime"):
         raise ValueError("mode must be 'space' or 'spacetime'")
     cfg = cfg or SamplerConfig()
     dom = ev.dom
-    sel = _scan_nodes(dom, cfg)
+    sel = _scan_nodes(dom, _SCAN_NODES)
     if sel.size == 0 or len(cfg.lambdas) == 0:
         raise EmptySampler("sampler produced no tuples")
     times = _default_times(ev, mode, cfg)
@@ -305,8 +305,6 @@ def min_defect(ev, mode: str, cfg: SamplerConfig | None = None,
         raise EmptySampler("no audit times")
     pts = dom.interior_points[sel]
     n = len(pts)
-    i1, i3 = np.triu_indices(n, k=1)
-    P1, P3 = pts[i1], pts[i3]
 
     if mode == "space":
         tpairs = [(t, t) for t in times]
@@ -328,22 +326,20 @@ def min_defect(ev, mode: str, cfg: SamplerConfig | None = None,
     lam_grid = np.asarray(cfg.lambdas, dtype=float)
     inner = lam_grid[(lam_grid > 0) & (lam_grid < 1)]
     for (ta, tb) in tpairs:
-        v1 = nodes_at(ta)[sel]
-        v3 = nodes_at(tb)[sel]
-        for lm in inner:
-            x2 = lm * P3 + (1 - lm) * P1
-            t2 = INF if math.isinf(ta) else lm * tb + (1 - lm) * ta
-            v2 = ev.value(x2, t2)
-            c = v2 - lm * v3[i3] - (1 - lm) * v1[i1]
-            samples += c.size
-            k = int(np.argmin(c))
-            best.append((float(c[k]), sel[i1[k]], sel[i3[k]], ta, tb,
-                         float(lm)))
+        def mid(x2, lm, ta=ta, tb=tb):
+            return ev.value(x2, INF if math.isinf(ta)
+                            else lm * tb + (1 - lm) * ta)
+
+        mins, i1, i3 = pair_scan(pts, nodes_at(ta)[sel], nodes_at(tb)[sel],
+                                 inner, mid)
+        samples += n * (n - 1) // 2 * inner.size
+        best += [(float(c), sel[a], sel[b], ta, tb, float(lm))
+                 for c, a, b, lm in zip(mins, i1, i3, inner)]
     best = [r for r in best if math.isfinite(r[0])]
     if not best:
         raise EmptySampler("no finite concavity values in the scan")
     best.sort(key=lambda r: r[0])
-    cands = best[:cfg.refine_candidates]
+    cands = best[:_REFINE_CANDIDATES]
 
     finite_times = sorted(t for t in times if not math.isinf(t))
     full_pts = dom.interior_points
@@ -487,30 +483,24 @@ def _argmin_gradients(ev, tup: Tuple5, h: float, mode: str):
 # quasiconcavity
 # ---------------------------------------------------------------------------
 
-def quasiconcavity_defect(f: Field, levels: int = 16,
-                          c_tol: float = 10.0,
-                          max_nodes: int = 240) -> float:
-    """Worst superlevel-set convexity violation over `levels` levels in
-    (0, max f): midpoints of in-set node pairs must stay above
-    level - tau_audit.  0 when every check passes."""
+def quasiconcavity_defect(f: Field, c_tol: float = 10.0) -> float:
+    """Worst superlevel-set convexity violation over 16 levels in
+    (0, max f): the midpoint of every pair of in-set nodes (of at most
+    _SCAN_NODES lattice-strided ones) must stay above level - tau_audit.
+    0 when every check passes."""
     ev = FieldEvaluator(f)
     tau = tau_audit_value(ev, [0.0], c_tol)
     top = float(f.values.max())
     if top <= 0:
         return 0.0
-    dom = f.dom
-    sel = _scan_nodes(dom, SamplerConfig(max_scan_nodes=max_nodes))
-    pts = dom.interior_points[sel]
-    vals = f.values[sel]
+    sel = _scan_nodes(f.dom, _SCAN_NODES)
+    pts, vals = f.dom.interior_points[sel], f.values[sel]
     worst = 0.0
-    for lev in np.linspace(0.0, top, levels + 2)[1:-1]:
+    for lev in np.linspace(0.0, top, 18)[1:-1]:
+        # pair_scan with zero end values gives the least midpoint value
         inset = np.nonzero(vals > lev)[0]
-        if inset.size < 2:
-            continue
-        i1, i3 = np.triu_indices(inset.size, k=1)
-        mid = 0.5 * (pts[inset[i1]] + pts[inset[i3]])
-        vm = ev.value(mid)
-        viol = (lev - tau) - vm
-        if viol.size:
-            worst = max(worst, float(viol.max()))
+        zero = np.zeros(inset.size)
+        (least,), _, _ = pair_scan(pts[inset], zero, zero, [0.5],
+                                   lambda x2, lm: ev.value(x2))
+        worst = max(worst, float((lev - tau) - least))
     return max(worst, 0.0)

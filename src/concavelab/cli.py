@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .audit import SamplerConfig, min_defect, FieldEvaluator
+from .bounds import alpha_exponent
 from .domains import (build_discretization, disk, ellipse, rectangle,
                       unit_square)
 from .envelope import concave_approximation
@@ -53,15 +54,6 @@ def _alpha_arg(text):
     return v
 
 
-def _rho_arg(text):
-    if text == "auto":
-        return "auto"
-    v = float(text)
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"rho must be >= 0, got {text}")
-    return v
-
-
 def _add_common(p):
     p.add_argument("--h", type=_positive("h"), default=1.0 / 64.0,
                    help="grid spacing (default 1/64)")
@@ -69,19 +61,11 @@ def _add_common(p):
                    help="time step (default: h)")
     p.add_argument("--T", type=_positive("T"), default=None,
                    help="time horizon (default 2, or the scenario's)")
-    p.add_argument("--beta", type=float, default=None,
-                   help="time rescaling exponent in [1,2]")
     p.add_argument("--alpha", type=_alpha_arg, default=None,
                    help="power-transform exponent in [0,1], or 'auto'")
-    p.add_argument("--theta", type=float, default=None,
-                   help="weight concavity exponent (>= 1)")
-    p.add_argument("--rho", type=_rho_arg, default="auto",
-                   help="inner margin for restricted quantities, or "
-                        "'auto' (argmin distance)")
-    p.add_argument("--seed", type=int, default=1, help="random seed")
     p.add_argument("--out", type=Path, default=Path("."),
                    help="output directory")
-    p.add_argument("--format", choices=("json", "csv"), default="json",
+    p.add_argument("--format", choices=("binary", "csv"), default="binary",
                    help="field dump format")
     p.add_argument("--config", type=Path, default=None,
                    help="problem/grid config file (INI sections: "
@@ -143,8 +127,9 @@ def load_config(path: Path):
         raise ValueError("grid key dt must be positive")
 
     a = cp["audit"] if "audit" in cp else {}
+    alpha = a.get("alpha", "1.0")
     audit = {"mode": a.get("mode", "space"),
-             "alpha": float(a.get("alpha", 1.0)),
+             "alpha": alpha if alpha == "auto" else float(alpha),
              "beta": float(a.get("beta", 1.0)),
              "include_infinity": str(a.get("include_infinity",
                                            "false")).lower() == "true",
@@ -227,11 +212,26 @@ def _cmd_stationary(args) -> int:
     return 0
 
 
+def _resolve_alpha(problem: Problem, alpha, beta: float) -> float:
+    """alpha itself, or for "auto" the exponent formula at the source's
+    sublinear exponent and the weight's gamma and theta."""
+    if alpha != "auto":
+        return alpha
+    q = problem.source.sublinear_exponent
+    if q is None:
+        raise ValueError(f"alpha = auto needs a sublinear exponent, and "
+                         f"source {problem.source.kind!r} has none; "
+                         f"give alpha as a number")
+    return alpha_exponent(q, problem.weight.gamma, beta,
+                          problem.weight.theta)
+
+
 def _cmd_audit(args) -> int:
     problem, h, dt, grid, audit = _problem_from_args(args)
+    alpha = _resolve_alpha(problem, audit["alpha"] if args.alpha is None
+                           else args.alpha, audit["beta"])
     dom = build_discretization(problem.domain, h)
     f = load_field_csv(dom, args.field)
-    alpha = audit["alpha"] if args.alpha in (None, "auto") else args.alpha
     vals = f.values
     if alpha == 0.0:
         vals = np.log(np.maximum(vals, 1e-300))
@@ -352,6 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("props", help="randomized inequality suites")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=1, help="random seed")
     p.add_argument("--draws", type=int, default=10000,
                    help="draws per property (default 10000)")
     return ap

@@ -1,9 +1,9 @@
 """Bounded convex planar domains on uniform grids.
 
 Supports unit squares, rectangles, disks, ellipses and convex polygons.
-Provides signed distance to the boundary, interior/exterior node
-classification, cut-cell fractions for embedded-boundary stencils,
-inner regions (distance > rho) and interior unit normals.
+Provides signed distance to the boundary, the interior nodes, cut-cell
+fractions for embedded-boundary stencils, inner regions (distance >
+rho) and interior unit normals.
 """
 
 from __future__ import annotations
@@ -14,12 +14,6 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 
 from .errors import NoInteriorNodes, NonConvexPolygon, VertexAmbiguity
-
-# node classification codes
-INTERIOR = 1
-BOUNDARY_BAND = 0
-EXTERIOR = -1
-
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -268,15 +262,13 @@ def boundary_normal(spec: DomainSpec, p) -> np.ndarray:
 
 @dataclass
 class DiscretizedDomain:
-    """Uniform grid over a domain's bounding box with node classification.
+    """Uniform grid over a domain's bounding box and its interior nodes.
 
     Attributes
     ----------
     spec : DomainSpec
     h : grid spacing
     xs, ys : node coordinate axes
-    classification : (ny, nx) int array with codes INTERIOR /
-        BOUNDARY_BAND / EXTERIOR
     dist : (ny, nx) signed distance field
     interior_idx : (N, 2) array of (iy, ix) indices of interior nodes
     index_of : (ny, nx) map to the interior ordinal, -1 elsewhere
@@ -289,7 +281,6 @@ class DiscretizedDomain:
     h: float
     xs: np.ndarray
     ys: np.ndarray
-    classification: np.ndarray
     dist: np.ndarray
     interior_idx: np.ndarray
     index_of: np.ndarray
@@ -360,17 +351,6 @@ def build_discretization(spec: DomainSpec, h: float) -> DiscretizedDomain:
     if not interior.any():
         raise NoInteriorNodes("no grid node falls strictly inside the domain")
 
-    classification = np.full((ny, nx), EXTERIOR, dtype=int)
-    classification[interior] = INTERIOR
-    # boundary band: non-interior nodes with an interior 4-neighbor
-    band = np.zeros((ny, nx), dtype=bool)
-    band[:, :-1] |= interior[:, 1:]
-    band[:, 1:] |= interior[:, :-1]
-    band[:-1, :] |= interior[1:, :]
-    band[1:, :] |= interior[:-1, :]
-    band &= ~interior
-    classification[band] = BOUNDARY_BAND
-
     iy, ix = np.nonzero(interior)
     interior_idx = np.column_stack([iy, ix])
     index_of = np.full((ny, nx), -1, dtype=int)
@@ -383,8 +363,7 @@ def build_discretization(spec: DomainSpec, h: float) -> DiscretizedDomain:
     fractions[k, a] = _cut_fractions(
         spec, np.column_stack([xs[ix[k]], ys[iy[k]]]), _DIRS[a, ::-1], h)
 
-    return DiscretizedDomain(spec=spec, h=h, xs=xs, ys=ys,
-                             classification=classification, dist=dist,
+    return DiscretizedDomain(spec=spec, h=h, xs=xs, ys=ys, dist=dist,
                              interior_idx=interior_idx, index_of=index_of,
                              fractions=fractions)
 

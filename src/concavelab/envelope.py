@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
+from .audit import _scan_nodes
 from .errors import HullDegenerate
-from .operators import Field
+from .operators import Field, pair_scan
 
 
 def hyers_ulam_constant(n: int) -> float:
@@ -101,28 +102,6 @@ def _upper_envelope_2d(pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return np.maximum(env, vals)  # guard roundoff: majorant dominates f
 
 
-def _defect_2d(pts: np.ndarray, vals: np.ndarray, lambdas=None,
-               interp=None) -> float:
-    """Concavity defect over sample pairs and a lambda grid; the middle
-    value comes from `interp` (bilinear) when provided."""
-    lambdas = np.linspace(0, 1, 17)[1:-1] if lambdas is None else lambdas
-    n = len(pts)
-    i1, i3 = np.triu_indices(n, k=1)
-    worst = 0.0
-    for lam in lambdas:
-        x2 = lam * pts[i3] + (1 - lam) * pts[i1]
-        if interp is not None:
-            v2 = interp(x2)
-        else:
-            # nearest-sample middle values (coarse but certificate-safe)
-            d2 = ((x2[:, None, 0] - pts[None, :, 0]) ** 2
-                  + (x2[:, None, 1] - pts[None, :, 1]) ** 2)
-            v2 = vals[np.argmin(d2, axis=1)]
-        c = v2 - lam * vals[i3] - (1 - lam) * vals[i1]
-        worst = min(worst, float(c.min()))
-    return -worst
-
-
 def concave_approximation(f, section=None, max_nodes: int = 600) \
         -> EnvelopeResult:
     """Concave approximant with a distance certificate.
@@ -149,24 +128,25 @@ def concave_approximation(f, section=None, max_nodes: int = 600) \
     if not isinstance(f, Field):
         raise TypeError("expected a Field or a 1-D (x, values) tuple")
     dom = f.dom
-    pts = dom.interior_points
-    vals = f.values
-    if len(pts) > max_nodes:
-        stride = int(np.ceil(np.sqrt(len(pts) / max_nodes)))
-        iy, ix = dom.interior_idx[:, 0], dom.interior_idx[:, 1]
-        keep = (iy % stride == 0) & (ix % stride == 0)
-        pts, vals = pts[keep], vals[keep]
+    sel = _scan_nodes(dom, max_nodes)
+    pts, vals = dom.interior_points[sel], f.values[sel]
     if len(pts) < 3:
         raise HullDegenerate("need at least 3 sample points in 2-D")
     g_hat = _upper_envelope_2d(pts, vals)
     gap = float(np.max(g_hat - vals))
     grid = f.to_grid()
 
-    def interp(x2):
+    def interp(x2, lam):
+        # looked up per call, so that a wrapper installed on
+        # operators.bilinear_interp (perfbench/tracer.py) sees it
         from .operators import bilinear_interp
         return bilinear_interp(dom, grid, x2)
 
-    delta = _defect_2d(pts, vals, interp=interp)
+    # delta: the defect over sample pairs and 15 lambdas, with the middle
+    # value interpolated bilinearly on the full grid
+    mins, _, _ = pair_scan(pts, vals, vals, np.linspace(0, 1, 17)[1:-1],
+                           interp)
+    delta = -min([0.0] + mins.tolist())
     k = hyers_ulam_constant(2)
     dist = 0.5 * gap
     return EnvelopeResult(g=g_hat - dist, g_hat=g_hat, distance=dist,

@@ -21,6 +21,7 @@ import numpy as np
 
 from .domains import DiscretizedDomain, DomainSpec, distance_to_boundary
 from .errors import NegativeState, Unbounded
+from .operators import pair_scan
 
 FLAG_NAMES = ("lower_power", "lower_power_dist", "lower_power_uniform",
               "one_sided_lipschitz", "hoelder", "time_monotone")
@@ -141,12 +142,6 @@ class SourceTerm:
             return np.where(s < 1, (1.0 - np.minimum(s, 1.0)) ** self.p, 0.0)
         raise ValueError(f"source kind {k!r} has no plain f(s)")
 
-    def fprime(self, s):
-        """Numerical derivative of f (used by the semi-implicit step)."""
-        eps = 1e-7 * np.maximum(np.abs(s), 1e-7)
-        return (self.f(s + eps) - self.f(np.maximum(s - eps, 0.0))) \
-            / (eps + np.minimum(s, eps))
-
     @property
     def composite(self) -> bool:
         return self.kind in ("logistic", "power_sum")
@@ -161,7 +156,8 @@ class SourceTerm:
         if self.kind == "one_minus_s_p":
             return 0.0
         if self.kind == "power_sum":
-            return self.p  # the smaller exponent dominates near 0... see note
+            # b = a s^p + s^q >= m s^p for every s >= 0 (m = min a)
+            return self.p
         return None
 
 
@@ -205,26 +201,6 @@ class Problem:
                 else np.ones_like(s)
             return a * base_p + base_q
         return a * self.source.f(s)
-
-
-def eval_source(problem: Problem, dom: DiscretizedDomain, x, s, t):
-    """b(x, s, t) at a single point (or array of points)."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s < -1e-12):
-        raise NegativeState(f"state value below -1e-12: {s}")
-    s = np.maximum(s, 0.0)
-    te = problem.effective_time(t)
-    a = problem.weight.spatial_at(problem.domain, np.atleast_2d(x)) \
-        * problem.weight.time_factor(te)
-    a = a[0] if np.asarray(x).ndim == 1 else a
-    k = problem.source.kind
-    if k == "logistic":
-        return a * s - s * s
-    if k == "power_sum":
-        bp = s ** problem.source.p if problem.source.p > 0 else 1.0
-        bq = s ** problem.source.q if problem.source.q > 0 else 1.0
-        return a * bp + bq
-    return a * problem.source.f(s)
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +316,11 @@ def weight_concavity_defect(problem: Problem, dom: DiscretizedDomain,
     return max(0.0, -_concavity_min(w, problem.domain, pts, prof, theta))
 
 
-#: node pairs per chunk: the temporaries of a chunk fit a 2 MB L2 cache
-#: (chunks of 2^18 pairs ran the scan about 25% slower)
-_PAIR_CHUNK = 1 << 14
-
-
 def _concavity_min(weight: Weight, spec: DomainSpec, pts, prof,
                    theta: float) -> float:
     """Signed min of the concavity function of weight^theta (prof: the
-    weight at pts) over node pairs i < j in row blocks of about
-    _PAIR_CHUNK pairs, gathered once for all lambdas; inf for < 2 nodes."""
+    weight at pts) over node pairs i < j and the 15 interior lambdas of
+    a 17-point grid, by pair_scan; inf for < 2 nodes."""
     def transform(a):
         if math.isinf(theta):
             return a
@@ -358,21 +329,10 @@ def _concavity_min(weight: Weight, spec: DomainSpec, pts, prof,
         return np.sign(a) * np.abs(a) ** theta
 
     vals = transform(prof)
-    n = len(pts)
-    before = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
-    worst, i0 = math.inf, 0
-    while i0 < n - 1:  # rows i0..i1-1 hold at most _PAIR_CHUNK pairs
-        i1 = max(i0 + 1, int(np.searchsorted(
-            before, before[i0] + _PAIR_CHUNK, "right")) - 1)
-        idx1, idx3 = np.nonzero(np.arange(n) > np.arange(i0, i1)[:, None])
-        idx1 += i0
-        p1, p3, v1, v3 = pts[idx1], pts[idx3], vals[idx1], vals[idx3]
-        for lm in np.linspace(0.0, 1.0, 17)[1:-1]:
-            v2 = transform(weight.spatial_at(spec, lm * p3 + (1 - lm) * p1))
-            c = v2 - lm * v3 - (1 - lm) * v1
-            worst = min(worst, float(c.min()))
-        i0 = i1
-    return worst
+    mins, _, _ = pair_scan(
+        pts, vals, vals, np.linspace(0.0, 1.0, 17)[1:-1],
+        lambda x2, lm: transform(weight.spatial_at(spec, x2)))
+    return min([math.inf] + mins.tolist())
 
 
 # ---------------------------------------------------------------------------

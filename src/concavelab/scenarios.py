@@ -18,12 +18,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .audit import (DefectReport, SamplerConfig, min_defect,
-                    power_transform, quasiconcavity_defect,
-                    tau_audit_value, FieldEvaluator, harmonic_combination)
-from .bounds import (BoundParams, BoundReport, alpha_exponent,
-                     log_concavity_rhs, quantitative_rhs,
-                     boundary_lower_bound, spacetime_alpha_window)
+from .audit import (SamplerConfig, min_defect, power_transform,
+                    quasiconcavity_defect)
+from .bounds import (BoundParams, BoundReport, log_concavity_rhs,
+                     quantitative_rhs, boundary_lower_bound,
+                     spacetime_alpha_window)
 from .domains import (build_discretization, disk, distance_to_boundary,
                       inner_region_mask, unit_square)
 from .errors import RangeViolation, ValidityViolation
@@ -391,9 +390,7 @@ def _log_bound_inputs(scn, problem, dom, traj, rep):
 
 def run_scenario(scn: Scenario, h: float = 1.0 / 64.0,
                  dt: float | None = None, horizon: float | None = None,
-                 snapshots: int | None = None,
-                 sampler: SamplerConfig | None = None) \
-        -> VerificationReport:
+                 snapshots: int | None = None) -> VerificationReport:
     t_start = time.perf_counter()
     report = VerificationReport(scenario_id=scn.id, verdict="pass")
     spec = unit_square() if scn.domain == "square" else disk()
@@ -466,9 +463,8 @@ def run_scenario(scn: Scenario, h: float = 1.0 / 64.0,
                                  worst <= 0.0, -worst, -1e-12)
             continue
         ev = power_transform(traj, aud.alpha, aud.beta)
-        cfg = sampler or SamplerConfig(
-            include_infinity=aud.include_infinity)
-        rep = min_defect(ev, aud.mode, cfg)
+        rep = min_defect(ev, aud.mode,
+                         SamplerConfig(include_infinity=aud.include_infinity))
         report.defect_reports.append(rep)
         for check in aud.checks:
             if check[0] == "exact":

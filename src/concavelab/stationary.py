@@ -26,36 +26,16 @@ class StationaryResult:
     sup_norm: float
 
 
-def _weight_at_infinity(problem: Problem, dom: DiscretizedDomain):
-    w = problem.weight
-    if w.gamma > 0:
-        if not problem.truncate:
-            raise Unbounded(
-                "weight grows in time: a stationary slice needs the "
-                "time-truncation flag")
-        return w.spatial_profile(dom) * w.time_factor(problem.horizon)
-    return w.spatial_profile(dom)
-
-
 def _source_at_infinity(problem: Problem, dom, s):
-    """b(x, s, infinity), with truncation already folded into the weight."""
-    a = _weight_at_infinity(problem, dom)
-    k = problem.source.kind
-    s = np.maximum(np.asarray(s, dtype=float), 0.0)
-    if k == "logistic":
-        return a * s - s * s
-    if k == "power_sum":
-        src = problem.source
-        bp = np.where(s > 0, s, 0.0) ** src.p if src.p > 0 else np.ones_like(s)
-        bq = np.where(s > 0, s, 0.0) ** src.q if src.q > 0 else np.ones_like(s)
-        return a * bp + bq
-    return a * problem.source.f(s)
+    """b(x, s, infinity) on the nonnegative part of s; at t = inf the
+    weight is its profile times 1, or times time_factor(horizon) when
+    truncated."""
+    return problem.source_values(dom, np.maximum(s, 0.0), math.inf)
 
 
 def _strict_decrease_certificate(problem: Problem, dom) -> bool:
     """Sampled check that s -> b(x,s)/s is strictly decreasing."""
-    a = _weight_at_infinity(problem, dom)
-    ref = np.argmax(a)
+    ref = np.argmax(problem.weight_values(dom, math.inf))
     s = np.geomspace(1e-6, 10.0, 200)
     vals = np.array([_source_at_infinity(problem, dom, np.full(dom.n_interior, si))[ref] / si
                      for si in s])
@@ -67,6 +47,9 @@ def solve_stationary(problem: Problem, dom: DiscretizedDomain,
     """Single linear solve for state-independent sources; otherwise a
     damped Picard iteration (damping 0.5) from the scaled torsion
     solution, until the successive sup-norm change is <= 1e-10."""
+    if problem.weight.gamma > 0 and not problem.truncate:
+        raise Unbounded("weight grows in time: a stationary slice needs "
+                        "the time-truncation flag")
     A = neg_laplacian_matrix(dom)
     state_free = problem.source.kind == "one" or (
         problem.source.kind == "power_q" and problem.source.q == 0.0)
@@ -84,7 +67,7 @@ def solve_stationary(problem: Problem, dom: DiscretizedDomain,
 
     # torsion solution of the weight's positive part as the starting point;
     # iterate w = A^{-1} b(w) with damping 0.5
-    a_inf = np.maximum(_weight_at_infinity(problem, dom), 0.0)
+    a_inf = np.maximum(problem.weight_values(dom, math.inf), 0.0)
     base = poisson_solve(dom, np.maximum(a_inf, np.max(a_inf) * 0.0 + 1e-8))
     v = np.maximum(base, 1e-8)
     # one undamped scaling pass keeps the start above the small branch

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from concavelab import (Field, Problem, SourceTerm, SamplerConfig, Weight,
-                        build_discretization, concavity_value,
+                        build_discretization, concavity_value, ellipse,
                         field_from_function, harmonic_concavity_value,
                         make_time_grid, min_defect, power_transform,
                         quasiconcavity_defect, solve_trajectory, unit_square)
@@ -182,6 +182,45 @@ def test_quasiconcavity_defect(square16):
     # analytic field: the sharp-Gaussian curvature inflates the default
     # tolerance, so tighten c_tol to expose the genuine violation
     assert quasiconcavity_defect(bumps, c_tol=1.0) > 0.01
+
+
+def _reference_quasiconcavity(f, c_tol=10.0):
+    """The unchunked scan: at most about 240 lattice-strided nodes, one
+    triu_indices gather of the in-set pairs per level of 16."""
+    ev = FieldEvaluator(f)
+    tau = tau_audit_value(ev, [0.0], c_tol)
+    top = float(f.values.max())
+    if top <= 0:
+        return 0.0
+    dom = f.dom
+    stride = max(1, math.ceil(math.sqrt(dom.n_interior / 240)))
+    iy, ix = dom.interior_idx[:, 0], dom.interior_idx[:, 1]
+    keep = (iy % stride == 0) & (ix % stride == 0)
+    pts, vals = dom.interior_points[keep], f.values[keep]
+    worst = 0.0
+    for lev in np.linspace(0.0, top, 18)[1:-1]:
+        inset = np.nonzero(vals > lev)[0]
+        if inset.size < 2:
+            continue
+        i1, i3 = np.triu_indices(inset.size, k=1)
+        vm = ev.value(0.5 * (pts[inset[i1]] + pts[inset[i3]]))
+        worst = max(worst, float(((lev - tau) - vm).max()))
+    return max(worst, 0.0)
+
+
+@pytest.mark.parametrize("c_tol", [0.1, 1.0, 10.0])
+def test_quasiconcavity_matches_unchunked_scan(square16, c_tol):
+    ell = build_discretization(ellipse(1.3, 0.6), 1.0 / 32.0)
+    rng = np.random.default_rng(3)
+    got = []
+    for dom in (square16, ell):
+        for f in (field_from_function(
+                      dom, lambda x, y: np.exp(-4 * (x - 0.3) ** 2)
+                      * (1 + 0.5 * np.cos(6 * y)) + np.exp(-9 * x * x)),
+                  Field(dom, rng.uniform(0.0, 1.0, dom.n_interior))):
+            got.append(quasiconcavity_defect(f, c_tol=c_tol))
+            assert got[-1] == _reference_quasiconcavity(f, c_tol)
+    assert max(got) > 0
 
 
 def test_defect_report_json_roundtrip(square16):

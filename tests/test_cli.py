@@ -165,3 +165,57 @@ def test_console_entry_point(tmp_path):
                           capture_output=True, text=True)
     # no subcommand -> argparse usage error
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["solve", "--rho", "0.1"], "--rho"),
+    (["solve", "--theta", "2"], "--theta"),
+    (["audit", "--field", "f.csv", "--beta", "1.5"], "--beta"),
+    (["solve", "--seed", "3"], "--seed"),
+    (["verify", "--scenario", "torsion-square", "--seed", "3"], "--seed"),
+    (["solve", "--format", "json"], "--format"),
+])
+def test_removed_flags_rejected(capsys, config_file, argv, flag):
+    rc = parse_and_dispatch(argv + ["--config", str(config_file)])
+    assert rc == 2
+    assert flag in capsys.readouterr().err
+
+
+def _audit_report(tmp_path, config_file, name, extra=()):
+    out = tmp_path / name
+    field = tmp_path / "stationary.csv"
+    if not field.exists():
+        assert parse_and_dispatch(["stationary", "--config",
+                                   str(config_file), "--out",
+                                   str(tmp_path), "--format", "csv"]) == 0
+    rc = parse_and_dispatch(["audit", "--config", str(config_file),
+                             "--field", str(field), "--out", str(out),
+                             *extra])
+    assert rc == 0
+    return (out / "audit_report.json").read_bytes()
+
+
+def test_alpha_auto_resolves_exponent(tmp_path, config_file):
+    # torsion: q = 0, gamma = 0, beta = 1, theta = inf give alpha = 1/2
+    ref = _audit_report(tmp_path, config_file, "flag05",
+                        ("--alpha", "0.5"))
+    auto_ini = tmp_path / "auto.ini"
+    auto_ini.write_text(CONFIG.replace("alpha = 0.5", "alpha = auto"))
+    assert _audit_report(tmp_path, auto_ini, "ini") == ref
+    # --alpha auto resolves too, rather than falling back to the
+    # config's alpha
+    one_ini = tmp_path / "one.ini"
+    one_ini.write_text(CONFIG.replace("alpha = 0.5", "alpha = 1"))
+    assert _audit_report(tmp_path, one_ini, "flag-over-one",
+                         ("--alpha", "auto")) == ref
+
+
+def test_alpha_auto_needs_sublinear_exponent(tmp_path, capsys):
+    path = tmp_path / "linear.ini"
+    path.write_text(CONFIG.replace("kind = one", "kind = identity")
+                    .replace("alpha = 0.5", "alpha = auto"))
+    rc = parse_and_dispatch(["audit", "--config", str(path), "--field",
+                             str(tmp_path / "f.csv"), "--out",
+                             str(tmp_path)])
+    assert rc == 2
+    assert "'identity'" in capsys.readouterr().err

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from concavelab import (Field, build_discretization, concave_approximation,
-                        field_from_function, hyers_ulam_constant,
+                        ellipse, field_from_function, hyers_ulam_constant,
                         unit_square)
 from concavelab.errors import HullDegenerate
+from concavelab.operators import bilinear_interp
 
 
 def test_stability_constants():
@@ -89,3 +92,58 @@ def test_2d_subsampling_large_fields():
 def test_rejects_unknown_input():
     with pytest.raises(TypeError):
         concave_approximation(np.zeros(10))
+
+
+def _reference_delta(f, max_nodes=600):
+    """The unchunked delta scan: lattice subsample of at most about
+    max_nodes nodes, one triu_indices gather of all pairs per lambda,
+    middle values interpolated bilinearly on the full grid."""
+    dom = f.dom
+    pts, vals = dom.interior_points, f.values
+    if len(pts) > max_nodes:
+        stride = int(np.ceil(np.sqrt(len(pts) / max_nodes)))
+        iy, ix = dom.interior_idx[:, 0], dom.interior_idx[:, 1]
+        keep = (iy % stride == 0) & (ix % stride == 0)
+        pts, vals = pts[keep], vals[keep]
+    grid = f.to_grid()
+    i1, i3 = np.triu_indices(len(pts), k=1)
+    worst = 0.0
+    for lam in np.linspace(0, 1, 17)[1:-1]:
+        x2 = lam * pts[i3] + (1 - lam) * pts[i1]
+        c = bilinear_interp(dom, grid, x2) - lam * vals[i3] \
+            - (1 - lam) * vals[i1]
+        worst = min(worst, float(c.min()))
+    return -worst
+
+
+def _wavy_field(dom):
+    return field_from_function(
+        dom, lambda x, y: np.cos(x) * np.cos(2 * y) + 0.1 * np.sin(7 * x))
+
+
+@pytest.mark.parametrize("spec,h", [(unit_square(), 1 / 24),
+                                    (ellipse(1.3, 0.5), 1 / 32)],
+                         ids=["square-all-nodes", "ellipse-subsampled"])
+def test_2d_delta_matches_unchunked_scan(spec, h):
+    # 529 square nodes (139,656 pairs); the ellipse's 2,073 nodes are
+    # subsampled to about 600
+    dom = build_discretization(spec, h)
+    rng = np.random.default_rng(1)
+    for f in (_wavy_field(dom),
+              Field(dom, rng.uniform(0.0, 1.0, dom.n_interior))):
+        res = concave_approximation(f)
+        assert res.delta == _reference_delta(f)
+        assert res.delta > 0
+
+
+def test_2d_memory_bounded():
+    # gathering all 139,656 pairs at once peaked at 18 MB
+    dom = build_discretization(unit_square(), 1 / 24)
+    f = _wavy_field(dom)
+    tracemalloc.start()
+    try:
+        concave_approximation(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20

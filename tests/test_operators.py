@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,7 +11,8 @@ from concavelab import (Field, apply_laplacian, build_discretization,
                         poisson_solve, principal_eigenpair, rectangle,
                         unit_square)
 from concavelab.domains import _DIRS
-from concavelab.operators import (bilinear_interp, neg_laplacian_matrix,
+from concavelab.operators import (_PAIR_CHUNK, bilinear_interp,
+                                  neg_laplacian_matrix, pair_scan,
                                   solve_shifted_poisson)
 
 
@@ -167,3 +170,107 @@ def test_laplacian_exact_on_quadratic_vanishing_on_curved_boundary(a, b, h):
         tol = 1e-14 * (abs(A) @ np.ones(dom.n_interior))
         err = np.abs(A @ u.values - (2 / ax ** 2 + 2 / by ** 2))
         assert np.all(err <= tol)
+
+
+# ---------------------------------------------------------------------------
+# pair x lambda kernel
+# ---------------------------------------------------------------------------
+
+def _reference_pair_scan(pts, v1, v3, lambdas, mid):
+    """Unchunked scan: one triu_indices gather per lambda, np.argmin."""
+    i1, i3 = np.triu_indices(len(pts), k=1)
+    mins, bi, bj = [], [], []
+    for lm in lambdas:
+        c = mid(lm * pts[i3] + (1 - lm) * pts[i1], lm) \
+            - lm * v3[i3] - (1 - lm) * v1[i1]
+        k = int(np.argmin(c))
+        mins.append(c[k])
+        bi.append(i1[k])
+        bj.append(i3[k])
+    return np.array(mins), np.array(bi), np.array(bj)
+
+
+def _scan_inputs(n=400, seed=0):
+    # 400 nodes: 79,800 pairs, about five chunks
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, (n, 2))
+    v1, v3 = rng.normal(size=(2, n))
+    return pts, v1, v3
+
+
+def _wavy(x2, lm):
+    return np.sin(3 * x2[:, 0]) * np.cos(2 * x2[:, 1]) + lm
+
+
+def _coarse(x2, lm):
+    # few distinct values, so the minimum is tied across chunks
+    return np.round(np.sin(3 * x2[:, 0] + x2[:, 1]), 1)
+
+
+@pytest.mark.parametrize("mid", [_wavy, _coarse])
+def test_pair_scan_matches_unchunked(mid):
+    pts, v1, v3 = _scan_inputs()
+    n_pairs = len(pts) * (len(pts) - 1) // 2
+    assert n_pairs > 3 * _PAIR_CHUNK
+    lambdas = np.linspace(0.0, 1.0, 17)[1:-1]
+    if mid is _coarse:
+        v1 = v3 = np.zeros(len(pts))
+    got = pair_scan(pts, v1, v3, lambdas, mid)
+    ref = _reference_pair_scan(pts, v1, v3, lambdas, mid)
+    for g, r in zip(got, ref):
+        assert np.array_equal(g, r)
+    if mid is _coarse:
+        # the tie-break matters: the first minimum is not in the last chunk
+        last_row = np.searchsorted(
+            np.cumsum(np.arange(len(pts) - 1, 0, -1)),
+            n_pairs - _PAIR_CHUNK)
+        assert np.all(got[1] < last_row)
+
+
+def test_pair_scan_nan_first_occurrence():
+    # a NaN in a late chunk wins over smaller values before and after it,
+    # as np.argmin over the unchunked scan does
+    pts, v1, v3 = _scan_inputs()
+    bad = (350, 390)
+
+    def mid(x2, lm):
+        out = _wavy(x2, lm)
+        out[np.all(x2 == lm * pts[bad[1]] + (1 - lm) * pts[bad[0]],
+                   axis=1)] = np.nan
+        return out
+
+    lambdas = [0.25, 0.5]
+    mins, bi, bj = pair_scan(pts, v1, v3, lambdas, mid)
+    ref = _reference_pair_scan(pts, v1, v3, lambdas, mid)
+    assert np.all(np.isnan(mins)) and np.all(np.isnan(ref[0]))
+    assert np.array_equal(bi, ref[1]) and np.array_equal(bj, ref[2])
+    assert tuple(bi) == (bad[0],) * 2 and tuple(bj) == (bad[1],) * 2
+
+
+def test_pair_scan_visits_every_pair_once():
+    # the callback sees the lambda points of each pair i < j, each once
+    pts, v1, v3 = _scan_inputs(n=300)
+    calls = []
+
+    def mid(x2, lm):
+        calls.append(np.column_stack([x2, np.full(len(x2), lm)]))
+        return np.zeros(len(x2))
+
+    lambdas = np.linspace(0.0, 1.0, 5)[1:-1]
+    pair_scan(pts, v1, v3, lambdas, mid)
+    assert len(calls) > 2 * len(lambdas)  # more than two chunks
+    i1, i3 = np.triu_indices(len(pts), k=1)
+    ref = np.concatenate([np.column_stack(
+        [lm * pts[i3] + (1 - lm) * pts[i1], np.full(len(i1), lm)])
+        for lm in lambdas])
+    got = np.concatenate(calls)
+    assert got.shape == ref.shape
+    assert np.array_equal(got[np.lexsort(got.T)], ref[np.lexsort(ref.T)])
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_pair_scan_without_pairs(n):
+    mins, bi, bj = pair_scan(np.zeros((n, 2)), np.zeros(n), np.zeros(n),
+                             [0.5], _wavy)
+    assert mins.tolist() == [math.inf]
+    assert bi.tolist() == bj.tolist() == [-1]

@@ -4,6 +4,7 @@ import pytest
 from concavelab import (Problem, SourceTerm, Weight, build_discretization,
                         disk, solve_stationary, unit_square)
 from concavelab.errors import ConcavelabError
+from concavelab.operators import neg_laplacian_matrix
 
 # torsion function of the unit square at the center, from the double
 # Fourier series 16/pi^4 sum_{odd j,k} sin(j pi/2) sin(k pi/2)/(jk(j^2+k^2))
@@ -72,3 +73,33 @@ def test_stationary_dominates_trajectory(square32):
     traj = solve_trajectory(p, square32, g)
     tau = 10.0 * square32.h ** 2
     assert np.all(traj.fields[-1] <= res.v.values + tau)
+
+
+def test_logistic_source(square32):
+    # -Lap v = c v - v^2 with c above the first eigenvalue (about 19.7):
+    # a positive solution below the carrying capacity c
+    c = 40.0
+    p = Problem(domain=unit_square(), weight=Weight(kind="constant", c=c),
+                source=SourceTerm(kind="logistic"))
+    res = solve_stationary(p, square32)
+    v = res.v.values
+    assert np.all(v > 0) and res.sup_norm < c
+    A = neg_laplacian_matrix(square32)
+    assert np.max(np.abs(A @ v - (c * v - v * v))) < 1e-8
+    assert res.residual < 1e-8
+
+
+def test_power_sum_source_truncated_time_weight(square32):
+    # b = a(x, T) v^p + v^q with a = c t^gamma frozen at t = T = 2
+    p = Problem(domain=unit_square(),
+                weight=Weight(kind="separable_power_time", c=1.5,
+                              gamma=0.5),
+                source=SourceTerm(kind="power_sum", p=0.5, q=0.6),
+                horizon=2.0, truncate=True)
+    res = solve_stationary(p, square32)
+    v = res.v.values
+    assert np.all(v > 0)
+    a = 1.5 * np.sqrt(2.0)
+    A = neg_laplacian_matrix(square32)
+    assert np.max(np.abs(A @ v - (a * v ** 0.5 + v ** 0.6))) < 1e-8
+    assert res.residual < 1e-8
