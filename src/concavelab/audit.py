@@ -52,87 +52,65 @@ class Tuple5:
 # evaluators
 # ---------------------------------------------------------------------------
 
-class TrajectoryEvaluator:
-    """Space-time evaluator over a trajectory: bilinear in space,
-    linear in time between snapshots, stationary slice at t = inf."""
-
-    def __init__(self, traj: Trajectory):
-        self.traj = traj
-        self.dom = traj.dom
-        self._grids = {}
-
-    def _grid_at(self, t: float) -> np.ndarray:
-        key = float(t)
-        if key not in self._grids:
-            vals = self.traj.values_at_time(t)
-            self._grids[key] = Field(self.dom, vals).to_grid()
-        return self._grids[key]
-
-    def value(self, pts, t: float):
-        g = self._grid_at(t)
-        return bilinear_interp(self.dom, g, pts)
+#: floor under u before the log transform (alpha = 0)
+_POSITIVITY_FLOOR = 1e-300
 
 
-class TransformedEvaluator:
-    """Evaluator of u^alpha(x, t^beta) (log u for alpha = 0).
+class Evaluator:
+    """Evaluator of u^alpha(x, t^beta) (log u for alpha = 0) over a
+    trajectory: bilinear in space, linear in time between snapshots,
+    the stationary slice at t = inf.
 
     Interpolation happens on u *before* the power/log transformation.
+    The full grid of u is kept for the last time asked for only.
     """
 
-    def __init__(self, base: TrajectoryEvaluator, alpha: float,
-                 beta: float = 1.0, positivity_floor: float = 1e-300):
+    def __init__(self, traj: Trajectory, alpha: float = 1.0,
+                 beta: float = 1.0):
         if not (0.0 <= alpha <= 1.0):
             raise ValueError("alpha must lie in [0, 1]")
         if not (1.0 <= beta <= 2.0):
             raise ValueError("beta must lie in [1, 2]")
-        self.base = base
-        self.dom = base.dom
+        self.traj = traj
+        self.dom = traj.dom
         self.alpha = alpha
         self.beta = beta
-        self.floor = positivity_floor
+        self._grid_time = None
+        self._grid = None
 
-    def value(self, pts, t: float):
-        s = t if math.isinf(t) else t ** self.beta
-        u = self.base.value(pts, s)
+    def _transform(self, u):
         if self.alpha == 0.0:
-            u = np.maximum(u, self.floor)
-            return np.log(u)
+            return np.log(np.maximum(u, _POSITIVITY_FLOOR))
         if self.alpha == 1.0:
             return u
         return np.maximum(u, 0.0) ** self.alpha
 
-    def node_values(self, t: float) -> np.ndarray:
-        """Transformed values exactly at interior nodes."""
-        s = t if math.isinf(t) else t ** self.beta
-        u = self.traj_values(s)
-        if self.alpha == 0.0:
-            return np.log(np.maximum(u, self.floor))
-        if self.alpha == 1.0:
-            return u
-        return np.maximum(u, 0.0) ** self.alpha
-
-    def traj_values(self, s: float) -> np.ndarray:
-        return self.base.traj.values_at_time(s)
-
-
-class FieldEvaluator:
-    """Timeless evaluator over a single field (space mode audits)."""
-
-    def __init__(self, f: Field):
-        self.dom = f.dom
-        self.grid = f.to_grid()
-        self.node_vals = f.values
+    def _u_time(self, t: float) -> float:
+        return t if math.isinf(t) else t ** self.beta
 
     def value(self, pts, t: float = 0.0):
-        return bilinear_interp(self.dom, self.grid, pts)
+        s = self._u_time(t)
+        if s != self._grid_time:
+            self._grid = Field(self.dom,
+                               self.traj.values_at_time(s)).to_grid()
+            self._grid_time = s
+        return self._transform(bilinear_interp(self.dom, self._grid, pts))
 
-    def node_values(self, t: float = 0.0):
-        return self.node_vals
+    def node_values(self, t: float = 0.0) -> np.ndarray:
+        """Transformed values exactly at interior nodes."""
+        return self._transform(self.traj.values_at_time(self._u_time(t)))
 
 
 def power_transform(traj: Trajectory, alpha: float,
-                    beta: float = 1.0) -> TransformedEvaluator:
-    return TransformedEvaluator(TrajectoryEvaluator(traj), alpha, beta)
+                    beta: float = 1.0) -> Evaluator:
+    return Evaluator(traj, alpha, beta)
+
+
+def FieldEvaluator(f: Field, alpha: float = 1.0) -> Evaluator:
+    """Evaluator of f^alpha (log f for alpha = 0) for space-mode audits:
+    f as a one-snapshot trajectory at t = 0."""
+    return Evaluator(Trajectory(dom=f.dom, times=np.zeros(1),
+                                fields=[f.values]), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -249,20 +227,16 @@ def tau_audit_value(ev, times, c_tol: float = 10.0) -> float:
     return c_tol * _second_difference_scale(ev, times)
 
 
-def _default_times(ev, mode, cfg):
+def _default_times(ev, cfg):
     if cfg.audit_times is not None:
         return list(cfg.audit_times)
-    if isinstance(ev, FieldEvaluator):
-        return [0.0]
-    traj = ev.base.traj if isinstance(ev, TransformedEvaluator) else ev.traj
-    beta = getattr(ev, "beta", 1.0)
-    snaps = traj.times
+    snaps = ev.traj.times
     # tuple-endpoint times sit exactly on snapshots (tau = s^{1/beta})
     pick = np.unique(np.round(
         np.linspace(0, len(snaps) - 1, 7)).astype(int))
-    times = [float(snaps[k]) ** (1.0 / beta) for k in pick]
-    if cfg.include_infinity and traj.stationary is not None \
-            and traj.monotone:
+    times = [float(snaps[k]) ** (1.0 / ev.beta) for k in pick]
+    if cfg.include_infinity and ev.traj.stationary is not None \
+            and ev.traj.monotone:
         times.append(INF)
     return times
 
@@ -300,7 +274,7 @@ def min_defect(ev, mode: str, cfg: SamplerConfig | None = None,
     sel = _scan_nodes(dom, _SCAN_NODES)
     if sel.size == 0 or len(cfg.lambdas) == 0:
         raise EmptySampler("sampler produced no tuples")
-    times = _default_times(ev, mode, cfg)
+    times = _default_times(ev, cfg)
     if len(times) == 0:
         raise EmptySampler("no audit times")
     pts = dom.interior_points[sel]

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .audit import SamplerConfig, min_defect, FieldEvaluator
@@ -25,7 +24,7 @@ from .domains import (build_discretization, disk, ellipse, rectangle,
                       unit_square)
 from .envelope import concave_approximation
 from .errors import ConcavelabError
-from .operators import Field, principal_eigenpair
+from .operators import Field
 from .parabolic import (dump_field_binary, dump_field_csv, load_field_csv,
                         make_time_grid, solve_trajectory)
 from .problems import Problem, SourceTerm, Weight
@@ -54,22 +53,29 @@ def _alpha_arg(text):
     return v
 
 
-def _add_common(p):
-    p.add_argument("--h", type=_positive("h"), default=1.0 / 64.0,
-                   help="grid spacing (default 1/64)")
-    p.add_argument("--dt", type=_positive("dt"), default=None,
-                   help="time step (default: h)")
-    p.add_argument("--T", type=_positive("T"), default=None,
-                   help="time horizon (default 2, or the scenario's)")
-    p.add_argument("--alpha", type=_alpha_arg, default=None,
-                   help="power-transform exponent in [0,1], or 'auto'")
-    p.add_argument("--out", type=Path, default=Path("."),
-                   help="output directory")
-    p.add_argument("--format", choices=("binary", "csv"), default="binary",
-                   help="field dump format")
-    p.add_argument("--config", type=Path, default=None,
+#: flags shared by several subcommands; each subcommand takes only the
+#: ones its handler reads
+_FLAGS = {
+    "h": dict(type=_positive("h"), default=1.0 / 64.0,
+              help="grid spacing (default 1/64)"),
+    "dt": dict(type=_positive("dt"), default=None,
+               help="time step (default: h)"),
+    "T": dict(type=_positive("T"), default=None,
+              help="time horizon (default 2, or the scenario's)"),
+    "alpha": dict(type=_alpha_arg, default=None,
+                  help="power-transform exponent in [0,1], or 'auto'"),
+    "out": dict(type=Path, default=Path("."), help="output directory"),
+    "format": dict(choices=("binary", "csv"), default="binary",
+                   help="field dump format"),
+    "config": dict(type=Path, required=True,
                    help="problem/grid config file (INI sections: "
-                        "domain, weight, source, grid, audit)")
+                        "domain, weight, source, grid, audit)"),
+}
+
+
+def _add_flags(p, names: str):
+    for name in names.split():
+        p.add_argument(f"--{name}", **_FLAGS[name])
 
 
 # ---------------------------------------------------------------------------
@@ -143,18 +149,13 @@ def load_config(path: Path):
     return problem, grid, audit
 
 
-def _problem_from_args(args):
-    if args.config is None:
-        raise ValueError("this subcommand needs --config")
+def _problem_from_args(args, horizon=None):
+    """(problem, grid, audit) of --config, with the horizon replaced
+    when one is given."""
     problem, grid, audit = load_config(args.config)
-    h = args.h if args.h is not None else grid["h"]
-    dt = args.dt if args.dt is not None else grid["dt"]
-    if args.T is not None:
-        problem = Problem(domain=problem.domain, weight=problem.weight,
-                          source=problem.source, u0=problem.u0,
-                          u0_values=problem.u0_values, horizon=args.T,
-                          truncate=problem.truncate)
-    return problem, h, dt, grid, audit
+    if horizon is not None:
+        problem = dataclasses.replace(problem, horizon=horizon)
+    return problem, grid, audit
 
 
 def _write(out_dir: Path, name: str, text: str) -> Path:
@@ -169,7 +170,9 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
 # ---------------------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
-    problem, h, dt, grid, _ = _problem_from_args(args)
+    problem, grid, _ = _problem_from_args(args, args.T)
+    h = args.h
+    dt = args.dt if args.dt is not None else grid["dt"]
     dom = build_discretization(problem.domain, h)
     tg = make_time_grid(problem, h, dt, count=grid["snapshots"])
     traj = solve_trajectory(problem, dom, tg, dt)
@@ -195,14 +198,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_stationary(args) -> int:
-    problem, h, dt, grid, _ = _problem_from_args(args)
-    dom = build_discretization(problem.domain, h)
+    problem, _, _ = _problem_from_args(args, args.T)
+    dom = build_discretization(problem.domain, args.h)
     res = solve_stationary(problem, dom)
     if args.format == "csv":
         dump_field_csv(res.v, args.out / "stationary.csv")
     else:
         dump_field_binary(res.v, args.out / "stationary.bin")
-    summary = {"command": "stationary", "h": h,
+    summary = {"command": "stationary", "h": args.h,
                "residual": res.residual, "iterations": res.iterations,
                "sup_norm": res.sup_norm}
     path = _write(args.out, "stationary_report.json",
@@ -227,17 +230,12 @@ def _resolve_alpha(problem: Problem, alpha, beta: float) -> float:
 
 
 def _cmd_audit(args) -> int:
-    problem, h, dt, grid, audit = _problem_from_args(args)
+    problem, _, audit = _problem_from_args(args)
     alpha = _resolve_alpha(problem, audit["alpha"] if args.alpha is None
                            else args.alpha, audit["beta"])
-    dom = build_discretization(problem.domain, h)
+    dom = build_discretization(problem.domain, args.h)
     f = load_field_csv(dom, args.field)
-    vals = f.values
-    if alpha == 0.0:
-        vals = np.log(np.maximum(vals, 1e-300))
-    elif alpha != 1.0:
-        vals = np.maximum(vals, 0.0) ** alpha
-    rep = min_defect(FieldEvaluator(Field(dom, vals)), "space",
+    rep = min_defect(FieldEvaluator(f, alpha), "space",
                      SamplerConfig(include_infinity=False))
     path = _write(args.out, "audit_report.json", rep.to_json())
     print(f"audit: min defect {rep.minimum:.6g} (tau_audit "
@@ -246,8 +244,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_envelope(args) -> int:
-    problem, h, dt, grid, _ = _problem_from_args(args)
-    dom = build_discretization(problem.domain, h)
+    problem, _, _ = _problem_from_args(args)
+    dom = build_discretization(problem.domain, args.h)
     f = load_field_csv(dom, args.field)
     res = concave_approximation(f)
     summary = {"command": "envelope", "distance": res.distance,
@@ -322,36 +320,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="integrate and dump the trajectory")
-    _add_common(p)
+    _add_flags(p, "config h dt T out format")
 
     p = sub.add_parser("stationary", help="solve the stationary problem")
-    _add_common(p)
+    _add_flags(p, "config h T out format")
 
     p = sub.add_parser("audit", help="defect report for a dumped field")
-    _add_common(p)
+    _add_flags(p, "config h alpha out")
     p.add_argument("--field", type=Path, required=True,
                    help="CSV field dump to audit")
 
     p = sub.add_parser("envelope",
                        help="concave approximant of a dumped field")
-    _add_common(p)
+    _add_flags(p, "config h out format")
     p.add_argument("--field", type=Path, required=True,
                    help="CSV field dump")
 
     p = sub.add_parser("verify", help="run one catalog scenario")
-    _add_common(p)
+    _add_flags(p, "h dt T out")
     p.add_argument("--scenario", required=True,
                    choices=scenario_ids(), help="scenario id")
 
     p = sub.add_parser("suite", help="run catalog scenarios")
-    _add_common(p)
+    _add_flags(p, "h dt out")
     p.add_argument("--all", action="store_true",
                    help="run every catalog scenario")
     p.add_argument("--ids", nargs="+", default=None,
                    help="specific scenario ids")
 
     p = sub.add_parser("props", help="randomized inequality suites")
-    _add_common(p)
+    _add_flags(p, "out")
     p.add_argument("--seed", type=int, default=1, help="random seed")
     p.add_argument("--draws", type=int, default=10000,
                    help="draws per property (default 10000)")
@@ -371,8 +369,7 @@ def parse_and_dispatch(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        if getattr(args, "out", None) is not None:
-            args.out.mkdir(parents=True, exist_ok=True)
+        args.out.mkdir(parents=True, exist_ok=True)
         return _HANDLERS[args.command](args)
     except (ConcavelabError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

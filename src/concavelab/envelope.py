@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .audit import _scan_nodes
+from .audit import FieldEvaluator, _scan_nodes
 from .errors import HullDegenerate
 from .operators import Field, pair_scan
 
@@ -134,18 +134,11 @@ def concave_approximation(f, section=None, max_nodes: int = 600) \
         raise HullDegenerate("need at least 3 sample points in 2-D")
     g_hat = _upper_envelope_2d(pts, vals)
     gap = float(np.max(g_hat - vals))
-    grid = f.to_grid()
-
-    def interp(x2, lam):
-        # looked up per call, so that a wrapper installed on
-        # operators.bilinear_interp (perfbench/tracer.py) sees it
-        from .operators import bilinear_interp
-        return bilinear_interp(dom, grid, x2)
-
+    ev = FieldEvaluator(f)
     # delta: the defect over sample pairs and 15 lambdas, with the middle
     # value interpolated bilinearly on the full grid
     mins, _, _ = pair_scan(pts, vals, vals, np.linspace(0, 1, 17)[1:-1],
-                           interp)
+                           lambda x2, lam: ev.value(x2))
     delta = -min([0.0] + mins.tolist())
     k = hyers_ulam_constant(2)
     dist = 0.5 * gap

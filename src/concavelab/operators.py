@@ -176,7 +176,8 @@ def solve_shifted_poisson(tau: float, rhs: Field,
 
     The cut-cell stencils are nonsymmetric, so one direct path serves
     every grid; the relative residual is checked a posteriori against
-    1e-8.  Without a shift the factorization is cached per tau.
+    1e-8.  Without a shift the domain keeps (tau, M, LU) for the last
+    tau only: a trajectory uses one step size per snapshot interval.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -184,15 +185,15 @@ def solve_shifted_poisson(tau: float, rhs: Field,
     A = neg_laplacian_matrix(dom)
     N = dom.n_interior
     b = rhs.values
-    M = sp.identity(N, format="csc") + tau * A
     if diag_shift is not None:
-        M = M + sp.diags(diag_shift)
+        M = sp.identity(N, format="csc") + tau * A + sp.diags(diag_shift)
         lu = splu(M.tocsc())
     else:
-        key = ("shift_lu", tau)
-        if key not in dom._cache:
-            dom._cache[key] = splu(M.tocsc())
-        lu = dom._cache[key]
+        cached = dom._cache.get("shift_lu")
+        if cached is None or cached[0] != tau:
+            M = sp.identity(N, format="csc") + tau * A
+            cached = dom._cache["shift_lu"] = (tau, M, splu(M.tocsc()))
+        _, M, lu = cached
     x = lu.solve(b)
     res = np.linalg.norm(M @ x - b)
     bn = np.linalg.norm(b)
@@ -232,13 +233,10 @@ def principal_eigenpair(dom: DiscretizedDomain) -> EigenPair:
     if key in dom._cache:
         return dom._cache[key]
     A = neg_laplacian_matrix(dom)
-    if "lap_lu" not in dom._cache:
-        dom._cache["lap_lu"] = splu(A.tocsc())
-    lu = dom._cache["lap_lu"]
     v = np.ones(dom.n_interior)
     lam_old = np.inf
     for _ in range(500):
-        w = lu.solve(v)
+        w = poisson_solve(dom, v)
         w /= np.linalg.norm(w)
         Aw = A @ w
         lam = float(w @ Aw) / float(w @ w)

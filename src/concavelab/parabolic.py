@@ -244,9 +244,14 @@ def load_field_csv(dom: DiscretizedDomain, path, time=None) -> Field:
     Each row is mapped to the grid node at round((x - xs[0]) / h),
     round((y - ys[0]) / h).  ValueError if a row lies more than 1e-9*h
     off that node or on a non-interior node, if two rows share a node,
-    or if an interior node has no row.
+    or if an interior node has no row, and if the file is blank.
     """
-    data = np.genfromtxt(path, delimiter=",", names=True)
+    with open(path) as fh:
+        lines = fh.readlines()
+    if not any(line.strip() for line in lines):
+        raise ValueError(f"{path}: empty file, expected an x,y,value "
+                         f"header and one row per interior node")
+    data = np.genfromtxt(lines, delimiter=",", names=True)
     x = np.atleast_1d(data["x"])
     y = np.atleast_1d(data["y"])
     h = dom.h

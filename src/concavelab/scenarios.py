@@ -278,9 +278,7 @@ def build_problem(scn: Scenario, dom=None, eig=None,
 def hopf_margin(dom, values) -> float:
     """Min inward difference quotient at boundary-adjacent nodes."""
     idx = dom.index_of
-    g = np.full(idx.shape, np.nan)
     iy, ix = dom.interior_idx[:, 0], dom.interior_idx[:, 1]
-    g[iy, ix] = values
     interior = np.zeros(idx.shape, dtype=bool)
     interior[iy, ix] = True
     pad = np.pad(interior, 1, constant_values=False)
@@ -322,19 +320,25 @@ def _weight_min_C(problem, dom, mask=None) -> float:
     return worst if math.isfinite(worst) else 0.0
 
 
-def _quant_params(scn, problem, dom, traj, ev, rep, sup_norm_u_inf, mode):
-    """Measured BoundParams for a quantitative mode from the audit
-    report's argmin neighborhood."""
-    q = scn.source.q if scn.source.kind == "power_q" else 0.0
-    m, M = scn.weight.bounds(dom, problem.horizon)
+def _inner_region(problem, dom, rep):
+    """(rho, mask) of the inner region around the audit report's argmin:
+    rho is the boundary distance of the nearer endpoint, at least 2h;
+    the mask is None when no interior node lies that deep."""
     d1 = float(distance_to_boundary(problem.domain,
                                     np.asarray(rep.argmin.x1)))
     d3 = float(distance_to_boundary(problem.domain,
                                     np.asarray(rep.argmin.x3)))
     rho = max(min(d1, d3), 2 * dom.h)
     mask = inner_region_mask(dom, rho)
-    if not mask.any():
-        mask = None
+    return rho, mask if mask.any() else None
+
+
+def _quant_params(scn, problem, dom, traj, ev, rep, sup_norm_u_inf, mode):
+    """Measured BoundParams for a quantitative mode from the audit
+    report's argmin neighborhood."""
+    q = scn.source.q if scn.source.kind == "power_q" else 0.0
+    m, M = scn.weight.bounds(dom, problem.horizon)
+    rho, mask = _inner_region(problem, dom, rep)
     prof = problem.weight.spatial_profile(dom)
     prof_rho = prof if mask is None else prof[mask]
     kw = dict(q=q, m=m, M=M, rho=rho, T=problem.horizon,
@@ -364,19 +368,14 @@ def _quant_params(scn, problem, dom, traj, ev, rep, sup_norm_u_inf, mode):
 def _log_bound_inputs(scn, problem, dom, traj, rep):
     """(Lambda, sup weight defect on the inner region, fbar norm)."""
     lam = sup_slope_lambda(scn.source)
-    d1 = float(distance_to_boundary(problem.domain,
-                                    np.asarray(rep.argmin.x1)))
-    d3 = float(distance_to_boundary(problem.domain,
-                                    np.asarray(rep.argmin.x3)))
-    rho = max(min(d1, d3), 2 * dom.h)
-    mask = inner_region_mask(dom, rho)
+    _, mask = _inner_region(problem, dom, rep)
     sup_defect = weight_concavity_defect(problem, dom, theta=1.0,
-                                         mask=mask if mask.any() else None)
+                                         mask=mask)
     # sup of f(u)/u over the inner region and the snapshots
     fbar = 0.0
     if scn.source.kind not in ("logistic", "power_sum"):
         for vals in traj.fields:
-            v = vals[mask] if mask.any() else vals
+            v = vals if mask is None else vals[mask]
             pos = v > 1e-12
             if pos.any():
                 fbar = max(fbar, float(np.max(scn.source.f(v[pos])

@@ -160,6 +160,34 @@ def test_time_rescaling_in_transform(square16):
     assert np.allclose(ev.node_values(t), traj.fields[3])
 
 
+def test_evaluator_revisited_time_matches_fresh(square16):
+    # the evaluator keeps the grid of the last time only: going back to
+    # an earlier time must rebuild it, not reuse the later one
+    p = Problem(domain=unit_square(), weight=Weight(kind="constant", c=1.0),
+                source=SourceTerm(kind="one"), horizon=1.0)
+    traj = solve_trajectory(p, square16, make_time_grid(p, square16.h,
+                                                        count=6))
+    pts = np.random.default_rng(4).uniform(0.05, 0.95, (40, 2))
+    t_a, t_b = 0.3 * float(traj.times[2]), float(traj.times[4]) + 0.01
+    ev = power_transform(traj, 0.5, 1.5)
+    for t in (t_a, t_b, t_a):
+        fresh = power_transform(traj, 0.5, 1.5).value(pts, t)
+        assert np.array_equal(ev.value(pts, t), fresh)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0])
+def test_field_evaluator_transforms_after_interpolation(square16, alpha):
+    from concavelab.operators import bilinear_interp
+    f = field_from_function(square16, lambda x, y: 0.1 + x * (1 - x) * y)
+    pts = np.random.default_rng(8).uniform(0.0, 1.0, (50, 2))
+    u = bilinear_interp(square16, f.to_grid(), pts)
+    want = {0.0: np.log(u), 0.25: u ** 0.25, 1.0: u}[alpha]
+    assert np.array_equal(FieldEvaluator(f, alpha).value(pts), want)
+    assert np.array_equal(FieldEvaluator(f, alpha).node_values(),
+                          {0.0: np.log(f.values), 0.25: f.values ** 0.25,
+                           1.0: f.values}[alpha])
+
+
 def test_tau_audit_scales_with_h():
     taus = []
     for h in (1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0):

@@ -174,6 +174,18 @@ def test_console_entry_point(tmp_path):
     (["solve", "--seed", "3"], "--seed"),
     (["verify", "--scenario", "torsion-square", "--seed", "3"], "--seed"),
     (["solve", "--format", "json"], "--format"),
+    (["props", "--alpha", "0.3"], "--alpha"),
+    (["props", "--dt", "5"], "--dt"),
+    (["props", "--T", "1"], "--T"),
+    (["props", "--format", "csv"], "--format"),
+    (["solve", "--alpha", "0.3"], "--alpha"),
+    (["stationary", "--dt", "0.1"], "--dt"),
+    (["audit", "--field", "f.csv", "--T", "1"], "--T"),
+    (["audit", "--field", "f.csv", "--format", "csv"], "--format"),
+    (["envelope", "--field", "f.csv", "--alpha", "0.5"], "--alpha"),
+    (["verify", "--scenario", "torsion-square", "--alpha", "0.5"],
+     "--alpha"),
+    (["suite", "--all", "--T", "1"], "--T"),
 ])
 def test_removed_flags_rejected(capsys, config_file, argv, flag):
     rc = parse_and_dispatch(argv + ["--config", str(config_file)])
@@ -219,3 +231,31 @@ def test_alpha_auto_needs_sublinear_exponent(tmp_path, capsys):
                              str(tmp_path)])
     assert rc == 2
     assert "'identity'" in capsys.readouterr().err
+
+
+def test_audit_report_is_library_audit_of_the_field(tmp_path, config_file):
+    # the CLI interpolates u and then transforms, as the library does
+    from concavelab import (SamplerConfig, build_discretization,
+                            load_field_csv, min_defect)
+    from concavelab.audit import FieldEvaluator
+    grid = ("--config", str(config_file), "--h", "0.125", "--out",
+            str(tmp_path))
+    assert parse_and_dispatch(["stationary", *grid, "--format", "csv"]) == 0
+    field = tmp_path / "stationary.csv"
+    assert parse_and_dispatch(["audit", *grid, "--field", str(field)]) == 0
+    problem, _, _ = load_config(config_file)
+    f = load_field_csv(build_discretization(problem.domain, 0.125), field)
+    want = min_defect(FieldEvaluator(f, 0.5), "space",
+                      SamplerConfig(include_infinity=False)).to_json()
+    assert (tmp_path / "audit_report.json").read_text() == want
+
+
+def test_audit_of_empty_field_is_usage_error(tmp_path, config_file,
+                                             capsys):
+    field = tmp_path / "empty.csv"
+    field.write_text("")
+    rc = parse_and_dispatch(["audit", "--config", str(config_file),
+                             "--field", str(field), "--out",
+                             str(tmp_path)])
+    assert rc == 2
+    assert "empty.csv: empty file" in capsys.readouterr().err

@@ -6,9 +6,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concavelab import (Field, apply_laplacian, build_discretization,
-                        convex_polygon, disk, ellipse, field_from_function,
-                        poisson_solve, principal_eigenpair, rectangle,
+from concavelab import (Field, Problem, SourceTerm, Weight, apply_laplacian,
+                        build_discretization, convex_polygon, disk, ellipse,
+                        field_from_function, make_time_grid, poisson_solve,
+                        principal_eigenpair, rectangle, solve_trajectory,
                         unit_square)
 from concavelab.domains import _DIRS
 from concavelab.operators import (_PAIR_CHUNK, bilinear_interp,
@@ -67,6 +68,36 @@ def test_shifted_poisson_residual(square32):
     # residual of (I + tau * (-Lap)) u = rhs
     res = u.values + 0.01 * (-apply_laplacian(u).values) - rhs.values
     assert np.max(np.abs(res)) < 1e-9
+
+
+def test_trajectory_keeps_one_shift_factorization(monkeypatch):
+    import concavelab.operators as operators
+    dom = build_discretization(disk(), 1.0 / 16.0)
+    principal_eigenpair(dom)  # its Laplacian LU is not a shift
+    p = Problem(domain=disk(), weight=Weight(kind="constant", c=1.0),
+                source=SourceTerm(kind="power_q", q=0.5), horizon=1.0)
+    taus, factored = [], []
+    shifted = operators.solve_shifted_poisson
+    splu = operators.splu
+
+    def record_tau(tau, rhs, diag_shift=None):
+        taus.append(tau)
+        return shifted(tau, rhs, diag_shift)
+
+    def record_splu(M):
+        factored.append(M)
+        return splu(M)
+
+    monkeypatch.setattr("concavelab.parabolic.solve_shifted_poisson",
+                        record_tau)
+    monkeypatch.setattr(operators, "splu", record_splu)
+    solve_trajectory(p, dom, make_time_grid(p, dom.h, count=8))
+    changes = 1 + sum(a != b for a, b in zip(taus, taus[1:]))
+    assert len(set(taus)) > 1
+    assert len(factored) == changes
+    shift_keys = [k for k in dom._cache if "shift" in str(k)]
+    assert shift_keys == ["shift_lu"]
+    assert dom._cache["shift_lu"][0] == taus[-1]
 
 
 def test_eigenpair_square(square32):

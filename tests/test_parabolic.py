@@ -158,6 +158,14 @@ def test_load_csv_rejects_missing_interior_node(square16, tmp_path):
         _load_rows(square16, path, lines[:3] + lines[4:])
 
 
+@pytest.mark.parametrize("text", ["", "\n\n"])
+def test_load_csv_rejects_empty_file(square16, tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="empty.csv: empty file"):
+        load_field_csv(square16, path)
+
+
 def test_field_dump_binary_header(square16, tmp_path):
     import struct
     f = Field(square16, np.zeros(square16.n_interior), 0.5)
