@@ -11,6 +11,8 @@ two-stage defect minimization over tuple samples, a quasiconcavity
 
 from __future__ import annotations
 
+import bisect
+import functools
 import json
 import math
 from dataclasses import dataclass, field as dc_field
@@ -62,7 +64,8 @@ class Evaluator:
     the stationary slice at t = inf.
 
     Interpolation happens on u *before* the power/log transformation.
-    The full grid of u is kept for the last time asked for only.
+    value and interp use the full grid of u, kept for the last time
+    asked for only; point_value reads the four corners of one cell.
     """
 
     def __init__(self, traj: Trajectory, alpha: float = 1.0,
@@ -77,6 +80,8 @@ class Evaluator:
         self.beta = beta
         self._grid_time = None
         self._grid = None
+        self._times = traj.times.tolist()
+        self._x0, self._y0 = float(traj.dom.xs[0]), float(traj.dom.ys[0])
 
     def _transform(self, u):
         if self.alpha == 0.0:
@@ -88,13 +93,46 @@ class Evaluator:
     def _u_time(self, t: float) -> float:
         return t if math.isinf(t) else t ** self.beta
 
-    def value(self, pts, t: float = 0.0):
+    def interp(self, pts, t: float = 0.0):
+        """u, before the transform, at points (..., 2) and time t."""
         s = self._u_time(t)
         if s != self._grid_time:
             self._grid = Field(self.dom,
                                self.traj.values_at_time(s)).to_grid()
             self._grid_time = s
-        return self._transform(bilinear_interp(self.dom, self._grid, pts))
+        return bilinear_interp(self.dom, self._grid, pts)
+
+    def value(self, pts, t: float = 0.0):
+        return self._transform(self.interp(pts, t))
+
+    def point_value(self, x: float, y: float, t: float = 0.0) -> float:
+        """value((x, y), t) bit for bit, from the four corner nodes of
+        the cell of (x, y) alone: the expressions of
+        Trajectory.values_at_time and bilinear_interp in plain floats,
+        with no grid."""
+        dom, times, s = self.dom, self._times, self._u_time(t)
+        if math.isinf(s) or s <= times[0] or s >= times[-1]:
+            f0, f1, w = self.traj.values_at_time(s), None, 0.0
+        else:
+            k = bisect.bisect_right(times, s) - 1
+            f0, f1 = self.traj.fields[k:k + 2]
+            w = (s - times[k]) / (times[k + 1] - times[k])
+        fx = (float(x) - self._x0) / dom.h
+        fy = (float(y) - self._y0) / dom.h
+        ix = min(max(math.floor(fx), 0), dom.xs.size - 2)
+        iy = min(max(math.floor(fy), 0), dom.ys.size - 2)
+        # np.clip's result, NaN and -0.0 included
+        tx = min(max(fx - ix, 0.0), 1.0)
+        ty = min(max(fy - iy, 0.0), 1.0)
+        g = []
+        for jy, jx in ((iy, ix), (iy, ix + 1), (iy + 1, ix),
+                       (iy + 1, ix + 1)):
+            n = dom.index_of.item(jy, jx)
+            g.append(0.0 if n < 0 else f0.item(n) if f1 is None
+                     else (1 - w) * f0.item(n) + w * f1.item(n))
+        u = ((1 - tx) * (1 - ty) * g[0] + tx * (1 - ty) * g[1]
+             + (1 - tx) * ty * g[2] + tx * ty * g[3])
+        return float(self._transform(u))
 
     def node_values(self, t: float = 0.0) -> np.ndarray:
         """Transformed values exactly at interior nodes."""
@@ -117,11 +155,6 @@ def FieldEvaluator(f: Field, alpha: float = 1.0) -> Evaluator:
 # pointwise values
 # ---------------------------------------------------------------------------
 
-def _eval(ev, pts, t):
-    out = ev.value(np.asarray(pts, dtype=float), t)
-    return out.reshape(-1)[0] if np.ndim(out) else out
-
-
 def _check_inside(dom: DiscretizedDomain, p):
     x, y = p
     if not (dom.xs[0] - 1e-12 <= x <= dom.xs[-1] + 1e-12
@@ -134,18 +167,18 @@ def concavity_value(ev, tup: Tuple5) -> float:
     dom = ev.dom
     for p in (tup.x1, tup.x3, tup.x2):
         _check_inside(dom, p)
-    v1 = float(_eval(ev, tup.x1, tup.t1))
-    v3 = float(_eval(ev, tup.x3, tup.t3))
-    v2 = float(_eval(ev, tup.x2, tup.t2))
+    v1 = ev.point_value(*tup.x1, tup.t1)
+    v3 = ev.point_value(*tup.x3, tup.t3)
+    v2 = ev.point_value(*tup.x2, tup.t2)
     return v2 - tup.lam * v3 - (1 - tup.lam) * v1
 
 
 def harmonic_concavity_value(g, tup: Tuple5):
     """HC at a tuple; returns OUTSIDE_DOMAIN when the harmonic
     combination is undefined (denominator <= 0 with g1, g3 not both 0)."""
-    g1 = float(_eval(g, tup.x1, tup.t1))
-    g3 = float(_eval(g, tup.x3, tup.t3))
-    g2 = float(_eval(g, tup.x2, tup.t2))
+    g1 = g.point_value(*tup.x1, tup.t1)
+    g3 = g.point_value(*tup.x3, tup.t3)
+    g2 = g.point_value(*tup.x2, tup.t2)
     return harmonic_combination(g1, g2, g3, tup.lam)
 
 
@@ -208,13 +241,9 @@ def _second_difference_scale(ev, times) -> float:
     """Max undivided second difference of the transformed field over the
     audited slices, both axes (h^2 * |discrete second derivative|)."""
     dom = ev.dom
-    idx = dom.index_of
     worst = 0.0
     for t in times:
-        vals = ev.node_values(t)
-        g = np.full(idx.shape, np.nan)
-        iy, ix = dom.interior_idx[:, 0], dom.interior_idx[:, 1]
-        g[iy, ix] = vals
+        g = Field(dom, ev.node_values(t)).to_grid(fill=np.nan)
         for d2 in (g[1:-1, :-2] - 2 * g[1:-1, 1:-1] + g[1:-1, 2:],
                    g[:-2, 1:-1] - 2 * g[1:-1, 1:-1] + g[2:, 1:-1]):
             finite = np.isfinite(d2)
@@ -245,6 +274,18 @@ def _default_times(ev, cfg):
 _SCAN_NODES = 240
 #: stage-1 minima that stage 2 refines
 _REFINE_CANDIDATES = 32
+#: the stage-2 lattice moves (diy, dix), in the order they are tried
+_MOVES = ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (1, -1), (-1, 1),
+          (-1, -1))
+
+
+def _neighbour_table(dom: DiscretizedDomain) -> np.ndarray:
+    """(N, 9) interior ordinals: each node, then its neighbours along
+    _MOVES, with -1 where a neighbour is not an interior node."""
+    pad = np.pad(dom.index_of, 1, constant_values=-1)
+    iy, ix = dom.interior_idx[:, 0] + 1, dom.interior_idx[:, 1] + 1
+    return np.column_stack([pad[iy + dy, ix + dx]
+                            for dy, dx in ((0, 0),) + _MOVES])
 
 
 def _scan_nodes(dom: DiscretizedDomain, max_nodes: int) -> np.ndarray:
@@ -288,12 +329,7 @@ def min_defect(ev, mode: str, cfg: SamplerConfig | None = None,
         if any(math.isinf(t) for t in times):
             tpairs.append((INF, INF))
 
-    node_cache = {}
-
-    def nodes_at(t):
-        if t not in node_cache:
-            node_cache[t] = ev.node_values(t)
-        return node_cache[t]
+    nodes_at = functools.lru_cache(maxsize=None)(ev.node_values)
 
     best = []  # (value, i1, i3, t1, t3, lam)
     samples = 0
@@ -317,29 +353,28 @@ def min_defect(ev, mode: str, cfg: SamplerConfig | None = None,
 
     finite_times = sorted(t for t in times if not math.isinf(t))
     full_pts = dom.interior_points
+    px, py = full_pts[:, 0].tolist(), full_pts[:, 1].tolist()
 
     def tuple_value(a, b, ta, tb, lm):
-        x1, x3 = full_pts[a], full_pts[b]
-        x2 = lm * x3 + (1 - lm) * x1
         t2 = INF if math.isinf(ta) else lm * tb + (1 - lm) * ta
-        return (float(ev.value(x2, t2))
+        return (ev.point_value(lm * px[b] + (1 - lm) * px[a],
+                               lm * py[b] + (1 - lm) * py[a], t2)
                 - lm * float(nodes_at(tb)[b])
                 - (1 - lm) * float(nodes_at(ta)[a]))
 
-    # neighbor moves on the interior index lattice
-    idx_of = dom.index_of
-    moves = [(0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (1, -1), (-1, 1),
-             (-1, -1)]
+    nbr = _neighbour_table(dom)
 
-    def neighbors(k):
-        j, i = dom.interior_idx[k]
-        out = []
-        for dj, di in moves:
-            jj, ii = j + dj, i + di
-            if 0 <= jj < idx_of.shape[0] and 0 <= ii < idx_of.shape[1] \
-                    and idx_of[jj, ii] >= 0:
-                out.append(int(idx_of[jj, ii]))
-        return out
+    def move_values(a, b, ta, tb, lm):
+        """Node pairs of the spatial moves from (a, b), in the order
+        they are tried, and their concavity values: u interpolated in
+        one batch, each value transformed by the scalar path."""
+        ra, rb = nbr[a][nbr[a] >= 0], nbr[b][nbr[b] >= 0]
+        na, nb = np.repeat(ra, rb.size)[1:], np.tile(rb, ra.size)[1:]
+        t2 = INF if math.isinf(ta) else lm * tb + (1 - lm) * ta
+        u = ev.interp(lm * full_pts[nb] + (1 - lm) * full_pts[na], t2)
+        v = (np.array([ev._transform(x) for x in u.tolist()], dtype=float)
+             - lm * nodes_at(tb)[nb] - (1 - lm) * nodes_at(ta)[na])
+        return zip(na.tolist(), nb.tolist(), v.tolist())
 
     def golden_lambda(a, b, ta, tb, lm0):
         lo = max(lm0 - 1 / 16, 1e-6)
@@ -367,34 +402,27 @@ def min_defect(ev, mode: str, cfg: SamplerConfig | None = None,
         for _ in range(30):
             improved = False
             v0, (a, b, ta, tb, lm) = cur
-            # spatial moves
-            for na in [a] + neighbors(a):
-                for nb in [b] + neighbors(b):
-                    if na == a and nb == b:
-                        continue
-                    v = tuple_value(na, nb, ta, tb, lm)
-                    samples += 1
-                    if v < cur[0] - 1e-15:
-                        cur = (v, (na, nb, ta, tb, lm))
-                        improved = True
+            # spatial moves: every move is tried from (a, b); a move is
+            # taken when it beats the best value so far
+            for na, nb, v in move_values(a, b, ta, tb, lm):
+                samples += 1
+                if v < cur[0] - 1e-15:
+                    cur = (v, (na, nb, ta, tb, lm))
+                    improved = True
             # time moves along the audited snapshot times
-            if mode == "spacetime" and not math.isinf(ta):
-                ia = finite_times.index(ta) if ta in finite_times else None
-                ib = finite_times.index(tb) if tb in finite_times else None
-                for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    if ia is None or ib is None:
-                        break
-                    ja, jb = ia + da, ib + db
+            if mode == "spacetime" and ta in finite_times \
+                    and tb in finite_times:
+                ia, ib = finite_times.index(ta), finite_times.index(tb)
+                a2, b2, _, _, lm2 = cur[1]
+                for ja, jb in ((ia + 1, ib), (ia - 1, ib), (ia, ib + 1),
+                               (ia, ib - 1)):
                     if 0 <= ja < len(finite_times) \
                             and 0 <= jb < len(finite_times):
-                        v = tuple_value(cur[1][0], cur[1][1],
-                                        finite_times[ja], finite_times[jb],
-                                        cur[1][4])
+                        t1, t3 = finite_times[ja], finite_times[jb]
+                        v = tuple_value(a2, b2, t1, t3, lm2)
                         samples += 1
                         if v < cur[0] - 1e-15:
-                            cur = (v, (cur[1][0], cur[1][1],
-                                       finite_times[ja], finite_times[jb],
-                                       cur[1][4]))
+                            cur = (v, (a2, b2, t1, t3, lm2))
                             improved = True
             # lambda refinement
             a2, b2, ta2, tb2, lm2 = cur[1]
@@ -424,7 +452,7 @@ def _argmin_gradients(ev, tup: Tuple5, h: float, mode: str):
     pts = [np.asarray(tup.x1), np.asarray(tup.x2), np.asarray(tup.x3)]
     ts = [tup.t1, tup.t2, tup.t3]
     grads = []
-    dom = ev.dom
+    dom, pv = ev.dom, ev.point_value
     for p, t in zip(pts, ts):
         g = []
         for axis in range(2):
@@ -438,15 +466,14 @@ def _argmin_gradients(ev, tup: Tuple5, h: float, mode: str):
             if span == 0:
                 g.append(0.0)
             else:
-                g.append(float((ev.value(pr, t) - ev.value(pl, t)) / span))
+                g.append(float((pv(*pr, t) - pv(*pl, t)) / span))
         if mode == "spacetime":
             if math.isinf(t):
                 g.append(0.0)
             else:
                 dt = max(0.25 * h, 1e-4)
                 tl, tr = max(t - dt, 0.0), t + dt
-                g.append(float((ev.value(p, tr) - ev.value(p, tl))
-                               / (tr - tl)))
+                g.append(float((pv(*p, tr) - pv(*p, tl)) / (tr - tl)))
         grads.append(g)
     spread = max(float(np.linalg.norm(np.array(ga) - np.array(gb)))
                  for ga in grads for gb in grads)

@@ -56,8 +56,9 @@ def _alpha_arg(text):
 #: flags shared by several subcommands; each subcommand takes only the
 #: ones its handler reads
 _FLAGS = {
-    "h": dict(type=_positive("h"), default=1.0 / 64.0,
-              help="grid spacing (default 1/64)"),
+    "h": dict(type=_positive("h"), default=None,
+              help="grid spacing (default: the config's [grid] h if "
+                   "there is a config, else 1/64)"),
     "dt": dict(type=_positive("dt"), default=None,
                help="time step (default: h)"),
     "T": dict(type=_positive("T"), default=None,
@@ -92,13 +93,26 @@ _DOMAINS = {
 }
 
 
+#: the keys each config section may hold (configparser lowercases them)
+_KEYS = {"domain": "kind radius width height a b",
+         "weight": "kind c gamma omega eps a1 a2 eta theta truncate",
+         "source": "kind q p u0",
+         "grid": "h dt t snapshots",
+         "audit": "mode alpha beta include_infinity"}
+
+
 def load_config(path: Path):
     """Parse a flat key-value config with sections domain / weight /
     source / grid / audit into (Problem, grid dict, audit dict)."""
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    if not cp.read(path):
         raise ValueError(f"config file {path} not found or unreadable")
+    for sec in cp.sections():
+        bad = [f"section [{sec}]"] if sec not in _KEYS else [
+            f"key {k!r} in section [{sec}]" for k in cp[sec]
+            if k not in _KEYS[sec].split()]
+        if bad:
+            raise ValueError(f"config file {path}: unknown {bad[0]}")
     dom_sec = cp["domain"] if "domain" in cp else {}
     kind = dom_sec.get("kind", "square")
     if kind not in _DOMAINS:
@@ -106,16 +120,11 @@ def load_config(path: Path):
                          f"{sorted(_DOMAINS)}, got {kind!r}")
     spec = _DOMAINS[kind](dom_sec)
 
-    w = cp["weight"] if "weight" in cp else {}
-    weight = Weight(kind=w.get("kind", "constant"),
-                    c=float(w.get("c", 1.0)),
-                    gamma=float(w.get("gamma", 0.0)),
-                    omega=float(w.get("omega", 0.0)),
-                    eps=float(w.get("eps", 0.0)),
-                    a1=float(w.get("a1", 1.0)),
-                    a2=float(w.get("a2", 1.0)),
-                    eta=float(w.get("eta", 0.0625)),
-                    theta=float(w.get("theta", "inf")))
+    # absent weight keys take Weight's defaults
+    w = dict(cp["weight"]) if "weight" in cp else {}
+    truncate = w.pop("truncate", "false").lower() == "true"
+    weight = Weight(**{k: v if k == "kind" else float(v)
+                       for k, v in w.items()})
 
     s = cp["source"] if "source" in cp else {}
     source = SourceTerm(kind=s.get("kind", "one"),
@@ -138,23 +147,22 @@ def load_config(path: Path):
              "alpha": alpha if alpha == "auto" else float(alpha),
              "beta": float(a.get("beta", 1.0)),
              "include_infinity": str(a.get("include_infinity",
-                                           "false")).lower() == "true",
-             "seed": int(a.get("seed", 1))}
+                                           "false")).lower() == "true"}
 
     problem = Problem(domain=spec, weight=weight, source=source,
                       u0=s.get("u0", "zero"), horizon=grid["T"],
-                      truncate=str(cp.get("weight", "truncate",
-                                          fallback="false")).lower()
-                      == "true")
+                      truncate=truncate)
     return problem, grid, audit
 
 
 def _problem_from_args(args, horizon=None):
     """(problem, grid, audit) of --config, with the horizon replaced
-    when one is given."""
+    when one is given and the config's h by --h when that is given."""
     problem, grid, audit = load_config(args.config)
     if horizon is not None:
         problem = dataclasses.replace(problem, horizon=horizon)
+    if args.h is not None:
+        grid["h"] = args.h
     return problem, grid, audit
 
 
@@ -171,7 +179,7 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
 
 def _cmd_solve(args) -> int:
     problem, grid, _ = _problem_from_args(args, args.T)
-    h = args.h
+    h = grid["h"]
     dt = args.dt if args.dt is not None else grid["dt"]
     dom = build_discretization(problem.domain, h)
     tg = make_time_grid(problem, h, dt, count=grid["snapshots"])
@@ -198,14 +206,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_stationary(args) -> int:
-    problem, _, _ = _problem_from_args(args, args.T)
-    dom = build_discretization(problem.domain, args.h)
+    problem, grid, _ = _problem_from_args(args, args.T)
+    dom = build_discretization(problem.domain, grid["h"])
     res = solve_stationary(problem, dom)
     if args.format == "csv":
         dump_field_csv(res.v, args.out / "stationary.csv")
     else:
         dump_field_binary(res.v, args.out / "stationary.bin")
-    summary = {"command": "stationary", "h": args.h,
+    summary = {"command": "stationary", "h": grid["h"],
                "residual": res.residual, "iterations": res.iterations,
                "sup_norm": res.sup_norm}
     path = _write(args.out, "stationary_report.json",
@@ -230,10 +238,10 @@ def _resolve_alpha(problem: Problem, alpha, beta: float) -> float:
 
 
 def _cmd_audit(args) -> int:
-    problem, _, audit = _problem_from_args(args)
+    problem, grid, audit = _problem_from_args(args)
     alpha = _resolve_alpha(problem, audit["alpha"] if args.alpha is None
                            else args.alpha, audit["beta"])
-    dom = build_discretization(problem.domain, args.h)
+    dom = build_discretization(problem.domain, grid["h"])
     f = load_field_csv(dom, args.field)
     rep = min_defect(FieldEvaluator(f, alpha), "space",
                      SamplerConfig(include_infinity=False))
@@ -244,8 +252,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_envelope(args) -> int:
-    problem, _, _ = _problem_from_args(args)
-    dom = build_discretization(problem.domain, args.h)
+    problem, grid, _ = _problem_from_args(args)
+    dom = build_discretization(problem.domain, grid["h"])
     f = load_field_csv(dom, args.field)
     res = concave_approximation(f)
     summary = {"command": "envelope", "distance": res.distance,
@@ -312,7 +320,7 @@ def _cmd_props(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
-        prog="concavelab",
+        prog="concavelab", allow_abbrev=False,
         description="Numerical verification of concavity properties of "
                     "parabolic Dirichlet problems on convex planar "
                     "domains.")
@@ -338,11 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run one catalog scenario")
     _add_flags(p, "h dt T out")
+    p.set_defaults(h=1.0 / 64.0)
     p.add_argument("--scenario", required=True,
                    choices=scenario_ids(), help="scenario id")
 
     p = sub.add_parser("suite", help="run catalog scenarios")
     _add_flags(p, "h dt out")
+    p.set_defaults(h=1.0 / 64.0)
     p.add_argument("--all", action="store_true",
                    help="run every catalog scenario")
     p.add_argument("--ids", nargs="+", default=None,
@@ -353,6 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1, help="random seed")
     p.add_argument("--draws", type=int, default=10000,
                    help="draws per property (default 10000)")
+    for p in sub.choices.values():  # no prefixes: --h must not be --help
+        p.allow_abbrev = False
     return ap
 
 
@@ -371,7 +383,8 @@ def parse_and_dispatch(argv=None) -> int:
     try:
         args.out.mkdir(parents=True, exist_ok=True)
         return _HANDLERS[args.command](args)
-    except (ConcavelabError, ValueError, KeyError, OSError) as exc:
+    except (ConcavelabError, ValueError, KeyError, OSError,
+            configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

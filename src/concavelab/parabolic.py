@@ -63,9 +63,6 @@ class Trajectory:
     stationary: np.ndarray | None = None
     monotone: bool = False
 
-    def field_at(self, k: int) -> Field:
-        return Field(self.dom, self.fields[k], self.times[k])
-
     def values_at_time(self, t: float) -> np.ndarray:
         """Node values at time t: linear interpolation between snapshots,
         stationary slice for t = infinity."""

@@ -360,8 +360,8 @@ def _quant_params(scn, problem, dom, traj, ev, rep, sup_norm_u_inf, mode):
         kw["xi_mismatch"] = rep.gradient_spread
         kw["lam_argmin"] = rep.argmin.lam
         t1, t3 = rep.argmin.t1, rep.argmin.t3
-        kw["v1"] = float(ev.value(np.asarray(rep.argmin.x1), t1))
-        kw["v3"] = float(ev.value(np.asarray(rep.argmin.x3), t3))
+        kw["v1"] = ev.point_value(*rep.argmin.x1, t1)
+        kw["v3"] = ev.point_value(*rep.argmin.x3, t3)
     return BoundParams(**kw)
 
 

@@ -1,17 +1,28 @@
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from concavelab import (Field, Problem, SourceTerm, SamplerConfig, Weight,
-                        build_discretization, concavity_value, ellipse,
-                        field_from_function, harmonic_concavity_value,
-                        make_time_grid, min_defect, power_transform,
-                        quasiconcavity_defect, solve_trajectory, unit_square)
-from concavelab.audit import (FieldEvaluator, OUTSIDE_DOMAIN, Tuple5,
-                              harmonic_combination, tau_audit_value)
+                        build_discretization, concavity_value, disk,
+                        ellipse, field_from_function, get_scenario,
+                        harmonic_concavity_value, make_time_grid,
+                        min_defect, power_transform, principal_eigenpair,
+                        quasiconcavity_defect, solve_stationary,
+                        solve_trajectory, unit_square)
+from concavelab.audit import (DefectReport, Evaluator, FieldEvaluator,
+                              OUTSIDE_DOMAIN, Tuple5, _REFINE_CANDIDATES,
+                              _SCAN_NODES, _argmin_gradients,
+                              _default_times, _scan_nodes,
+                              harmonic_combination, pair_scan,
+                              tau_audit_value)
 from concavelab.errors import EmptySampler
+from concavelab.parabolic import Trajectory
+from concavelab.scenarios import build_problem
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +40,9 @@ class _FnEvaluator:
     def value(self, pts, t):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return self.fn(pts[:, 0], pts[:, 1], t)
+
+    def point_value(self, x, y, t):
+        return float(self.fn(x, y, t))
 
 
 def test_concavity_value_bilinear_example(square16):
@@ -262,3 +276,223 @@ def test_defect_report_json_roundtrip(square16):
     rep2 = min_defect(FieldEvaluator(f), "space",
                       SamplerConfig(include_infinity=False))
     assert rep.to_json() == rep2.to_json()
+
+
+# ---------------------------------------------------------------------------
+# the scalar point path and the batched stage 2
+# ---------------------------------------------------------------------------
+
+_SNAPS = np.array([0.05, 0.2, 0.45, 0.9])
+_POINT_DOMAINS = {"square": (unit_square(), 0.1), "disk": (disk(), 0.125),
+                  "ellipse": (ellipse(1.0, 0.6), 0.1)}
+
+
+@functools.lru_cache(maxsize=None)
+def _synthetic_trajectory(name):
+    """Seeded node values, some negative or zero, at four snapshots and
+    a stationary slice."""
+    spec, h = _POINT_DOMAINS[name]
+    dom = build_discretization(spec, h)
+    rng = np.random.default_rng(7)
+    fields = [rng.uniform(-0.05, 1.0, dom.n_interior) for _ in _SNAPS]
+    fields[0][:5] = 0.0
+    return Trajectory(dom=dom, times=_SNAPS.copy(), fields=fields,
+                      stationary=rng.uniform(0.0, 1.2, dom.n_interior),
+                      monotone=True)
+
+
+def _coordinate(axis, h):
+    lo, hi = float(axis[0]), float(axis[-1])
+    return st.one_of(st.floats(lo - 0.5 * h, hi + 0.5 * h),
+                     st.sampled_from([float(c) for c in axis]),  # cell edge
+                     st.sampled_from([lo, hi]))  # bounding-box edge
+
+
+@pytest.mark.parametrize("name", sorted(_POINT_DOMAINS))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_point_value_is_value_bit_for_bit(name, data):
+    traj = _synthetic_trajectory(name)
+    dom, h = traj.dom, traj.dom.h
+    alpha = data.draw(st.sampled_from([0.0, 0.25, 1.0 / 3.0, 0.5, 1.0]))
+    beta = data.draw(st.sampled_from([1.0, 2.0]))
+    on_snaps = [float(s) ** (1.0 / beta) for s in _SNAPS]
+    between = [0.5 * (a + b) for a, b in zip(on_snaps, on_snaps[1:])]
+    t = data.draw(st.one_of(
+        st.sampled_from(on_snaps + between + [0.0, 0.01, 2.0, math.inf]),
+        st.floats(0.0, 1.5)))
+    x = data.draw(_coordinate(dom.xs, h))
+    y = data.draw(_coordinate(dom.ys, h))
+    ev = Evaluator(traj, alpha, beta)
+    want = ev.value(np.array([x, y]), t)
+    assert repr(ev.point_value(x, y, t)) == repr(float(want))
+
+
+def _parent_min_defect(ev, mode, cfg=None, c_tol=10.0):
+    """min_defect with the one-tuple-at-a-time stage 2 it had before the
+    spatial moves were batched (every value through ev.value)."""
+    cfg = cfg or SamplerConfig()
+    dom = ev.dom
+    sel = _scan_nodes(dom, _SCAN_NODES)
+    times = _default_times(ev, cfg)
+    pts = dom.interior_points[sel]
+    n = len(pts)
+    if mode == "space":
+        tpairs = [(t, t) for t in times]
+    else:
+        finite = [t for t in times if not math.isinf(t)]
+        tpairs = [(a, b) for a in finite for b in finite]
+        if any(math.isinf(t) for t in times):
+            tpairs.append((math.inf, math.inf))
+    node_cache = {}
+
+    def nodes_at(t):
+        if t not in node_cache:
+            node_cache[t] = ev.node_values(t)
+        return node_cache[t]
+
+    best = []
+    samples = 0
+    lam_grid = np.asarray(cfg.lambdas, dtype=float)
+    inner = lam_grid[(lam_grid > 0) & (lam_grid < 1)]
+    for (ta, tb) in tpairs:
+        def mid(x2, lm, ta=ta, tb=tb):
+            return ev.value(x2, math.inf if math.isinf(ta)
+                            else lm * tb + (1 - lm) * ta)
+
+        mins, i1, i3 = pair_scan(pts, nodes_at(ta)[sel], nodes_at(tb)[sel],
+                                 inner, mid)
+        samples += n * (n - 1) // 2 * inner.size
+        best += [(float(c), sel[a], sel[b], ta, tb, float(lm))
+                 for c, a, b, lm in zip(mins, i1, i3, inner)]
+    best = [r for r in best if math.isfinite(r[0])]
+    best.sort(key=lambda r: r[0])
+    cands = best[:_REFINE_CANDIDATES]
+    finite_times = sorted(t for t in times if not math.isinf(t))
+    full_pts = dom.interior_points
+
+    def tuple_value(a, b, ta, tb, lm):
+        x1, x3 = full_pts[a], full_pts[b]
+        x2 = lm * x3 + (1 - lm) * x1
+        t2 = math.inf if math.isinf(ta) else lm * tb + (1 - lm) * ta
+        return (float(ev.value(x2, t2))
+                - lm * float(nodes_at(tb)[b])
+                - (1 - lm) * float(nodes_at(ta)[a]))
+
+    idx_of = dom.index_of
+    moves = [(0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (1, -1), (-1, 1),
+             (-1, -1)]
+
+    def neighbors(k):
+        j, i = dom.interior_idx[k]
+        out = []
+        for dj, di in moves:
+            jj, ii = j + dj, i + di
+            if 0 <= jj < idx_of.shape[0] and 0 <= ii < idx_of.shape[1] \
+                    and idx_of[jj, ii] >= 0:
+                out.append(int(idx_of[jj, ii]))
+        return out
+
+    def golden_lambda(a, b, ta, tb, lm0):
+        lo = max(lm0 - 1 / 16, 1e-6)
+        hi = min(lm0 + 1 / 16, 1 - 1e-6)
+        phi = (math.sqrt(5) - 1) / 2
+        c1 = hi - phi * (hi - lo)
+        c2 = lo + phi * (hi - lo)
+        f1 = tuple_value(a, b, ta, tb, c1)
+        f2 = tuple_value(a, b, ta, tb, c2)
+        for _ in range(25):
+            if f1 <= f2:
+                hi, c2, f2 = c2, c1, f1
+                c1 = hi - phi * (hi - lo)
+                f1 = tuple_value(a, b, ta, tb, c1)
+            else:
+                lo, c1, f1 = c1, c2, f2
+                c2 = lo + phi * (hi - lo)
+                f2 = tuple_value(a, b, ta, tb, c2)
+        lm = 0.5 * (lo + hi)
+        return lm, tuple_value(a, b, ta, tb, lm)
+
+    overall = (math.inf, None)
+    for val, a, b, ta, tb, lm in cands:
+        cur = (val, (a, b, ta, tb, lm))
+        for _ in range(30):
+            improved = False
+            _, (a, b, ta, tb, lm) = cur
+            for na in [a] + neighbors(a):
+                for nb in [b] + neighbors(b):
+                    if na == a and nb == b:
+                        continue
+                    v = tuple_value(na, nb, ta, tb, lm)
+                    samples += 1
+                    if v < cur[0] - 1e-15:
+                        cur = (v, (na, nb, ta, tb, lm))
+                        improved = True
+            if mode == "spacetime" and not math.isinf(ta):
+                ia = finite_times.index(ta) if ta in finite_times else None
+                ib = finite_times.index(tb) if tb in finite_times else None
+                for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                    if ia is None or ib is None:
+                        break
+                    ja, jb = ia + da, ib + db
+                    if 0 <= ja < len(finite_times) \
+                            and 0 <= jb < len(finite_times):
+                        v = tuple_value(cur[1][0], cur[1][1],
+                                        finite_times[ja], finite_times[jb],
+                                        cur[1][4])
+                        samples += 1
+                        if v < cur[0] - 1e-15:
+                            cur = (v, (cur[1][0], cur[1][1],
+                                       finite_times[ja], finite_times[jb],
+                                       cur[1][4]))
+                            improved = True
+            a2, b2, ta2, tb2, lm2 = cur[1]
+            lm_new, v = golden_lambda(a2, b2, ta2, tb2, lm2)
+            samples += 25
+            if v < cur[0] - 1e-15:
+                cur = (v, (a2, b2, ta2, tb2, lm_new))
+                improved = True
+            if not improved:
+                break
+        if cur[0] < overall[0]:
+            overall = cur
+
+    val, (a, b, ta, tb, lm) = overall
+    tup = Tuple5(x1=tuple(full_pts[a]), x3=tuple(full_pts[b]),
+                 t1=ta, t3=tb, lam=lm)
+    grads, spread = _argmin_gradients(ev, tup, dom.h, mode)
+    return DefectReport(mode=mode, minimum=val, argmin=tup,
+                        gradients=grads, gradient_spread=spread,
+                        tau_audit=tau_audit_value(ev, times, c_tol),
+                        samples=samples)
+
+
+def test_batched_stage_two_matches_scalar_loop_space():
+    # a rippled, non-concave field on an ellipse, so that stage 2 takes
+    # many spatial moves
+    dom = build_discretization(ellipse(1.0, 0.6), 1.0 / 24.0)
+    f = field_from_function(
+        dom, lambda x, y: (1 - x ** 2 - (y / 0.6) ** 2)
+        * (1 + 0.3 * np.cos(9 * x)))
+    cfg = SamplerConfig(include_infinity=False)
+    want = _parent_min_defect(FieldEvaluator(f, 0.25), "space", cfg)
+    got = min_defect(FieldEvaluator(f, 0.25), "space", cfg)
+    assert got.to_json() == want.to_json()
+
+
+def test_batched_stage_two_matches_scalar_loop_spacetime():
+    h = 1.0 / 24.0
+    scn = get_scenario("lane-emden-disk")
+    dom = build_discretization(disk(), h)
+    eig = principal_eigenpair(dom)
+    problem = build_problem(scn, dom, eig, None)
+    traj = solve_trajectory(problem, dom, make_time_grid(problem, h,
+                                                         count=18),
+                            None, eig)
+    traj.stationary = solve_stationary(problem, dom).v.values
+    # four snapshot times and t = inf: time moves in both directions
+    cfg = SamplerConfig(audit_times=[float(traj.times[k])
+                                     for k in (0, 5, 11, 17)] + [math.inf])
+    want = _parent_min_defect(power_transform(traj, 0.25), "spacetime", cfg)
+    got = min_defect(power_transform(traj, 0.25), "spacetime", cfg)
+    assert got.to_json() == want.to_json()

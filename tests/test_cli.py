@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -259,3 +261,55 @@ def test_audit_of_empty_field_is_usage_error(tmp_path, config_file,
                              str(tmp_path)])
     assert rc == 2
     assert "empty.csv: empty file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["props", "--h", "0.1"],
+    ["verify", "--sc", "torsion-square"],
+])
+def test_flag_prefixes_not_expanded(capsys, argv):
+    # --h is not a prefix of --help, nor --sc of --scenario
+    assert parse_and_dispatch(argv) == 2
+    assert argv[1] in capsys.readouterr().err
+
+
+def _readme_config(tmp_path):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = re.search(r"```ini\n(.*?)```", readme.read_text(), re.S)
+    path = tmp_path / "readme.ini"
+    path.write_text(block.group(1))
+    return path
+
+
+def _stationary_nodes(tmp_path, config, name, extra=()):
+    out = tmp_path / name
+    assert parse_and_dispatch(["stationary", "--config", str(config),
+                               "--out", str(out), "--format", "csv",
+                               *extra]) == 0
+    lines = (out / "stationary.csv").read_text().splitlines()
+    return len(lines) - 1  # one header line, then a line per node
+
+
+def test_grid_h_from_config_and_flag_override(tmp_path):
+    config = _readme_config(tmp_path)
+    # the README config has h = 0.125: 7 x 7 interior nodes of the square
+    assert _stationary_nodes(tmp_path, config, "ini") == 49
+    assert _stationary_nodes(tmp_path, config, "flag",
+                             ("--h", "0.0625")) == 225
+
+
+@pytest.mark.parametrize("text,named", [
+    ("[domain]\nkind = square\n[mesh]\nh = 0.1\n", "[mesh]"),
+    ("[grid]\nh = 0.125\nstep = 0.1\n", "'step' in section [grid]"),
+    ("[audit]\nalpha = 0.5\nseed = 3\n", "'seed' in section [audit]"),
+    ("h = 0.125\n", "no section headers"),
+])
+def test_bad_config_is_usage_error(tmp_path, capsys, text, named):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    rc = parse_and_dispatch(["stationary", "--config", str(path),
+                             "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err

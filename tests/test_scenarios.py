@@ -101,3 +101,23 @@ def test_report_matches_stored_reference(sid):
     # leaves the numerics alone must reproduce them exactly
     ref = (REFERENCE_DIR / f"{sid}-h16.json").read_text()
     assert run_scenario(get_scenario(sid), h=1.0 / 16.0).to_json() == ref
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "reference"
+
+
+@pytest.mark.filterwarnings("ignore:.*not strongly convex")
+@pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("*-h12.json")),
+                         ids=lambda p: p.stem)
+def test_report_matches_golden_h12(path):
+    # made by tests/make_reference.py before stage 2 was batched; the
+    # catalog ids that perfbench/reference/ does not store
+    sid = path.stem[:-len("-h12")]
+    assert run_scenario(get_scenario(sid), h=1.0 / 12.0).to_json() == \
+        path.read_text()
+
+
+def test_golden_reports_cover_the_catalog():
+    stored = {p.stem[:-len("-h12")] for p in GOLDEN_DIR.glob("*-h12.json")}
+    stored |= {p.stem[:-len("-h16")] for p in REFERENCE_DIR.glob("*-h16.json")}
+    assert stored == set(scenario_ids())
