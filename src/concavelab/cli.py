@@ -239,6 +239,12 @@ def _resolve_alpha(problem: Problem, alpha, beta: float) -> float:
 
 def _cmd_audit(args) -> int:
     problem, grid, audit = _problem_from_args(args)
+    if audit["mode"] != "space":
+        raise ValueError(f"[audit] mode = {audit['mode']}: a field dump "
+                         f"has no time axis; use mode = space")
+    if audit["include_infinity"]:
+        raise ValueError("[audit] include_infinity = true: a field dump "
+                         "has no t = infinity slice")
     alpha = _resolve_alpha(problem, audit["alpha"] if args.alpha is None
                            else args.alpha, audit["beta"])
     dom = build_discretization(problem.domain, grid["h"])

@@ -60,9 +60,13 @@ class Weight:
         return self.kind in ("constant", "separable_power_time")
 
     def spatial_profile(self, dom: DiscretizedDomain) -> np.ndarray:
-        """Time-independent factor of a at the interior nodes."""
-        p = dom.interior_points
-        return self.spatial_at(dom.spec, p)
+        """Time-independent factor of a at the interior nodes, cached
+        per domain and weight (read-only: callers share it)."""
+        key = ("profile", self)
+        if key not in dom._cache:
+            dom._cache[key] = self.spatial_at(dom.spec, dom.interior_points)
+            dom._cache[key].flags.writeable = False
+        return dom._cache[key]
 
     def spatial_at(self, spec: DomainSpec, pts) -> np.ndarray:
         p = np.asarray(pts, dtype=float)

@@ -313,3 +313,25 @@ def test_bad_config_is_usage_error(tmp_path, capsys, text, named):
     err = capsys.readouterr().err
     assert named in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("line,named", [
+    ("mode = spacetime", "[audit] mode = spacetime"),
+    ("include_infinity = true", "[audit] include_infinity = true"),
+])
+def test_audit_rejects_what_a_field_cannot_honor(tmp_path, capsys, line,
+                                                 named):
+    # a CSV field has no time axis and no t = infinity slice
+    grid = ("--h", "0.125", "--out", str(tmp_path))
+    config = tmp_path / "torsion.ini"
+    config.write_text(CONFIG)
+    assert parse_and_dispatch(["stationary", "--config", str(config),
+                               *grid, "--format", "csv"]) == 0
+    config.write_text(CONFIG.replace("mode = space", line))
+    rc = parse_and_dispatch(["audit", "--config", str(config), *grid,
+                             "--field", str(tmp_path / "stationary.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "audit_report.json").exists()

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 from concavelab import (Field, Problem, SourceTerm, Weight, apply_laplacian,
                         build_discretization, convex_polygon, disk, ellipse,
@@ -84,9 +85,9 @@ def test_trajectory_keeps_one_shift_factorization(monkeypatch):
         taus.append(tau)
         return shifted(tau, rhs, diag_shift)
 
-    def record_splu(M):
+    def record_splu(M, **kw):
         factored.append(M)
-        return splu(M)
+        return splu(M, **kw)
 
     monkeypatch.setattr("concavelab.parabolic.solve_shifted_poisson",
                         record_tau)
@@ -98,6 +99,72 @@ def test_trajectory_keeps_one_shift_factorization(monkeypatch):
     shift_keys = [k for k in dom._cache if "shift" in str(k)]
     assert shift_keys == ["shift_lu"]
     assert dom._cache["shift_lu"][0] == taus[-1]
+
+
+_SOLVE_SPECS = (unit_square(), disk(), ellipse(1.0, 0.5), convex_polygon(
+    [(np.cos(s), np.sin(s)) for s in (0.0, 1.5, 2.6, 3.9, 5.0)]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(0, len(_SOLVE_SPECS) - 1),
+       tau=st.sampled_from([1e-4, 3e-3, 0.05, 2.0]),
+       shift=st.sampled_from(["zero", "neg_zero", "nonpositive",
+                              "nonnegative"]),
+       seed=st.integers(0, 2 ** 16))
+def test_cached_order_solve_is_plain_splu(k, tau, shift, seed):
+    # the shared column order and the in-place diagonal shift give the
+    # bits of a fresh COLAMD factorization of the assembled matrix
+    dom = build_discretization(_SOLVE_SPECS[k], 1.0 / 16.0)
+    rng = np.random.default_rng(seed)
+    N = dom.n_interior
+    s = {"zero": np.zeros(N), "neg_zero": np.full(N, -0.0),
+         "nonpositive": -rng.uniform(0.0, 0.9, N),
+         "nonnegative": rng.uniform(0.0, 5.0, N)}[shift]
+    M = sp.identity(N, format="csc") + tau * neg_laplacian_matrix(dom)
+    for diag_shift, system in ((s, M + sp.diags(s)), (None, M)):
+        b = rng.standard_normal(N)
+        got = solve_shifted_poisson(tau, Field(dom, b), diag_shift).values
+        assert np.array_equal(got, splu(system.tocsc()).solve(b))
+    b = rng.standard_normal(N)
+    assert np.array_equal(poisson_solve(dom, b), splu(
+        neg_laplacian_matrix(dom).tocsc()).solve(b))
+
+
+def test_stiff_trajectory_factors_per_tau_and_nonzero_shift(monkeypatch):
+    # logistic-square: one COLAMD factorization of the Laplacian, one
+    # NATURAL one per step size and per corrector with a nonzero shift;
+    # an all-zero shift reuses the step size's LU
+    import concavelab.operators as operators
+    from concavelab.scenarios import build_problem, get_scenario
+    h = 1.0 / 16.0
+    calls, factored = [], []
+    shifted = operators.solve_shifted_poisson
+    splu = operators.splu
+
+    def record_solve(tau, rhs, diag_shift=None):
+        calls.append((tau, None if diag_shift is None
+                      else bool(np.any(diag_shift))))
+        return shifted(tau, rhs, diag_shift)
+
+    def record_splu(M, **kw):
+        factored.append(kw.get("permc_spec"))
+        return splu(M, **kw)
+
+    monkeypatch.setattr("concavelab.parabolic.solve_shifted_poisson",
+                        record_solve)
+    monkeypatch.setattr(operators, "splu", record_splu)
+    dom = build_discretization(unit_square(), h)
+    eig = principal_eigenpair(dom)
+    problem = build_problem(get_scenario("logistic-square"), dom, eig)
+    solve_trajectory(problem, dom, make_time_grid(problem, h, count=16),
+                     eig=eig)
+    taus = [tau for tau, _ in calls]
+    tau_changes = 1 + sum(a != b for a, b in zip(taus, taus[1:]))
+    nonzero = sum(1 for _, nz in calls if nz)
+    zero = sum(1 for _, nz in calls if nz is False)
+    assert nonzero > 0 and zero > 0
+    assert len(factored) == 1 + tau_changes + nonzero
+    assert factored == [None] + ["NATURAL"] * (len(factored) - 1)
 
 
 def test_eigenpair_square(square32):

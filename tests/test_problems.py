@@ -239,3 +239,14 @@ def test_truncation_caps_time():
                 source=SourceTerm(kind="one"), horizon=2.0, truncate=True)
     assert p.effective_time(5.0) == pytest.approx(2.0)
     assert p.effective_time(1.0) == pytest.approx(1.0)
+
+
+def test_spatial_profile_cached_per_domain_and_weight():
+    dom = build_discretization(disk(), 1.0 / 16.0)
+    w = Weight(kind="distance_power", c=1.0, omega=1.0)
+    prof = w.spatial_profile(dom)
+    assert w.spatial_profile(dom) is prof
+    assert not prof.flags.writeable  # shared by every caller
+    assert np.array_equal(prof, w.spatial_at(dom.spec, dom.interior_points))
+    other = Weight(kind="distance_power", c=2.0, omega=1.0)
+    assert np.array_equal(other.spatial_profile(dom), 2.0 * prof)
