@@ -21,7 +21,7 @@ import numpy as np
 
 from .domains import DiscretizedDomain
 from .errors import EmptySampler, OutOfDomain
-from .operators import Field, bilinear_interp, pair_scan
+from .operators import Field, bilinear_interp, pair_scan, point_block
 from .parabolic import Trajectory
 
 INF = math.inf
@@ -340,8 +340,8 @@ def min_defect(ev, mode: str, cfg: SamplerConfig | None = None,
             return ev.value(x2, INF if math.isinf(ta)
                             else lm * tb + (1 - lm) * ta)
 
-        mins, i1, i3 = pair_scan(pts, nodes_at(ta)[sel], nodes_at(tb)[sel],
-                                 inner, mid)
+        mins, i1, i3 = pair_scan(nodes_at(ta)[sel], nodes_at(tb)[sel],
+                                 inner, point_block(pts, inner, mid))
         samples += n * (n - 1) // 2 * inner.size
         best += [(float(c), sel[a], sel[b], ta, tb, float(lm))
                  for c, a, b, lm in zip(mins, i1, i3, inner)]
@@ -501,7 +501,7 @@ def quasiconcavity_defect(f: Field, c_tol: float = 10.0) -> float:
         # pair_scan with zero end values gives the least midpoint value
         inset = np.nonzero(vals > lev)[0]
         zero = np.zeros(inset.size)
-        (least,), _, _ = pair_scan(pts[inset], zero, zero, [0.5],
-                                   lambda x2, lm: ev.value(x2))
+        (least,), _, _ = pair_scan(zero, zero, [0.5], point_block(
+            pts[inset], [0.5], lambda x2, lm: ev.value(x2)))
         worst = max(worst, float((lev - tau) - least))
     return max(worst, 0.0)

@@ -25,8 +25,8 @@ from .domains import (build_discretization, disk, ellipse, rectangle,
 from .envelope import concave_approximation
 from .errors import ConcavelabError
 from .operators import Field
-from .parabolic import (dump_field_binary, dump_field_csv, load_field_csv,
-                        make_time_grid, solve_trajectory)
+from .parabolic import (dump_field_binary, dump_field_csv, load_field_binary,
+                        load_field_csv, make_time_grid, solve_trajectory)
 from .problems import Problem, SourceTerm, Weight
 from .scenarios import (get_scenario, run_property_suite, run_scenario,
                         run_suite, scenario_ids)
@@ -53,6 +53,10 @@ def _alpha_arg(text):
     return v
 
 
+#: field dump formats: file suffix, dump and load function per --format
+_FORMATS = {"binary": (".bin", dump_field_binary, load_field_binary),
+            "csv": (".csv", dump_field_csv, load_field_csv)}
+
 #: flags shared by several subcommands; each subcommand takes only the
 #: ones its handler reads
 _FLAGS = {
@@ -66,8 +70,10 @@ _FLAGS = {
     "alpha": dict(type=_alpha_arg, default=None,
                   help="power-transform exponent in [0,1], or 'auto'"),
     "out": dict(type=Path, default=Path("."), help="output directory"),
-    "format": dict(choices=("binary", "csv"), default="binary",
+    "format": dict(choices=tuple(_FORMATS), default="binary",
                    help="field dump format"),
+    "field": dict(type=Path, required=True,
+                  help="field dump to read (.bin binary, else CSV)"),
     "config": dict(type=Path, required=True,
                    help="problem/grid config file (INI sections: "
                         "domain, weight, source, grid, audit)"),
@@ -167,10 +173,8 @@ def _problem_from_args(args, horizon=None):
 
 
 def _write(out_dir: Path, name: str, text: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    path.write_text(text)
-    return path
+    (out_dir / name).write_text(text)
+    return out_dir / name
 
 
 # ---------------------------------------------------------------------------
@@ -184,16 +188,10 @@ def _cmd_solve(args) -> int:
     dom = build_discretization(problem.domain, h)
     tg = make_time_grid(problem, h, dt, count=grid["snapshots"])
     traj = solve_trajectory(problem, dom, tg, dt)
-    files = []
-    for k, t in enumerate(traj.times):
-        f = Field(dom, traj.fields[k], t)
-        if args.format == "csv":
-            name = f"field_{k:03d}.csv"
-            dump_field_csv(f, args.out / name)
-        else:
-            name = f"field_{k:03d}.bin"
-            dump_field_binary(f, args.out / name)
-        files.append(name)
+    ext, dump, _ = _FORMATS[args.format]
+    files = [f"field_{k:03d}{ext}" for k in range(len(traj.times))]
+    for name, vals, t in zip(files, traj.fields, traj.times):
+        dump(Field(dom, vals, t), args.out / name)
     summary = {"command": "solve", "h": h, "dt": dt or h,
                "T": problem.horizon, "monotone": bool(traj.monotone),
                "snapshots": [float(t) for t in traj.times],
@@ -209,10 +207,8 @@ def _cmd_stationary(args) -> int:
     problem, grid, _ = _problem_from_args(args, args.T)
     dom = build_discretization(problem.domain, grid["h"])
     res = solve_stationary(problem, dom)
-    if args.format == "csv":
-        dump_field_csv(res.v, args.out / "stationary.csv")
-    else:
-        dump_field_binary(res.v, args.out / "stationary.bin")
+    ext, dump, _ = _FORMATS[args.format]
+    dump(res.v, args.out / f"stationary{ext}")
     summary = {"command": "stationary", "h": grid["h"],
                "residual": res.residual, "iterations": res.iterations,
                "sup_norm": res.sup_norm}
@@ -237,6 +233,13 @@ def _resolve_alpha(problem: Problem, alpha, beta: float) -> float:
                           problem.weight.theta)
 
 
+def _load_field(problem: Problem, grid, path: Path) -> Field:
+    """The field dump at path on the config's grid: binary for a .bin
+    file, CSV otherwise."""
+    load = _FORMATS["binary" if path.suffix == ".bin" else "csv"][2]
+    return load(build_discretization(problem.domain, grid["h"]), path)
+
+
 def _cmd_audit(args) -> int:
     problem, grid, audit = _problem_from_args(args)
     if audit["mode"] != "space":
@@ -247,8 +250,7 @@ def _cmd_audit(args) -> int:
                          "has no t = infinity slice")
     alpha = _resolve_alpha(problem, audit["alpha"] if args.alpha is None
                            else args.alpha, audit["beta"])
-    dom = build_discretization(problem.domain, grid["h"])
-    f = load_field_csv(dom, args.field)
+    f = _load_field(problem, grid, args.field)
     rep = min_defect(FieldEvaluator(f, alpha), "space",
                      SamplerConfig(include_infinity=False))
     path = _write(args.out, "audit_report.json", rep.to_json())
@@ -259,8 +261,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_envelope(args) -> int:
     problem, grid, _ = _problem_from_args(args)
-    dom = build_discretization(problem.domain, grid["h"])
-    f = load_field_csv(dom, args.field)
+    f = _load_field(problem, grid, args.field)
     res = concave_approximation(f)
     summary = {"command": "envelope", "distance": res.distance,
                "delta": res.delta, "k_n": res.k_n,
@@ -268,8 +269,8 @@ def _cmd_envelope(args) -> int:
                "dimension": res.dimension}
     path = _write(args.out, "envelope_report.json",
                   json.dumps(summary, sort_keys=True))
-    if args.format == "csv" and len(res.g) == dom.n_interior:
-        dump_field_csv(Field(dom, res.g), args.out / "envelope.csv")
+    if args.format == "csv" and len(res.g) == f.dom.n_interior:
+        dump_field_csv(Field(f.dom, res.g), args.out / "envelope.csv")
     print(f"envelope: distance {res.distance:.6g} <= k_n*delta = "
           f"{res.k_n * res.delta:.6g}: {res.bound_ok}; report {path}")
     return 0 if res.bound_ok else 1
@@ -340,15 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "config h T out format")
 
     p = sub.add_parser("audit", help="defect report for a dumped field")
-    _add_flags(p, "config h alpha out")
-    p.add_argument("--field", type=Path, required=True,
-                   help="CSV field dump to audit")
+    _add_flags(p, "config field h alpha out")
 
     p = sub.add_parser("envelope",
                        help="concave approximant of a dumped field")
-    _add_flags(p, "config h out format")
-    p.add_argument("--field", type=Path, required=True,
-                   help="CSV field dump")
+    _add_flags(p, "config field h out format")
 
     p = sub.add_parser("verify", help="run one catalog scenario")
     _add_flags(p, "h dt T out")

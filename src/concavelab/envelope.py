@@ -16,7 +16,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .audit import FieldEvaluator, _scan_nodes
 from .errors import HullDegenerate
-from .operators import Field, pair_scan
+from .operators import Field, pair_scan, point_block
 
 
 def hyers_ulam_constant(n: int) -> float:
@@ -137,8 +137,9 @@ def concave_approximation(f, section=None, max_nodes: int = 600) \
     ev = FieldEvaluator(f)
     # delta: the defect over sample pairs and 15 lambdas, with the middle
     # value interpolated bilinearly on the full grid
-    mins, _, _ = pair_scan(pts, vals, vals, np.linspace(0, 1, 17)[1:-1],
-                           lambda x2, lam: ev.value(x2))
+    lambdas = np.linspace(0, 1, 17)[1:-1]
+    mins, _, _ = pair_scan(vals, vals, lambdas, point_block(
+        pts, lambdas, lambda x2, lam: ev.value(x2)))
     delta = -min([0.0] + mins.tolist())
     k = hyers_ulam_constant(2)
     dist = 0.5 * gap

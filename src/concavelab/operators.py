@@ -82,25 +82,25 @@ def bilinear_interp(dom: DiscretizedDomain, grid: np.ndarray, pts):
 _PAIR_CHUNK = 1 << 14
 
 
-def pair_scan(pts, v1, v3, lambdas, mid):
+def pair_scan(v1, v3, lambdas, block):
     """Per-lambda minimum of the concavity function
 
-        mid(x2, lam) - lam * v3[j] - (1 - lam) * v1[i],
-        x2 = lam * pts[j] + (1 - lam) * pts[i],
+        mid_lam(i, j) - lam * v3[j] - (1 - lam) * v1[i]
 
     over the node pairs i < j, as arrays (mins, i, j) over `lambdas`:
     the minimum and the pair where it first occurs in row-major pair
-    order.  The pairs are gathered in row blocks of at most _PAIR_CHUNK
-    pairs (at least one row), once for all lambdas.  As with np.argmin
-    over the unchunked scan, a lambda whose values hold a NaN gets NaN
-    and the first NaN's pair; with fewer than 2 nodes the minima are
-    inf and the pairs -1.
+    order.  block(idx1, idx3) is called once per row block of at most
+    _PAIR_CHUNK pairs (at least one row) and returns the block's values
+    mid_lam(idx1, idx3), one array per lambda (point_block makes it
+    from a point function).  As with np.argmin over the unchunked scan,
+    a lambda whose values hold a NaN gets NaN and the first NaN's pair;
+    with fewer than 2 nodes the minima are inf and the pairs -1.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     mins = np.full(lambdas.size, math.inf)
     best_i = np.full(lambdas.size, -1)
     best_j = np.full(lambdas.size, -1)
-    n = len(pts)
+    n = len(v1)
     before = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
     i0 = 0
     while i0 < n - 1:  # rows i0..i1-1 hold at most _PAIR_CHUNK pairs
@@ -108,14 +108,26 @@ def pair_scan(pts, v1, v3, lambdas, mid):
             before, before[i0] + _PAIR_CHUNK, "right")) - 1)
         idx1, idx3 = np.nonzero(np.arange(n) > np.arange(i0, i1)[:, None])
         idx1 += i0
-        p1, p3, w1, w3 = pts[idx1], pts[idx3], v1[idx1], v3[idx3]
-        for k, lm in enumerate(lambdas):
-            c = mid(lm * p3 + (1 - lm) * p1, lm) - lm * w3 - (1 - lm) * w1
+        w1, w3 = v1[idx1], v3[idx3]
+        for k, (lm, m) in enumerate(zip(lambdas, block(idx1, idx3))):
+            c = m - lm * w3 - (1 - lm) * w1
             a = int(np.argmin(c))
             if c[a] < mins[k] or (np.isnan(c[a]) and not np.isnan(mins[k])):
                 mins[k], best_i[k], best_j[k] = c[a], idx1[a], idx3[a]
         i0 = i1
     return mins, best_i, best_j
+
+
+def point_block(pts, lambdas, mid):
+    """pair_scan block from a point function: mid(x2, lam) at the
+    points x2 = lam * pts[j] + (1 - lam) * pts[i], with each block's
+    endpoints gathered once for all lambdas."""
+    lambdas = np.asarray(lambdas, dtype=float)
+
+    def block(idx1, idx3):
+        p1, p3 = pts[idx1], pts[idx3]
+        return (mid(lm * p3 + (1 - lm) * p1, lm) for lm in lambdas)
+    return block
 
 
 # ---------------------------------------------------------------------------

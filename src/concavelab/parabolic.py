@@ -236,21 +236,41 @@ def dump_field_binary(f: Field, path) -> None:
 
 
 def load_field_csv(dom: DiscretizedDomain, path, time=None) -> Field:
-    """Read a dump_field_csv file back onto the interior nodes of dom.
-
-    Each row is mapped to the grid node at round((x - xs[0]) / h),
-    round((y - ys[0]) / h).  ValueError if a row lies more than 1e-9*h
-    off that node or on a non-interior node, if two rows share a node,
-    or if an interior node has no row, and if the file is blank.
-    """
+    """Read a dump_field_csv file back onto dom (see _rows_to_field);
+    ValueError also if the file is blank."""
     with open(path) as fh:
         lines = fh.readlines()
     if not any(line.strip() for line in lines):
         raise ValueError(f"{path}: empty file, expected an x,y,value "
                          f"header and one row per interior node")
-    data = np.genfromtxt(lines, delimiter=",", names=True)
-    x = np.atleast_1d(data["x"])
-    y = np.atleast_1d(data["y"])
+    d = np.atleast_1d(np.genfromtxt(lines, delimiter=",", names=True))
+    return _rows_to_field(dom, path, d["x"], d["y"], d["value"], time)
+
+
+def load_field_binary(dom: DiscretizedDomain, path, time=None) -> Field:
+    """Read a dump_field_binary file back onto dom (see _rows_to_field)
+    as a Field at `time` (the header's time is not read); ValueError
+    also for a partial header or triplet, or another grid's header."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if len(raw) < 32 or (len(raw) - 32) % 24:
+        raise ValueError(f"{path}: {len(raw)} bytes, expected a 32-byte "
+                         f"header and 24 bytes per interior node")
+    h, nx, ny, _ = struct.unpack("<4d", raw[:32])
+    grid = (dom.h, dom.xs.size, dom.ys.size)
+    if not (abs(h - dom.h) <= 1e-9 * dom.h and (nx, ny) == grid[1:]):
+        raise ValueError(f"{path}: header (h, nx, ny) = {(h, nx, ny)} does "
+                         f"not match the grid's {grid}")
+    data = np.frombuffer(raw, "<f8", offset=32).reshape(-1, 3)
+    return _rows_to_field(dom, path, *data.T, time)
+
+
+def _rows_to_field(dom: DiscretizedDomain, path, x, y, values,
+                   time) -> Field:
+    """Field from dump rows, each on the node round((x - xs[0]) / h),
+    round((y - ys[0]) / h); ValueError naming the file if a row lies
+    over 1e-9*h off it or on a non-interior node, if two rows share a
+    node, or if an interior node has no row."""
     h = dom.h
     fx = np.rint((x - dom.xs[0]) / h)
     fy = np.rint((y - dom.ys[0]) / h)
@@ -272,5 +292,5 @@ def load_field_csv(dom: DiscretizedDomain, path, time=None) -> Field:
         raise ValueError(f"{path}: {int(np.sum(counts == 0))} interior "
                          f"node(s) have no row")
     vals = np.empty(dom.n_interior)
-    vals[k] = np.atleast_1d(data["value"])
+    vals[k] = values
     return Field(dom, vals, time)

@@ -70,23 +70,33 @@ class Weight:
 
     def spatial_at(self, spec: DomainSpec, pts) -> np.ndarray:
         p = np.asarray(pts, dtype=float)
-        x, y = p[..., 0], p[..., 1]
+        return self.combine(spec, self.factor(spec, 0, p[..., 0]),
+                            self.factor(spec, 1, p[..., 1]))
+
+    def factor(self, spec: DomainSpec, axis: int, u) -> np.ndarray:
+        """Factor of a along axis 0 (x) or 1 (y) at coordinates u: the
+        identity where a does not factor (distance; bang-bang's y)."""
+        if self.kind == "ramp_bump_perturbed":
+            lo, hi = spec.bounding_box[axis]
+            return np.cos(2 * np.pi * ((u - lo) / (hi - lo)))
+        if self.kind == "smoothed_bang_bang" and axis == 0:
+            (x0, x1), _ = spec.bounding_box
+            s = np.clip((u - 0.5 * (x0 + x1)) / self.eta + 0.5, 0.0, 1.0)
+            return self.a1 * (1 - s) + (-self.a2) * s
+        return u
+
+    def combine(self, spec: DomainSpec, fx, fy) -> np.ndarray:
+        """a from its factors at x (fx) and at y (fy)."""
         if self.spatially_constant:
-            return np.full_like(x, self.c)
+            return np.full_like(fx, self.c)
         if self.kind == "distance_power":
-            d = np.maximum(distance_to_boundary(spec, p), 0.0)
+            d = np.maximum(distance_to_boundary(
+                spec, np.stack([fx, fy], axis=-1)), 0.0)
             return self.c * d ** self.omega
         if self.kind == "ramp_bump_perturbed":
-            (x0, x1), (y0, y1) = spec.bounding_box
-            xi = (x - x0) / (x1 - x0)
-            et = (y - y0) / (y1 - y0)
-            ripple = np.cos(2 * np.pi * xi) * np.cos(2 * np.pi * et)
-            return 1.0 + self.eps * ripple
+            return 1.0 + self.eps * (fx * fy)
         if self.kind == "smoothed_bang_bang":
-            (x0, x1), _ = spec.bounding_box
-            mid = 0.5 * (x0 + x1)
-            s = np.clip((x - mid) / self.eta + 0.5, 0.0, 1.0)
-            return self.a1 * (1 - s) + (-self.a2) * s
+            return fx
         raise ValueError(f"unknown weight kind {self.kind!r}")
 
     def time_factor(self, t) -> float:
@@ -305,26 +315,27 @@ def check_hypotheses(problem: Problem, M: float) -> HypothesisReport:
 def weight_concavity_defect(problem: Problem, dom: DiscretizedDomain,
                             theta: float = 1.0, mask=None) -> float:
     """sup of the negative part of the concavity function of a^theta
-    (log a for theta=0, a itself for theta=inf) over all pairs of
-    interior nodes (those in mask, when given) times the 15 interior
-    lambdas of a 17-point grid, scanned in chunks of bounded memory.
-    Nonnegative: 0 for a concave profile, and 0 without a scan for a
-    spatially constant weight."""
-    w = problem.weight
-    if w.spatially_constant:
+    (log a for theta=0, a itself for theta=inf) over the pairs of
+    interior nodes (those in mask) and 15 lambdas, by _concavity_min:
+    0 for a concave profile, and without a scan for a constant one."""
+    if problem.weight.spatially_constant:
         return 0.0
-    prof = w.spatial_profile(dom)
-    pts = dom.interior_points
+    return max(0.0, -_concavity_min(problem.weight, dom, theta, mask))
+
+
+def _concavity_min(weight: Weight, dom: DiscretizedDomain, theta: float,
+                   mask=None, stride: int = 1) -> float:
+    """Signed min of the concavity function of weight^theta over the
+    pairs i < j of every stride-th interior node (of those in mask) and
+    the 15 interior lambdas of a 17-point grid, by pair_scan; inf for
+    < 2 nodes.  Each factor of the weight is evaluated once per lambda
+    on lam * u[b] + (1 - lam) * u[a] over the distinct coordinates u of
+    its axis (x2's, bit for bit), and each pair gathers its entries."""
+    pts, prof = dom.interior_points, weight.spatial_profile(dom)
     if mask is not None:
-        prof, pts = prof[mask], pts[mask]
-    return max(0.0, -_concavity_min(w, problem.domain, pts, prof, theta))
+        pts, prof = pts[mask], prof[mask]
+    pts, prof, spec = pts[::stride], prof[::stride], dom.spec
 
-
-def _concavity_min(weight: Weight, spec: DomainSpec, pts, prof,
-                   theta: float) -> float:
-    """Signed min of the concavity function of weight^theta (prof: the
-    weight at pts) over node pairs i < j and the 15 interior lambdas of
-    a 17-point grid, by pair_scan; inf for < 2 nodes."""
     def transform(a):
         if math.isinf(theta):
             return a
@@ -332,10 +343,21 @@ def _concavity_min(weight: Weight, spec: DomainSpec, pts, prof,
             return np.log(np.maximum(a, 1e-300))
         return np.sign(a) * np.abs(a) ** theta
 
+    lm = np.linspace(0.0, 1.0, 17)[1:-1, None, None]
+    tables, codes = [], []
+    for axis in (0, 1):
+        u, code = np.unique(pts[:, axis], return_inverse=True)
+        tab = weight.factor(spec, axis, lm * u + (1 - lm) * u[:, None])
+        tables.append(tab.reshape(len(lm), u.size * u.size))
+        codes.append((code * u.size, code))
+
+    def block(idx1, idx3):
+        kx, ky = (row[idx1] + col[idx3] for row, col in codes)
+        return (transform(weight.combine(spec, tx.take(kx), ty.take(ky)))
+                for tx, ty in zip(*tables))
+
     vals = transform(prof)
-    mins, _, _ = pair_scan(
-        pts, vals, vals, np.linspace(0.0, 1.0, 17)[1:-1],
-        lambda x2, lm: transform(weight.spatial_at(spec, x2)))
+    mins, _, _ = pair_scan(vals, vals, lm.ravel(), block)
     return min([math.inf] + mins.tolist())
 
 

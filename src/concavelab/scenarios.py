@@ -310,13 +310,9 @@ def boundary_barrier_margin(problem, dom, traj, eig, hyp) -> float:
 
 def _weight_min_C(problem, dom, mask=None) -> float:
     """Signed min of the weight's concavity function, <= 240 nodes."""
-    prof = problem.weight.spatial_profile(dom)
-    pts = dom.interior_points
-    if mask is not None:
-        prof, pts = prof[mask], pts[mask]
-    stride = max(1, int(math.ceil(len(pts) / 240)))
-    worst = _concavity_min(problem.weight, problem.domain, pts[::stride],
-                           prof[::stride], math.inf)
+    n = dom.n_interior if mask is None else int(np.count_nonzero(mask))
+    worst = _concavity_min(problem.weight, dom, math.inf, mask,
+                           max(1, int(math.ceil(n / 240))))
     return worst if math.isfinite(worst) else 0.0
 
 

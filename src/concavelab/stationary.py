@@ -68,9 +68,8 @@ def solve_stationary(problem: Problem, dom: DiscretizedDomain,
     # torsion solution of the weight's positive part as the starting point;
     # iterate w = A^{-1} b(w) with damping 0.5
     a_inf = np.maximum(problem.weight_values(dom, math.inf), 0.0)
-    base = poisson_solve(dom, np.maximum(a_inf, np.max(a_inf) * 0.0 + 1e-8))
+    base = poisson_solve(dom, np.maximum(a_inf, 1e-8))
     v = np.maximum(base, 1e-8)
-    # one undamped scaling pass keeps the start above the small branch
     for it in range(1, max_iter + 1):
         rhs = _source_at_infinity(problem, dom, v)
         v_new = poisson_solve(dom, rhs)

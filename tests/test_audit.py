@@ -19,7 +19,7 @@ from concavelab.audit import (DefectReport, Evaluator, FieldEvaluator,
                               _SCAN_NODES, _argmin_gradients,
                               _default_times, _scan_nodes,
                               harmonic_combination, pair_scan,
-                              tau_audit_value)
+                              point_block, tau_audit_value)
 from concavelab.errors import EmptySampler
 from concavelab.parabolic import Trajectory
 from concavelab.scenarios import build_problem
@@ -360,8 +360,8 @@ def _parent_min_defect(ev, mode, cfg=None, c_tol=10.0):
             return ev.value(x2, math.inf if math.isinf(ta)
                             else lm * tb + (1 - lm) * ta)
 
-        mins, i1, i3 = pair_scan(pts, nodes_at(ta)[sel], nodes_at(tb)[sel],
-                                 inner, mid)
+        mins, i1, i3 = pair_scan(nodes_at(ta)[sel], nodes_at(tb)[sel],
+                                 inner, point_block(pts, inner, mid))
         samples += n * (n - 1) // 2 * inner.size
         best += [(float(c), sel[a], sel[b], ta, tb, float(lm))
                  for c, a, b, lm in zip(mins, i1, i3, inner)]

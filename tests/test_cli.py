@@ -252,6 +252,42 @@ def test_audit_report_is_library_audit_of_the_field(tmp_path, config_file):
     assert (tmp_path / "audit_report.json").read_text() == want
 
 
+def test_binary_dump_audits_as_csv(tmp_path, config_file):
+    # stationary's default binary dump gives the CSV route's reports
+    grid = ("--config", str(config_file), "--h", "0.125")
+    reports = {}
+    for fmt, name in (("binary", "stationary.bin"), ("csv", "stationary.csv")):
+        out = tmp_path / fmt
+        assert parse_and_dispatch(["stationary", *grid, "--out", str(out),
+                                   "--format", fmt]) == 0
+        field = str(out / name)
+        assert parse_and_dispatch(["audit", *grid, "--out", str(out),
+                                   "--field", field]) == 0
+        assert parse_and_dispatch(["envelope", *grid, "--out", str(out),
+                                   "--field", field]) == 0
+        reports[fmt] = [(out / r).read_text() for r in
+                        ("audit_report.json", "envelope_report.json")]
+    assert reports["binary"] == reports["csv"]
+
+
+@pytest.mark.parametrize("damage", ["truncate", "grid"])
+def test_audit_of_bad_binary_field_is_usage_error(tmp_path, config_file,
+                                                  capsys, damage):
+    grid = ("--config", str(config_file), "--out", str(tmp_path))
+    assert parse_and_dispatch(["stationary", *grid, "--h", "0.125"]) == 0
+    field = tmp_path / "stationary.bin"
+    if damage == "truncate":
+        field.write_bytes(field.read_bytes()[:-1])
+        h = "0.125"
+    else:
+        h = "0.0625"  # the dump is for h = 1/8
+    capsys.readouterr()
+    rc = parse_and_dispatch(["audit", *grid, "--h", h, "--field",
+                             str(field)])
+    assert rc == 2
+    assert f"{field}: " in capsys.readouterr().err
+
+
 def test_audit_of_empty_field_is_usage_error(tmp_path, config_file,
                                              capsys):
     field = tmp_path / "empty.csv"

@@ -15,7 +15,7 @@ from concavelab import (Field, Problem, SourceTerm, Weight, apply_laplacian,
 from concavelab.domains import _DIRS
 from concavelab.operators import (_PAIR_CHUNK, bilinear_interp,
                                   neg_laplacian_matrix, pair_scan,
-                                  solve_shifted_poisson)
+                                  point_block, solve_shifted_poisson)
 
 
 @pytest.fixture(scope="module")
@@ -313,7 +313,7 @@ def test_pair_scan_matches_unchunked(mid):
     lambdas = np.linspace(0.0, 1.0, 17)[1:-1]
     if mid is _coarse:
         v1 = v3 = np.zeros(len(pts))
-    got = pair_scan(pts, v1, v3, lambdas, mid)
+    got = pair_scan(v1, v3, lambdas, point_block(pts, lambdas, mid))
     ref = _reference_pair_scan(pts, v1, v3, lambdas, mid)
     for g, r in zip(got, ref):
         assert np.array_equal(g, r)
@@ -338,7 +338,8 @@ def test_pair_scan_nan_first_occurrence():
         return out
 
     lambdas = [0.25, 0.5]
-    mins, bi, bj = pair_scan(pts, v1, v3, lambdas, mid)
+    mins, bi, bj = pair_scan(v1, v3, lambdas,
+                             point_block(pts, lambdas, mid))
     ref = _reference_pair_scan(pts, v1, v3, lambdas, mid)
     assert np.all(np.isnan(mins)) and np.all(np.isnan(ref[0]))
     assert np.array_equal(bi, ref[1]) and np.array_equal(bj, ref[2])
@@ -355,7 +356,7 @@ def test_pair_scan_visits_every_pair_once():
         return np.zeros(len(x2))
 
     lambdas = np.linspace(0.0, 1.0, 5)[1:-1]
-    pair_scan(pts, v1, v3, lambdas, mid)
+    pair_scan(v1, v3, lambdas, point_block(pts, lambdas, mid))
     assert len(calls) > 2 * len(lambdas)  # more than two chunks
     i1, i3 = np.triu_indices(len(pts), k=1)
     ref = np.concatenate([np.column_stack(
@@ -368,7 +369,7 @@ def test_pair_scan_visits_every_pair_once():
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_pair_scan_without_pairs(n):
-    mins, bi, bj = pair_scan(np.zeros((n, 2)), np.zeros(n), np.zeros(n),
-                             [0.5], _wavy)
+    mins, bi, bj = pair_scan(np.zeros(n), np.zeros(n), [0.5],
+                             point_block(np.zeros((n, 2)), [0.5], _wavy))
     assert mins.tolist() == [math.inf]
     assert bi.tolist() == bj.tolist() == [-1]

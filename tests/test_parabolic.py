@@ -1,13 +1,21 @@
+import functools
 import math
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from concavelab import (Field, Problem, SourceTerm, Weight,
-                        build_discretization, dump_field_binary,
-                        dump_field_csv, load_field_csv, make_time_grid,
-                        principal_eigenpair, solve_trajectory, unit_square)
-from concavelab.parabolic import advance, quadratic_snapshots
+                        build_discretization, convex_polygon, disk,
+                        dump_field_binary, dump_field_csv, ellipse,
+                        load_field_csv, make_time_grid, principal_eigenpair,
+                        rectangle, solve_trajectory, unit_square)
+from concavelab.parabolic import (advance, load_field_binary,
+                                  quadratic_snapshots)
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +175,6 @@ def test_load_csv_rejects_empty_file(square16, tmp_path, text):
 
 
 def test_field_dump_binary_header(square16, tmp_path):
-    import struct
     f = Field(square16, np.zeros(square16.n_interior), 0.5)
     path = tmp_path / "f.bin"
     dump_field_binary(f, path)
@@ -178,6 +185,78 @@ def test_field_dump_binary_header(square16, tmp_path):
     assert int(ny) == square16.ys.size
     assert t == pytest.approx(0.5)
     assert (len(raw) - 32) == 24 * square16.n_interior
+
+
+_ROUNDTRIP_DOMAINS = {
+    "square": unit_square(), "rectangle": rectangle(1.5, 0.8),
+    "disk": disk(), "ellipse": ellipse(1.0, 0.6),
+    "polygon": convex_polygon([(0.0, 0.0), (1.2, 0.1), (1.0, 0.9),
+                               (0.2, 1.0)]),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _roundtrip_dom(name, h_inv):
+    return build_discretization(_ROUNDTRIP_DOMAINS[name], 1.0 / h_inv)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), name=st.sampled_from(sorted(_ROUNDTRIP_DOMAINS)),
+       h_inv=st.sampled_from([6, 8, 11]))
+def test_field_dump_roundtrip(data, name, h_inv):
+    # every finite double, subnormals and -0.0 included, comes back as
+    # the same bits from both dump formats
+    dom = _roundtrip_dom(name, h_inv)
+    vals = np.array(data.draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False),
+        min_size=dom.n_interior, max_size=dom.n_interior)))
+    f = Field(dom, vals, 0.5)
+    with tempfile.TemporaryDirectory() as tmp:
+        for dump, load, fname in ((dump_field_csv, load_field_csv, "f.csv"),
+                                  (dump_field_binary, load_field_binary,
+                                   "f.bin")):
+            path = Path(tmp) / fname
+            dump(f, path)
+            g = load(dom, path, time=0.5)
+            assert g.time == 0.5
+            assert np.array_equal(g.values, vals)
+            assert np.array_equal(np.signbit(g.values), np.signbit(vals))
+
+
+def _dumped_binary(dom, tmp_path):
+    path = tmp_path / "f.bin"
+    dump_field_binary(Field(dom, np.arange(dom.n_interior, dtype=float)),
+                      path)
+    return path, path.read_bytes()
+
+
+@pytest.mark.parametrize("cut", [0, 20, 32 + 24 * 5 - 1])
+def test_load_binary_rejects_truncated_file(square16, tmp_path, cut):
+    path, raw = _dumped_binary(square16, tmp_path)
+    path.write_bytes(raw[:cut])
+    with pytest.raises(ValueError, match=f"f.bin: {cut} bytes"):
+        load_field_binary(square16, path)
+
+
+@pytest.mark.parametrize("header", [(1 / 8, 17, 17), (1 / 16, 18, 17),
+                                    (1 / 16, 17, 16)])
+def test_load_binary_rejects_other_grid(square16, tmp_path, header):
+    path, raw = _dumped_binary(square16, tmp_path)
+    path.write_bytes(struct.pack("<4d", *header, 0.0) + raw[32:])
+    with pytest.raises(ValueError, match="f.bin: header .* does not match"):
+        load_field_binary(square16, path)
+
+
+def test_load_binary_maps_rows_as_csv(square16, tmp_path):
+    # the row checks are the CSV loader's: a dropped triplet is a
+    # missing node, a repeated one a repeated node
+    path, raw = _dumped_binary(square16, tmp_path)
+    path.write_bytes(raw[:32] + raw[56:])
+    with pytest.raises(ValueError, match="1 interior node"):
+        load_field_binary(square16, path)
+    path.write_bytes(raw + raw[32:56])
+    with pytest.raises(ValueError, match="repeats an interior node"):
+        load_field_binary(square16, path)
 
 
 def test_advance_rejects_nonpositive_step(square16):

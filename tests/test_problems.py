@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from concavelab import (Problem, SourceTerm, Weight, build_discretization,
-                        check_hypotheses, disk, inner_region_mask,
-                        sup_slope_lambda, unit_square,
+                        check_hypotheses, disk, distance_to_boundary,
+                        inner_region_mask, sup_slope_lambda, unit_square,
                         weight_concavity_defect)
 from concavelab.problems import _concavity_min
 from concavelab.scenarios import _weight_min_C
@@ -29,6 +29,38 @@ def test_distance_weight_profile(square16):
     vals = w.spatial_profile(square16)
     k = int(np.argmin(np.sum((square16.interior_points - 0.5) ** 2, axis=1)))
     assert vals[k] == pytest.approx(0.5)  # d_Omega at the center
+
+
+def _closed_form(weight, spec, pts):
+    """a(x) in one expression per kind, as the profile was written before
+    it was split into per-axis factors."""
+    x, y = pts[:, 0], pts[:, 1]
+    (x0, x1), (y0, y1) = spec.bounding_box
+    if weight.kind == "ramp_bump_perturbed":
+        xi, et = (x - x0) / (x1 - x0), (y - y0) / (y1 - y0)
+        return 1.0 + weight.eps * (np.cos(2 * np.pi * xi)
+                                   * np.cos(2 * np.pi * et))
+    if weight.kind == "smoothed_bang_bang":
+        s = np.clip((x - 0.5 * (x0 + x1)) / weight.eta + 0.5, 0.0, 1.0)
+        return weight.a1 * (1 - s) + (-weight.a2) * s
+    d = np.maximum(distance_to_boundary(spec, pts), 0.0)
+    return weight.c * d ** weight.omega
+
+
+@pytest.mark.parametrize("weight", [
+    Weight(kind="ramp_bump_perturbed", eps=0.2),
+    Weight(kind="smoothed_bang_bang", a1=1.0, a2=0.5, eta=0.1),
+    Weight(kind="distance_power", c=1.5, omega=0.5)], ids=lambda w: w.kind)
+@pytest.mark.parametrize("spec", [unit_square(), disk(0.8)],
+                         ids=["square", "disk"])
+def test_factored_profile_is_closed_form_bit_for_bit(weight, spec):
+    # combine(factor x, factor y) keeps the one-expression formula, so
+    # profiles, scans and reports do not move
+    rng = np.random.default_rng(3)
+    (x0, x1), (y0, y1) = spec.bounding_box
+    pts = rng.uniform((x0, y0), (x1, y1), (500, 2))
+    assert np.array_equal(weight.spatial_at(spec, pts),
+                          _closed_form(weight, spec, pts))
 
 
 def test_time_factor_power(square16):
@@ -195,19 +227,25 @@ def test_weight_min_C_bit_exact(square32, masked):
 
 
 def test_pair_scan_visits_every_pair_once(square16):
-    # a stand-in weight records the points the scan evaluates; they
-    # must be the lambda points of each pair i < j, each exactly once
+    # a stand-in weight with identity factors: its combine step gets the
+    # lambda points of each pair i < j, which must come each exactly once
     class Recorder:
         def __init__(self):
             self.calls = []
 
-        def spatial_at(self, spec, x2):
-            self.calls.append(x2.copy())
-            return np.zeros(len(x2))
+        def spatial_profile(self, dom):
+            return np.zeros(dom.n_interior)
+
+        def factor(self, spec, axis, u):
+            return u
+
+        def combine(self, spec, fx, fy):
+            self.calls.append(np.column_stack([fx, fy]))
+            return np.zeros(len(fx))
 
     pts = square16.interior_points
     rec = Recorder()
-    _concavity_min(rec, unit_square(), pts, np.zeros(len(pts)), 1.0)
+    _concavity_min(rec, square16, 1.0)
     assert len(rec.calls) > 15  # more than one chunk
     idx1, idx3 = np.triu_indices(len(pts), k=1)
     ref = np.concatenate([lm * pts[idx3] + (1 - lm) * pts[idx1]
@@ -215,6 +253,22 @@ def test_pair_scan_visits_every_pair_once(square16):
     got = np.concatenate(rec.calls)
     assert got.shape == ref.shape
     assert np.array_equal(got[np.lexsort(got.T)], ref[np.lexsort(ref.T)])
+
+
+def test_ramp_scan_evaluates_factors_per_coordinate_pair(square32,
+                                                         monkeypatch):
+    # the ramp's cos factors are tabulated over the 15 lambdas and the
+    # 31 x 31 coordinate pairs per axis, not over the 461,280 node pairs
+    w = Weight(kind="ramp_bump_perturbed", eps=0.2)
+    p = Problem(domain=unit_square(), weight=w, source=SourceTerm("one"))
+    w.spatial_profile(square32)  # the node profile is not the scan
+    nx = square32.xs.size - 2
+    evals = []
+    cos = np.cos
+    monkeypatch.setattr(np, "cos", lambda u: evals.append(np.size(u))
+                        or cos(u))
+    assert weight_concavity_defect(p, square32, 1.0) > 0.0
+    assert 0 < sum(evals) <= 2 * 15 * nx ** 2
 
 
 def test_weight_defect_memory_bounded():
