@@ -102,7 +102,7 @@ _DOMAINS = {
 #: the keys each config section may hold (configparser lowercases them)
 _KEYS = {"domain": "kind radius width height a b",
          "weight": "kind c gamma omega eps a1 a2 eta theta truncate",
-         "source": "kind q p u0",
+         "source": "kind q p",
          "grid": "h dt t snapshots",
          "audit": "mode alpha beta include_infinity"}
 
@@ -156,8 +156,7 @@ def load_config(path: Path):
                                            "false")).lower() == "true"}
 
     problem = Problem(domain=spec, weight=weight, source=source,
-                      u0=s.get("u0", "zero"), horizon=grid["T"],
-                      truncate=truncate)
+                      horizon=grid["T"], truncate=truncate)
     return problem, grid, audit
 
 
@@ -269,8 +268,9 @@ def _cmd_envelope(args) -> int:
                "dimension": res.dimension}
     path = _write(args.out, "envelope_report.json",
                   json.dumps(summary, sort_keys=True))
-    if args.format == "csv" and len(res.g) == f.dom.n_interior:
-        dump_field_csv(Field(f.dom, res.g), args.out / "envelope.csv")
+    if len(res.g) == f.dom.n_interior:  # not a sample of the nodes
+        ext, dump, _ = _FORMATS[args.format]
+        dump(Field(f.dom, res.g), args.out / f"envelope{ext}")
     print(f"envelope: distance {res.distance:.6g} <= k_n*delta = "
           f"{res.k_n * res.delta:.6g}: {res.bound_ok}; report {path}")
     return 0 if res.bound_ok else 1

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import DiscretizedDomain, build_discretization
+from .bounds import BoundParams, boundary_lower_bound
+from .domains import DiscretizedDomain
 from .errors import HypothesisViolated, StateBlowup
 from .operators import (EigenPair, Field, principal_eigenpair,
                         solve_shifted_poisson)
@@ -30,7 +31,6 @@ _STIFF_SOURCES = ("logistic", "log_s")
 class TimeGrid:
     t0: float
     snapshots: np.ndarray  # strictly increasing, up to T
-    substeps: int = 4
 
     def __post_init__(self):
         self.snapshots = np.asarray(self.snapshots, dtype=float)
@@ -45,14 +45,13 @@ def quadratic_snapshots(T: float, count: int) -> np.ndarray:
 
 
 def make_time_grid(problem: Problem, h: float, dt: float | None = None,
-                   count: int = 24, grading: str = "quadratic") -> TimeGrid:
-    """Default grid: t0 for seeding, graded snapshots, dt ~ h substeps."""
+                   count: int = 24) -> TimeGrid:
+    """Default grid: t0 for seeding and quadratically graded snapshots."""
     T = problem.horizon
     dt = h if dt is None else dt
-    snaps = quadratic_snapshots(T, count) if grading == "quadratic" \
-        else np.linspace(T / count, T, count)
+    snaps = quadratic_snapshots(T, count)
     t0 = min(10 * dt, 0.01 * T, 0.5 * float(snaps[0]))
-    return TimeGrid(t0=t0, snapshots=snaps, substeps=4)
+    return TimeGrid(t0=t0, snapshots=snaps)
 
 
 @dataclass
@@ -84,20 +83,11 @@ class Trajectory:
 # seeding and stepping
 # ---------------------------------------------------------------------------
 
-def subsolution_value(k: float, q: float, gamma: float, lam1: float,
-                      t: float, phi) -> np.ndarray:
-    """Explicit comparison seed C e^{-lam1 t} t^{(1+gamma)/(1-q)} phi."""
-    C = ((1.0 - q) * k / (1.0 + gamma)) ** (1.0 / (1.0 - q))
-    if t <= 0:
-        return np.zeros_like(np.asarray(phi, dtype=float))
-    return C * math.exp(-lam1 * t) * t ** ((1.0 + gamma) / (1.0 - q)) \
-        * np.asarray(phi, dtype=float)
-
-
 def seed_from_subsolution(problem: Problem, dom: DiscretizedDomain,
                           t0: float, eig: EigenPair,
                           hyp=None) -> Field:
-    """Seed field at t0 from the explicit subsolution; verified a
+    """Seed field at t0 > 0 from the explicit subsolution, the interior
+    barrier C e^{-lam1 t0} t0^{(1+gamma)/(1-q)} phi1; verified a
     posteriori to be a discrete subsolution (w_t - Lap_h w <= b + 1e-8)."""
     hyp = hyp or check_hypotheses(problem, M=1.0)
     if not hyp.require("lower_power"):
@@ -106,15 +96,15 @@ def seed_from_subsolution(problem: Problem, dom: DiscretizedDomain,
     k = hyp.constants["k"]
     q = hyp.constants["q"]
     gamma = hyp.constants["gamma"]
-    w = subsolution_value(k, q, gamma, eig.lam, t0, eig.phi.values)
-    if t0 > 0:
-        # w_t - Lap_h w = ((1+gamma)/(1-q)) w / t0 exactly, since phi is a
-        # discrete eigenfunction; check against b at the seed state
-        lhs = ((1.0 + gamma) / (1.0 - q)) * w / t0
-        rhs = problem.source_values(dom, w, t0)
-        if np.any(lhs > rhs + 1e-8):
-            raise HypothesisViolated(
-                "seed failed the a-posteriori subsolution check")
+    w = boundary_lower_bound(BoundParams(q=q, gamma=gamma, m=k, M=k),
+                             "interior_t0", t=t0, eig=eig)
+    # w_t - Lap_h w = ((1+gamma)/(1-q)) w / t0 exactly, since phi is a
+    # discrete eigenfunction; check against b at the seed state
+    lhs = ((1.0 + gamma) / (1.0 - q)) * w / t0
+    rhs = problem.source_values(dom, w, t0)
+    if np.any(lhs > rhs + 1e-8):
+        raise HypothesisViolated(
+            "seed failed the a-posteriori subsolution check")
     return Field(dom, w, t0)
 
 
@@ -154,26 +144,21 @@ def solve_trajectory(problem: Problem, dom: DiscretizedDomain,
                      eig: EigenPair | None = None) -> Trajectory:
     """Integrate to the horizon, recording the snapshot fields.
 
-    Zero initial data with a genuinely degenerate source (f(0) = 0 with
-    q > 0) is seeded at grid.t0 from the explicit subsolution; sources
-    with f(0) > 0 start from zero directly.
+    Zero initial data (u0_values None) with a genuinely degenerate
+    source (f(0) = 0 with q > 0) is seeded at grid.t0 from the explicit
+    subsolution; sources with f(0) > 0 start from zero directly.
     """
     dt = dom.h if dt is None else dt
     hyp = check_hypotheses(problem, M=1.0)
-    needs_seed = (problem.u0 == "zero"
-                  and problem.source.kind in ("power_q", "power_sum",
-                                              "saturable", "saturable_q",
-                                              "identity", "log_s",
-                                              "logistic")
-                  and problem.u0_values is None)
     times = [0.0]
     fields = [np.zeros(dom.n_interior)]
-    if problem.u0 == "explicit":
+    if problem.u0_values is not None:
         u = Field(dom, np.array(problem.u0_values, dtype=float), 0.0)
         fields[0] = u.values.copy()
         t = 0.0
-    elif problem.u0 == "subsolution_seed" or (problem.u0 == "zero"
-                                              and needs_seed):
+    elif problem.source.kind in ("power_q", "power_sum", "saturable",
+                                 "saturable_q", "identity", "log_s",
+                                 "logistic"):
         eig = eig or principal_eigenpair(dom)
         if hyp.require("lower_power"):
             u = seed_from_subsolution(problem, dom, grid.t0, eig, hyp)
@@ -190,7 +175,7 @@ def solve_trajectory(problem: Problem, dom: DiscretizedDomain,
     s1 = float(grid.snapshots[0])
     for ts in grid.snapshots:
         span = ts - t
-        n = max(int(math.ceil(span / dt - 1e-12)), 1) * grid.substeps
+        n = max(int(math.ceil(span / dt - 1e-12)), 1) * 4  # 4 substeps per dt
         # near t=0 the solution ramps on the time scale t itself: cap the
         # step at t/32 (floored) so the transient is resolved to ~1%
         # relative accuracy (backward Euler is first order in the ramp)

@@ -182,10 +182,8 @@ class Problem:
     domain: DomainSpec
     weight: Weight = Weight()
     source: SourceTerm = SourceTerm()
-    u0: str = "zero"  # zero | subsolution_seed | explicit
-    u0_values: np.ndarray | None = None
+    u0_values: np.ndarray | None = None  # None: zero initial data
     horizon: float = 2.0
-    beta: float = 1.0
     truncate: bool = False
 
     def effective_time(self, t: float) -> float:
@@ -341,6 +339,8 @@ def _concavity_min(weight: Weight, dom: DiscretizedDomain, theta: float,
             return a
         if theta == 0.0:
             return np.log(np.maximum(a, 1e-300))
+        if theta == 1.0:  # sign(a) * |a| ** 1 bit for bit, -0.0 -> 0.0
+            return a + 0.0
         return np.sign(a) * np.abs(a) ** theta
 
     lm = np.linspace(0.0, 1.0, 17)[1:-1, None, None]

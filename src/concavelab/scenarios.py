@@ -10,6 +10,7 @@ randomized inequality checks for the concavity-function algebra.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
@@ -53,20 +54,15 @@ class AuditSpec:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A catalog entry: the problem, the initial data u0_scale * phi1
+    (zero data when u0_scale is None), the audits and optional checks."""
     id: str
     description: str
-    domain: str            # square | disk
-    weight: Weight
-    source: SourceTerm
-    u0: str = "zero"       # zero | eigenfunction
-    u0_scale: float = 1.0
-    horizon: float = 2.0
-    truncate: bool = False
-    theta: float = math.inf
+    problem: Problem
+    u0_scale: float | None = None
     audits: tuple = ()
     needs_strong_convexity: bool = False
     check_boundary_barrier: bool = False
-    check_hopf: bool = True
 
 
 @dataclass
@@ -104,121 +100,114 @@ class VerificationReport:
 
 def _catalog() -> dict:
     scns = []
-
-    def add(s):
-        scns.append(s)
-
-    for domain in ("square", "disk"):
+    add = scns.append
+    square = unit_square()
+    one = Weight("constant", c=1.0)
+    dist = Weight("distance_power", c=1.0, omega=1.0, theta=1.0)
+    for name, spec in (("square", square), ("disk", disk())):
         add(Scenario(
-            id=f"torsion-{domain}", domain=domain,
+            id=f"torsion-{name}",
             description="constant-source problem; sqrt of the rescaled "
                         "solution is concave in space-time",
-            weight=Weight("constant", c=1.0), source=SourceTerm("one"),
+            problem=Problem(spec, one, SourceTerm("one")),
             audits=(AuditSpec(alpha=0.5, beta=2.0, mode="spacetime",
                               checks=(("exact",),)),),
             check_boundary_barrier=True))
         add(Scenario(
-            id=f"lane-emden-{domain}", domain=domain,
+            id=f"lane-emden-{name}",
             description="sublinear power source u^(1/2); u^(1/4) concave "
                         "in space-time",
-            weight=Weight("constant", c=1.0),
-            source=SourceTerm("power_q", q=0.5),
+            problem=Problem(spec, one, SourceTerm("power_q", q=0.5)),
             audits=(AuditSpec(alpha=0.25, beta=1.0, mode="spacetime",
                               checks=(("exact",),)),),
             check_boundary_barrier=True))
 
     add(Scenario(
-        id="sum-powers-square", domain="square",
+        id="sum-powers-square",
         description="source a u^p + u^q with p=0.5, q=0.6; u^((1-q)/2) "
                     "concave in rescaled space-time",
-        weight=Weight("constant", c=1.0),
-        source=SourceTerm("power_sum", q=0.6, p=0.5),
+        problem=Problem(square, one, SourceTerm("power_sum", q=0.6, p=0.5)),
         audits=(AuditSpec(alpha=0.2, beta=2.0, mode="spacetime",
                           checks=(("exact",),)),)))
 
     add(Scenario(
-        id="dist-weight-torsion-disk", domain="disk",
+        id="dist-weight-torsion-disk",
         description="torsion with the concave weight d(x); u^(1/3) "
                     "concave in rescaled space-time",
-        weight=Weight("distance_power", c=1.0, omega=1.0, theta=1.0),
-        source=SourceTerm("one"),
+        problem=Problem(disk(), dist, SourceTerm("one")),
         audits=(AuditSpec(alpha=1.0 / 3.0, beta=2.0, mode="spacetime",
                           checks=(("exact",),)),)))
 
     add(Scenario(
-        id="eigen-square", domain="square",
+        id="eigen-square",
         description="linear source a u with constant a; log u concave "
                     "at every time",
-        weight=Weight("constant", c=1.0), source=SourceTerm("identity"),
-        u0="eigenfunction", needs_strong_convexity=True,
+        problem=Problem(square, one, SourceTerm("identity")),
+        u0_scale=1.0, needs_strong_convexity=True,
         audits=(AuditSpec(alpha=0.0, beta=1.0, mode="space",
                           include_infinity=False,
                           checks=(("exact",), ("log_bound", "eigen"))),)))
 
     add(Scenario(
-        id="saturable-square", domain="square",
+        id="saturable-square",
         description="saturable source s^2/(1+s) with constant a; log u "
                     "concave at every time",
-        weight=Weight("constant", c=1.0), source=SourceTerm("saturable"),
-        u0="eigenfunction", needs_strong_convexity=True,
+        problem=Problem(square, one, SourceTerm("saturable")),
+        u0_scale=1.0, needs_strong_convexity=True,
         audits=(AuditSpec(alpha=0.0, beta=1.0, mode="space",
                           include_infinity=False,
                           checks=(("exact",), ("log_bound", "general"))),)))
 
     add(Scenario(
-        id="logistic-square", domain="square",
+        id="logistic-square",
         description="logistic source a(x) u - u^2 with concave a = d(x); "
                     "log u concave at every time",
-        weight=Weight("distance_power", c=1.0, omega=1.0, theta=1.0),
-        source=SourceTerm("logistic"),
-        u0="eigenfunction", u0_scale=0.5, needs_strong_convexity=True,
+        problem=Problem(square, dist, SourceTerm("logistic")),
+        u0_scale=0.5, needs_strong_convexity=True,
         audits=(AuditSpec(alpha=0.0, beta=1.0, mode="space",
                           include_infinity=False,
                           checks=(("exact",),)),)))
 
     add(Scenario(
-        id="log-square", domain="square",
+        id="log-square",
         description="logarithmic source s log s with constant a; log u "
                     "concave at every time on the finite horizon",
-        weight=Weight("constant", c=1.0), source=SourceTerm("log_s"),
-        u0="eigenfunction", u0_scale=0.5, horizon=1.0,
-        needs_strong_convexity=True,
+        problem=Problem(square, one, SourceTerm("log_s"), horizon=1.0),
+        u0_scale=0.5, needs_strong_convexity=True,
         audits=(AuditSpec(alpha=0.0, beta=1.0, mode="space",
                           include_infinity=False,
                           checks=(("exact",),
                                   ("log_bound", "product_cases"))),)))
 
     add(Scenario(
-        id="eigen-dist-square", domain="square",
+        id="eigen-dist-square",
         description="linear source with the concave weight "
                     "sqrt(t) sqrt(d(x)); log u concave at every time",
-        weight=Weight("distance_power", c=1.0, gamma=0.5, omega=0.5,
-                      theta=1.0),
-        source=SourceTerm("identity"),
-        u0="eigenfunction", needs_strong_convexity=True, truncate=True,
+        problem=Problem(square, Weight("distance_power", c=1.0, gamma=0.5,
+                                       omega=0.5, theta=1.0),
+                        SourceTerm("identity"), truncate=True),
+        u0_scale=1.0, needs_strong_convexity=True,
         audits=(AuditSpec(alpha=0.0, beta=1.0, mode="space",
                           include_infinity=False,
                           checks=(("exact",),)),)))
 
     add(Scenario(
-        id="kennington-square", domain="square",
+        id="kennington-square",
         description="source (1-u)^p from zero data; snapshots are "
                     "quasiconcave (convex superlevel sets)",
-        weight=Weight("constant", c=1.0),
-        source=SourceTerm("one_minus_s_p", p=0.5),
+        problem=Problem(square, one, SourceTerm("one_minus_s_p", p=0.5)),
         audits=(AuditSpec(alpha=1.0, beta=1.0, mode="space",
                           include_infinity=False,
                           checks=(("quasiconcave",),)),)))
 
     for eps in (0.05, 0.1, 0.2):
         tag = str(eps).replace("0.", "")
+        ramp = Weight("ramp_bump_perturbed", eps=eps, theta=1.0)
         add(Scenario(
-            id=f"ramp-le-eps{tag}", domain="square",
+            id=f"ramp-le-eps{tag}",
             description=f"sublinear source with a rippled weight "
                         f"(eps={eps}); quantitative defect bounds",
-            weight=Weight("ramp_bump_perturbed", eps=eps, theta=1.0),
-            source=SourceTerm("power_q", q=0.5),
-            theta=1.0,
+            problem=Problem(square, ramp, SourceTerm("power_q", q=0.5)),
             audits=(
                 AuditSpec(alpha=0.25, beta=1.0, mode="spacetime",
                           checks=(("quantitative", "oscillation"),
@@ -228,12 +217,11 @@ def _catalog() -> dict:
                           checks=(("quantitative", "theta"),)),
             )))
         add(Scenario(
-            id=f"ramp-eigen-eps{tag}", domain="square",
+            id=f"ramp-eigen-eps{tag}",
             description=f"linear source with a rippled weight "
                         f"(eps={eps}); log-concavity defect bound",
-            weight=Weight("ramp_bump_perturbed", eps=eps, theta=1.0),
-            source=SourceTerm("identity"),
-            u0="eigenfunction", needs_strong_convexity=True,
+            problem=Problem(square, ramp, SourceTerm("identity")),
+            u0_scale=1.0, needs_strong_convexity=True,
             audits=(AuditSpec(alpha=0.0, beta=1.0, mode="space",
                               include_infinity=False,
                               checks=(("log_bound", "eigen"),)),)))
@@ -259,20 +247,17 @@ def get_scenario(sid: str) -> Scenario:
 # pipeline helpers
 # ---------------------------------------------------------------------------
 
-def build_problem(scn: Scenario, dom=None, eig=None,
+def build_problem(scn: Scenario, eig=None,
                   horizon: float | None = None) -> Problem:
-    spec = unit_square() if scn.domain == "square" else disk()
-    T = scn.horizon if horizon is None else horizon
-    if scn.u0 == "eigenfunction":
+    """scn.problem with the initial data u0_scale * phi1 when u0_scale
+    is set, and with the horizon when one is given."""
+    kw = {} if horizon is None else {"horizon": horizon}
+    if scn.u0_scale is not None:
         if eig is None:
             raise ValueError("eigenfunction initial data needs the "
                              "eigenpair")
-        return Problem(domain=spec, weight=scn.weight, source=scn.source,
-                       u0="explicit",
-                       u0_values=scn.u0_scale * eig.phi.values,
-                       horizon=T, truncate=scn.truncate)
-    return Problem(domain=spec, weight=scn.weight, source=scn.source,
-                   u0="zero", horizon=T, truncate=scn.truncate)
+        kw["u0_values"] = scn.u0_scale * eig.phi.values
+    return dataclasses.replace(scn.problem, **kw)
 
 
 def hopf_margin(dom, values) -> float:
@@ -296,7 +281,7 @@ def boundary_barrier_margin(problem, dom, traj, eig, hyp) -> float:
     k = hyp.constants["k"]
     q = hyp.constants["q"]
     gamma = hyp.constants["gamma"]
-    params = BoundParams(q=q, gamma=gamma, m=k)
+    params = BoundParams(q=q, gamma=gamma, m=k, M=k)
     worst = math.inf
     for t, vals in zip(traj.times, traj.fields):
         if t <= 0.0 or t >= problem.horizon:
@@ -329,17 +314,18 @@ def _inner_region(problem, dom, rep):
     return rho, mask if mask.any() else None
 
 
-def _quant_params(scn, problem, dom, traj, ev, rep, sup_norm_u_inf, mode):
+def _quant_params(problem, dom, ev, rep, sup_norm_u_inf, mode):
     """Measured BoundParams for a quantitative mode from the audit
     report's argmin neighborhood."""
-    q = scn.source.q if scn.source.kind == "power_q" else 0.0
-    m, M = scn.weight.bounds(dom, problem.horizon)
+    w, src = problem.weight, problem.source
+    q = src.q if src.kind == "power_q" else 0.0
+    m, M = w.bounds(dom, problem.horizon)
     rho, mask = _inner_region(problem, dom, rep)
-    prof = problem.weight.spatial_profile(dom)
+    prof = w.spatial_profile(dom)
     prof_rho = prof if mask is None else prof[mask]
     kw = dict(q=q, m=m, M=M, rho=rho, T=problem.horizon,
-              sup_norm_u_inf=sup_norm_u_inf, theta=scn.theta
-              if math.isfinite(scn.theta) else 1.0)
+              sup_norm_u_inf=sup_norm_u_inf,
+              theta=w.theta if math.isfinite(w.theta) else 1.0)
     if mode == "oscillation":
         kw["osc_a2"] = float((prof ** 2).max() - (prof ** 2).min())
     elif mode == "rough":
@@ -361,22 +347,22 @@ def _quant_params(scn, problem, dom, traj, ev, rep, sup_norm_u_inf, mode):
     return BoundParams(**kw)
 
 
-def _log_bound_inputs(scn, problem, dom, traj, rep):
+def _log_bound_inputs(problem, dom, traj, rep):
     """(Lambda, sup weight defect on the inner region, fbar norm)."""
-    lam = sup_slope_lambda(scn.source)
+    src = problem.source
+    lam = sup_slope_lambda(src)
     _, mask = _inner_region(problem, dom, rep)
     sup_defect = weight_concavity_defect(problem, dom, theta=1.0,
                                          mask=mask)
     # sup of f(u)/u over the inner region and the snapshots
     fbar = 0.0
-    if scn.source.kind not in ("logistic", "power_sum"):
+    if src.kind not in ("logistic", "power_sum"):
         for vals in traj.fields:
             v = vals if mask is None else vals[mask]
             pos = v > 1e-12
             if pos.any():
-                fbar = max(fbar, float(np.max(scn.source.f(v[pos])
-                                              / v[pos])))
-    return lam, sup_defect, max(fbar, 1.0 if scn.source.composite else 0.0)
+                fbar = max(fbar, float(np.max(src.f(v[pos]) / v[pos])))
+    return lam, sup_defect, max(fbar, 1.0 if src.composite else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +374,7 @@ def run_scenario(scn: Scenario, h: float = 1.0 / 64.0,
                  snapshots: int | None = None) -> VerificationReport:
     t_start = time.perf_counter()
     report = VerificationReport(scenario_id=scn.id, verdict="pass")
-    spec = unit_square() if scn.domain == "square" else disk()
+    spec = scn.problem.domain
     if scn.needs_strong_convexity and not spec.strongly_convex:
         warnings.warn(f"{scn.id}: the domain is not strongly convex; "
                       "running anyway", UserWarning)
@@ -396,7 +382,7 @@ def run_scenario(scn: Scenario, h: float = 1.0 / 64.0,
 
     dom = build_discretization(spec, h)
     eig = principal_eigenpair(dom)
-    problem = build_problem(scn, dom, eig, horizon)
+    problem = build_problem(scn, eig, horizon)
     hyp = check_hypotheses(problem, M=1.0)
     report.diagnostics["hypotheses"] = dict(hyp.flags)
 
@@ -404,12 +390,14 @@ def run_scenario(scn: Scenario, h: float = 1.0 / 64.0,
     try:
         for aud in scn.audits:
             if aud.mode == "spacetime" and aud.alpha > 0:
-                q = scn.source.q if scn.source.kind == "power_q" else 0.0
-                cap = spacetime_alpha_window(q, scn.weight.gamma, aud.beta)
+                src = problem.source
+                q = src.q if src.kind == "power_q" else 0.0
+                cap = spacetime_alpha_window(q, problem.weight.gamma,
+                                             aud.beta)
                 if not 0.0 < aud.alpha < cap + 1e-12:
                     raise RangeViolation(
                         f"alpha={aud.alpha} outside (0, {cap})")
-    except (RangeViolation, ValidityViolation) as exc:
+    except RangeViolation as exc:
         report.verdict = "not_applicable"
         report.diagnostics["gate_failure"] = str(exc)
         report.runtime = time.perf_counter() - t_start
@@ -432,13 +420,12 @@ def run_scenario(scn: Scenario, h: float = 1.0 / 64.0,
         report.diagnostics["below_stationary"] = bool(
             np.all(traj.fields[-1] <= stat.v.values + tau_mono))
 
-    if scn.check_hopf:
-        late = [k for k, t in enumerate(traj.times) if t >= 0.1]
-        margins = [hopf_margin(dom, traj.fields[k]) for k in late]
-        report.diagnostics["hopf_min_quotient"] = min(margins) if margins \
-            else None
-        if margins and min(margins) <= 0:
-            report.add_assertion("hopf_positive", False, min(margins), 0.0)
+    late = [k for k, t in enumerate(traj.times) if t >= 0.1]
+    margins = [hopf_margin(dom, traj.fields[k]) for k in late]
+    report.diagnostics["hopf_min_quotient"] = min(margins) if margins \
+        else None
+    if margins and min(margins) <= 0:
+        report.add_assertion("hopf_positive", False, min(margins), 0.0)
 
     if scn.check_boundary_barrier and hyp.require("lower_power"):
         ratio = boundary_barrier_margin(problem, dom, traj, eig, hyp)
@@ -471,8 +458,8 @@ def run_scenario(scn: Scenario, h: float = 1.0 / 64.0,
                 sup_norm = stat.sup_norm if stat is not None else \
                     max(float(np.max(f)) for f in traj.fields)
                 try:
-                    params = _quant_params(scn, problem, dom, traj, ev,
-                                           rep, sup_norm, mode)
+                    params = _quant_params(problem, dom, ev, rep,
+                                           sup_norm, mode)
                     brep = quantitative_rhs(params, mode)
                 except ValidityViolation as exc:
                     report.diagnostics[f"{mode}_gate"] = str(exc)
@@ -485,7 +472,7 @@ def run_scenario(scn: Scenario, h: float = 1.0 / 64.0,
             elif check[0] == "log_bound":
                 variant = check[1]
                 lam, sup_defect, fbar = _log_bound_inputs(
-                    scn, problem, dom, traj, rep)
+                    problem, dom, traj, rep)
                 rhs = log_concavity_rhs(problem.horizon, lam, sup_defect,
                                         variant, fbar_norm=fbar)
                 report.bound_reports.append(BoundReport(

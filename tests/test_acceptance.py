@@ -55,7 +55,7 @@ def _heat_error(h, T=0.05):
     u0 = np.sin(np.pi * x) * np.sin(np.pi * y)
     problem = Problem(domain=unit_square(),
                       weight=Weight(kind="constant", c=0.0),
-                      source=SourceTerm(kind="one"), u0="explicit",
+                      source=SourceTerm(kind="one"),
                       u0_values=u0, horizon=T)
     n = max(int(round(T / (2.0 * h * h))), 1)
     dt = T / n
@@ -134,7 +134,7 @@ def test_criterion_04_log_concavity_every_snapshot(capsys):
         h = 1.0 / 16.0
         dom = build_discretization(unit_square(), h)
         eig = principal_eigenpair(dom)
-        problem = build_problem(scn, dom, eig)
+        problem = build_problem(scn, eig)
         grid = make_time_grid(problem, h, count=16)
         traj = solve_trajectory(problem, dom, grid, eig=eig)
         ev = power_transform(traj, 0.0)
@@ -214,7 +214,7 @@ def test_criterion_06_monotonicity_and_comparison(capsys):
     def run(scale):
         p = Problem(domain=unit_square(),
                     weight=Weight(kind="constant", c=1.0),
-                    source=SourceTerm(kind="saturable"), u0="explicit",
+                    source=SourceTerm(kind="saturable"),
                     u0_values=scale * eig.phi.values, horizon=1.0)
         g = make_time_grid(p, h, count=10)
         return solve_trajectory(p, dom, g, eig=eig)

@@ -485,7 +485,7 @@ def test_batched_stage_two_matches_scalar_loop_spacetime():
     scn = get_scenario("lane-emden-disk")
     dom = build_discretization(disk(), h)
     eig = principal_eigenpair(dom)
-    problem = build_problem(scn, dom, eig, None)
+    problem = build_problem(scn, eig, None)
     traj = solve_trajectory(problem, dom, make_time_grid(problem, h,
                                                          count=18),
                             None, eig)

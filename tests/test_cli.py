@@ -2,9 +2,11 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from concavelab.cli import load_config, parse_and_dispatch
+from concavelab import build_discretization, concave_approximation, unit_square
+from concavelab.cli import _FORMATS, load_config, parse_and_dispatch
 
 CONFIG = """\
 [domain]
@@ -268,6 +270,50 @@ def test_binary_dump_audits_as_csv(tmp_path, config_file):
         reports[fmt] = [(out / r).read_text() for r in
                         ("audit_report.json", "envelope_report.json")]
     assert reports["binary"] == reports["csv"]
+
+
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+def test_envelope_writes_its_field(tmp_path, config_file, fmt):
+    # binary is the default format; h = 0.125 gives 49 interior nodes,
+    # under the 600 above which the envelope samples the nodes
+    ext, _, load = _FORMATS[fmt]
+    grid = ("--config", str(config_file), "--h", "0.125",
+            "--out", str(tmp_path))
+    flags = () if fmt == "binary" else ("--format", fmt)
+    assert parse_and_dispatch(["stationary", *grid, *flags]) == 0
+    field = tmp_path / f"stationary{ext}"
+    assert parse_and_dispatch(["envelope", *grid, *flags,
+                               "--field", str(field)]) == 0
+    dom = build_discretization(unit_square(), 0.125)
+    want = concave_approximation(load(dom, field)).g
+    assert np.array_equal(load(dom, tmp_path / f"envelope{ext}").values,
+                          want)
+
+
+def test_envelope_of_a_sampled_field_writes_no_field(tmp_path, config_file):
+    # h = 1/32 gives 961 interior nodes: the envelope covers a sample
+    grid = ("--config", str(config_file), "--h", "0.03125",
+            "--out", str(tmp_path))
+    assert parse_and_dispatch(["stationary", *grid]) == 0
+    assert parse_and_dispatch(["envelope", *grid, "--field",
+                               str(tmp_path / "stationary.bin")]) == 0
+    assert (tmp_path / "envelope_report.json").exists()
+    assert not (tmp_path / "envelope.bin").exists()
+
+
+@pytest.mark.parametrize("value", ["zro", "explicit"])
+def test_source_u0_key_rejected(tmp_path, capsys, config_file, value):
+    # the initial data is zero unless given as values: the key is gone,
+    # and a typo in it must not pass for zero data
+    config_file.write_text(CONFIG.replace(
+        "kind = one", f"kind = power_q\nq = 0.5\nu0 = {value}"))
+    rc = parse_and_dispatch(["solve", "--config", str(config_file),
+                             "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'u0' in section [source]" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "solve_report.json").exists()
 
 
 @pytest.mark.parametrize("damage", ["truncate", "grid"])

@@ -155,7 +155,7 @@ def test_stiff_trajectory_factors_per_tau_and_nonzero_shift(monkeypatch):
     monkeypatch.setattr(operators, "splu", record_splu)
     dom = build_discretization(unit_square(), h)
     eig = principal_eigenpair(dom)
-    problem = build_problem(get_scenario("logistic-square"), dom, eig)
+    problem = build_problem(get_scenario("logistic-square"), eig)
     solve_trajectory(problem, dom, make_time_grid(problem, h, count=16),
                      eig=eig)
     taus = [tau for tau, _ in calls]

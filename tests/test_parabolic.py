@@ -15,7 +15,7 @@ from concavelab import (Field, Problem, SourceTerm, Weight,
                         load_field_csv, make_time_grid, principal_eigenpair,
                         rectangle, solve_trajectory, unit_square)
 from concavelab.parabolic import (advance, load_field_binary,
-                                  quadratic_snapshots)
+                                  quadratic_snapshots, seed_from_subsolution)
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +29,7 @@ def _heat_problem(dom, T):
     u0 = np.sin(np.pi * x) * np.sin(np.pi * y)
     return Problem(domain=unit_square(),
                    weight=Weight(kind="constant", c=0.0),
-                   source=SourceTerm(kind="one"), u0="explicit",
+                   source=SourceTerm(kind="one"),
                    u0_values=u0, horizon=T)
 
 
@@ -87,13 +87,28 @@ def test_subsolution_seeded_branch_grows(square16):
     assert float(np.max(traj.fields[-1])) > 1e-3
 
 
+def test_seed_is_the_interior_barrier(square16):
+    # C e^{-lam1 t0} t0^{(1+gamma)/(1-q)} phi1 with C =
+    # ((1-q) k / (1+gamma))^{1/(1-q)}; k = c = 2 lies above 1
+    eig = principal_eigenpair(square16)
+    p = Problem(domain=unit_square(), weight=Weight(kind="constant", c=2.0),
+                source=SourceTerm(kind="power_q", q=0.5))
+    t0, q, k = 0.01, 0.5, 2.0
+    C = ((1.0 - q) * k / 1.0) ** (1.0 / (1.0 - q))
+    want = C * math.exp(-eig.lam * t0) * t0 ** (1.0 / (1.0 - q)) \
+        * eig.phi.values
+    got = seed_from_subsolution(p, square16, t0, eig)
+    assert got.time == t0
+    assert np.array_equal(got.values, want)
+
+
 def test_comparison_smaller_initial_data_stays_below(square16):
     eig = principal_eigenpair(square16)
 
     def run(scale):
         p = Problem(domain=unit_square(),
                     weight=Weight(kind="constant", c=1.0),
-                    source=SourceTerm(kind="saturable"), u0="explicit",
+                    source=SourceTerm(kind="saturable"),
                     u0_values=scale * eig.phi.values, horizon=1.0)
         g = make_time_grid(p, square16.h, count=8)
         return solve_trajectory(p, square16, g, eig=eig)

@@ -181,6 +181,19 @@ def _reference_mins(weight, spec, pts, prof, thetas):
     return worst
 
 
+def test_theta_one_transform_is_a_plus_zero_bit_for_bit():
+    # _concavity_min maps a to a + 0.0 at theta = 1 in place of
+    # sign(a) * |a| ** theta; both give +0.0 for -0.0
+    rng = np.random.default_rng(9)
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, math.inf,
+               -math.inf, math.nan, -math.nan]
+    spread = rng.choice([-1.0, 1.0], 10 ** 6) \
+        * 10.0 ** rng.uniform(-300, 300, 10 ** 6)
+    a = np.concatenate([special, spread])
+    want = np.sign(a) * np.abs(a) ** 1.0
+    assert np.array_equal((a + 0.0).view(np.uint64), want.view(np.uint64))
+
+
 @pytest.fixture(scope="module")
 def square32():
     # 961 interior nodes: 461,280 pairs, several chunks of the scan

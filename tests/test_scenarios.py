@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from concavelab import (CATALOG, Scenario, get_scenario, run_scenario,
-                        run_suite, scenario_ids)
+from concavelab import (CATALOG, Scenario, disk, get_scenario, run_scenario,
+                        run_suite, scenario_ids, unit_square)
 
 
 def test_catalog_ids_unique_and_sorted():
@@ -17,15 +17,15 @@ def test_catalog_ids_unique_and_sorted():
 
 def test_get_scenario_lookup():
     scn = get_scenario("torsion-square")
-    assert scn.domain == "square"
+    assert scn.problem.domain == unit_square()
     with pytest.raises(KeyError):
         get_scenario("no-such-scenario")
 
 
 def test_catalog_fields_consistent():
     for scn in CATALOG.values():
-        assert scn.domain in ("square", "disk")
-        assert scn.horizon > 0
+        assert scn.problem.domain in (unit_square(), disk())
+        assert scn.problem.horizon > 0
         assert scn.audits, scn.id
         for aud in scn.audits:
             assert 0.0 <= aud.alpha <= 1.0
@@ -84,7 +84,7 @@ def test_run_suite_subset():
 
 
 def test_ramp_scenarios_cover_eps_sweep():
-    eps = sorted(get_scenario(f"ramp-le-eps{tag}").weight.eps
+    eps = sorted(get_scenario(f"ramp-le-eps{tag}").problem.weight.eps
                  for tag in ("05", "1", "2"))
     assert eps == [0.05, 0.1, 0.2]
 
