@@ -21,7 +21,8 @@ import numpy as np
 
 from .domains import DiscretizedDomain
 from .errors import EmptySampler, OutOfDomain
-from .operators import Field, bilinear_interp, pair_scan, point_block
+from .operators import (Field, bilinear_corners, bilinear_interp, grid_cell,
+                        lattice_block, pair_scan)
 from .parabolic import Trajectory
 
 INF = math.inf
@@ -64,8 +65,8 @@ class Evaluator:
     the stationary slice at t = inf.
 
     Interpolation happens on u *before* the power/log transformation.
-    value and interp use the full grid of u, kept for the last time
-    asked for only; point_value reads the four corners of one cell.
+    value, interp and pair_block use the full grid of u, kept for the
+    last time asked for; point_value reads the corners of one cell.
     """
 
     def __init__(self, traj: Trajectory, alpha: float = 1.0,
@@ -93,17 +94,32 @@ class Evaluator:
     def _u_time(self, t: float) -> float:
         return t if math.isinf(t) else t ** self.beta
 
-    def interp(self, pts, t: float = 0.0):
-        """u, before the transform, at points (..., 2) and time t."""
+    def grid(self, t: float = 0.0) -> np.ndarray:
+        """Full grid of u, before the transform, at time t."""
         s = self._u_time(t)
         if s != self._grid_time:
             self._grid = Field(self.dom,
                                self.traj.values_at_time(s)).to_grid()
             self._grid_time = s
-        return bilinear_interp(self.dom, self._grid, pts)
+        return self._grid
+
+    def interp(self, pts, t: float = 0.0):
+        """u, before the transform, at points (..., 2) and time t."""
+        return bilinear_interp(self.dom, self.grid(t), pts)
 
     def value(self, pts, t: float = 0.0):
         return self._transform(self.interp(pts, t))
+
+    def pair_block(self, pts, lambdas, ta: float = 0.0, tb: float = 0.0):
+        """pair_scan block of value at x2 = lam * pts[j] + (1 - lam) *
+        pts[i], t2 = lam * tb + (1 - lam) * ta (inf for ta = inf), bit
+        for bit, with the cells of x2 from lattice_block tables."""
+        def mid(lm, kx, tx, ky, ty):
+            t2 = INF if math.isinf(ta) else lm * tb + (1 - lm) * ta
+            return self._transform(
+                bilinear_corners(self.grid(t2), kx + ky, tx, ty))
+        return lattice_block(pts, lambdas,
+                             functools.partial(grid_cell, self.dom), mid)
 
     def point_value(self, x: float, y: float, t: float = 0.0) -> float:
         """value((x, y), t) bit for bit, from the four corner nodes of
@@ -336,12 +352,8 @@ def min_defect(ev, mode: str, cfg: SamplerConfig | None = None,
     lam_grid = np.asarray(cfg.lambdas, dtype=float)
     inner = lam_grid[(lam_grid > 0) & (lam_grid < 1)]
     for (ta, tb) in tpairs:
-        def mid(x2, lm, ta=ta, tb=tb):
-            return ev.value(x2, INF if math.isinf(ta)
-                            else lm * tb + (1 - lm) * ta)
-
         mins, i1, i3 = pair_scan(nodes_at(ta)[sel], nodes_at(tb)[sel],
-                                 inner, point_block(pts, inner, mid))
+                                 inner, ev.pair_block(pts, inner, ta, tb))
         samples += n * (n - 1) // 2 * inner.size
         best += [(float(c), sel[a], sel[b], ta, tb, float(lm))
                  for c, a, b, lm in zip(mins, i1, i3, inner)]
@@ -501,7 +513,7 @@ def quasiconcavity_defect(f: Field, c_tol: float = 10.0) -> float:
         # pair_scan with zero end values gives the least midpoint value
         inset = np.nonzero(vals > lev)[0]
         zero = np.zeros(inset.size)
-        (least,), _, _ = pair_scan(zero, zero, [0.5], point_block(
-            pts[inset], [0.5], lambda x2, lm: ev.value(x2)))
+        (least,), _, _ = pair_scan(zero, zero, [0.5],
+                                   ev.pair_block(pts[inset], [0.5]))
         worst = max(worst, float((lev - tau) - least))
     return max(worst, 0.0)

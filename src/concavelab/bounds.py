@@ -258,13 +258,13 @@ def barrier_constant(k: float, q: float, gamma: float) -> float:
     return ((1.0 - q) * k / (1.0 + gamma)) ** (1.0 / (1.0 - q))
 
 
-def boundary_lower_bound(params: BoundParams, kind: str, x=None,
+def boundary_lower_bound(params: BoundParams, kind: str,
                          t: float | None = None, eig=None,
                          hypotheses=None):
     """Explicit lower barrier near the parabolic boundary.
 
     interior kinds return the barrier value C e^{-lam1 t}
-    t^{(1+gamma)/(1-q)} phi1(x) (all nodes when x is None); corner kinds
+    t^{(1+gamma)/(1-q)} phi1 at every interior node; corner kinds
     return the growth exponent of the corner barrier, whose constant is
     left to a fit.
     """
@@ -287,7 +287,5 @@ def boundary_lower_bound(params: BoundParams, kind: str, x=None,
         qq = 0.0 if kind == "torsion_interior" else q
         C = barrier_constant(params.m, qq, gamma)
         amp = C * math.exp(-eig.lam * t) * t ** ((1.0 + gamma) / (1.0 - qq))
-        if x is None:
-            return amp * eig.phi.values
-        return amp * eig.phi.interp(np.atleast_2d(np.asarray(x, float)))
+        return amp * eig.phi.values
     raise ValueError(f"unknown kind {kind!r}")

@@ -33,13 +33,18 @@ from .scenarios import (get_scenario, run_property_suite, run_scenario,
 from .stationary import solve_stationary
 
 
-def _positive(name):
+def _positive(name, kind=float):
+    """Parser of a positive finite number, or integer for kind=int."""
     def parse(text):
-        v = float(text)
-        if v <= 0 or not math.isfinite(v):
-            raise argparse.ArgumentTypeError(
-                f"{name} must be a positive number, got {text}")
-        return v
+        try:
+            v = kind(text)
+            if v > 0 and (kind is int or math.isfinite(v)):
+                return v
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"{name} must be a positive "
+            f"{'integer' if kind is int else 'number'}, got {text!r}")
     return parse
 
 
@@ -138,14 +143,11 @@ def load_config(path: Path):
                         p=float(s.get("p", 0.5)))
 
     g = cp["grid"] if "grid" in cp else {}
-    grid = {"h": float(g.get("h", 1.0 / 64.0)),
-            "dt": float(g["dt"]) if "dt" in g else None,
-            "T": float(g.get("T", 2.0)),
-            "snapshots": int(g.get("snapshots", 16))}
-    if grid["h"] <= 0:
-        raise ValueError("grid key h must be positive")
-    if grid["dt"] is not None and grid["dt"] <= 0:
-        raise ValueError("grid key dt must be positive")
+    grid = {"h": 1.0 / 64.0, "dt": None, "T": 2.0, "snapshots": 16}
+    for key in grid:
+        if key in g:
+            grid[key] = _positive(f"grid key {key}", int if
+                                  key == "snapshots" else float)(g[key])
 
     a = cp["audit"] if "audit" in cp else {}
     alpha = a.get("alpha", "1.0")
@@ -387,7 +389,7 @@ def parse_and_dispatch(argv=None) -> int:
         args.out.mkdir(parents=True, exist_ok=True)
         return _HANDLERS[args.command](args)
     except (ConcavelabError, ValueError, KeyError, OSError,
-            configparser.Error) as exc:
+            configparser.Error, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .audit import FieldEvaluator, _scan_nodes
 from .errors import HullDegenerate
-from .operators import Field, pair_scan, point_block
+from .operators import Field, pair_scan
 
 
 def hyers_ulam_constant(n: int) -> float:
@@ -112,38 +112,25 @@ def concave_approximation(f, section=None, max_nodes: int = 600) \
     """
     if isinstance(f, tuple) or section is not None:
         x, y = f if isinstance(f, tuple) else section
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x, vals = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         if len(np.unique(x)) < 2:
             raise HullDegenerate("need at least 2 distinct sample abscissae")
-        g_hat = _upper_envelope_1d(x, y)
-        gap = float(np.max(g_hat - y))
-        delta = _defect_1d(x, y)
-        k = hyers_ulam_constant(1)
-        dist = 0.5 * gap
-        return EnvelopeResult(g=g_hat - dist, g_hat=g_hat, distance=dist,
-                              delta=delta, k_n=k,
-                              bound_ok=dist <= k * delta + 1e-12,
-                              dimension=1)
-    if not isinstance(f, Field):
+        g_hat, delta, dim = _upper_envelope_1d(x, vals), _defect_1d(x, vals), 1
+    elif not isinstance(f, Field):
         raise TypeError("expected a Field or a 1-D (x, values) tuple")
-    dom = f.dom
-    sel = _scan_nodes(dom, max_nodes)
-    pts, vals = dom.interior_points[sel], f.values[sel]
-    if len(pts) < 3:
-        raise HullDegenerate("need at least 3 sample points in 2-D")
-    g_hat = _upper_envelope_2d(pts, vals)
-    gap = float(np.max(g_hat - vals))
-    ev = FieldEvaluator(f)
-    # delta: the defect over sample pairs and 15 lambdas, with the middle
-    # value interpolated bilinearly on the full grid
-    lambdas = np.linspace(0, 1, 17)[1:-1]
-    mins, _, _ = pair_scan(vals, vals, lambdas, point_block(
-        pts, lambdas, lambda x2, lam: ev.value(x2)))
-    delta = -min([0.0] + mins.tolist())
-    k = hyers_ulam_constant(2)
-    dist = 0.5 * gap
+    else:
+        sel = _scan_nodes(f.dom, max_nodes)
+        pts, vals = f.dom.interior_points[sel], f.values[sel]
+        if len(pts) < 3:
+            raise HullDegenerate("need at least 3 sample points in 2-D")
+        g_hat = _upper_envelope_2d(pts, vals)
+        # delta: the defect over sample pairs and 15 lambdas, with the
+        # middle value interpolated bilinearly on the full grid
+        lambdas = np.linspace(0, 1, 17)[1:-1]
+        mins, _, _ = pair_scan(vals, vals, lambdas,
+                               FieldEvaluator(f).pair_block(pts, lambdas))
+        delta, dim = -min([0.0] + mins.tolist()), 2
+    k, dist = hyers_ulam_constant(dim), 0.5 * float(np.max(g_hat - vals))
     return EnvelopeResult(g=g_hat - dist, g_hat=g_hat, distance=dist,
                           delta=delta, k_n=k,
-                          bound_ok=dist <= k * delta + 1e-12,
-                          dimension=2)
+                          bound_ok=dist <= k * delta + 1e-12, dimension=dim)

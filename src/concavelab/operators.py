@@ -43,14 +43,6 @@ class Field:
         g[iy, ix] = self.values
         return g
 
-    def interp(self, pts) -> np.ndarray:
-        """Bilinear interpolation at points (...,2), zero Dirichlet
-        values used at non-interior grid nodes."""
-        return bilinear_interp(self.dom, self.to_grid(), pts)
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
-
 
 def field_from_function(dom: DiscretizedDomain, fn, time=None) -> Field:
     p = dom.interior_points
@@ -62,18 +54,26 @@ def bilinear_interp(dom: DiscretizedDomain, grid: np.ndarray, pts):
     p = np.asarray(pts, dtype=float)
     scalar = p.ndim == 1
     p = np.atleast_2d(p)
-    h = dom.h
-    fx = (p[..., 0] - dom.xs[0]) / h
-    fy = (p[..., 1] - dom.ys[0]) / h
-    ix = np.clip(np.floor(fx).astype(int), 0, dom.xs.size - 2)
-    iy = np.clip(np.floor(fy).astype(int), 0, dom.ys.size - 2)
-    tx = np.clip(fx - ix, 0.0, 1.0)
-    ty = np.clip(fy - iy, 0.0, 1.0)
-    v = ((1 - tx) * (1 - ty) * grid[iy, ix]
-         + tx * (1 - ty) * grid[iy, ix + 1]
-         + (1 - tx) * ty * grid[iy + 1, ix]
-         + tx * ty * grid[iy + 1, ix + 1])
+    (kx, tx), (ky, ty) = (grid_cell(dom, a, p[..., a]) for a in (0, 1))
+    v = bilinear_corners(grid, kx + ky, tx, ty)
     return float(v[0]) if scalar else v
+
+
+def grid_cell(dom: DiscretizedDomain, axis: int, u):
+    """(k, t) of coordinates u along axis 0 (x) or 1 (y): the cell's
+    lower grid line, clipped to the grid, as its term of the row-major
+    flat index, and the offset from it, clipped to [0, 1]."""
+    lines = dom.xs if axis == 0 else dom.ys
+    f = (u - lines[0]) / dom.h
+    i = np.clip(np.floor(f).astype(int), 0, lines.size - 2)
+    return i * (1 if axis == 0 else dom.xs.size), np.clip(f - i, 0.0, 1.0)
+
+
+def bilinear_corners(grid: np.ndarray, k, tx, ty):
+    """Cells of flat lower-corner index k at offsets (tx, ty)."""
+    g, nx = grid.ravel(), grid.shape[1]
+    return ((1 - tx) * (1 - ty) * g.take(k) + tx * (1 - ty) * g.take(k + 1)
+            + (1 - tx) * ty * g.take(k + nx) + tx * ty * g.take(k + nx + 1))
 
 
 #: node pairs per chunk of pair_scan: the temporaries of a chunk fit a
@@ -91,8 +91,8 @@ def pair_scan(v1, v3, lambdas, block):
     the minimum and the pair where it first occurs in row-major pair
     order.  block(idx1, idx3) is called once per row block of at most
     _PAIR_CHUNK pairs (at least one row) and returns the block's values
-    mid_lam(idx1, idx3), one array per lambda (point_block makes it
-    from a point function).  As with np.argmin over the unchunked scan,
+    mid_lam(idx1, idx3), one array per lambda (lattice_block makes it
+    from per-axis tables).  As with np.argmin over the unchunked scan,
     a lambda whose values hold a NaN gets NaN and the first NaN's pair;
     with fewer than 2 nodes the minima are inf and the pairs -1.
     """
@@ -118,15 +118,25 @@ def pair_scan(v1, v3, lambdas, block):
     return mins, best_i, best_j
 
 
-def point_block(pts, lambdas, mid):
-    """pair_scan block from a point function: mid(x2, lam) at the
-    points x2 = lam * pts[j] + (1 - lam) * pts[i], with each block's
-    endpoints gathered once for all lambdas."""
-    lambdas = np.asarray(lambdas, dtype=float)
+def lattice_block(pts, lambdas, table, mid):
+    """pair_scan block of a function of x2 = lam * pts[j] + (1 - lam) *
+    pts[i] from per-axis tables: table(axis, c) is called once per axis,
+    on c = lam * u[b] + (1 - lam) * u[a] (x2's coordinates, bit for bit)
+    for every lambda and pair a, b of the axis's nu distinct coordinates
+    u, and returns a tuple of (lambdas, nu, nu) arrays.  A block gathers
+    its pairs' entries and yields mid(lam, *x entries, *y entries)."""
+    lm = np.asarray(lambdas, dtype=float)[:, None, None]
+    tables, codes = [], []
+    for axis in (0, 1):
+        u, code = np.unique(pts[:, axis], return_inverse=True)
+        tables.append(table(axis, lm * u + (1 - lm) * u[:, None]))
+        codes.append((code * u.size, code))
 
     def block(idx1, idx3):
-        p1, p3 = pts[idx1], pts[idx3]
-        return (mid(lm * p3 + (1 - lm) * p1, lm) for lm in lambdas)
+        keys = [row[idx1] + col[idx3] for row, col in codes]
+        for k, lam in enumerate(lm.ravel()):
+            yield mid(lam, *(t[k].take(key) for key, tabs
+                             in zip(keys, tables) for t in tabs))
     return block
 
 

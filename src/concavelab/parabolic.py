@@ -47,6 +47,8 @@ def quadratic_snapshots(T: float, count: int) -> np.ndarray:
 def make_time_grid(problem: Problem, h: float, dt: float | None = None,
                    count: int = 24) -> TimeGrid:
     """Default grid: t0 for seeding and quadratically graded snapshots."""
+    if count < 1:
+        raise ValueError(f"snapshot count must be at least 1, got {count}")
     T = problem.horizon
     dt = h if dt is None else dt
     snaps = quadratic_snapshots(T, count)

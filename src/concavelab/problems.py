@@ -21,7 +21,7 @@ import numpy as np
 
 from .domains import DiscretizedDomain, DomainSpec, distance_to_boundary
 from .errors import NegativeState, Unbounded
-from .operators import pair_scan
+from .operators import lattice_block, pair_scan
 
 FLAG_NAMES = ("lower_power", "lower_power_dist", "lower_power_uniform",
               "one_sided_lipschitz", "hoelder", "time_monotone")
@@ -326,9 +326,8 @@ def _concavity_min(weight: Weight, dom: DiscretizedDomain, theta: float,
     """Signed min of the concavity function of weight^theta over the
     pairs i < j of every stride-th interior node (of those in mask) and
     the 15 interior lambdas of a 17-point grid, by pair_scan; inf for
-    < 2 nodes.  Each factor of the weight is evaluated once per lambda
-    on lam * u[b] + (1 - lam) * u[a] over the distinct coordinates u of
-    its axis (x2's, bit for bit), and each pair gathers its entries."""
+    < 2 nodes.  Each factor of the weight is tabulated on its axis by
+    lattice_block, and each pair combines its two entries."""
     pts, prof = dom.interior_points, weight.spatial_profile(dom)
     if mask is not None:
         pts, prof = pts[mask], prof[mask]
@@ -343,21 +342,11 @@ def _concavity_min(weight: Weight, dom: DiscretizedDomain, theta: float,
             return a + 0.0
         return np.sign(a) * np.abs(a) ** theta
 
-    lm = np.linspace(0.0, 1.0, 17)[1:-1, None, None]
-    tables, codes = [], []
-    for axis in (0, 1):
-        u, code = np.unique(pts[:, axis], return_inverse=True)
-        tab = weight.factor(spec, axis, lm * u + (1 - lm) * u[:, None])
-        tables.append(tab.reshape(len(lm), u.size * u.size))
-        codes.append((code * u.size, code))
-
-    def block(idx1, idx3):
-        kx, ky = (row[idx1] + col[idx3] for row, col in codes)
-        return (transform(weight.combine(spec, tx.take(kx), ty.take(ky)))
-                for tx, ty in zip(*tables))
-
+    lm = np.linspace(0.0, 1.0, 17)[1:-1]
     vals = transform(prof)
-    mins, _, _ = pair_scan(vals, vals, lm.ravel(), block)
+    mins, _, _ = pair_scan(vals, vals, lm, lattice_block(
+        pts, lm, lambda axis, u: (weight.factor(spec, axis, u),),
+        lambda _, fx, fy: transform(weight.combine(spec, fx, fy))))
     return min([math.inf] + mins.tolist())
 
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concavelab import (Field, Problem, SourceTerm, SamplerConfig, Weight,
-                        build_discretization, concavity_value, disk,
+                        build_discretization, concavity_value,
+                        convex_polygon, disk,
                         ellipse, field_from_function, get_scenario,
                         harmonic_concavity_value, make_time_grid,
                         min_defect, power_transform, principal_eigenpair,
@@ -19,7 +20,7 @@ from concavelab.audit import (DefectReport, Evaluator, FieldEvaluator,
                               _SCAN_NODES, _argmin_gradients,
                               _default_times, _scan_nodes,
                               harmonic_combination, pair_scan,
-                              point_block, tau_audit_value)
+                              tau_audit_value)
 from concavelab.errors import EmptySampler
 from concavelab.parabolic import Trajectory
 from concavelab.scenarios import build_problem
@@ -283,8 +284,11 @@ def test_defect_report_json_roundtrip(square16):
 # ---------------------------------------------------------------------------
 
 _SNAPS = np.array([0.05, 0.2, 0.45, 0.9])
+_PENTAGON = [(np.cos(a), 0.8 * np.sin(a))
+             for a in 2 * np.pi * np.arange(5) / 5 + 0.3]
 _POINT_DOMAINS = {"square": (unit_square(), 0.1), "disk": (disk(), 0.125),
-                  "ellipse": (ellipse(1.0, 0.6), 0.1)}
+                  "ellipse": (ellipse(1.0, 0.6), 0.1),
+                  "pentagon": (convex_polygon(_PENTAGON), 0.1)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -328,9 +332,20 @@ def test_point_value_is_value_bit_for_bit(name, data):
     assert repr(ev.point_value(x, y, t)) == repr(float(want))
 
 
+def point_block(pts, lambdas, mid):
+    """pair_scan block from a point function: mid(x2, lam) at the
+    points x2 = lam * pts[j] + (1 - lam) * pts[i]."""
+    def block(idx1, idx3):
+        p1, p3 = pts[idx1], pts[idx3]
+        return (mid(lm * p3 + (1 - lm) * p1, lm)
+                for lm in np.asarray(lambdas, dtype=float))
+    return block
+
+
 def _parent_min_defect(ev, mode, cfg=None, c_tol=10.0):
     """min_defect with the one-tuple-at-a-time stage 2 it had before the
-    spatial moves were batched (every value through ev.value)."""
+    spatial moves were batched, and every value through ev.value: stage
+    1 interpolates each point, not per-axis tables."""
     cfg = cfg or SamplerConfig()
     dom = ev.dom
     sel = _scan_nodes(dom, _SCAN_NODES)
@@ -496,3 +511,127 @@ def test_batched_stage_two_matches_scalar_loop_spacetime():
     want = _parent_min_defect(power_transform(traj, 0.25), "spacetime", cfg)
     got = min_defect(power_transform(traj, 0.25), "spacetime", cfg)
     assert got.to_json() == want.to_json()
+
+
+# ---------------------------------------------------------------------------
+# the tabulated stage-1 block
+# ---------------------------------------------------------------------------
+
+#: lambdas next to 0 and 1
+_LAMBDA_EDGES = [1e-300, 1e-12, 2.0 ** -53, 1 - 2.0 ** -53, 1 - 1e-12]
+
+
+def _random_points(dom, rng, n):
+    """n points of the grid's box widened by h/2, a quarter of their
+    coordinates moved onto a box edge and a quarter onto a grid line."""
+    pts = []
+    for lines in (dom.xs, dom.ys):
+        c = rng.uniform(lines[0] - 0.5 * dom.h, lines[-1] + 0.5 * dom.h, n)
+        pick = rng.integers(0, 4, n)
+        c[pick == 0] = rng.choice([lines[0], lines[-1]], n)[pick == 0]
+        c[pick == 1] = rng.choice(lines, n)[pick == 1]
+        pts.append(c)
+    return np.column_stack(pts)
+
+
+@pytest.mark.parametrize("name", sorted(_POINT_DOMAINS))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_pair_block_is_value_bit_for_bit(name, data):
+    traj = _synthetic_trajectory(name)
+    dom = traj.dom
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    if data.draw(st.booleans()):  # NaN node values
+        fields = [f.copy() for f in traj.fields]
+        for f in fields:
+            f[rng.integers(0, dom.n_interior, 3)] = np.nan
+        traj = Trajectory(dom=dom, times=traj.times, fields=fields,
+                          stationary=traj.stationary, monotone=True)
+    alpha = data.draw(st.sampled_from([0.0, 0.25, 1.0 / 3.0, 0.5, 1.0]))
+    beta = data.draw(st.sampled_from([1.0, 2.0]))
+    sel = _scan_nodes(dom, data.draw(st.integers(4, _SCAN_NODES)))
+    kind = data.draw(st.sampled_from(["scan", "random", "in-set"]))
+    if kind == "scan":
+        pts = dom.interior_points[sel]
+    elif kind == "random":
+        pts = _random_points(dom, rng, data.draw(st.integers(0, 40)))
+    else:  # quasiconcavity's nodes above a level
+        level = data.draw(st.floats(0.0, 1.0))
+        pts = dom.interior_points[sel][traj.fields[-1][sel] > level]
+    on_snaps = [float(s) ** (1.0 / beta) for s in _SNAPS]
+    between = [0.5 * (a + b) for a, b in zip(on_snaps, on_snaps[1:])]
+    t = st.one_of(st.sampled_from(on_snaps + between + [0.0, 0.01, 2.0]),
+                  st.floats(0.0, 1.5))
+    ta, tb = data.draw(st.one_of(st.tuples(t, t),
+                                 st.just((math.inf, math.inf))))
+    lambdas = data.draw(st.lists(st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.sampled_from(_LAMBDA_EDGES)), min_size=1, max_size=4))
+    ev = Evaluator(traj, alpha, beta)
+    i1, i3 = np.triu_indices(len(pts), k=1)
+    got = ev.pair_block(pts, lambdas, ta, tb)(i1, i3)
+    for lm, mid in zip(np.asarray(lambdas), got):
+        t2 = math.inf if math.isinf(ta) else lm * tb + (1 - lm) * ta
+        want = ev.value(lm * pts[i3] + (1 - lm) * pts[i1], t2)
+        assert mid.dtype == want.dtype and mid.tobytes() == want.tobytes()
+
+
+def _count_scan_work(monkeypatch):
+    """Counters of the pair scans' point work: bilinear_interp calls
+    made inside a pair_scan, pair_scan calls, and the elements np.floor
+    sees outside bilinear_interp (the per-axis tables)."""
+    import concavelab.audit as audit_mod
+    counts = {"interp_in_scan": 0, "scans": 0, "floor": 0}
+    inside = {"scan": False, "interp": False}
+    floor, interp, scan = np.floor, audit_mod.bilinear_interp, pair_scan
+
+    def counting_floor(x, *args, **kwargs):
+        if not inside["interp"]:
+            counts["floor"] += np.size(x)
+        return floor(x, *args, **kwargs)
+
+    def counting_interp(*args):
+        counts["interp_in_scan"] += inside["scan"]
+        inside["interp"] = True
+        try:
+            return interp(*args)
+        finally:
+            inside["interp"] = False
+
+    def counting_scan(*args):
+        counts["scans"] += 1
+        inside["scan"] = True
+        try:
+            return scan(*args)
+        finally:
+            inside["scan"] = False
+
+    monkeypatch.setattr(np, "floor", counting_floor)
+    monkeypatch.setattr(audit_mod, "bilinear_interp", counting_interp)
+    monkeypatch.setattr(audit_mod, "pair_scan", counting_scan)
+    return counts
+
+
+def _axis_values(pts):
+    """The most distinct coordinates along one axis of pts."""
+    return max(np.unique(pts[:, axis]).size for axis in (0, 1))
+
+
+def test_pair_scans_interpolate_no_point(monkeypatch):
+    # stage 1 and the quasiconcavity levels gather tabulated cells: no
+    # bilinear_interp call inside a pair_scan, and np.floor sees at most
+    # 2 * 15 * nu^2 elements per scan (stage 2 interpolates its moves)
+    traj = _synthetic_trajectory("disk")
+    dom = traj.dom
+    nu = _axis_values(dom.interior_points[_scan_nodes(dom, _SCAN_NODES)])
+    counts = _count_scan_work(monkeypatch)
+    cfg = SamplerConfig(audit_times=[0.05, 0.45, math.inf])
+    min_defect(Evaluator(traj, 0.5), "spacetime", cfg)
+    assert counts["scans"] == 5
+    assert counts["interp_in_scan"] == 0
+    assert 0 < counts["floor"] <= counts["scans"] * 2 * 15 * nu ** 2
+    counts.update(scans=0, floor=0)
+    quasiconcavity_defect(Field(dom, traj.fields[-1]))
+    assert counts["scans"] == 16
+    assert counts["interp_in_scan"] == 0
+    assert 0 < counts["floor"] <= counts["scans"] * 2 * 15 * nu ** 2

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from concavelab import build_discretization, concave_approximation, unit_square
 from concavelab.cli import _FORMATS, load_config, parse_and_dispatch
@@ -385,6 +390,13 @@ def test_grid_h_from_config_and_flag_override(tmp_path):
     ("[grid]\nh = 0.125\nstep = 0.1\n", "'step' in section [grid]"),
     ("[audit]\nalpha = 0.5\nseed = 3\n", "'seed' in section [audit]"),
     ("h = 0.125\n", "no section headers"),
+    ("[grid]\nh = 0.125\nsnapshots = 0\n", "grid key snapshots"),
+    ("[grid]\nh = 0.125\nsnapshots = -3\n", "grid key snapshots"),
+    ("[grid]\nh = 0.125\nsnapshots = 2.5\n", "grid key snapshots"),
+    ("[grid]\nh = 0.125\nT = 0\n", "grid key T"),
+    ("[grid]\nh = 0.125\nT = -1\n", "grid key T"),
+    ("[grid]\nh = 0.125\nT = inf\n", "grid key T"),
+    ("[grid]\nh = 0.125\nT = nan\n", "grid key T"),
 ])
 def test_bad_config_is_usage_error(tmp_path, capsys, text, named):
     path = tmp_path / "bad.ini"
@@ -417,3 +429,36 @@ def test_audit_rejects_what_a_field_cannot_honor(tmp_path, capsys, line,
     assert named in err
     assert "Traceback" not in err
     assert not (tmp_path / "audit_report.json").exists()
+
+
+def _grid_value(valid):
+    """Text of a [grid] value: a number from valid, a malformed or
+    out-of-range one, or None to leave the key out."""
+    return st.one_of(st.none(), valid.map(repr), st.sampled_from(
+        ["0", "-0.5", "nan", "inf", "-inf", "1e400", "x", ""]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(h=st.sampled_from([0.5, 0.25, 0.2]),
+       dt=_grid_value(st.floats(0.02, 2.0)),
+       T=_grid_value(st.floats(-1.0, 2.0)),
+       snapshots=st.one_of(st.none(), st.integers(-2, 12).map(str),
+                           st.sampled_from(["2.5", "1e1", "x", ""])))
+def test_solve_grid_values_exit_cleanly(h, dt, T, snapshots):
+    # whatever [grid] holds at a coarse h, solve succeeds or names the
+    # bad value
+    text = f"[grid]\nh = {h}\n"
+    for key, value in (("dt", dt), ("T", T), ("snapshots", snapshots)):
+        if value is not None:
+            text += f"{key} = {value}\n"
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "grid.ini"
+        config.write_text(text)
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            rc = parse_and_dispatch(["solve", "--config", str(config),
+                                     "--out", str(Path(tmp) / "out")])
+    assert rc in (0, 2), text
+    assert "Traceback" not in err.getvalue()
+    assert (rc == 2) == bool(err.getvalue()), text

@@ -6,6 +6,7 @@ import pytest
 from concavelab import (Field, build_discretization, concave_approximation,
                         ellipse, field_from_function, hyers_ulam_constant,
                         unit_square)
+from concavelab.audit import _scan_nodes
 from concavelab.errors import HullDegenerate
 from concavelab.operators import bilinear_interp
 
@@ -134,6 +135,32 @@ def test_2d_delta_matches_unchunked_scan(spec, h):
         res = concave_approximation(f)
         assert res.delta == _reference_delta(f)
         assert res.delta > 0
+
+
+def test_2d_delta_interpolates_no_point(monkeypatch):
+    # delta gathers tabulated cells: no bilinear_interp call, and
+    # np.floor sees 2 * 15 * nu^2 elements for the one scan
+    import concavelab.audit as audit_mod
+    dom = build_discretization(ellipse(1.3, 0.5), 1 / 32)
+    pts = dom.interior_points[_scan_nodes(dom, 600)]
+    nu = max(np.unique(pts[:, axis]).size for axis in (0, 1))
+    calls, floor_elems = [], []
+    floor, interp = np.floor, audit_mod.bilinear_interp
+
+    def counting_floor(x, *args, **kwargs):
+        floor_elems.append(np.size(x))
+        return floor(x, *args, **kwargs)
+
+    def counting_interp(*args):
+        calls.append(args)
+        return interp(*args)
+
+    monkeypatch.setattr(np, "floor", counting_floor)
+    monkeypatch.setattr(audit_mod, "bilinear_interp", counting_interp)
+    res = concave_approximation(_wavy_field(dom))
+    assert res.delta > 0
+    assert calls == []
+    assert 0 < sum(floor_elems) <= 2 * 15 * nu ** 2
 
 
 def test_2d_memory_bounded():

@@ -15,7 +15,7 @@ from concavelab import (Field, Problem, SourceTerm, Weight, apply_laplacian,
 from concavelab.domains import _DIRS
 from concavelab.operators import (_PAIR_CHUNK, bilinear_interp,
                                   neg_laplacian_matrix, pair_scan,
-                                  point_block, solve_shifted_poisson)
+                                  solve_shifted_poisson)
 
 
 @pytest.fixture(scope="module")
@@ -273,6 +273,16 @@ def test_laplacian_exact_on_quadratic_vanishing_on_curved_boundary(a, b, h):
 # ---------------------------------------------------------------------------
 # pair x lambda kernel
 # ---------------------------------------------------------------------------
+
+def point_block(pts, lambdas, mid):
+    """pair_scan block from a point function: mid(x2, lam) at the
+    points x2 = lam * pts[j] + (1 - lam) * pts[i]."""
+    def block(idx1, idx3):
+        p1, p3 = pts[idx1], pts[idx3]
+        return (mid(lm * p3 + (1 - lm) * p1, lm)
+                for lm in np.asarray(lambdas, dtype=float))
+    return block
+
 
 def _reference_pair_scan(pts, v1, v3, lambdas, mid):
     """Unchunked scan: one triu_indices gather per lambda, np.argmin."""

@@ -65,6 +65,13 @@ def test_make_time_grid_defaults(square16):
     assert g.t0 > 0
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_make_time_grid_rejects_no_snapshots(square16, count):
+    p = Problem(domain=unit_square(), horizon=2.0)
+    with pytest.raises(ValueError, match="snapshot count"):
+        make_time_grid(p, square16.h, count=count)
+
+
 def test_torsion_trajectory_monotone(square16):
     p = Problem(domain=unit_square(), weight=Weight(kind="constant", c=1.0),
                 source=SourceTerm(kind="one"), horizon=2.0)
