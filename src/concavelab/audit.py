@@ -155,11 +155,6 @@ class Evaluator:
         return self._transform(self.traj.values_at_time(self._u_time(t)))
 
 
-def power_transform(traj: Trajectory, alpha: float,
-                    beta: float = 1.0) -> Evaluator:
-    return Evaluator(traj, alpha, beta)
-
-
 def FieldEvaluator(f: Field, alpha: float = 1.0) -> Evaluator:
     """Evaluator of f^alpha (log f for alpha = 0) for space-mode audits:
     f as a one-snapshot trajectory at t = 0."""

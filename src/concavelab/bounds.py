@@ -15,29 +15,23 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import HypothesisViolated, RangeViolation, ValidityViolation
+from .errors import RangeViolation, ValidityViolation
 
 
 @dataclass
 class BoundParams:
     """Measured inputs for the bound evaluations.
 
-    m, M bound the weight; rho is the inner margin used for the
-    restricted-region quantities; sup_neg_defect is the relevant
-    sup of a negative-part concavity defect of the weight (of a^theta
-    for the theta modes).
-    """
+    m, M bound the weight; sup_neg_defect is the relevant sup of a
+    negative-part concavity defect of the weight (of a^theta for the
+    theta modes)."""
     q: float = 0.0
     gamma: float = 0.0
     beta: float = 1.0
     theta: float = 1.0
-    p: float = 0.0
     omega: float = 0.0
     m: float = 1.0
     M: float = 1.0
-    rho: float = 0.0
-    T: float = 1.0
-    slope_bound: float = 0.0      # Lambda = sup s (f(s)/s)'
     sup_norm_u_inf: float = 1.0
     osc_a: float = 0.0
     osc_a2: float = 0.0
@@ -75,8 +69,6 @@ class BoundReport:
                 return o.tolist()
             if isinstance(o, (np.floating, np.integer)):
                 return float(o)
-            if isinstance(o, float) and math.isinf(o):
-                return "inf"
             raise TypeError(type(o))
         payload = {"bound_id": self.bound_id,
                    "rhs": None if self.rhs is None else float(self.rhs),
@@ -259,19 +251,14 @@ def barrier_constant(k: float, q: float, gamma: float) -> float:
 
 
 def boundary_lower_bound(params: BoundParams, kind: str,
-                         t: float | None = None, eig=None,
-                         hypotheses=None):
+                         t: float | None = None, eig=None):
     """Explicit lower barrier near the parabolic boundary.
 
-    interior kinds return the barrier value C e^{-lam1 t}
-    t^{(1+gamma)/(1-q)} phi1 at every interior node; corner kinds
-    return the growth exponent of the corner barrier, whose constant is
-    left to a fit.
+    interior_t0 returns the barrier value C e^{-lam1 t}
+    t^{(1+gamma)/(1-q)} phi1 at every interior node, with C from k = m;
+    corner kinds return the growth exponent of the corner barrier, whose
+    constant is left to a fit.
     """
-    if hypotheses is not None and not hypotheses.require("lower_power"):
-        raise HypothesisViolated(
-            "the barrier needs the certified power lower bound on the "
-            "source")
     q, gamma = params.q, params.gamma
     if kind == "corner":
         beta = params.beta
@@ -279,13 +266,12 @@ def boundary_lower_bound(params: BoundParams, kind: str,
                 + (2.0 - beta) * (1.0 - q)) / (2.0 * (1.0 - q))
     if kind == "torsion_corner":
         return 2.0 + 2.0 * gamma + params.omega
-    if kind in ("interior_t0", "torsion_interior"):
+    if kind == "interior_t0":
         if eig is None or t is None:
             raise ValueError("interior barrier needs t and the eigenpair")
         if not 0.0 < t:
             raise ValueError("the barrier applies for t > 0")
-        qq = 0.0 if kind == "torsion_interior" else q
-        C = barrier_constant(params.m, qq, gamma)
-        amp = C * math.exp(-eig.lam * t) * t ** ((1.0 + gamma) / (1.0 - qq))
+        C = barrier_constant(params.m, q, gamma)
+        amp = C * math.exp(-eig.lam * t) * t ** ((1.0 + gamma) / (1.0 - q))
         return amp * eig.phi.values
     raise ValueError(f"unknown kind {kind!r}")

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .audit import SamplerConfig, min_defect, FieldEvaluator
+from .audit import FieldEvaluator, min_defect
 from .bounds import alpha_exponent
 from .domains import (build_discretization, disk, ellipse, rectangle,
                       unit_square)
@@ -95,12 +95,11 @@ def _add_flags(p, names: str):
 # ---------------------------------------------------------------------------
 
 _DOMAINS = {
-    "square": lambda c: unit_square(),
-    "disk": lambda c: disk(radius=c.getfloat("radius", 1.0)),
-    "rectangle": lambda c: rectangle(c.getfloat("width", 1.0),
-                                     c.getfloat("height", 1.0)),
-    "ellipse": lambda c: ellipse(c.getfloat("a", 1.0),
-                                 c.getfloat("b", 0.5)),
+    "square": lambda d: unit_square(),
+    "disk": lambda d: disk(radius=d.get("radius", 1.0)),
+    "rectangle": lambda d: rectangle(d.get("width", 1.0),
+                                     d.get("height", 1.0)),
+    "ellipse": lambda d: ellipse(d.get("a", 1.0), d.get("b", 0.5)),
 }
 
 
@@ -110,6 +109,23 @@ _KEYS = {"domain": "kind radius width height a b",
          "source": "kind q p",
          "grid": "h dt t snapshots",
          "audit": "mode alpha beta include_infinity"}
+
+
+def _get(cp, sec, key, default):
+    """cp[sec][key] parsed like default, or default when absent: a bool
+    from configparser's boolean words, else a number that is finite or
+    equals the default (theta = inf); ValueError naming the key if not."""
+    if not cp.has_option(sec, key):
+        return default
+    text, flag = cp[sec][key], isinstance(default, bool)
+    try:
+        v = cp.getboolean(sec, key) if flag else float(text)
+    except ValueError:
+        v = math.nan
+    if v != default and not math.isfinite(v):
+        raise ValueError(f"[{sec}] {key} = {text} is not a "
+                         f"{'boolean' if flag else 'finite number'}")
+    return v
 
 
 def load_config(path: Path):
@@ -129,18 +145,18 @@ def load_config(path: Path):
     if kind not in _DOMAINS:
         raise ValueError(f"domain kind must be one of "
                          f"{sorted(_DOMAINS)}, got {kind!r}")
-    spec = _DOMAINS[kind](dom_sec)
+    spec = _DOMAINS[kind]({k: _get(cp, "domain", k, 1.0)
+                           for k in dom_sec if k != "kind"})
 
     # absent weight keys take Weight's defaults
-    w = dict(cp["weight"]) if "weight" in cp else {}
-    truncate = w.pop("truncate", "false").lower() == "true"
-    weight = Weight(**{k: v if k == "kind" else float(v)
-                       for k, v in w.items()})
+    w = cp["weight"] if "weight" in cp else {}
+    weight = Weight(**{k: w[k] if k == "kind" else _get(
+        cp, "weight", k, getattr(Weight, k)) for k in w if k != "truncate"})
 
     s = cp["source"] if "source" in cp else {}
     source = SourceTerm(kind=s.get("kind", "one"),
-                        q=float(s.get("q", 0.0)),
-                        p=float(s.get("p", 0.5)))
+                        q=_get(cp, "source", "q", 0.0),
+                        p=_get(cp, "source", "p", 0.5))
 
     g = cp["grid"] if "grid" in cp else {}
     grid = {"h": 1.0 / 64.0, "dt": None, "T": 2.0, "snapshots": 16}
@@ -150,15 +166,16 @@ def load_config(path: Path):
                                   key == "snapshots" else float)(g[key])
 
     a = cp["audit"] if "audit" in cp else {}
-    alpha = a.get("alpha", "1.0")
     audit = {"mode": a.get("mode", "space"),
-             "alpha": alpha if alpha == "auto" else float(alpha),
-             "beta": float(a.get("beta", 1.0)),
-             "include_infinity": str(a.get("include_infinity",
-                                           "false")).lower() == "true"}
+             "alpha": "auto" if a.get("alpha") == "auto"
+             else _get(cp, "audit", "alpha", 1.0),
+             "beta": _get(cp, "audit", "beta", 1.0),
+             "include_infinity": _get(cp, "audit", "include_infinity",
+                                      False)}
 
     problem = Problem(domain=spec, weight=weight, source=source,
-                      horizon=grid["T"], truncate=truncate)
+                      horizon=grid["T"],
+                      truncate=_get(cp, "weight", "truncate", False))
     return problem, grid, audit
 
 
@@ -252,8 +269,7 @@ def _cmd_audit(args) -> int:
     alpha = _resolve_alpha(problem, audit["alpha"] if args.alpha is None
                            else args.alpha, audit["beta"])
     f = _load_field(problem, grid, args.field)
-    rep = min_defect(FieldEvaluator(f, alpha), "space",
-                     SamplerConfig(include_infinity=False))
+    rep = min_defect(FieldEvaluator(f, alpha), "space")
     path = _write(args.out, "audit_report.json", rep.to_json())
     print(f"audit: min defect {rep.minimum:.6g} (tau_audit "
           f"{rep.tau_audit:.3g}); report {path}")

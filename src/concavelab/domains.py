@@ -2,8 +2,8 @@
 
 Supports unit squares, rectangles, disks, ellipses and convex polygons.
 Provides signed distance to the boundary, the interior nodes, cut-cell
-fractions for embedded-boundary stencils, inner regions (distance >
-rho) and interior unit normals.
+fractions for embedded-boundary stencils and inner regions (distance >
+rho).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .errors import NoInteriorNodes, NonConvexPolygon, VertexAmbiguity
+from .errors import NoInteriorNodes, NonConvexPolygon
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -221,39 +221,6 @@ def distance_to_boundary(spec: DomainSpec, x) -> float:
     else:
         raise ValueError(f"unknown domain kind {spec.kind!r}")
     return float(d) if scalar else d
-
-
-def boundary_normal(spec: DomainSpec, p) -> np.ndarray:
-    """Unit inward normal at a boundary point (within 1e-8 of it)."""
-    p = np.asarray(p, dtype=float)
-    if abs(distance_to_boundary(spec, p)) > 1e-8:
-        raise ValueError("point is not on the boundary (tolerance 1e-8)")
-    if spec.kind in ("unit_square", "rectangle"):
-        w, h = spec.width, spec.height
-        # inward normal on the nearest side
-        dists = np.array([p[0], w - p[0], p[1], h - p[1]])
-        normals = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], dtype=float)
-        return normals[int(np.argmin(np.abs(dists)))]
-    if spec.kind == "disk":
-        return -p / np.linalg.norm(p)
-    if spec.kind == "ellipse":
-        a, b = spec.semi_axes
-        g = np.array([2 * p[0] / a ** 2, 2 * p[1] / b ** 2])
-        return -g / np.linalg.norm(g)
-    # polygon: locate the edge containing p
-    v = np.asarray(spec.vertices, dtype=float)
-    n = v.shape[0]
-    on_edges = []
-    for i in range(n):
-        a, b = v[i], v[(i + 1) % n]
-        if _segment_distance(p, a, b) <= 1e-8:
-            on_edges.append((a, b))
-    if len(on_edges) != 1:
-        raise VertexAmbiguity("point lies at (or within 1e-8 of) a "
-                              "polygon vertex; the normal is ambiguous")
-    a, b = on_edges[0]
-    e = (b - a) / np.linalg.norm(b - a)
-    return np.array([-e[1], e[0]])  # left turn of a CCW edge points inward
 
 
 # ---------------------------------------------------------------------------

@@ -102,17 +102,15 @@ def _upper_envelope_2d(pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return np.maximum(env, vals)  # guard roundoff: majorant dominates f
 
 
-def concave_approximation(f, section=None, max_nodes: int = 600) \
-        -> EnvelopeResult:
+def concave_approximation(f, max_nodes: int = 600) -> EnvelopeResult:
     """Concave approximant with a distance certificate.
 
     f may be a Field (2-D) or a tuple (x, values) for a 1-D section.
     Returns the approximant, the sup-distance 0.5 ||g_hat - f||, the
     measured defect delta, and the bound check distance <= k_n delta.
     """
-    if isinstance(f, tuple) or section is not None:
-        x, y = f if isinstance(f, tuple) else section
-        x, vals = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if isinstance(f, tuple):
+        x, vals = (np.asarray(v, dtype=float) for v in f)
         if len(np.unique(x)) < 2:
             raise HullDegenerate("need at least 2 distinct sample abscissae")
         g_hat, delta, dim = _upper_envelope_1d(x, vals), _defect_1d(x, vals), 1

@@ -13,10 +13,6 @@ class NoInteriorNodes(ConcavelabError):
     """Grid spacing too coarse: discretization contains no interior node."""
 
 
-class VertexAmbiguity(ConcavelabError):
-    """Boundary normal requested at (or too close to) a polygon vertex."""
-
-
 class NegativeState(ConcavelabError):
     """Source evaluated at a state value below the -1e-12 tolerance."""
 
@@ -26,11 +22,7 @@ class Unbounded(ConcavelabError):
 
 
 class MaxIterations(ConcavelabError):
-    """Iterative linear solve exceeded its iteration budget."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """A linear solve's relative residual is above its tolerance."""
 
 
 class NoConvergence(ConcavelabError):

@@ -180,12 +180,6 @@ def neg_laplacian_matrix(dom: DiscretizedDomain) -> sp.csr_matrix:
     return dom._cache["neg_lap"]
 
 
-def apply_laplacian(f: Field) -> Field:
-    """Discrete Laplacian of a field (Dirichlet 0 boundary)."""
-    A = neg_laplacian_matrix(f.dom)
-    return Field(f.dom, -(A @ f.values), f.time)
-
-
 # ---------------------------------------------------------------------------
 # linear solves
 # ---------------------------------------------------------------------------
@@ -213,8 +207,7 @@ def _solve(dom: DiscretizedDomain, b: np.ndarray, tau=None, shift=None):
     y = lu.solve(b)
     res, bn = np.linalg.norm(M @ y - b), np.linalg.norm(b)
     if bn > 0 and res > 1e-8 * bn:
-        raise MaxIterations("direct solve residual above tolerance",
-                            residual=res / bn)
+        raise MaxIterations(f"direct solve residual {res / bn:.3g} > 1e-8")
     return y if tau is None else y[perm]
 
 

@@ -22,6 +22,7 @@ from .operators import (EigenPair, Field, principal_eigenpair,
 from .problems import Problem, check_hypotheses
 
 BLOWUP_THRESHOLD = 1e6
+MAX_STEPS = 1e6  # most time steps a trajectory may take
 # sources whose slope can be stiff near the running state: take one
 # semi-implicit (linearized) correction of the source term
 _STIFF_SOURCES = ("logistic", "log_s")
@@ -95,9 +96,7 @@ def seed_from_subsolution(problem: Problem, dom: DiscretizedDomain,
     if not hyp.require("lower_power"):
         raise HypothesisViolated(
             "subsolution seeding needs the certified power lower bound")
-    k = hyp.constants["k"]
-    q = hyp.constants["q"]
-    gamma = hyp.constants["gamma"]
+    k, q, gamma = (hyp.constants[name] for name in ("k", "q", "gamma"))
     w = boundary_lower_bound(BoundParams(q=q, gamma=gamma, m=k, M=k),
                              "interior_t0", t=t0, eig=eig)
     # w_t - Lap_h w = ((1+gamma)/(1-q)) w / t0 exactly, since phi is a
@@ -141,6 +140,14 @@ def advance(problem: Problem, dom: DiscretizedDomain, u: Field,
     return Field(dom, np.maximum(vals, 0.0), tn)
 
 
+def _interval_steps(span, t, dt, s1) -> float:
+    """Steps over span from time t, as a float (inf when span / dt
+    overflows): 4 per dt, each at most t/32 (floored at s1/512), so that
+    the ramp near t = 0, on the time scale t, is resolved to ~1%."""
+    return max(max(np.ceil(float(span) / dt - 1e-12), 1.0) * 4,
+               np.ceil(span / max(t / 32.0, s1 / 512.0) - 1e-12))
+
+
 def solve_trajectory(problem: Problem, dom: DiscretizedDomain,
                      grid: TimeGrid, dt: float | None = None,
                      eig: EigenPair | None = None) -> Trajectory:
@@ -175,14 +182,16 @@ def solve_trajectory(problem: Problem, dom: DiscretizedDomain,
         t = 0.0
 
     s1 = float(grid.snapshots[0])
+    starts = np.concatenate(([t], grid.snapshots[:-1]))
+    total = sum(_interval_steps(ts - ta, ta, dt, s1)
+                for ta, ts in zip(starts, grid.snapshots))
+    if total > MAX_STEPS:
+        raise ValueError(f"{total:.3g} time steps from dt = {dt!r} to T = "
+                         f"{problem.horizon!r}, above the cap of "
+                         f"{MAX_STEPS:.0e}")
     for ts in grid.snapshots:
         span = ts - t
-        n = max(int(math.ceil(span / dt - 1e-12)), 1) * 4  # 4 substeps per dt
-        # near t=0 the solution ramps on the time scale t itself: cap the
-        # step at t/32 (floored) so the transient is resolved to ~1%
-        # relative accuracy (backward Euler is first order in the ramp)
-        step_cap = max(t / 32.0, s1 / 512.0)
-        n = max(n, int(math.ceil(span / step_cap - 1e-12)))
+        n = int(_interval_steps(span, t, dt, s1))
         step = span / n
         for _ in range(n):
             u = advance(problem, dom, u, t, step)

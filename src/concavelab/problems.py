@@ -1,5 +1,6 @@
-"""Catalog of weights a(x,t) and sources f(s), their composition into
-b(x,s,t), and checkable structural-hypothesis predicates.
+"""Catalog of weights a(x,t) and sources f(s), their composition
+b(x,s,t) = a(x,t) f(s) + g(s), and checkable structural-hypothesis
+predicates.
 
 Hypothesis flags (True / False / None=undetermined):
 
@@ -115,10 +116,15 @@ class Weight:
 # sources
 # ---------------------------------------------------------------------------
 
+def _power(s, e):
+    """s^e on s >= 0, with 0^0 = 1 and 0^e = 0 for e > 0."""
+    return np.ones_like(s) if e == 0.0 else np.where(s > 0, s, 0.0) ** e
+
+
 @dataclass(frozen=True)
 class SourceTerm:
-    """Nonlinearity f(s); composed with the weight into b = a(x,t) f(s)
-    except the logistic and power_sum composites which mix the weight in.
+    """Nonlinearity of b = a(x,t) f(s) + g(s): g is the term without
+    the weight, -s^2 for logistic and s^q for power_sum, else None.
 
     kinds: one, power_q, identity, log_s, log1p_q, saturable_q,
            saturable, logistic, one_minus_s_p, power_sum
@@ -134,11 +140,10 @@ class SourceTerm:
         if k == "one":
             return np.ones_like(s)
         if k == "power_q":
-            # 0^0 = 1, 0^q = 0 for q > 0
-            if self.q == 0.0:
-                return np.ones_like(s)
-            return np.where(s > 0, s, 0.0) ** self.q
-        if k == "identity":
+            return _power(s, self.q)
+        if k == "power_sum":
+            return _power(s, self.p)
+        if k in ("identity", "logistic"):
             return s
         if k == "log_s":
             out = np.zeros_like(s)
@@ -148,27 +153,37 @@ class SourceTerm:
         if k == "log1p_q":
             return s * np.log1p(np.maximum(s, 0.0)) ** self.q
         if k == "saturable_q":
-            sq = np.where(s > 0, s, 0.0) ** self.q
+            sq = _power(s, self.q)
             return s * sq / (1.0 + sq)
         if k == "saturable":
             return s * s / (1.0 + s)
         if k == "one_minus_s_p":
             return np.where(s < 1, (1.0 - np.minimum(s, 1.0)) ** self.p, 0.0)
-        raise ValueError(f"source kind {k!r} has no plain f(s)")
+        raise ValueError(f"unknown source kind {k!r}")
+
+    def g(self, s):
+        if not self.composite:
+            return None
+        return -(s * s) if self.kind == "logistic" else _power(s, self.q)
 
     @property
     def composite(self) -> bool:
+        """b has a term g without the weight."""
         return self.kind in ("logistic", "power_sum")
+
+    def compose(self, a, s):
+        """b = a f(s) + g(s) on arrays s >= 0; a f(s) alone where g is
+        None, so that a negative weight's -0.0 stays -0.0."""
+        g = self.g(s)
+        return a * self.f(s) if g is None else a * self.f(s) + g
 
     @property
     def sublinear_exponent(self):
         """The q in the s^q lower-bound hypothesis, when one applies."""
-        if self.kind in ("one",):
+        if self.kind in ("one", "one_minus_s_p"):
             return 0.0
         if self.kind == "power_q":
             return self.q
-        if self.kind == "one_minus_s_p":
-            return 0.0
         if self.kind == "power_sum":
             # b = a s^p + s^q >= m s^p for every s >= 0 (m = min a)
             return self.p
@@ -201,18 +216,7 @@ class Problem:
         if np.any(s < -1e-12):
             raise NegativeState(f"state value {s.min()} below -1e-12")
         s = np.maximum(s, 0.0)
-        a = self.weight_values(dom, t)
-        k = self.source.kind
-        if k == "logistic":
-            return a * s - s * s
-        if k == "power_sum":
-            sp_ = np.where(s > 0, s, 0.0)
-            base_p = sp_ ** self.source.p if self.source.p > 0 \
-                else np.ones_like(s)
-            base_q = sp_ ** self.source.q if self.source.q > 0 \
-                else np.ones_like(s)
-            return a * base_p + base_q
-        return a * self.source.f(s)
+        return self.source.compose(self.weight_values(dom, t), s)
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +237,14 @@ _NONNEG_SOURCES = ("one", "power_q", "identity", "saturable", "saturable_q",
 
 
 def check_hypotheses(problem: Problem, M: float) -> HypothesisReport:
-    """Catalog-rule verdicts for the structural hypotheses, with a
-    numeric sampled certificate for the fitted Lipschitz constant."""
+    """Catalog-rule verdicts for the structural hypotheses, with the
+    constants k, q of a certified power lower bound and the weight's
+    gamma."""
     if M <= 0:
         raise ValueError("M must be positive")
     w, src = problem.weight, problem.source
     flags = {name: None for name in FLAG_NAMES}
-    consts = {"gamma": w.gamma, "omega": w.omega, "T": problem.horizon}
+    consts = {"gamma": w.gamma}
 
     # weight lower bound m over space (t factor handled separately)
     if w.spatially_constant:
@@ -281,7 +286,6 @@ def check_hypotheses(problem: Problem, M: float) -> HypothesisReport:
         elif src.kind == "power_sum":
             hq = min(src.p, src.q)
         flags["hoelder"] = hq >= 0.5
-        consts["hoelder_order"] = min(hq, 1.0)
     elif src.kind in ("logistic", "log_s"):
         # takes negative values, so the nonnegativity part fails
         flags["one_sided_lipschitz"] = False
@@ -295,18 +299,6 @@ def check_hypotheses(problem: Problem, M: float) -> HypothesisReport:
         flags["time_monotone"] = True  # t^gamma nondecreasing, f >= 0
     else:
         flags["time_monotone"] = None
-
-    # numerically fitted one-sided Lipschitz constant
-    if flags["one_sided_lipschitz"]:
-        s = np.geomspace(1e-6, M, 48)
-        fs = problem.source.f(s) if not src.composite else None
-        if fs is not None:
-            r, ss = np.meshgrid(s, s)
-            mask = ss > r
-            fr, fss = np.meshgrid(fs, fs)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                slopes = r * (fss - fr) / (ss - r)
-            consts["L"] = float(np.max(slopes[mask])) if mask.any() else 0.0
     return HypothesisReport(flags=flags, constants=consts)
 
 
@@ -370,9 +362,7 @@ def sup_slope_lambda(source: SourceTerm) -> float:
     s = np.geomspace(1e-8, 1e8, 20001)
 
     def fbar(v):
-        if k == "power_sum":
-            return (v ** source.p + v ** source.q) / v
-        return source.f(v) / v
+        return source.compose(1.0, v) / v
 
     fb = fbar(s)
     ds = s * 1e-6

@@ -19,14 +19,14 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .audit import (SamplerConfig, min_defect, power_transform,
+from .audit import (Evaluator, SamplerConfig, min_defect,
                     quasiconcavity_defect)
 from .bounds import (BoundParams, BoundReport, log_concavity_rhs,
                      quantitative_rhs, boundary_lower_bound,
                      spacetime_alpha_window)
 from .domains import (build_discretization, disk, distance_to_boundary,
                       inner_region_mask, unit_square)
-from .errors import RangeViolation, ValidityViolation
+from .errors import ValidityViolation
 from .operators import Field, principal_eigenpair
 from .parabolic import make_time_grid, solve_trajectory
 from .problems import (Problem, SourceTerm, Weight, _concavity_min,
@@ -48,7 +48,6 @@ class AuditSpec:
     alpha: float
     beta: float = 1.0
     mode: str = "spacetime"
-    include_infinity: bool = True
     checks: tuple = (("exact",),)
 
 
@@ -61,7 +60,6 @@ class Scenario:
     problem: Problem
     u0_scale: float | None = None
     audits: tuple = ()
-    needs_strong_convexity: bool = False
     check_boundary_barrier: bool = False
 
 
@@ -142,30 +140,24 @@ def _catalog() -> dict:
         id="eigen-square",
         description="linear source a u with constant a; log u concave "
                     "at every time",
-        problem=Problem(square, one, SourceTerm("identity")),
-        u0_scale=1.0, needs_strong_convexity=True,
+        problem=Problem(square, one, SourceTerm("identity")), u0_scale=1.0,
         audits=(AuditSpec(alpha=0.0, beta=1.0, mode="space",
-                          include_infinity=False,
                           checks=(("exact",), ("log_bound", "eigen"))),)))
 
     add(Scenario(
         id="saturable-square",
         description="saturable source s^2/(1+s) with constant a; log u "
                     "concave at every time",
-        problem=Problem(square, one, SourceTerm("saturable")),
-        u0_scale=1.0, needs_strong_convexity=True,
+        problem=Problem(square, one, SourceTerm("saturable")), u0_scale=1.0,
         audits=(AuditSpec(alpha=0.0, beta=1.0, mode="space",
-                          include_infinity=False,
                           checks=(("exact",), ("log_bound", "general"))),)))
 
     add(Scenario(
         id="logistic-square",
         description="logistic source a(x) u - u^2 with concave a = d(x); "
                     "log u concave at every time",
-        problem=Problem(square, dist, SourceTerm("logistic")),
-        u0_scale=0.5, needs_strong_convexity=True,
+        problem=Problem(square, dist, SourceTerm("logistic")), u0_scale=0.5,
         audits=(AuditSpec(alpha=0.0, beta=1.0, mode="space",
-                          include_infinity=False,
                           checks=(("exact",),)),)))
 
     add(Scenario(
@@ -173,9 +165,8 @@ def _catalog() -> dict:
         description="logarithmic source s log s with constant a; log u "
                     "concave at every time on the finite horizon",
         problem=Problem(square, one, SourceTerm("log_s"), horizon=1.0),
-        u0_scale=0.5, needs_strong_convexity=True,
+        u0_scale=0.5,
         audits=(AuditSpec(alpha=0.0, beta=1.0, mode="space",
-                          include_infinity=False,
                           checks=(("exact",),
                                   ("log_bound", "product_cases"))),)))
 
@@ -185,10 +176,8 @@ def _catalog() -> dict:
                     "sqrt(t) sqrt(d(x)); log u concave at every time",
         problem=Problem(square, Weight("distance_power", c=1.0, gamma=0.5,
                                        omega=0.5, theta=1.0),
-                        SourceTerm("identity"), truncate=True),
-        u0_scale=1.0, needs_strong_convexity=True,
+                        SourceTerm("identity"), truncate=True), u0_scale=1.0,
         audits=(AuditSpec(alpha=0.0, beta=1.0, mode="space",
-                          include_infinity=False,
                           checks=(("exact",),)),)))
 
     add(Scenario(
@@ -197,7 +186,6 @@ def _catalog() -> dict:
                     "quasiconcave (convex superlevel sets)",
         problem=Problem(square, one, SourceTerm("one_minus_s_p", p=0.5)),
         audits=(AuditSpec(alpha=1.0, beta=1.0, mode="space",
-                          include_infinity=False,
                           checks=(("quasiconcave",),)),)))
 
     for eps in (0.05, 0.1, 0.2):
@@ -221,9 +209,8 @@ def _catalog() -> dict:
             description=f"linear source with a rippled weight "
                         f"(eps={eps}); log-concavity defect bound",
             problem=Problem(square, ramp, SourceTerm("identity")),
-            u0_scale=1.0, needs_strong_convexity=True,
+            u0_scale=1.0,
             audits=(AuditSpec(alpha=0.0, beta=1.0, mode="space",
-                              include_infinity=False,
                               checks=(("log_bound", "eigen"),)),)))
 
     return {s.id: s for s in scns}
@@ -278,10 +265,8 @@ def hopf_margin(dom, values) -> float:
 def boundary_barrier_margin(problem, dom, traj, eig, hyp) -> float:
     """Min over interior snapshots of u / barrier (barrier from the
     certified power lower bound); > 1 means the barrier holds."""
-    k = hyp.constants["k"]
-    q = hyp.constants["q"]
-    gamma = hyp.constants["gamma"]
-    params = BoundParams(q=q, gamma=gamma, m=k, M=k)
+    c = hyp.constants
+    params = BoundParams(q=c["q"], gamma=c["gamma"], m=c["k"], M=c["k"])
     worst = math.inf
     for t, vals in zip(traj.times, traj.fields):
         if t <= 0.0 or t >= problem.horizon:
@@ -302,16 +287,16 @@ def _weight_min_C(problem, dom, mask=None) -> float:
 
 
 def _inner_region(problem, dom, rep):
-    """(rho, mask) of the inner region around the audit report's argmin:
-    rho is the boundary distance of the nearer endpoint, at least 2h;
-    the mask is None when no interior node lies that deep."""
+    """Mask of the interior nodes deeper than rho, the boundary distance
+    of the nearer endpoint of the audit report's argmin (at least 2h);
+    None when no interior node lies that deep."""
     d1 = float(distance_to_boundary(problem.domain,
                                     np.asarray(rep.argmin.x1)))
     d3 = float(distance_to_boundary(problem.domain,
                                     np.asarray(rep.argmin.x3)))
     rho = max(min(d1, d3), 2 * dom.h)
     mask = inner_region_mask(dom, rho)
-    return rho, mask if mask.any() else None
+    return mask if mask.any() else None
 
 
 def _quant_params(problem, dom, ev, rep, sup_norm_u_inf, mode):
@@ -320,11 +305,10 @@ def _quant_params(problem, dom, ev, rep, sup_norm_u_inf, mode):
     w, src = problem.weight, problem.source
     q = src.q if src.kind == "power_q" else 0.0
     m, M = w.bounds(dom, problem.horizon)
-    rho, mask = _inner_region(problem, dom, rep)
+    mask = _inner_region(problem, dom, rep)
     prof = w.spatial_profile(dom)
     prof_rho = prof if mask is None else prof[mask]
-    kw = dict(q=q, m=m, M=M, rho=rho, T=problem.horizon,
-              sup_norm_u_inf=sup_norm_u_inf,
+    kw = dict(q=q, m=m, M=M, sup_norm_u_inf=sup_norm_u_inf,
               theta=w.theta if math.isfinite(w.theta) else 1.0)
     if mode == "oscillation":
         kw["osc_a2"] = float((prof ** 2).max() - (prof ** 2).min())
@@ -351,18 +335,18 @@ def _log_bound_inputs(problem, dom, traj, rep):
     """(Lambda, sup weight defect on the inner region, fbar norm)."""
     src = problem.source
     lam = sup_slope_lambda(src)
-    _, mask = _inner_region(problem, dom, rep)
+    mask = _inner_region(problem, dom, rep)
     sup_defect = weight_concavity_defect(problem, dom, theta=1.0,
                                          mask=mask)
-    # sup of f(u)/u over the inner region and the snapshots
+    # sup of f(u)/u over the inner region and the snapshots; 1 for a
+    # source with a term g(u) without the weight
     fbar = 0.0
-    if src.kind not in ("logistic", "power_sum"):
-        for vals in traj.fields:
-            v = vals if mask is None else vals[mask]
-            pos = v > 1e-12
-            if pos.any():
-                fbar = max(fbar, float(np.max(src.f(v[pos]) / v[pos])))
-    return lam, sup_defect, max(fbar, 1.0 if src.composite else 0.0)
+    for vals in () if src.composite else traj.fields:
+        v = vals if mask is None else vals[mask]
+        pos = v > 1e-12
+        if pos.any():
+            fbar = max(fbar, float(np.max(src.f(v[pos]) / v[pos])))
+    return lam, sup_defect, 1.0 if src.composite else fbar
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +354,12 @@ def _log_bound_inputs(problem, dom, traj, rep):
 # ---------------------------------------------------------------------------
 
 def run_scenario(scn: Scenario, h: float = 1.0 / 64.0,
-                 dt: float | None = None, horizon: float | None = None,
-                 snapshots: int | None = None) -> VerificationReport:
+                 dt: float | None = None,
+                 horizon: float | None = None) -> VerificationReport:
     t_start = time.perf_counter()
     report = VerificationReport(scenario_id=scn.id, verdict="pass")
     spec = scn.problem.domain
-    if scn.needs_strong_convexity and not spec.strongly_convex:
+    if any(a.alpha == 0.0 for a in scn.audits) and not spec.strongly_convex:
         warnings.warn(f"{scn.id}: the domain is not strongly convex; "
                       "running anyway", UserWarning)
         report.diagnostics["strong_convexity"] = False
@@ -387,26 +371,19 @@ def run_scenario(scn: Scenario, h: float = 1.0 / 64.0,
     report.diagnostics["hypotheses"] = dict(hyp.flags)
 
     # theorem gate: the alpha window for space-time audits
-    try:
-        for aud in scn.audits:
-            if aud.mode == "spacetime" and aud.alpha > 0:
-                src = problem.source
-                q = src.q if src.kind == "power_q" else 0.0
-                cap = spacetime_alpha_window(q, problem.weight.gamma,
-                                             aud.beta)
-                if not 0.0 < aud.alpha < cap + 1e-12:
-                    raise RangeViolation(
-                        f"alpha={aud.alpha} outside (0, {cap})")
-    except RangeViolation as exc:
-        report.verdict = "not_applicable"
-        report.diagnostics["gate_failure"] = str(exc)
-        report.runtime = time.perf_counter() - t_start
-        return report
+    q = problem.source.q if problem.source.kind == "power_q" else 0.0
+    for aud in scn.audits:
+        if aud.mode == "spacetime" and aud.alpha > 0:
+            cap = spacetime_alpha_window(q, problem.weight.gamma, aud.beta)
+            if not 0.0 < aud.alpha < cap + 1e-12:
+                report.verdict = "not_applicable"
+                report.diagnostics["gate_failure"] = \
+                    f"alpha={aud.alpha} outside (0, {cap})"
+                report.runtime = time.perf_counter() - t_start
+                return report
 
-    needs_inf = any(a.include_infinity and a.mode == "spacetime"
-                    for a in scn.audits)
-    count = snapshots if snapshots is not None else (
-        max(12, int(round(0.75 / h))) if needs_inf else 16)
+    needs_inf = any(a.mode == "spacetime" for a in scn.audits)
+    count = max(12, int(round(0.75 / h))) if needs_inf else 16
     grid = make_time_grid(problem, h, dt, count=count)
     traj = solve_trajectory(problem, dom, grid, dt, eig)
     report.diagnostics["monotone"] = bool(traj.monotone)
@@ -444,9 +421,9 @@ def run_scenario(scn: Scenario, h: float = 1.0 / 64.0,
             report.add_assertion("quasiconcave_snapshots",
                                  worst <= 0.0, -worst, -1e-12)
             continue
-        ev = power_transform(traj, aud.alpha, aud.beta)
-        rep = min_defect(ev, aud.mode,
-                         SamplerConfig(include_infinity=aud.include_infinity))
+        ev = Evaluator(traj, aud.alpha, aud.beta)
+        rep = min_defect(ev, aud.mode, SamplerConfig(
+            include_infinity=aud.mode == "spacetime"))
         report.defect_reports.append(rep)
         for check in aud.checks:
             if check[0] == "exact":

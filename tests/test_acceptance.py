@@ -12,10 +12,10 @@ import pytest
 
 from concavelab import (Field, Problem, SamplerConfig, SourceTerm, Weight,
                         alpha_exponent, build_discretization,
-                        concave_approximation, disk,
-                        make_time_grid, min_defect, power_transform,
-                        principal_eigenpair, run_property_suite,
+                        concave_approximation, disk, make_time_grid,
+                        min_defect, principal_eigenpair, run_property_suite,
                         run_scenario, solve_trajectory, unit_square)
+from concavelab.audit import Evaluator
 from concavelab.parabolic import advance
 from concavelab.scenarios import build_problem, get_scenario
 
@@ -137,7 +137,7 @@ def test_criterion_04_log_concavity_every_snapshot(capsys):
         problem = build_problem(scn, eig)
         grid = make_time_grid(problem, h, count=16)
         traj = solve_trajectory(problem, dom, grid, eig=eig)
-        ev = power_transform(traj, 0.0)
+        ev = Evaluator(traj, 0.0)
         times = [float(t) for t in traj.times if t > 0]
         rep = min_defect(ev, "space",
                          SamplerConfig(audit_times=times,

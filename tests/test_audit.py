@@ -12,7 +12,7 @@ from concavelab import (Field, Problem, SourceTerm, SamplerConfig, Weight,
                         convex_polygon, disk,
                         ellipse, field_from_function, get_scenario,
                         harmonic_concavity_value, make_time_grid,
-                        min_defect, power_transform, principal_eigenpair,
+                        min_defect, principal_eigenpair,
                         quasiconcavity_defect, solve_stationary,
                         solve_trajectory, unit_square)
 from concavelab.audit import (DefectReport, Evaluator, FieldEvaluator,
@@ -142,26 +142,26 @@ def test_min_defect_empty_sampler(square16):
                                  include_infinity=False))
 
 
-def test_power_transform_node_values(square16):
+def test_evaluator_node_values(square16):
     p = Problem(domain=unit_square(), weight=Weight(kind="constant", c=1.0),
                 source=SourceTerm(kind="one"), horizon=1.0)
     g = make_time_grid(p, square16.h, count=6)
     traj = solve_trajectory(p, square16, g)
-    ev = power_transform(traj, 0.5, 1.0)
+    ev = Evaluator(traj, 0.5, 1.0)
     t = float(traj.times[-1])
     got = ev.node_values(t)
     assert np.allclose(got, np.maximum(traj.fields[-1], 0.0) ** 0.5)
 
 
-def test_power_transform_validates_exponents(square16):
+def test_evaluator_validates_exponents(square16):
     p = Problem(domain=unit_square(), weight=Weight(kind="constant", c=1.0),
                 source=SourceTerm(kind="one"), horizon=1.0)
     g = make_time_grid(p, square16.h, count=4)
     traj = solve_trajectory(p, square16, g)
     with pytest.raises(ValueError):
-        power_transform(traj, 1.5)
+        Evaluator(traj, 1.5)
     with pytest.raises(ValueError):
-        power_transform(traj, 0.5, 3.0)
+        Evaluator(traj, 0.5, 3.0)
 
 
 def test_time_rescaling_in_transform(square16):
@@ -170,7 +170,7 @@ def test_time_rescaling_in_transform(square16):
                 source=SourceTerm(kind="one"), horizon=1.0)
     g = make_time_grid(p, square16.h, count=6)
     traj = solve_trajectory(p, square16, g)
-    ev = power_transform(traj, 1.0, 2.0)
+    ev = Evaluator(traj, 1.0, 2.0)
     t = math.sqrt(float(traj.times[3]))
     assert np.allclose(ev.node_values(t), traj.fields[3])
 
@@ -184,9 +184,9 @@ def test_evaluator_revisited_time_matches_fresh(square16):
                                                         count=6))
     pts = np.random.default_rng(4).uniform(0.05, 0.95, (40, 2))
     t_a, t_b = 0.3 * float(traj.times[2]), float(traj.times[4]) + 0.01
-    ev = power_transform(traj, 0.5, 1.5)
+    ev = Evaluator(traj, 0.5, 1.5)
     for t in (t_a, t_b, t_a):
-        fresh = power_transform(traj, 0.5, 1.5).value(pts, t)
+        fresh = Evaluator(traj, 0.5, 1.5).value(pts, t)
         assert np.array_equal(ev.value(pts, t), fresh)
 
 
@@ -508,8 +508,8 @@ def test_batched_stage_two_matches_scalar_loop_spacetime():
     # four snapshot times and t = inf: time moves in both directions
     cfg = SamplerConfig(audit_times=[float(traj.times[k])
                                      for k in (0, 5, 11, 17)] + [math.inf])
-    want = _parent_min_defect(power_transform(traj, 0.25), "spacetime", cfg)
-    got = min_defect(power_transform(traj, 0.25), "spacetime", cfg)
+    want = _parent_min_defect(Evaluator(traj, 0.25), "spacetime", cfg)
+    got = min_defect(Evaluator(traj, 0.25), "spacetime", cfg)
     assert got.to_json() == want.to_json()
 
 

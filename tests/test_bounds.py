@@ -219,10 +219,15 @@ def test_interior_barrier_values():
 
 
 def test_barrier_requires_certified_hypothesis():
+    # f = s has no power lower bound s^q with q < 1, so the barrier seed
+    # is refused rather than built from constants that were never set
     from concavelab import Problem, SourceTerm, Weight, check_hypotheses
+    from concavelab.parabolic import seed_from_subsolution
     prob = Problem(domain=unit_square(), weight=Weight(kind="constant"),
                    source=SourceTerm(kind="identity"))
     hyp = check_hypotheses(prob, M=1.0)
     assert not hyp.require("lower_power")
-    with pytest.raises(HypothesisViolated):
-        boundary_lower_bound(BoundParams(), "corner", hypotheses=hyp)
+    assert "k" not in hyp.constants
+    dom = build_discretization(unit_square(), 0.25)
+    with pytest.raises(HypothesisViolated, match="power lower bound"):
+        seed_from_subsolution(prob, dom, 0.01, principal_eigenpair(dom))

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -412,6 +415,9 @@ def test_bad_config_is_usage_error(tmp_path, capsys, text, named):
 @pytest.mark.parametrize("line,named", [
     ("mode = spacetime", "[audit] mode = spacetime"),
     ("include_infinity = true", "[audit] include_infinity = true"),
+    # configparser's boolean words, not only "true"
+    ("include_infinity = yes", "[audit] include_infinity = true"),
+    ("include_infinity = maybe", "[audit] include_infinity = maybe"),
 ])
 def test_audit_rejects_what_a_field_cannot_honor(tmp_path, capsys, line,
                                                  named):
@@ -440,8 +446,8 @@ def _grid_value(valid):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(h=st.sampled_from([0.5, 0.25, 0.2]),
-       dt=_grid_value(st.floats(0.02, 2.0)),
-       T=_grid_value(st.floats(-1.0, 2.0)),
+       dt=_grid_value(st.floats(0.02, 2.0) | st.just(1e-300)),
+       T=_grid_value(st.floats(-1.0, 2.0) | st.just(1e300)),
        snapshots=st.one_of(st.none(), st.integers(-2, 12).map(str),
                            st.sampled_from(["2.5", "1e1", "x", ""])))
 def test_solve_grid_values_exit_cleanly(h, dt, T, snapshots):
@@ -462,3 +468,80 @@ def test_solve_grid_values_exit_cleanly(h, dt, T, snapshots):
     assert rc in (0, 2), text
     assert "Traceback" not in err.getvalue()
     assert (rc == 2) == bool(err.getvalue()), text
+
+
+#: the numeric keys of the sections that Problem and the audit read
+NUMERIC_KEYS = [("domain", k) for k in ("radius", "width", "height", "a",
+                                        "b")] \
+    + [("weight", k) for k in ("c", "gamma", "omega", "eps", "a1", "a2",
+                               "eta", "theta")] \
+    + [("source", "q"), ("source", "p"), ("audit", "alpha"),
+       ("audit", "beta")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("sec,key", NUMERIC_KEYS,
+                         ids=lambda v: v if isinstance(v, str) else None)
+def test_non_finite_config_number_is_usage_error(tmp_path, capsys, sec,
+                                                 key, value):
+    # every numeric key is read, whether or not its kind uses it; inf
+    # is the default of [weight] theta and stays allowed there
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{sec}]\n{key} = {value}\n[grid]\nh = 0.125\n")
+    rc = parse_and_dispatch(["stationary", "--config", str(path),
+                             "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    if (key, value) == ("theta", "inf"):
+        assert rc == 0, err
+        return
+    assert rc == 2
+    assert f"[{sec}] {key} = {value} is not a finite number" in err
+    assert not (tmp_path / "stationary.bin").exists()
+
+
+@pytest.mark.parametrize("word,rc_want", [("yes", 0), ("on", 0), ("1", 0),
+                                          ("True", 0), ("no", 2),
+                                          ("maybe", 2)])
+def test_truncate_reads_boolean_words(tmp_path, capsys, word, rc_want):
+    # a weight growing in t has a stationary slice only when truncated;
+    # "yes" used to be read as false
+    path = tmp_path / "grow.ini"
+    path.write_text("[weight]\nkind = separable_power_time\ngamma = 0.5\n"
+                    f"truncate = {word}\n[grid]\nh = 0.125\n")
+    rc = parse_and_dispatch(["stationary", "--config", str(path),
+                             "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == rc_want, err
+    if word == "maybe":
+        assert "[weight] truncate = maybe is not a boolean" in err
+    elif rc_want == 2:
+        assert "time-truncation flag" in err
+
+
+def _cli_subprocess(args, tmp_path):
+    """concavelab run in a child process that is killed after 120 s, so
+    that a run without end fails the test instead of hanging it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "concavelab.cli", *args,
+                           "--out", str(tmp_path)], env=env, timeout=120,
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("grid", ["dt = 1e-300", "T = 1e300"])
+def test_solve_step_count_is_capped(tmp_path, grid):
+    path = tmp_path / "long.ini"
+    path.write_text(f"[grid]\nh = 0.25\n{grid}\n")
+    proc = _cli_subprocess(["solve", "--config", str(path)], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "dt = " in proc.stderr and "T = " in proc.stderr
+    assert "above the cap" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_step_count_is_capped(tmp_path):
+    proc = _cli_subprocess(["verify", "--scenario", "torsion-square",
+                            "--dt", "1e-300"], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "dt = 1e-300" in proc.stderr and "above the cap" in proc.stderr

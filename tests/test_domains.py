@@ -7,7 +7,7 @@ from concavelab import (build_discretization, convex_polygon, disk,
                         distance_to_boundary, ellipse, inner_region_mask,
                         rectangle, unit_square)
 from concavelab import domains
-from concavelab.domains import _DIRS, boundary_normal
+from concavelab.domains import _DIRS
 from concavelab.errors import NonConvexPolygon
 
 
@@ -57,13 +57,6 @@ def test_ellipse_distance_on_axes():
 def test_rectangle_distance():
     r = rectangle(2.0, 1.0)
     assert distance_to_boundary(r, (1.0, 0.5)) == pytest.approx(0.5)
-
-
-def test_boundary_normal_disk_points_inward():
-    n = boundary_normal(disk(), (1.0, 0.0))
-    assert np.allclose(n, [-1.0, 0.0], atol=1e-8)
-    n = boundary_normal(disk(), (0.0, -1.0))
-    assert np.allclose(n, [0.0, 1.0], atol=1e-8)
 
 
 def test_inner_region_mask_square():

@@ -113,6 +113,110 @@ def test_power_sum_source_values(square16):
     assert np.allclose(b, 2.0 + 4.0 ** 0.6)
 
 
+# the composition b = a(x,t) f(s) before it was one expression: a
+# plain f(s) per kind, and two kinds that mixed the weight in by hand
+def _former_f(src, s):
+    k = src.kind
+    if k == "one":
+        return np.ones_like(s)
+    if k == "power_q":
+        if src.q == 0.0:
+            return np.ones_like(s)
+        return np.where(s > 0, s, 0.0) ** src.q
+    if k == "identity":
+        return s
+    if k == "log_s":
+        out = np.zeros_like(s)
+        pos = s > 0
+        out[pos] = s[pos] * np.log(s[pos])
+        return out
+    if k == "log1p_q":
+        return s * np.log1p(np.maximum(s, 0.0)) ** src.q
+    if k == "saturable_q":
+        sq = np.where(s > 0, s, 0.0) ** src.q
+        return s * sq / (1.0 + sq)
+    if k == "saturable":
+        return s * s / (1.0 + s)
+    if k == "one_minus_s_p":
+        return np.where(s < 1, (1.0 - np.minimum(s, 1.0)) ** src.p, 0.0)
+    raise AssertionError(k)
+
+
+def _former_source_values(problem, dom, s, t):
+    s = np.maximum(np.asarray(s, dtype=float), 0.0)
+    a, src = problem.weight_values(dom, t), problem.source
+    if src.kind == "logistic":
+        return a * s - s * s
+    if src.kind == "power_sum":
+        sp_ = np.where(s > 0, s, 0.0)
+        base_p = sp_ ** src.p if src.p > 0 else np.ones_like(s)
+        base_q = sp_ ** src.q if src.q > 0 else np.ones_like(s)
+        return a * base_p + base_q
+    return a * _former_f(src, s)
+
+
+SOURCES = [SourceTerm("one"), SourceTerm("power_q", q=0.0),
+           SourceTerm("power_q", q=0.5), SourceTerm("identity"),
+           SourceTerm("log_s"), SourceTerm("log1p_q", q=0.0),
+           SourceTerm("log1p_q", q=0.7), SourceTerm("saturable_q", q=0.0),
+           SourceTerm("saturable_q", q=0.6), SourceTerm("saturable"),
+           SourceTerm("logistic"), SourceTerm("one_minus_s_p", p=0.5),
+           SourceTerm("one_minus_s_p", p=0.0)] + [
+    SourceTerm("power_sum", p=p, q=q)
+    for p, q in ((0.5, 0.6), (0.0, 0.6), (0.5, 0.0), (0.0, 0.0))]
+
+WEIGHTS = [Weight("constant", c=1.5),
+           Weight("ramp_bump_perturbed", eps=0.2),
+           Weight("smoothed_bang_bang", a1=1.0, a2=2.0, eta=0.25),
+           Weight("distance_power", c=1.0, gamma=0.5, omega=0.5)]
+
+
+@pytest.mark.parametrize("weight", WEIGHTS, ids=lambda w: w.kind)
+@pytest.mark.parametrize("src", SOURCES,
+                         ids=lambda s: f"{s.kind}-p{s.p:g}-q{s.q:g}")
+def test_source_values_compose_bit_for_bit(square16, src, weight):
+    # a f(s) + g(s) gives the former per-kind formulas' bits, signed
+    # zeros included: a negative weight times f(0) = 0 stays -0.0
+    prob = Problem(domain=unit_square(), weight=weight, source=src,
+                   horizon=1.0, truncate=True)
+    rng = np.random.default_rng(5)
+    s = rng.uniform(0.0, 3.0, square16.n_interior)
+    s[::5], s[1::7], s[2::11] = 0.0, -0.0, -1e-13
+    s[3::13] = 1.0
+    for t in (0.5, math.inf):
+        got = prob.source_values(square16, s, t)
+        want = _former_source_values(prob, square16, s, t)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert (src.g(s) is None) == (src.kind not in ("logistic", "power_sum"))
+
+
+def _former_sup_slope_numeric(source):
+    """The numeric fallback of sup_slope_lambda as it was, with the
+    power_sum quotient written out."""
+    s = np.geomspace(1e-8, 1e8, 20001)
+
+    def fbar(v):
+        if source.kind == "power_sum":
+            return (v ** source.p + v ** source.q) / v
+        return _former_f(source, v) / v
+
+    ds = s * 1e-6
+    slope = s * (fbar(s + ds) - fbar(np.maximum(s - ds, 1e-12))) \
+        / (ds + np.minimum(s - 1e-12, ds))
+    val = float(np.nanmax(slope))
+    return val * 1.01 if val > 0 else val * 0.99
+
+
+@pytest.mark.parametrize("src", [
+    SourceTerm("power_sum", p=0.5, q=0.6), SourceTerm("power_sum", p=0.0,
+                                                      q=0.3),
+    SourceTerm("log1p_q", q=0.5), SourceTerm("log1p_q", q=0.0)],
+    ids=lambda s: f"{s.kind}-p{s.p:g}-q{s.q:g}")
+def test_sup_slope_lambda_fallback_bit_for_bit(src):
+    assert sup_slope_lambda(src) == _former_sup_slope_numeric(src)
+
+
 def test_hypotheses_torsion(square16):
     p = Problem(domain=unit_square(), weight=Weight(kind="constant", c=1.0),
                 source=SourceTerm(kind="one"))

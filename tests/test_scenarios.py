@@ -57,12 +57,54 @@ def test_alpha_gate_yields_not_applicable():
     assert not rep.assertions
 
 
-def test_strong_convexity_warning():
-    scn = get_scenario("eigen-square")
-    assert scn.needs_strong_convexity
+#: catalog entries whose log audits (alpha = 0) ask for a strongly
+#: convex domain, on the square
+NEEDS_STRONG_CONVEXITY = {
+    "eigen-square", "saturable-square", "logistic-square", "log-square",
+    "eigen-dist-square", "ramp-eigen-eps05", "ramp-eigen-eps1",
+    "ramp-eigen-eps2"}
+
+
+class _Audited(Exception):
+    pass
+
+
+def test_strong_convexity_warning(monkeypatch):
+    # run_scenario derives both rules from the audits: a log audit warns
+    # on a domain that is not strongly convex, and exactly the
+    # space-time audits take tuples at t = inf, from a stationary slice
+    import warnings
+    import concavelab.scenarios as scenarios
     with pytest.warns(UserWarning):
-        rep = run_scenario(scn, h=1.0 / 8.0)
+        rep = run_scenario(get_scenario("eigen-square"), h=1.0 / 8.0)
     assert rep.diagnostics["strong_convexity"] is False
+    seen = []
+
+    def audited(ev, mode, cfg):
+        seen.append((mode, cfg.include_infinity,
+                     ev.traj.stationary is not None))
+        raise _Audited
+
+    monkeypatch.setattr(scenarios, "min_defect", audited)
+    warned = set()
+    for scn in CATALOG.values():
+        for aud in scn.audits:
+            seen.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    run_scenario(dataclasses.replace(scn, audits=(aud,)),
+                                 h=0.25)
+                except _Audited:
+                    pass
+            if any(issubclass(w.category, UserWarning) for w in caught):
+                warned.add(scn.id)
+            if aud.checks == (("quasiconcave",),):
+                assert seen == [], scn.id
+            else:
+                st = aud.mode == "spacetime"
+                assert seen == [(aud.mode, st, st)], scn.id
+    assert warned == NEEDS_STRONG_CONVEXITY
 
 
 def test_report_json_shape():
