@@ -79,8 +79,7 @@ class Evaluator:
         self.dom = traj.dom
         self.alpha = alpha
         self.beta = beta
-        self._grid_time = None
-        self._grid = None
+        self._grid_time = self._grid = None
         self._times = traj.times.tolist()
         self._x0, self._y0 = float(traj.dom.xs[0]), float(traj.dom.ys[0])
 
@@ -175,9 +174,8 @@ def _check_inside(dom: DiscretizedDomain, p):
 
 def concavity_value(ev, tup: Tuple5) -> float:
     """C at a single tuple (times equal => the spatial version C*)."""
-    dom = ev.dom
     for p in (tup.x1, tup.x3, tup.x2):
-        _check_inside(dom, p)
+        _check_inside(ev.dom, p)
     v1 = ev.point_value(*tup.x1, tup.t1)
     v3 = ev.point_value(*tup.x3, tup.t3)
     v2 = ev.point_value(*tup.x2, tup.t2)
@@ -384,13 +382,10 @@ def min_defect(ev, mode: str, cfg: SamplerConfig | None = None,
         return zip(na.tolist(), nb.tolist(), v.tolist())
 
     def golden_lambda(a, b, ta, tb, lm0):
-        lo = max(lm0 - 1 / 16, 1e-6)
-        hi = min(lm0 + 1 / 16, 1 - 1e-6)
+        lo, hi = max(lm0 - 1 / 16, 1e-6), min(lm0 + 1 / 16, 1 - 1e-6)
         phi = (math.sqrt(5) - 1) / 2
-        c1 = hi - phi * (hi - lo)
-        c2 = lo + phi * (hi - lo)
-        f1 = tuple_value(a, b, ta, tb, c1)
-        f2 = tuple_value(a, b, ta, tb, c2)
+        c1, c2 = hi - phi * (hi - lo), lo + phi * (hi - lo)
+        f1, f2 = tuple_value(a, b, ta, tb, c1), tuple_value(a, b, ta, tb, c2)
         for _ in range(25):
             if f1 <= f2:
                 hi, c2, f2 = c2, c1, f1
@@ -460,15 +455,11 @@ def _argmin_gradients(ev, tup: Tuple5, h: float, mode: str):
     ts = [tup.t1, tup.t2, tup.t3]
     grads = []
     dom, pv = ev.dom, ev.point_value
+    lo, hi = [dom.xs[0], dom.ys[0]], [dom.xs[-1], dom.ys[-1]]
     for p, t in zip(pts, ts):
         g = []
-        for axis in range(2):
-            e = np.zeros(2)
-            e[axis] = 0.5 * h
-            pl = np.clip(p - e, [dom.xs[0], dom.ys[0]],
-                         [dom.xs[-1], dom.ys[-1]])
-            pr = np.clip(p + e, [dom.xs[0], dom.ys[0]],
-                         [dom.xs[-1], dom.ys[-1]])
+        for e in 0.5 * h * np.eye(2):
+            pl, pr = np.clip(p - e, lo, hi), np.clip(p + e, lo, hi)
             span = np.linalg.norm(pr - pl)
             if span == 0:
                 g.append(0.0)

@@ -295,9 +295,7 @@ def _cmd_envelope(args) -> int:
 
 
 def _verdict_exit(reports) -> int:
-    if any(r.verdict == "fail" for r in reports):
-        return 1
-    return 0
+    return int(any(r.verdict == "fail" for r in reports))
 
 
 def _cmd_verify(args) -> int:

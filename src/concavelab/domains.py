@@ -9,9 +9,9 @@ rho).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from .errors import NoInteriorNodes, NonConvexPolygon
 
@@ -56,13 +56,7 @@ class DomainSpec:
             return self.radius
         if self.kind == "ellipse":
             return min(self.semi_axes)
-        # polygon: maximize distance-to-boundary starting from the centroid
-        v = np.asarray(self.vertices, dtype=float)
-        c = v.mean(axis=0)
-        res = minimize(lambda p: -distance_to_boundary(self, p), c,
-                       method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12})
-        return float(-res.fun)
+        return _polygon_inradius(np.asarray(self.vertices, dtype=float))
 
 
 def unit_square() -> DomainSpec:
@@ -92,13 +86,10 @@ def convex_polygon(vertices) -> DomainSpec:
     v = np.asarray(vertices, dtype=float)
     if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] != 2:
         raise NonConvexPolygon("need at least 3 planar vertices")
-    n = v.shape[0]
-    crosses = []
-    for i in range(n):
-        e1 = v[(i + 1) % n] - v[i]
-        e2 = v[(i + 2) % n] - v[(i + 1) % n]
-        crosses.append(e1[0] * e2[1] - e1[1] * e2[0])
-    crosses = np.array(crosses)
+    e = np.roll(v, -1, axis=0) - v
+    if not np.all(np.any(e != 0, axis=1)):
+        raise NonConvexPolygon("two consecutive vertices coincide")
+    crosses = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
     if np.any(crosses < -1e-12):
         raise NonConvexPolygon("vertex turn signs are not uniformly "
                                "counterclockwise (tolerance 1e-12)")
@@ -121,28 +112,34 @@ def _rect_signed_distance(w, h, x, y):
     return np.where(inside > 0, inside, -outside)
 
 
-def _segment_distance(p, a, b):
-    """Distance from points p (...,2) to segment [a, b]."""
-    ab = b - a
-    denom = float(ab @ ab)
-    t = np.clip(((p - a) @ ab) / denom, 0.0, 1.0)
-    proj = a + np.multiply.outer(t, ab)
-    return np.linalg.norm(p - proj, axis=-1)
-
-
 def _polygon_signed_distance(verts, p):
-    v = np.asarray(verts, dtype=float)
-    n = v.shape[0]
-    p = np.asarray(p, dtype=float)
-    d = np.full(p.shape[:-1] if p.ndim > 1 else (), np.inf)
-    inside = np.ones_like(d, dtype=bool)
-    for i in range(n):
-        a, b = v[i], v[(i + 1) % n]
-        d = np.minimum(d, _segment_distance(p, a, b))
-        e = b - a
-        cross = e[0] * (p[..., 1] - a[1]) - e[1] * (p[..., 0] - a[0])
-        inside &= cross >= 0
-    return np.where(inside, d, -d)
+    """Least distance from p (..., 2) to an edge segment, negated unless
+    p is on the inner side of every edge (_inside's cross products)."""
+    v, p = np.asarray(verts, dtype=float), np.asarray(p, dtype=float)
+    e = np.roll(v, -1, axis=0) - v
+    rel = p[..., None, :] - v
+    t = np.clip((rel * e).sum(-1) / (e * e).sum(-1), 0.0, 1.0)
+    off = rel - t[..., None] * e
+    d = np.hypot(off[..., 0], off[..., 1]).min(axis=-1)
+    cross = e[:, 0] * rel[..., 1] - e[:, 1] * rel[..., 0]
+    return np.where(np.all(cross >= 0, axis=-1), d, -d)
+
+
+def _polygon_inradius(v):
+    """Inradius: the Chebyshev centre (p, r) of the half-planes n . p >=
+    c (n the inward unit normals) is r from three edge lines, so it is
+    the largest r of an edge triple's solution that is r from every
+    line.  O(m^3) in m edges."""
+    e = np.roll(v, -1, axis=0) - v
+    n = np.column_stack([-e[:, 1], e[:, 0]]) / np.hypot(*e.T)[:, None]
+    c = (n * v).sum(axis=1)
+    tri = np.array(list(combinations(range(len(v)), 3)))
+    A = np.concatenate([n[tri], -np.ones(tri.shape + (1,))], axis=-1)
+    regular = np.abs(np.linalg.det(A)) > 1e-12
+    sol = np.linalg.solve(A[regular], c[tri[regular], None])[..., 0]
+    slack = sol[:, :2] @ n.T - c - sol[:, 2:]
+    feasible = np.all(slack >= -1e-12 * np.abs(v).max(), axis=1)
+    return float(sol[feasible, 2].max())
 
 
 # points per block of the ellipse bracket scan: 256 x 257 doubles keep
@@ -153,8 +150,8 @@ _ELLIPSE_BLOCK = 256
 def _ellipse_g(t, a, b, px, py):
     """Critical-angle function of the squared distance from (px, py) to
     the ellipse point (a cos t, b sin t)."""
-    return ((a * a - b * b) * np.cos(t) * np.sin(t)
-            - px * a * np.sin(t) + py * b * np.cos(t))
+    c, s = np.cos(t), np.sin(t)
+    return (a * a - b * b) * c * s - px * a * s + py * b * c
 
 
 def _ellipse_boundary_distance(a, b, px, py):
@@ -163,9 +160,11 @@ def _ellipse_boundary_distance(a, b, px, py):
 
     Works in the first quadrant by symmetry.  A 257-point scan of
     _ellipse_g over [0, pi/2], one array per block of points, brackets
-    the critical angles; a scalar root solve (abs tol 1e-12) refines
-    each bracket.  The distance is the least over the end angles, the
-    exact zeros of the scan and the roots.
+    the critical angles; 60 halvings of all brackets of a block at once,
+    on the sign of _ellipse_g, shrink each to 2^-60 of its width.  The
+    distance is the least over the end angles, the exact zeros of the
+    scan and the bisected angles.  Every step is elementwise, so a
+    point's distance does not depend on the block it falls in.
     """
     px, py = np.abs(px), np.abs(py)
     ts = np.linspace(0.0, 0.5 * np.pi, 257)
@@ -175,32 +174,44 @@ def _ellipse_boundary_distance(a, b, px, py):
 
     out = np.minimum(dist(0.0, px, py), dist(0.5 * np.pi, px, py))
     for start in range(0, px.size, _ELLIPSE_BLOCK):
-        gs = _ellipse_g(ts, a, b, px[start:start + _ELLIPSE_BLOCK, None],
-                        py[start:start + _ELLIPSE_BLOCK, None])
+        x = px[start:start + _ELLIPSE_BLOCK]
+        y = py[start:start + _ELLIPSE_BLOCK]
+        gs = _ellipse_g(ts, a, b, x[:, None], y[:, None])
         zero = gs[:, :-1] == 0.0
-        for r, i in zip(*np.nonzero(zero | (gs[:, :-1] * gs[:, 1:] < 0))):
-            k = start + r
-            t = ts[i] if zero[r, i] else brentq(
-                _ellipse_g, ts[i], ts[i + 1],
-                args=(a, b, float(px[k]), float(py[k])), xtol=1e-12)
-            out[k] = min(out[k], dist(t, px[k], py[k]))
+        r, i = np.nonzero(zero | (gs[:, :-1] * gs[:, 1:] < 0))
+        x, y, g_lo, lo, hi = x[r], y[r], gs[r, i], ts[i], ts[i + 1]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            up = _ellipse_g(mid, a, b, x, y) * g_lo > 0
+            lo = np.where(up, mid, lo)
+            hi = np.where(up, hi, mid)
+        t = np.where(zero[r, i], ts[i], 0.5 * (lo + hi))
+        np.minimum.at(out, start + r, dist(t, x, y))
     return out
 
 
 def _inside(spec: DomainSpec, pts) -> np.ndarray:
     """Strict-interior predicate on an (n, 2) array of points: the sign
-    rule of distance_to_boundary, without the ellipse root solve."""
+    rule of distance_to_boundary, without the distances for the ellipse
+    (implicit equation) and the polygon (every edge's half-plane)."""
     if spec.kind == "ellipse":
         a, b = spec.semi_axes
         return (pts[:, 0] / a) ** 2 + (pts[:, 1] / b) ** 2 < 1.0
+    if spec.kind == "convex_polygon":
+        v = np.asarray(spec.vertices, dtype=float)
+        e, rel = np.roll(v, -1, axis=0) - v, pts[:, None, :] - v
+        return np.all(e[:, 0] * rel[..., 1] - e[:, 1] * rel[..., 0] > 0, 1)
     return distance_to_boundary(spec, pts) > 0
 
 
 def distance_to_boundary(spec: DomainSpec, x) -> float:
     """Signed distance to the domain boundary, positive inside.
 
-    Exact for square/rectangle/disk/polygon; for the ellipse a
-    one-dimensional root solve with absolute tolerance 1e-10.
+    Exact up to rounding for square/rectangle/disk/polygon.  For the
+    ellipse, bisection narrows each critical angle to 2^-60 of the
+    pi/512 scan step, so the distance is that of the nearest boundary
+    point up to rounding; the tests hold it within 1e-12 of a
+    dense-angle reference.
     Accepts a single point (returns float) or an (...,2) array.
     """
     p = np.asarray(x, dtype=float)
@@ -214,8 +225,7 @@ def distance_to_boundary(spec: DomainSpec, x) -> float:
         a, b = spec.semi_axes
         flat = p.reshape(-1, 2)
         dd = _ellipse_boundary_distance(a, b, flat[:, 0], flat[:, 1])
-        d = np.where(_inside(spec, flat), dd, -dd)
-        d = d.reshape(p.shape[:-1])
+        d = np.where(_inside(spec, flat), dd, -dd).reshape(p.shape[:-1])
     elif spec.kind == "convex_polygon":
         d = _polygon_signed_distance(spec.vertices, p)
     else:
@@ -310,9 +320,7 @@ def build_discretization(spec: DomainSpec, h: float) -> DiscretizedDomain:
     ny = int(np.ceil((y1 - y0) / h - 1e-12)) + 1
     xs = x0 + h * np.arange(nx)
     ys = y0 + h * np.arange(ny)
-    X, Y = np.meshgrid(xs, ys)
-    pts = np.stack([X, Y], axis=-1)
-    dist = distance_to_boundary(spec, pts)
+    dist = distance_to_boundary(spec, np.stack(np.meshgrid(xs, ys), -1))
 
     interior = dist > 0
     if not interior.any():

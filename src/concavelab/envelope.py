@@ -54,8 +54,7 @@ def _upper_envelope_1d(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             else:
                 break
         hull.append(i)
-    hx, hy = xs[hull], ys[hull]
-    env_sorted = np.interp(xs, hx, hy)
+    env_sorted = np.interp(xs, xs[hull], ys[hull])
     env = np.empty_like(env_sorted)
     env[order] = env_sorted
     return env

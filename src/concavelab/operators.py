@@ -173,11 +173,10 @@ def neg_laplacian_matrix(dom: DiscretizedDomain) -> sp.csr_matrix:
             rows.append(np.nonzero(keep)[0])
             cols.append(nb[keep])
             vals.append((-2.0 / (t * (tp + tm) * h2))[keep])
-    A = sp.csr_matrix((np.concatenate([diag] + vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(N, N))
-    dom._cache["neg_lap"] = A.tocsr()
-    return dom._cache["neg_lap"]
+    A = dom._cache["neg_lap"] = sp.csr_matrix(
+        (np.concatenate([diag] + vals),
+         (np.concatenate(rows), np.concatenate(cols))), shape=(N, N))
+    return A
 
 
 # ---------------------------------------------------------------------------

@@ -232,15 +232,31 @@ def dump_field_binary(f: Field, path) -> None:
 
 
 def load_field_csv(dom: DiscretizedDomain, path, time=None) -> Field:
-    """Read a dump_field_csv file back onto dom (see _rows_to_field);
-    ValueError also if the file is blank."""
+    """Read a dump_field_csv file back onto dom (see _rows_to_field).
+    The header names the columns x, y and value once each, in any order,
+    and every later line that is not blank is a row of three numbers;
+    ValueError naming the file (and the row) if not, or if it is blank."""
     with open(path) as fh:
-        lines = fh.readlines()
-    if not any(line.strip() for line in lines):
+        lines = [line for line in fh.read().splitlines() if line.strip()]
+    if not lines:
         raise ValueError(f"{path}: empty file, expected an x,y,value "
                          f"header and one row per interior node")
-    d = np.atleast_1d(np.genfromtxt(lines, delimiter=",", names=True))
-    return _rows_to_field(dom, path, d["x"], d["y"], d["value"], time)
+    names = [name.strip() for name in lines[0].split(",")]
+    if sorted(names) != ["value", "x", "y"]:
+        raise ValueError(f"{path}: header {lines[0]!r} does not name the "
+                         f"columns x, y and value once each")
+    data = np.empty((len(lines) - 1, 3))
+    for r, row in enumerate(lines[1:], 1):
+        fields = row.split(",")
+        try:
+            if len(fields) != 3:
+                raise ValueError
+            data[r - 1] = [float(x) for x in fields]
+        except ValueError:
+            raise ValueError(f"{path}: row {r} {row!r} is not three "
+                             f"comma-separated numbers") from None
+    cols = [names.index(name) for name in ("x", "y", "value")]
+    return _rows_to_field(dom, path, *data[:, cols].T, time)
 
 
 def load_field_binary(dom: DiscretizedDomain, path, time=None) -> Field:
@@ -264,9 +280,18 @@ def load_field_binary(dom: DiscretizedDomain, path, time=None) -> Field:
 def _rows_to_field(dom: DiscretizedDomain, path, x, y, values,
                    time) -> Field:
     """Field from dump rows, each on the node round((x - xs[0]) / h),
-    round((y - ys[0]) / h); ValueError naming the file if a row lies
-    over 1e-9*h off it or on a non-interior node, if two rows share a
-    node, or if an interior node has no row."""
+    round((y - ys[0]) / h); ValueError naming the file and the first
+    bad row if a row holds a non-finite number, lies over 1e-9*h off its
+    node or on a non-interior node, or repeats a node, and naming the
+    file if an interior node has no row."""
+    def reject(bad, what):
+        if bad.any():
+            r = int(np.argmax(bad))
+            raise ValueError(f"{path}: row {r + 1} at ({x[r]!r}, {y[r]!r}) "
+                             f"{what}")
+
+    reject(~(np.isfinite(x) & np.isfinite(y) & np.isfinite(values)),
+           "holds a non-finite number")
     h = dom.h
     fx = np.rint((x - dom.xs[0]) / h)
     fy = np.rint((y - dom.ys[0]) / h)
@@ -277,13 +302,9 @@ def _rows_to_field(dom: DiscretizedDomain, path, x, y, values,
     k = np.full(x.size, -1)
     k[on] = dom.index_of[fy[on].astype(int), fx[on].astype(int)]
     counts = np.bincount(k[k >= 0], minlength=dom.n_interior)
-    for bad, what in ((~near, "lies more than 1e-9*h off a grid node"),
-                      (k < 0, "is not on an interior node"),
-                      (counts[k] > 1, "repeats an interior node")):
-        if bad.any():
-            r = int(np.argmax(bad))
-            raise ValueError(f"{path}: row {r + 1} at ({x[r]!r}, {y[r]!r}) "
-                             f"{what}")
+    reject(~near, "lies more than 1e-9*h off a grid node")
+    reject(k < 0, "is not on an interior node")
+    reject(counts[k] > 1, "repeats an interior node")
     if np.any(counts == 0):
         raise ValueError(f"{path}: {int(np.sum(counts == 0))} interior "
                          f"node(s) have no row")

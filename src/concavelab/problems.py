@@ -364,7 +364,6 @@ def sup_slope_lambda(source: SourceTerm) -> float:
     def fbar(v):
         return source.compose(1.0, v) / v
 
-    fb = fbar(s)
     ds = s * 1e-6
     slope = s * (fbar(s + ds) - fbar(np.maximum(s - ds, 1e-12))) \
         / (ds + np.minimum(s - 1e-12, ds))

@@ -249,10 +249,8 @@ def build_problem(scn: Scenario, eig=None,
 
 def hopf_margin(dom, values) -> float:
     """Min inward difference quotient at boundary-adjacent nodes."""
-    idx = dom.index_of
     iy, ix = dom.interior_idx[:, 0], dom.interior_idx[:, 1]
-    interior = np.zeros(idx.shape, dtype=bool)
-    interior[iy, ix] = True
+    interior = dom.index_of >= 0
     pad = np.pad(interior, 1, constant_values=False)
     nbhd = (pad[:-2, 1:-1] & pad[2:, 1:-1] & pad[1:-1, :-2] & pad[1:-1, 2:])
     adjacent = interior & ~nbhd
@@ -290,11 +288,9 @@ def _inner_region(problem, dom, rep):
     """Mask of the interior nodes deeper than rho, the boundary distance
     of the nearer endpoint of the audit report's argmin (at least 2h);
     None when no interior node lies that deep."""
-    d1 = float(distance_to_boundary(problem.domain,
-                                    np.asarray(rep.argmin.x1)))
-    d3 = float(distance_to_boundary(problem.domain,
-                                    np.asarray(rep.argmin.x3)))
-    rho = max(min(d1, d3), 2 * dom.h)
+    d = distance_to_boundary(problem.domain,
+                             np.array([rep.argmin.x1, rep.argmin.x3]))
+    rho = max(float(d.min()), 2 * dom.h)
     mask = inner_region_mask(dom, rho)
     return mask if mask.any() else None
 
@@ -412,12 +408,9 @@ def run_scenario(scn: Scenario, h: float = 1.0 / 64.0,
 
     for aud in scn.audits:
         if aud.checks == (("quasiconcave",),):
-            worst = 0.0
-            for k in range(0, len(traj.fields), 3):
-                if traj.times[k] <= 0:
-                    continue
-                worst = max(worst, quasiconcavity_defect(
-                    Field(dom, traj.fields[k], traj.times[k])))
+            worst = max([0.0] + [quasiconcavity_defect(
+                Field(dom, traj.fields[k], traj.times[k]))
+                for k in range(0, len(traj.fields), 3) if traj.times[k] > 0])
             report.add_assertion("quasiconcave_snapshots",
                                  worst <= 0.0, -worst, -1e-12)
             continue

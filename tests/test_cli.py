@@ -353,6 +353,23 @@ def test_audit_of_empty_field_is_usage_error(tmp_path, config_file,
     assert "empty.csv: empty file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["abc", "", "nan"])
+def test_audit_of_bad_csv_value_is_usage_error(tmp_path, config_file,
+                                               capsys, value):
+    grid = ("--config", str(config_file), "--out", str(tmp_path))
+    assert parse_and_dispatch(["stationary", *grid, "--format", "csv"]) == 0
+    field = tmp_path / "stationary.csv"
+    lines = field.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + "," + value
+    field.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = parse_and_dispatch(["audit", *grid, "--field", str(field)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{field}: row 2 " in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["props", "--h", "0.1"],
     ["verify", "--sc", "torsion-square"],

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +13,7 @@ from concavelab import (build_discretization, convex_polygon, disk,
                         rectangle, unit_square)
 from concavelab import domains
 from concavelab.domains import _DIRS
-from concavelab.errors import NonConvexPolygon
+from concavelab.errors import NoInteriorNodes, NonConvexPolygon
 
 
 def test_unit_square_node_counts():
@@ -81,6 +86,13 @@ def test_convex_polygon_rejects_nonconvex():
         convex_polygon(verts)
 
 
+def test_convex_polygon_rejects_repeated_vertex():
+    # a repeated vertex makes a zero-length edge, whose distance was NaN:
+    # the build then found no interior node
+    with pytest.raises(NonConvexPolygon, match="coincide"):
+        convex_polygon([(0, 0), (1, 0), (1, 0), (1, 1), (0, 1)])
+
+
 def test_convex_polygon_triangle_builds():
     spec = convex_polygon([(0, 0), (1, 0), (0.5, 1.0)])
     dom = build_discretization(spec, 0.05)
@@ -105,6 +117,83 @@ def test_ellipse_distance_independent_of_scan_blocks(monkeypatch):
     assert np.array_equal(distance_to_boundary(e, pts), whole)
     single = [distance_to_boundary(e, p) for p in pts[:20]]
     assert np.array_equal(single, whole[:20])
+
+
+def test_import_leaves_scipy_optimize_out():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, concavelab; "
+         "print(sorted(m for m in sys.modules if m.startswith("
+         "'scipy.optimize')))"], env=env, capture_output=True, text=True,
+        check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
+_HEXAGON = [(np.cos(t), np.sin(t)) for t in np.arange(6) * np.pi / 3]
+
+
+@pytest.mark.parametrize("vertices, want", [
+    ([(0, 0), (1, 0), (1, 1), (0, 1)], 0.5),
+    ([(0, 0), (2, 0), (2, 1), (0, 1)], 0.5),
+    (_HEXAGON, np.sqrt(3) / 2),
+    ([(0, 0), (4, 0), (0, 3)], 1.0),
+    # a collinear middle vertex adds a parallel edge line
+    ([(0, 0), (2, 0), (4, 0), (0, 3)], 1.0),
+])
+def test_polygon_inradius_exact(vertices, want):
+    spec = convex_polygon(vertices)
+    assert spec.inradius == pytest.approx(want, rel=1e-14, abs=0)
+    # translating the polygon moves the centre, not the radius
+    moved = convex_polygon(np.asarray(vertices, dtype=float) + [3.0, -2.0])
+    assert moved.inradius == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def test_polygon_h_above_inradius_has_no_interior_nodes():
+    spec = convex_polygon([(0, 0), (4, 0), (0, 3)])  # inradius 1
+    with pytest.raises(NoInteriorNodes, match="inradius"):
+        build_discretization(spec, 1.0 + 1e-9)
+    assert build_discretization(spec, 1.0 - 1e-9).n_interior > 0
+
+
+def _dense_ellipse_distance(a, b, p):
+    """|p - (a cos t, b sin t)| minimised over 4,001 angles, then a
+    golden-section search around every local minimum of that scan."""
+    ts = np.linspace(0.0, 2 * np.pi, 4001)[:-1]
+    step = ts[1]
+
+    def dist(t):
+        return np.hypot(p[0] - a * np.cos(t), p[1] - b * np.sin(t))
+
+    d = dist(ts)
+    lo_min = (d <= np.roll(d, 1)) & (d <= np.roll(d, -1))
+    lo, hi = ts[lo_min] - step, ts[lo_min] + step
+    r = (np.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(120):
+        m1, m2 = hi - r * (hi - lo), lo + r * (hi - lo)
+        left = dist(m1) <= dist(m2)
+        hi = np.where(left, m2, hi)
+        lo = np.where(left, lo, m1)
+    return min(d.min(), dist(0.5 * (lo + hi)).min())
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 0.5), (0.6, 1.3), (2.0, 0.3),
+                                  (1.1, 1.0)])
+def test_ellipse_distance_matches_dense_reference(a, b):
+    rng = np.random.default_rng(17)
+    t = rng.uniform(0, 2 * np.pi, 12)
+    rho = np.concatenate([rng.uniform(0.0, 0.98, 6), rng.uniform(1.02, 2, 6)])
+    pts = np.concatenate([
+        np.column_stack([rho * a * np.cos(t), rho * b * np.sin(t)]),
+        # on the axes, inside and outside, and the centre
+        [[0.3 * a, 0.0], [-0.9 * a, 0.0], [1.5 * a, 0.0], [0.0, 0.5 * b],
+         [0.0, -1.7 * b], [0.0, 0.0]]])
+    d = distance_to_boundary(ellipse(a, b), pts)
+    inside = (pts[:, 0] / a) ** 2 + (pts[:, 1] / b) ** 2 < 1
+    assert np.array_equal(d > 0, inside)
+    ref = np.array([_dense_ellipse_distance(a, b, p) for p in pts])
+    assert np.max(np.abs(np.abs(d) - ref)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,55 @@ def test_load_csv_rejects_empty_file(square16, tmp_path, text):
         load_field_csv(square16, path)
 
 
+@pytest.mark.parametrize("value", ["abc", "", "nan", "inf", "-inf",
+                                   "0x10"])
+def test_load_csv_rejects_bad_value(square16, tmp_path, value):
+    # genfromtxt read each of these as NaN or inf without an error
+    path, lines = _dumped_rows(square16, tmp_path)
+    x, y, _ = lines[3].split(",")
+    lines[3] = f"{x},{y},{value}"
+    with pytest.raises(ValueError, match=r"f\.csv: row 3 "):
+        _load_rows(square16, path, lines)
+
+
+@pytest.mark.parametrize("row", ["0.125,0.125", "0.125,0.125,1.0,2.0",
+                                 "0.125;0.125;1.0"])
+def test_load_csv_rejects_wrong_column_count(square16, tmp_path, row):
+    path, lines = _dumped_rows(square16, tmp_path)
+    lines[4] = row
+    with pytest.raises(ValueError, match="f.csv: row 4 .* not three"):
+        _load_rows(square16, path, lines)
+
+
+@pytest.mark.parametrize("header", ["x,y", "x,y,val", "x,x,value",
+                                    "x,y,value,w"])
+def test_load_csv_rejects_bad_header(square16, tmp_path, header):
+    path, lines = _dumped_rows(square16, tmp_path)
+    with pytest.raises(ValueError, match="f.csv: header"):
+        _load_rows(square16, path, [header] + lines[1:])
+
+
+def test_load_csv_maps_columns_by_name(square16, tmp_path):
+    path, lines = _dumped_rows(square16, tmp_path)
+    rows = [row.split(",") for row in lines[1:]]
+    swapped = ["value,x,y"] + [f"{v},{x},{y}" for x, y, v in rows]
+    g = _load_rows(square16, path, swapped)
+    assert np.array_equal(g.values, np.arange(square16.n_interior))
+
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_load_binary_rejects_non_finite_number(square16, tmp_path, column,
+                                               bad):
+    path = tmp_path / "f.bin"
+    dump_field_binary(Field(square16, np.zeros(square16.n_interior)), path)
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<d", data, 32 + 24 * 6 + 8 * column, bad)
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="f.bin: row 7 .* non-finite"):
+        load_field_binary(square16, path)
+
+
 def test_field_dump_binary_header(square16, tmp_path):
     f = Field(square16, np.zeros(square16.n_interior), 0.5)
     path = tmp_path / "f.bin"
