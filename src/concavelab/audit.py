@@ -248,13 +248,15 @@ class DefectReport:
 
 def _second_difference_scale(ev, times) -> float:
     """Max undivided second difference of the transformed field over the
-    audited slices, both axes (h^2 * |discrete second derivative|)."""
-    dom = ev.dom
+    audited slices, both axes (h^2 * |discrete second derivative|), at
+    the nodes whose two neighbours on the axis are interior."""
+    nb = ev.dom.neighbours
     worst = 0.0
     for t in times:
-        g = Field(dom, ev.node_values(t)).to_grid(fill=np.nan)
-        for d2 in (g[1:-1, :-2] - 2 * g[1:-1, 1:-1] + g[1:-1, 2:],
-                   g[:-2, 1:-1] - 2 * g[1:-1, 1:-1] + g[2:, 1:-1]):
+        v = ev.node_values(t)
+        for lo, hi in ((1, 0), (3, 2)):  # (W, E) and (S, N)
+            k = np.flatnonzero((nb[:, lo] >= 0) & (nb[:, hi] >= 0))
+            d2 = v[nb[k, lo]] - 2 * v[k] + v[nb[k, hi]]
             finite = np.isfinite(d2)
             if finite.any():
                 worst = max(worst, float(np.max(np.abs(d2[finite]))))
@@ -283,20 +285,6 @@ def _default_times(ev, cfg):
 _SCAN_NODES = 240
 #: stage-1 minima that stage 2 refines
 _REFINE_CANDIDATES = 32
-#: the stage-2 lattice moves (diy, dix), in the order they are tried
-_MOVES = ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (1, -1), (-1, 1),
-          (-1, -1))
-
-
-def _neighbour_table(dom: DiscretizedDomain) -> np.ndarray:
-    """(N, 9) interior ordinals: each node, then its neighbours along
-    _MOVES, with -1 where a neighbour is not an interior node."""
-    pad = np.pad(dom.index_of, 1, constant_values=-1)
-    iy, ix = dom.interior_idx[:, 0] + 1, dom.interior_idx[:, 1] + 1
-    return np.column_stack([pad[iy + dy, ix + dx]
-                            for dy, dx in ((0, 0),) + _MOVES])
-
-
 def _scan_nodes(dom: DiscretizedDomain, max_nodes: int) -> np.ndarray:
     """Interior nodes on every k-th row and column of the grid, with the
     stride k = ceil(sqrt(N / max_nodes)) (all nodes when N <= max_nodes).
@@ -367,7 +355,8 @@ def min_defect(ev, mode: str, cfg: SamplerConfig | None = None,
                 - lm * float(nodes_at(tb)[b])
                 - (1 - lm) * float(nodes_at(ta)[a]))
 
-    nbr = _neighbour_table(dom)
+    # each node, then its neighbours in the order the moves are tried
+    nbr = np.column_stack([np.arange(dom.n_interior), dom.neighbours])
 
     def move_values(a, b, ta, tb, lm):
         """Node pairs of the spatial moves from (a, b), in the order

@@ -237,6 +237,13 @@ def distance_to_boundary(spec: DomainSpec, x) -> float:
 # discretization
 # ---------------------------------------------------------------------------
 
+#: the grid moves (diy, dix) of DiscretizedDomain.neighbours' columns:
+#: E, W, N, S (the columns of fractions), then the diagonals; the
+#: audit's stage 2 tries them in this order, so it decides ties
+MOVES = np.array([[0, 1], [0, -1], [1, 0], [-1, 0], [1, 1], [1, -1],
+                  [-1, 1], [-1, -1]])
+
+
 @dataclass
 class DiscretizedDomain:
     """Uniform grid over a domain's bounding box and its interior nodes.
@@ -246,41 +253,36 @@ class DiscretizedDomain:
     spec : DomainSpec
     h : grid spacing
     xs, ys : node coordinate axes
-    dist : (ny, nx) signed distance field
     interior_idx : (N, 2) array of (iy, ix) indices of interior nodes
     index_of : (ny, nx) map to the interior ordinal, -1 elsewhere
+    interior_points : (N, 2) coordinates of the interior nodes
+    interior_distances : (N,) their signed distances to the boundary
+    neighbours : (N, 8) interior ordinals of each node's neighbours
+        along MOVES, -1 where the neighbour is not interior; every grid
+        adjacency (cut edges, stencil, Hopf nodes, audit moves and
+        second differences) is read from it
     fractions : (N, 4) cut-cell fractions theta in (0, 1] for the
         E, W, N, S neighbor directions (1 when the neighbor is interior),
         found by one array bisection over all cut edges
+
+    The three (N, ...) node arrays are read-only.
     """
 
     spec: DomainSpec
     h: float
     xs: np.ndarray
     ys: np.ndarray
-    dist: np.ndarray
     interior_idx: np.ndarray
     index_of: np.ndarray
+    interior_points: np.ndarray
+    interior_distances: np.ndarray
+    neighbours: np.ndarray
     fractions: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_interior(self) -> int:
         return self.interior_idx.shape[0]
-
-    @property
-    def interior_points(self) -> np.ndarray:
-        """(N, 2) coordinates of the interior nodes."""
-        iy, ix = self.interior_idx[:, 0], self.interior_idx[:, 1]
-        return np.column_stack([self.xs[ix], self.ys[iy]])
-
-    @property
-    def interior_distances(self) -> np.ndarray:
-        iy, ix = self.interior_idx[:, 0], self.interior_idx[:, 1]
-        return self.dist[iy, ix]
-
-
-_DIRS = np.array([[0, 1], [0, -1], [1, 0], [-1, 0]])  # E, W, N, S as (diy,dix)
 
 
 def _cut_fractions(spec: DomainSpec, p, d, h) -> np.ndarray:
@@ -305,7 +307,8 @@ def _cut_fractions(spec: DomainSpec, p, d, h) -> np.ndarray:
 
 
 def build_discretization(spec: DomainSpec, h: float) -> DiscretizedDomain:
-    """Uniform-grid discretization with cut-cell boundary fractions.
+    """Uniform-grid discretization with its neighbour table and cut-cell
+    boundary fractions.
 
     Every (interior node, direction) pair whose neighbor is not interior
     (or off the grid) gets its fraction from one array bisection over
@@ -327,20 +330,21 @@ def build_discretization(spec: DomainSpec, h: float) -> DiscretizedDomain:
         raise NoInteriorNodes("no grid node falls strictly inside the domain")
 
     iy, ix = np.nonzero(interior)
-    interior_idx = np.column_stack([iy, ix])
     index_of = np.full((ny, nx), -1, dtype=int)
     index_of[iy, ix] = np.arange(len(iy))
+    neighbours = np.pad(index_of, 1, constant_values=-1)[
+        iy[:, None] + 1 + MOVES[:, 0], ix[:, None] + 1 + MOVES[:, 1]]
 
-    nb_inside = np.pad(interior, 1)[iy[:, None] + 1 + _DIRS[:, 0],
-                                    ix[:, None] + 1 + _DIRS[:, 1]]
-    k, a = np.nonzero(~nb_inside)
+    k, a = np.nonzero(neighbours[:, :4] < 0)
     fractions = np.ones((len(iy), 4))
     fractions[k, a] = _cut_fractions(
-        spec, np.column_stack([xs[ix[k]], ys[iy[k]]]), _DIRS[a, ::-1], h)
+        spec, np.column_stack([xs[ix[k]], ys[iy[k]]]), MOVES[a, ::-1], h)
 
-    return DiscretizedDomain(spec=spec, h=h, xs=xs, ys=ys, dist=dist,
-                             interior_idx=interior_idx, index_of=index_of,
-                             fractions=fractions)
+    nodes = (np.column_stack([xs[ix], ys[iy]]), dist[iy, ix], neighbours)
+    for arr in nodes:
+        arr.flags.writeable = False
+    return DiscretizedDomain(spec, h, xs, ys, np.column_stack([iy, ix]),
+                             index_of, *nodes, fractions)
 
 
 def inner_region_mask(dom: DiscretizedDomain, rho: float) -> np.ndarray:

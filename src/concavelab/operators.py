@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .domains import _DIRS, DiscretizedDomain
+from .domains import DiscretizedDomain
 from .errors import MaxIterations, NoConvergence
 
 
@@ -36,9 +36,9 @@ class Field:
         if self.values.shape != (self.dom.n_interior,):
             raise ValueError("field length must match interior node count")
 
-    def to_grid(self, fill=0.0) -> np.ndarray:
-        """Full (ny, nx) array with `fill` outside the interior."""
-        g = np.full(self.dom.index_of.shape, fill, dtype=float)
+    def to_grid(self) -> np.ndarray:
+        """Full (ny, nx) array, 0 outside the interior."""
+        g = np.zeros(self.dom.index_of.shape)
         iy, ix = self.dom.interior_idx[:, 0], self.dom.interior_idx[:, 1]
         g[iy, ix] = self.values
         return g
@@ -157,8 +157,6 @@ def neg_laplacian_matrix(dom: DiscretizedDomain) -> sp.csr_matrix:
     h2 = dom.h * dom.h
     N = dom.n_interior
     fr = dom.fractions
-    iy, ix = dom.interior_idx[:, 0], dom.interior_idx[:, 1]
-    idx = np.pad(dom.index_of, 1, constant_values=-1)
     rows, cols, vals = [np.arange(N)], [np.arange(N)], []
     # axis pairs: (E, W) are fraction columns (0, 1); (N, S) are (2, 3);
     # the E/W term enters the diagonal first
@@ -167,8 +165,7 @@ def neg_laplacian_matrix(dom: DiscretizedDomain) -> sp.csr_matrix:
         tp, tm = fr[:, a0], fr[:, a1]  # positive direction (E or N)
         diag = diag + 2.0 / (tp * tm * h2)
         for a, t in ((a0, tp), (a1, tm)):
-            diy, dix = _DIRS[a]
-            nb = idx[iy + 1 + diy, ix + 1 + dix]
+            nb = dom.neighbours[:, a]
             keep = (nb >= 0) & (t == 1.0)
             rows.append(np.nonzero(keep)[0])
             cols.append(nb[keep])
@@ -205,8 +202,9 @@ def _solve(dom: DiscretizedDomain, b: np.ndarray, tau=None, shift=None):
             lu = splu(M, permc_spec="NATURAL")
     y = lu.solve(b)
     res, bn = np.linalg.norm(M @ y - b), np.linalg.norm(b)
-    if bn > 0 and res > 1e-8 * bn:
-        raise MaxIterations(f"direct solve residual {res / bn:.3g} > 1e-8")
+    if not res <= 1e-8 * bn:  # also when b holds a NaN or an inf
+        raise MaxIterations(f"direct solve residual {res / bn:.3g} is not "
+                            f"within 1e-8")
     return y if tau is None else y[perm]
 
 

@@ -92,7 +92,7 @@ def seed_from_subsolution(problem: Problem, dom: DiscretizedDomain,
     """Seed field at t0 > 0 from the explicit subsolution, the interior
     barrier C e^{-lam1 t0} t0^{(1+gamma)/(1-q)} phi1; verified a
     posteriori to be a discrete subsolution (w_t - Lap_h w <= b + 1e-8)."""
-    hyp = hyp or check_hypotheses(problem, M=1.0)
+    hyp = hyp or check_hypotheses(problem)
     if not hyp.require("lower_power"):
         raise HypothesisViolated(
             "subsolution seeding needs the certified power lower bound")
@@ -153,21 +153,21 @@ def solve_trajectory(problem: Problem, dom: DiscretizedDomain,
                      eig: EigenPair | None = None) -> Trajectory:
     """Integrate to the horizon, recording the snapshot fields.
 
-    Zero initial data (u0_values None) with a genuinely degenerate
-    source (f(0) = 0 with q > 0) is seeded at grid.t0 from the explicit
-    subsolution; sources with f(0) > 0 start from zero directly.
+    Zero initial data (u0_values None) starts from zero when b(., 0) is
+    positive and finite.  Else (b(., 0) = 0: zero is a solution; inf or
+    NaN: zero has no first step) it is seeded at grid.t0 on the positive
+    branch: from the explicit subsolution when the power lower bound is
+    certified, else from 1e-8 phi1.
     """
     dt = dom.h if dt is None else dt
-    hyp = check_hypotheses(problem, M=1.0)
+    hyp = check_hypotheses(problem)
     times = [0.0]
     fields = [np.zeros(dom.n_interior)]
     if problem.u0_values is not None:
         u = Field(dom, np.array(problem.u0_values, dtype=float), 0.0)
         fields[0] = u.values.copy()
         t = 0.0
-    elif problem.source.kind in ("power_q", "power_sum", "saturable",
-                                 "saturable_q", "identity", "log_s",
-                                 "logistic"):
+    elif not 0.0 < problem.source.compose(1.0, np.zeros(1))[0] < math.inf:
         eig = eig or principal_eigenpair(dom)
         if hyp.require("lower_power"):
             u = seed_from_subsolution(problem, dom, grid.t0, eig, hyp)

@@ -4,7 +4,7 @@ predicates.
 
 Hypothesis flags (True / False / None=undetermined):
 
-* lower_power   -- b(x,s,t) >= k * t^gamma * s^q on (0,M]x(0,T]
+* lower_power   -- b(x,s,t) >= k * t^gamma * s^q on (0,1]x(0,T]
 * lower_power_dist -- same with an extra d_Omega(x)^omega factor
 * lower_power_uniform -- lower_power with a single k valid for every M
 * one_sided_lipschitz -- b nonnegative, measurable in x and
@@ -236,12 +236,10 @@ _NONNEG_SOURCES = ("one", "power_q", "identity", "saturable", "saturable_q",
                    "log1p_q", "one_minus_s_p", "power_sum")
 
 
-def check_hypotheses(problem: Problem, M: float) -> HypothesisReport:
-    """Catalog-rule verdicts for the structural hypotheses, with the
-    constants k, q of a certified power lower bound and the weight's
-    gamma."""
-    if M <= 0:
-        raise ValueError("M must be positive")
+def check_hypotheses(problem: Problem) -> HypothesisReport:
+    """Catalog-rule verdicts for the structural hypotheses on states in
+    (0, 1], with the constants k, q of a certified power lower bound and
+    the weight's gamma."""
     w, src = problem.weight, problem.source
     flags = {name: None for name in FLAG_NAMES}
     consts = {"gamma": w.gamma}
@@ -259,12 +257,8 @@ def check_hypotheses(problem: Problem, M: float) -> HypothesisReport:
     q = src.sublinear_exponent
     if q is not None and m is not None:
         if m > 0:
-            if src.kind == "one_minus_s_p":
-                if M < 1:
-                    flags["lower_power"] = True
-                    consts.update(k=m * (1 - M) ** src.p, q=0.0)
-                else:
-                    flags["lower_power"] = False
+            if src.kind == "one_minus_s_p":  # f(1) = 0
+                flags["lower_power"] = False
                 flags["lower_power_uniform"] = False
             else:
                 flags["lower_power"] = True

@@ -214,6 +214,36 @@ def test_tau_audit_scales_with_h():
     assert taus[1] / taus[2] == pytest.approx(4.0, rel=0.2)
 
 
+def _nan_grid_second_difference_scale(ev, times):
+    """The undivided second differences read off a full grid that holds
+    NaN outside the interior, both axes, ignoring every NaN."""
+    worst = 0.0
+    iy, ix = ev.dom.interior_idx.T
+    for t in times:
+        g = np.full(ev.dom.index_of.shape, np.nan)
+        g[iy, ix] = ev.node_values(t)
+        for d2 in (g[1:-1, :-2] - 2 * g[1:-1, 1:-1] + g[1:-1, 2:],
+                   g[:-2, 1:-1] - 2 * g[1:-1, 1:-1] + g[2:, 1:-1]):
+            if np.isfinite(d2).any():
+                worst = max(worst, float(np.nanmax(np.abs(d2))))
+    return worst
+
+
+@pytest.mark.parametrize("spec", [unit_square(), disk(0.9),
+                                  ellipse(1.1, 0.6),
+                                  convex_polygon([(0, 0), (1.2, 0.1),
+                                                  (0.9, 1.0), (0.1, 0.8)])],
+                         ids=lambda s: s.kind)
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_tau_audit_matches_nan_grid_differences(spec, alpha):
+    dom = build_discretization(spec, 1.0 / 12.0)
+    rng = np.random.default_rng(5)
+    f = Field(dom, rng.uniform(0.1, 1.0, dom.n_interior))
+    ev = FieldEvaluator(f, alpha)
+    assert tau_audit_value(ev, [0.0]) \
+        == 10.0 * _nan_grid_second_difference_scale(ev, [0.0])
+
+
 def test_quasiconcavity_defect(square16):
     concave = field_from_function(square16,
                                   lambda x, y: x * (1 - x) * y * (1 - y))

@@ -225,7 +225,7 @@ def test_barrier_requires_certified_hypothesis():
     from concavelab.parabolic import seed_from_subsolution
     prob = Problem(domain=unit_square(), weight=Weight(kind="constant"),
                    source=SourceTerm(kind="identity"))
-    hyp = check_hypotheses(prob, M=1.0)
+    hyp = check_hypotheses(prob)
     assert not hyp.require("lower_power")
     assert "k" not in hyp.constants
     dom = build_discretization(unit_square(), 0.25)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from concavelab import build_discretization, concave_approximation, unit_square
@@ -562,3 +562,92 @@ def test_verify_step_count_is_capped(tmp_path):
                             "--dt", "1e-300"], tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert "dt = 1e-300" in proc.stderr and "above the cap" in proc.stderr
+
+
+#: a weight whose mollifying band has width 0: a = 0/0 on the midline
+BANG_BANG_ETA0 = """\
+[weight]
+kind = smoothed_bang_bang
+eta = 0
+
+[grid]
+h = 0.25
+T = 0.5
+snapshots = 2
+"""
+
+
+@pytest.mark.parametrize("command", ["solve", "stationary"])
+def test_nan_weight_is_usage_error(tmp_path, capsys, command):
+    # the NaN weight used to pass the solve's residual check, so the
+    # run wrote NaN fields and exited 0
+    config = tmp_path / "eta0.ini"
+    config.write_text(BANG_BANG_ETA0)
+    rc = parse_and_dispatch([command, "--config", str(config),
+                             "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "direct solve residual" in err
+    assert "Traceback" not in err
+
+
+def _dumped_values(out: Path) -> list:
+    """The value column of every binary field dump in out."""
+    return [np.frombuffer(path.read_bytes(), "<f8", offset=32)[2::3]
+            for path in sorted(out.glob("*.bin"))]
+
+
+#: a [weight] or [source] number: absent, a chosen edge value or any
+_NUMBER = st.one_of(st.none(), st.sampled_from([0.0, -1.0, -0.5, 0.5, 1.0,
+                                                2.0]), st.floats(-3.0, 3.0))
+_WEIGHT_KEYS = ("c", "gamma", "omega", "eps", "a1", "a2", "eta", "theta")
+
+
+def _unset(keys, **values):
+    return {key: values.get(key) for key in keys}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@example("solve", "smoothed_bang_bang", _unset(_WEIGHT_KEYS, eta=0.0),
+         "one", _unset("qp"))
+@example("stationary", "smoothed_bang_bang", _unset(_WEIGHT_KEYS, eta=0.0),
+         "one", _unset("qp"))
+@example("solve", "constant", _unset(_WEIGHT_KEYS), "log1p_q",
+         _unset("qp", q=-1.0))
+@given(command=st.sampled_from(["solve", "stationary"]),
+       weight=st.sampled_from(["constant", "separable_power_time",
+                               "distance_power", "ramp_bump_perturbed",
+                               "smoothed_bang_bang"]),
+       weight_values=st.fixed_dictionaries(
+           {key: _NUMBER for key in _WEIGHT_KEYS}),
+       source=st.sampled_from(["one", "power_q", "identity", "log_s",
+                               "log1p_q", "saturable_q", "saturable",
+                               "logistic", "one_minus_s_p", "power_sum"]),
+       source_values=st.fixed_dictionaries({"q": _NUMBER, "p": _NUMBER}))
+def test_weight_and_source_values_exit_cleanly(command, weight,
+                                               weight_values, source,
+                                               source_values):
+    # whatever [weight] and [source] hold at a coarse h, solve and
+    # stationary write finite fields or name what failed
+    text = "[grid]\nh = 0.25\nT = 0.5\nsnapshots = 2\n"
+    for sec, kind, values in (("weight", weight, weight_values),
+                              ("source", source, source_values)):
+        text += f"[{sec}]\nkind = {kind}\n" + "".join(
+            f"{key} = {value!r}\n" for key, value in values.items()
+            if value is not None)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "problem.ini", Path(tmp) / "out"
+        config.write_text(text)
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            rc = parse_and_dispatch([command, "--config", str(config),
+                                     "--out", str(out)])
+        fields = _dumped_values(out)
+    assert rc in (0, 2), text
+    assert "Traceback" not in err.getvalue()
+    if rc == 0:
+        assert len(fields) == (3 if command == "solve" else 1), text
+        assert all(np.all(np.isfinite(v)) for v in fields), text
+    else:
+        assert "error: " in err.getvalue(), text

@@ -12,7 +12,7 @@ from concavelab import (build_discretization, convex_polygon, disk,
                         distance_to_boundary, ellipse, inner_region_mask,
                         rectangle, unit_square)
 from concavelab import domains
-from concavelab.domains import _DIRS
+from concavelab.domains import MOVES
 from concavelab.errors import NoInteriorNodes, NonConvexPolygon
 
 
@@ -196,38 +196,62 @@ def test_ellipse_distance_matches_dense_reference(a, b):
     assert np.max(np.abs(np.abs(d) - ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("spec", [unit_square(), disk(0.8),
+                                  ellipse(1.0, 0.5),
+                                  convex_polygon([(0, 0), (1, 0.2),
+                                                  (0.4, 0.9)])],
+                         ids=lambda s: s.kind)
+def test_neighbours_match_index_map(spec):
+    dom = build_discretization(spec, 1.0 / 10.0)
+    ny, nx = dom.index_of.shape
+    want = np.full((dom.n_interior, 8), -1)
+    for k, (j, i) in enumerate(dom.interior_idx):
+        for c, (diy, dix) in enumerate(MOVES):
+            if 0 <= j + diy < ny and 0 <= i + dix < nx:
+                want[k, c] = dom.index_of[j + diy, i + dix]
+    assert np.array_equal(dom.neighbours, want)
+    j, i = dom.interior_idx.T
+    assert np.array_equal(dom.interior_points,
+                          np.column_stack([dom.xs[i], dom.ys[j]]))
+    assert np.array_equal(dom.interior_distances,
+                          distance_to_boundary(spec, dom.interior_points))
+    for arr in (dom.neighbours, dom.interior_points,
+                dom.interior_distances):
+        assert not arr.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # cut-cell fractions against a scalar reference bisection
 # ---------------------------------------------------------------------------
 
-def _reference_fraction(spec, p, d, h):
-    """One segment p -> p + h*d: 60 halvings on the signed distance."""
-    def f(s):
-        return distance_to_boundary(spec, p + s * h * d)
-
-    lo, hi = 0.0, 1.0
-    if f(1.0) > 0:
-        return 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return max(hi, 1e-12)
-
-
 def _reference_fractions(dom):
+    """Every cut edge p -> p + h*d, found node by node on the grid, gets
+    60 halvings on the signed distance: the bisections of all edges run
+    in lockstep, one distance call per halving."""
     ny, nx = dom.index_of.shape
     out = np.ones((dom.n_interior, 4))
+    cut = []
     for k, (j, i) in enumerate(dom.interior_idx):
-        p = np.array([dom.xs[i], dom.ys[j]])
-        for a, (diy, dix) in enumerate(_DIRS):
+        for a, (diy, dix) in enumerate(MOVES[:4]):
             jj, ii = j + diy, i + dix
-            if 0 <= jj < ny and 0 <= ii < nx and dom.index_of[jj, ii] >= 0:
-                continue
-            out[k, a] = _reference_fraction(
-                dom.spec, p, np.array([dix, diy], dtype=float), dom.h)
+            if not (0 <= jj < ny and 0 <= ii < nx
+                    and dom.index_of[jj, ii] >= 0):
+                cut.append((k, a, dom.xs[i], dom.ys[j], dix, diy))
+    k, a, px, py, dx, dy = np.array(cut).T
+    p, d = np.column_stack([px, py]), np.column_stack([dx, dy])
+
+    def f(s):
+        return distance_to_boundary(dom.spec, p + (s * dom.h)[:, None] * d)
+
+    lo, hi = np.zeros(len(p)), np.ones(len(p))
+    far_inside = f(hi) > 0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        ins = f(mid) > 0
+        lo = np.where(ins, mid, lo)
+        hi = np.where(ins, hi, mid)
+    out[k.astype(int), a.astype(int)] = np.where(far_inside, 1.0,
+                                                 np.maximum(hi, 1e-12))
     return out
 
 

@@ -12,7 +12,8 @@ from concavelab import (Field, Problem, SourceTerm, Weight,
                         field_from_function, make_time_grid, poisson_solve,
                         principal_eigenpair, rectangle, solve_trajectory,
                         unit_square)
-from concavelab.domains import _DIRS
+from concavelab.domains import MOVES
+from concavelab.errors import MaxIterations
 from concavelab.operators import (_PAIR_CHUNK, bilinear_interp,
                                   neg_laplacian_matrix, pair_scan,
                                   solve_shifted_poisson)
@@ -60,6 +61,25 @@ def test_poisson_disk_torsion_center():
     v = poisson_solve(dom, np.ones(dom.n_interior))
     k = int(np.argmin(np.hypot(*dom.interior_points.T)))
     assert v[k] == pytest.approx(0.25, abs=2e-3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_solves_reject_non_finite_rhs(square32, bad):
+    # NaN residuals used to pass the residual check: the solve returned
+    # NaN everywhere and raised nothing
+    rhs = np.ones(square32.n_interior)
+    rhs[7] = bad
+    with pytest.raises(MaxIterations, match="direct solve residual"):
+        poisson_solve(square32, rhs)
+    with pytest.raises(MaxIterations, match="direct solve residual"):
+        solve_shifted_poisson(0.01, Field(square32, rhs))
+
+
+def test_zero_rhs_solves_to_zero(square32):
+    zero = np.zeros(square32.n_interior)
+    assert not np.any(poisson_solve(square32, zero))
+    assert not np.any(solve_shifted_poisson(0.01, Field(square32, zero))
+                      .values)
 
 
 def test_shifted_poisson_residual(square32):
@@ -217,7 +237,7 @@ def _reference_neg_laplacian(dom):
             tm = dom.fractions[k, a1]
             diag[k] += 2.0 / (tp * tm * h2)
             for a, t in ((a0, tp), (a1, tm)):
-                diy, dix = _DIRS[a]
+                diy, dix = MOVES[a]
                 jj, ii = j + diy, i + dix
                 if 0 <= jj < ny and 0 <= ii < nx and idx[jj, ii] >= 0 \
                         and t == 1.0:

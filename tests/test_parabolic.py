@@ -94,6 +94,37 @@ def test_subsolution_seeded_branch_grows(square16):
     assert float(np.max(traj.fields[-1])) > 1e-3
 
 
+def _zero_data_trajectory(dom, source):
+    p = Problem(domain=unit_square(), weight=Weight(kind="constant", c=1.0),
+                source=source, horizon=1.0)
+    return solve_trajectory(p, dom, make_time_grid(p, dom.h, count=4))
+
+
+def test_log1p_source_seeded_from_zero_data(square16):
+    # b(., 0) = 0, so zero data is a solution: the trajectory is seeded
+    traj = _zero_data_trajectory(square16, SourceTerm("log1p_q", q=0.5))
+    assert np.all(traj.fields[-1] > 0)
+
+
+@pytest.mark.parametrize("source", [SourceTerm("power_sum", q=-0.5, p=0.5),
+                                    SourceTerm("log1p_q", q=-1.0)],
+                         ids=lambda s: s.kind)
+def test_source_not_finite_at_zero_is_seeded(square16, source):
+    # b(., 0) is inf or NaN: zero has no first step, so it is seeded too
+    traj = _zero_data_trajectory(square16, source)
+    assert all(np.all(np.isfinite(f)) for f in traj.fields)
+    assert np.all(traj.fields[-1] > 0)
+
+
+def test_power_zero_source_is_the_constant_source(square16):
+    # s^0 = 1 = f(0): the same equation as f = 1, started from zero
+    zero = _zero_data_trajectory(square16, SourceTerm("power_q", q=0.0))
+    one = _zero_data_trajectory(square16, SourceTerm("one"))
+    assert np.array_equal(zero.times, one.times)
+    assert all(np.array_equal(a, b) for a, b in zip(zero.fields,
+                                                     one.fields))
+
+
 def test_seed_is_the_interior_barrier(square16):
     # C e^{-lam1 t0} t0^{(1+gamma)/(1-q)} phi1 with C =
     # ((1-q) k / (1+gamma))^{1/(1-q)}; k = c = 2 lies above 1

@@ -220,18 +220,21 @@ def test_sup_slope_lambda_fallback_bit_for_bit(src):
 def test_hypotheses_torsion(square16):
     p = Problem(domain=unit_square(), weight=Weight(kind="constant", c=1.0),
                 source=SourceTerm(kind="one"))
-    hyp = check_hypotheses(p, M=1.0)
+    hyp = check_hypotheses(p)
     assert hyp.require("lower_power")
     assert hyp.require("one_sided_lipschitz")
     assert hyp.require("time_monotone")
     assert hyp.constants["k"] > 0
 
 
-def test_hypotheses_reject_bad_M(square16):
+def test_hypotheses_one_minus_s_p_has_no_power_bound():
+    # f(s) = (1 - s)^p vanishes at s = 1, the top of the checked states
     p = Problem(domain=unit_square(), weight=Weight(kind="constant", c=1.0),
-                source=SourceTerm(kind="one"))
-    with pytest.raises(ValueError):
-        check_hypotheses(p, M=0.0)
+                source=SourceTerm(kind="one_minus_s_p", p=0.5))
+    hyp = check_hypotheses(p)
+    assert hyp.flags["lower_power"] is False
+    assert hyp.flags["lower_power_uniform"] is False
+    assert "k" not in hyp.constants
 
 
 def test_weight_defect_zero_for_constant(square16):
