@@ -27,9 +27,7 @@ class BoundParams:
     theta modes)."""
     q: float = 0.0
     gamma: float = 0.0
-    beta: float = 1.0
     theta: float = 1.0
-    omega: float = 0.0
     m: float = 1.0
     M: float = 1.0
     sup_norm_u_inf: float = 1.0
@@ -48,8 +46,6 @@ class BoundParams:
     def __post_init__(self):
         if not 0.0 <= self.q < 1.0:
             raise ValueError(f"q must be in [0,1), got {self.q}")
-        if not 1.0 <= self.beta <= 2.0:
-            raise ValueError(f"beta must be in [1,2], got {self.beta}")
         if not (self.theta >= 1.0 or math.isinf(self.theta)):
             raise ValueError(f"theta must be >= 1 or inf, got {self.theta}")
         if self.m > self.M:
@@ -252,26 +248,16 @@ def barrier_constant(k: float, q: float, gamma: float) -> float:
 
 def boundary_lower_bound(params: BoundParams, kind: str,
                          t: float | None = None, eig=None):
-    """Explicit lower barrier near the parabolic boundary.
-
-    interior_t0 returns the barrier value C e^{-lam1 t}
-    t^{(1+gamma)/(1-q)} phi1 at every interior node, with C from k = m;
-    corner kinds return the growth exponent of the corner barrier, whose
-    constant is left to a fit.
-    """
+    """Explicit lower barrier near the parabolic boundary, of the one
+    kind interior_t0: C e^{-lam1 t} t^{(1+gamma)/(1-q)} phi1 at every
+    interior node, with C from k = m."""
+    if kind != "interior_t0":
+        raise ValueError(f"unknown kind {kind!r}")
+    if eig is None or t is None:
+        raise ValueError("interior barrier needs t and the eigenpair")
+    if not 0.0 < t:
+        raise ValueError("the barrier applies for t > 0")
     q, gamma = params.q, params.gamma
-    if kind == "corner":
-        beta = params.beta
-        return (2.0 * beta * (1.0 + gamma)
-                + (2.0 - beta) * (1.0 - q)) / (2.0 * (1.0 - q))
-    if kind == "torsion_corner":
-        return 2.0 + 2.0 * gamma + params.omega
-    if kind == "interior_t0":
-        if eig is None or t is None:
-            raise ValueError("interior barrier needs t and the eigenpair")
-        if not 0.0 < t:
-            raise ValueError("the barrier applies for t > 0")
-        C = barrier_constant(params.m, q, gamma)
-        amp = C * math.exp(-eig.lam * t) * t ** ((1.0 + gamma) / (1.0 - q))
-        return amp * eig.phi.values
-    raise ValueError(f"unknown kind {kind!r}")
+    C = barrier_constant(params.m, q, gamma)
+    return C * math.exp(-eig.lam * t) * t ** ((1.0 + gamma) / (1.0 - q)) \
+        * eig.phi.values

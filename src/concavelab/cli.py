@@ -37,7 +37,7 @@ def _positive(name, kind=float):
     """Parser of a positive finite number, or integer for kind=int."""
     def parse(text):
         try:
-            v = kind(text)
+            v = math.nan if "_" in text else kind(text)  # 1_0 is not 10
             if v > 0 and (kind is int or math.isfinite(v)):
                 return v
         except ValueError:
@@ -52,7 +52,7 @@ def _alpha_arg(text):
     if text == "auto":
         return "auto"
     v = float(text)
-    if not 0.0 <= v <= 1.0:
+    if "_" in text or not 0.0 <= v <= 1.0:
         raise argparse.ArgumentTypeError(
             f"alpha must lie in [0,1] (or 'auto'), got {text}")
     return v
@@ -122,7 +122,7 @@ def _get(cp, sec, key, default):
         v = cp.getboolean(sec, key) if flag else float(text)
     except ValueError:
         v = math.nan
-    if v != default and not math.isfinite(v):
+    if "_" in text or v != default and not math.isfinite(v):
         raise ValueError(f"[{sec}] {key} = {text} is not a "
                          f"{'boolean' if flag else 'finite number'}")
     return v
@@ -294,17 +294,13 @@ def _cmd_envelope(args) -> int:
     return 0 if res.bound_ok else 1
 
 
-def _verdict_exit(reports) -> int:
-    return int(any(r.verdict == "fail" for r in reports))
-
-
 def _cmd_verify(args) -> int:
     scn = get_scenario(args.scenario)
     rep = run_scenario(scn, h=args.h, dt=args.dt, horizon=args.T)
     path = _write(args.out, f"verify_{scn.id}.json", rep.to_json())
     print(f"verify {scn.id}: {rep.verdict} "
           f"({len(rep.assertions)} assertions); report {path}")
-    return _verdict_exit([rep])
+    return int(rep.verdict == "fail")
 
 
 def _cmd_suite(args) -> int:
@@ -320,7 +316,7 @@ def _cmd_suite(args) -> int:
                   json.dumps(merged, sort_keys=True))
     for r in reports:
         print(f"  {r.scenario_id}: {r.verdict} ({r.runtime:.1f}s)")
-    code = _verdict_exit(reports)
+    code = int(any(r.verdict == "fail" for r in reports))
     print(f"suite: {len(reports)} scenarios, exit {code}; report {path}")
     return code
 

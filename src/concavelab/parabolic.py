@@ -249,7 +249,7 @@ def load_field_csv(dom: DiscretizedDomain, path, time=None) -> Field:
     for r, row in enumerate(lines[1:], 1):
         fields = row.split(",")
         try:
-            if len(fields) != 3:
+            if len(fields) != 3 or "_" in row:  # float reads 1_0 as 10
                 raise ValueError
             data[r - 1] = [float(x) for x in fields]
         except ValueError:

@@ -92,7 +92,7 @@ class Weight:
             return np.full_like(fx, self.c)
         if self.kind == "distance_power":
             d = np.maximum(distance_to_boundary(
-                spec, np.stack([fx, fy], axis=-1)), 0.0)
+                spec, np.stack(np.broadcast_arrays(fx, fy), -1)), 0.0)
             return self.c * d ** self.omega
         if self.kind == "ramp_bump_perturbed":
             return 1.0 + self.eps * (fx * fy)
@@ -311,9 +311,10 @@ def _concavity_min(weight: Weight, dom: DiscretizedDomain, theta: float,
                    mask=None, stride: int = 1) -> float:
     """Signed min of the concavity function of weight^theta over the
     pairs i < j of every stride-th interior node (of those in mask) and
-    the 15 interior lambdas of a 17-point grid, by pair_scan; inf for
-    < 2 nodes.  Each factor of the weight is tabulated on its axis by
-    lattice_block, and each pair combines its two entries."""
+    the 15 interior lambdas of a 17-point grid; inf for < 2 nodes.  The
+    weight's factors are tabulated per axis.  Nodes filling a lattice
+    rectangle meet per lambda in broadcast blocks of 2^15 values: (r, a)
+    with (r, b > a), then with the rows s > r; others go by pair_scan."""
     pts, prof = dom.interior_points, weight.spatial_profile(dom)
     if mask is not None:
         pts, prof = pts[mask], prof[mask]
@@ -330,10 +331,27 @@ def _concavity_min(weight: Weight, dom: DiscretizedDomain, theta: float,
 
     lm = np.linspace(0.0, 1.0, 17)[1:-1]
     vals = transform(prof)
-    mins, _, _ = pair_scan(vals, vals, lm, lattice_block(
-        pts, lm, lambda axis, u: (weight.factor(spec, axis, u),),
-        lambda _, fx, fy: transform(weight.combine(spec, fx, fy))))
-    return min([math.inf] + mins.tolist())
+    ux, uy = (np.unique(c) for c in pts.T)  # nodes are numbered by rows
+    if not (ux.size > 1 and len(pts) == ux.size * uy.size):
+        mins, _, _ = pair_scan(vals, vals, lm, lattice_block(
+            pts, lm, lambda axis, u: (weight.factor(spec, axis, u),),
+            lambda _, fx, fy: transform(weight.combine(spec, fx, fy))))
+        return min([math.inf] + mins.tolist())
+    v, (a, b) = vals.reshape(uy.size, ux.size), np.triu_indices(ux.size, 1)
+    rows, worst = max(1, (1 << 15) // ux.size ** 2), math.inf
+    for lam in lm:
+        tx, ty = (weight.factor(spec, k, lam * u + (1 - lam) * u[:, None])
+                  for k, u in enumerate((ux, uy)))
+        lv, mv, d = lam * v, (1 - lam) * v, np.diagonal(ty)[:, None]
+        blocks = [(tx[a, b], d[r:r + rows], lv[r:r + rows, b],
+                   mv[r:r + rows, a]) for r in range(0, uy.size, rows)] + [
+            (tx[:, None], ty[r, s:s + rows, None], lv[s:s + rows],
+             mv[r, :, None, None]) for r in range(uy.size)
+            for s in range(r + 1, uy.size, rows)]
+        worst = min(worst, float(np.min([  # a lambda with a NaN is skipped
+            (transform(weight.combine(spec, fx, fy)) - w3 - w1).min()
+            for fx, fy, w3, w1 in blocks])))
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -176,8 +176,6 @@ def test_bound_params_validation():
     with pytest.raises(ValueError):
         BoundParams(q=1.5)
     with pytest.raises(ValueError):
-        BoundParams(beta=3.0)
-    with pytest.raises(ValueError):
         BoundParams(m=2.0, M=1.0)
 
 
@@ -199,14 +197,6 @@ def test_barrier_constant_worked_value():
     assert barrier_constant(1.0, 0.5, 0.0) == pytest.approx(0.25)
 
 
-def test_corner_exponents():
-    p = BoundParams(q=0.0, gamma=0.0, beta=2.0)
-    # (2 beta (1+gamma) + (2-beta)(1-q)) / (2(1-q)) = 2 for beta=2, q=0
-    assert boundary_lower_bound(p, "corner") == pytest.approx(2.0)
-    p = BoundParams(gamma=0.5, omega=1.0)
-    assert boundary_lower_bound(p, "torsion_corner") == pytest.approx(4.0)
-
-
 def test_interior_barrier_values():
     dom = build_discretization(unit_square(), 1.0 / 16.0)
     eig = principal_eigenpair(dom)
@@ -216,6 +206,8 @@ def test_interior_barrier_values():
     assert np.allclose(vals, amp * eig.phi.values)
     with pytest.raises(ValueError):
         boundary_lower_bound(p, "interior_t0", t=0.0, eig=eig)
+    with pytest.raises(ValueError, match="unknown kind"):
+        boundary_lower_bound(p, "corner")  # a growth exponent, deleted
 
 
 def test_barrier_requires_certified_hypothesis():

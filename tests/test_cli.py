@@ -353,7 +353,7 @@ def test_audit_of_empty_field_is_usage_error(tmp_path, config_file,
     assert "empty.csv: empty file" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["abc", "", "nan"])
+@pytest.mark.parametrize("value", ["abc", "", "nan", " 1_0 "])
 def test_audit_of_bad_csv_value_is_usage_error(tmp_path, config_file,
                                                capsys, value):
     grid = ("--config", str(config_file), "--out", str(tmp_path))
@@ -651,3 +651,121 @@ def test_weight_and_source_values_exit_cleanly(command, weight,
         assert all(np.all(np.isfinite(v)) for v in fields), text
     else:
         assert "error: " in err.getvalue(), text
+
+
+# ---------------------------------------------------------------------------
+# numbers with Python's digit separator
+# ---------------------------------------------------------------------------
+
+def test_digit_separator_in_config_number_is_usage_error(tmp_path, capsys):
+    # float() reads 1_0 as 10, so c = 1_0 used to run with c = 10
+    path = tmp_path / "sep.ini"
+    path.write_text("[weight]\nc = 1_0\n[grid]\nh = 0.25\n")
+    rc = parse_and_dispatch(["stationary", "--config", str(path),
+                             "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "[weight] c = 1_0 is not a finite number" in err
+    assert not (tmp_path / "stationary.bin").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--h", "2_5e-1"), ("--dt", "1_0"),
+                                        ("--T", "0_5"), ("--alpha", "0.2_5")])
+def test_digit_separator_in_flag_is_usage_error(tmp_path, capsys,
+                                                config_file, flag, value):
+    # --h 2_5e-1 used to be read as h = 2.5
+    argv = ["solve", "--config", str(config_file), "--out", str(tmp_path)]
+    if flag == "--alpha":
+        argv = ["audit", *argv[1:], "--field", str(tmp_path / "x.csv")]
+    rc = parse_and_dispatch(argv + [flag, value])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err and value in err
+
+
+def _numeral(lo, hi):
+    """Config text of a number: one in [lo, hi], bare or with spaces
+    around it, or an edge case, or one with a digit separator."""
+    return st.one_of(
+        st.floats(lo, hi).map(repr),
+        st.floats(lo, hi).map(lambda v: f"  {v!r}\t"),
+        st.sampled_from(["0", "-1", "nan", "inf", "x", "", "1e400", "1_0",
+                         "0_5", "2_5e-1", "1__0", "_1", "1_", " 1_0 "]))
+
+
+def _run_quietly(argv):
+    """(exit code, stderr) of parse_and_dispatch(argv)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        rc = parse_and_dispatch(argv)
+    return rc, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@example("audit", "square", {"width": "1_0"}, {"alpha": " 0_5 "})
+@example("envelope", "disk", {"radius": " 1 "}, {"beta": "1_0"})
+@given(command=st.sampled_from(["audit", "envelope"]),
+       kind=st.sampled_from(["square", "disk", "rectangle", "ellipse", "x"]),
+       domain=st.fixed_dictionaries({}, optional={
+           key: _numeral(0.3, 2) for key in ("radius", "width", "height",
+                                             "a", "b")}),
+       audit=st.fixed_dictionaries({}, optional={
+           "mode": st.sampled_from(["space", "spacetime", "x", "1_0"]),
+           "alpha": _numeral(0, 1) | st.just("auto"),
+           "beta": _numeral(1, 2),
+           "include_infinity": st.sampled_from(["no", " off ", "yes", "0",
+                                                "1_0", "0_0", "x"])}))
+def test_domain_and_audit_values_exit_cleanly(command, kind, domain, audit):
+    # whatever [domain] and [audit] hold at a coarse h, stationary and
+    # then audit or envelope of its field exit 0, 1 or 2 and never with
+    # a traceback; a number with a digit separator is never read
+    text = f"[grid]\nh = 0.25\n[domain]\nkind = {kind}\n" + "".join(
+        f"{key} = {value}\n" for key, value in domain.items()) \
+        + "[audit]\n" + "".join(f"{key} = {value}\n"
+                                 for key, value in audit.items())
+    separator = any("_" in value for key, value in (*domain.items(),
+                                                    *audit.items())
+                    if key != "mode")  # [audit] mode is a word
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "fuzz.ini", Path(tmp) / "out"
+        config.write_text(text)
+        rcs = [_run_quietly(["stationary", "--config", str(config),
+                             "--out", str(out), "--format", "csv"]),
+               _run_quietly([command, "--config", str(config), "--out",
+                             str(out), "--field",
+                             str(out / "stationary.csv")])]
+    for rc, err in rcs:
+        assert rc in (0, 1, 2), text
+        assert "Traceback" not in err
+        assert (rc == 2) == ("error: " in err), text
+    if separator:
+        assert rcs[1][0] == 2, text
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@example("torsion-square", " 0_25 ", None, None)
+@example("ramp-eigen-eps05", "0.25", "1_0e-2", " 0.5 ")
+@given(scenario=st.sampled_from(["torsion-square", "lane-emden-disk",
+                                 "eigen-square", "kennington-square",
+                                 "ramp-le-eps05", "ramp-eigen-eps05"]),
+       h=st.sampled_from(["0.25", " 0.25 ", "2.5e-1", "0.2"])
+       | st.sampled_from(["2_5e-1", "0_25", " 0_25 ", "0", "x"]),
+       dt=st.none() | st.sampled_from(["0.1", " 0.25 ", "2e-2"])
+       | st.sampled_from(["1_0e-2", "0_1", "inf", "x"]),
+       T=st.none() | st.sampled_from(["0.5", " 1 ", "1e0"])
+       | st.sampled_from(["1_0", "0_5", "-1", "nan"]))
+def test_verify_values_exit_cleanly(scenario, h, dt, T):
+    # verify at a coarse h exits 0, 1 or 2, never with a traceback, and
+    # rejects every flag number with a digit separator
+    argv = ["verify", "--scenario", scenario, "--h", h]
+    for flag, value in (("--dt", dt), ("--T", T)):
+        if value is not None:
+            argv += [flag, value]
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, err = _run_quietly(argv + ["--out", tmp])
+    assert rc in (0, 1, 2), argv
+    assert "Traceback" not in err
+    assert (rc == 2) == ("error: " in err), argv
+    if any("_" in value for value in argv[4::2]):
+        assert rc == 2 and "argument --" in err, argv

@@ -8,6 +8,7 @@ from concavelab import (Problem, SourceTerm, Weight, build_discretization,
                         check_hypotheses, disk, distance_to_boundary,
                         inner_region_mask, sup_slope_lambda, unit_square,
                         weight_concavity_defect)
+from concavelab import problems as problems_mod
 from concavelab.problems import _concavity_min
 from concavelab.scenarios import _weight_min_C
 
@@ -346,33 +347,121 @@ def test_weight_min_C_bit_exact(square32, masked):
     assert _weight_min_C(p, square32, mask) == ref[math.inf]
 
 
+class _Recorder:
+    """A stand-in weight with identity factors: combine records the
+    lambda points x2 it gets, flattened from their broadcast shape."""
+
+    def __init__(self):
+        self.calls = []
+
+    def spatial_profile(self, dom):
+        return np.zeros(dom.n_interior)
+
+    def factor(self, spec, axis, u):
+        return u
+
+    def combine(self, spec, fx, fy):
+        fx, fy = np.broadcast_arrays(fx, fy)
+        self.calls.append(np.stack([fx, fy], axis=-1).reshape(-1, 2))
+        return np.zeros(fx.shape)
+
+
 def test_pair_scan_visits_every_pair_once(square16):
-    # a stand-in weight with identity factors: its combine step gets the
-    # lambda points of each pair i < j, which must come each exactly once
-    class Recorder:
-        def __init__(self):
-            self.calls = []
+    # the 15 lambda points of each pair i < j come exactly once, in the
+    # broadcast blocks of the full square and in pair_scan's chunks of a
+    # mask that is not a rectangle
+    pts = square16.interior_points
+    for mask in (None, np.hypot(*(pts - 0.5).T) < 0.4):
+        rec = _Recorder()
+        _concavity_min(rec, square16, 1.0, mask)
+        if mask is None:
+            assert len(rec.calls) > 15  # more than one block per lambda
+        sub = pts if mask is None else pts[mask]
+        idx1, idx3 = np.triu_indices(len(sub), k=1)
+        ref = np.concatenate([lm * sub[idx3] + (1 - lm) * sub[idx1]
+                              for lm in np.linspace(0.0, 1.0, 17)[1:-1]])
+        got = np.concatenate(rec.calls)
+        assert got.shape == ref.shape
+        assert np.array_equal(got[np.lexsort(got.T)],
+                              ref[np.lexsort(ref.T)])
 
-        def spatial_profile(self, dom):
-            return np.zeros(dom.n_interior)
 
-        def factor(self, spec, axis, u):
-            return u
+@pytest.fixture(scope="module")
+def square64():
+    return build_discretization(unit_square(), 1.0 / 64.0)
 
+
+#: _concavity_min of the ramp weight with eps = 0.05 at h = 1/64 per
+#: (theta, inner region), as the scan returned before it had broadcast
+#: blocks (pair_scan over every pair)
+_RAMP64_MINS = {(0.0, False): -0.09937245722228093,
+                (0.0, True): -0.018825004550045748,
+                (1.0, False): -0.09927886834369071,
+                (1.0, True): -0.01872749355515957,
+                (math.inf, False): -0.09927886834369071,
+                (math.inf, True): -0.01872749355515957}
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0, math.inf])
+@pytest.mark.parametrize("inner", [False, True])
+def test_rectangle_scan_bit_exact_at_h64(square64, theta, inner):
+    w = Weight(kind="ramp_bump_perturbed", eps=0.05)
+    mask = inner_region_mask(square64, 0.2) if inner else None
+    got = _concavity_min(w, square64, theta, mask)
+    assert type(got) is float
+    assert repr(got) == repr(_RAMP64_MINS[theta, inner])
+    if inner and theta == 1.0:
+        p = Problem(domain=unit_square(), weight=w, source=SourceTerm("one"))
+        d = weight_concavity_defect(p, square64, theta, mask=mask)
+        assert type(d) is float and d == -_RAMP64_MINS[theta, inner]
+
+
+def _scan_path(monkeypatch, weight, dom, mask=None, stride=1):
+    """Which path _concavity_min took: 'pair_scan' or 'rectangle'."""
+    calls, scan = [], problems_mod.pair_scan
+    monkeypatch.setattr(problems_mod, "pair_scan",
+                        lambda *args: calls.append(1) or scan(*args))
+    _concavity_min(weight, dom, 1.0, mask, stride)
+    monkeypatch.setattr(problems_mod, "pair_scan", scan)
+    return "pair_scan" if calls else "rectangle"
+
+
+def test_scan_path_is_chosen_from_the_node_set(square64, monkeypatch):
+    w = Weight(kind="ramp_bump_perturbed", eps=0.05)
+    p = Problem(domain=unit_square(), weight=w, source=SourceTerm("one"))
+    inner = inner_region_mask(square64, 0.2)
+    pts = square64.interior_points
+    assert _scan_path(monkeypatch, w, square64) == "rectangle"
+    assert _scan_path(monkeypatch, w, square64, inner) == "rectangle"
+    round_mask = np.hypot(*(pts - 0.5).T) < 0.3
+    assert _scan_path(monkeypatch, w, square64, round_mask) == "pair_scan"
+    disk16 = build_discretization(disk(), 1.0 / 16.0)
+    assert _scan_path(monkeypatch, w, disk16) == "pair_scan"
+    # _weight_min_C's every-k-th node is scattered over the lattice
+    for mask in (None, inner):
+        calls, scan = [], problems_mod.pair_scan
+        monkeypatch.setattr(problems_mod, "pair_scan",
+                            lambda *args: calls.append(1) or scan(*args))
+        _weight_min_C(p, square64, mask)
+        monkeypatch.setattr(problems_mod, "pair_scan", scan)
+        assert calls
+
+
+def test_lambda_with_a_nan_value_is_skipped(square16):
+    # x2 = (239/256, 15/16) comes only from the top row's last pair at
+    # lambda = 15/16, where the weight is NaN: that lambda, which holds
+    # the least value -479/256, is skipped whole, and the min is the one
+    # of lambda = 14/16
+    class NanAtOnePoint(_Recorder):
         def combine(self, spec, fx, fy):
-            self.calls.append(np.column_stack([fx, fy]))
-            return np.zeros(len(fx))
+            fx, fy = np.broadcast_arrays(fx, fy)
+            return np.where((fx == 239 / 256) & (fy == 15 / 16), np.nan,
+                            -(fx + fy))
 
     pts = square16.interior_points
-    rec = Recorder()
-    _concavity_min(rec, square16, 1.0)
-    assert len(rec.calls) > 15  # more than one chunk
-    idx1, idx3 = np.triu_indices(len(pts), k=1)
-    ref = np.concatenate([lm * pts[idx3] + (1 - lm) * pts[idx1]
-                          for lm in np.linspace(0.0, 1.0, 17)[1:-1]])
-    got = np.concatenate(rec.calls)
-    assert got.shape == ref.shape
-    assert np.array_equal(got[np.lexsort(got.T)], ref[np.lexsort(ref.T)])
+    for mask in (None, np.any(pts != 1 / 16, axis=1)):  # rectangle or not
+        assert _concavity_min(NanAtOnePoint(), square16, math.inf,
+                              mask) == -478 / 256
 
 
 def test_ramp_scan_evaluates_factors_per_coordinate_pair(square32,
