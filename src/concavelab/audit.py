@@ -15,14 +15,14 @@ import bisect
 import functools
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .domains import DiscretizedDomain
 from .errors import EmptySampler, OutOfDomain
-from .operators import (Field, bilinear_corners, bilinear_interp, grid_cell,
-                        lattice_block, pair_scan)
+from .operators import (LAMBDAS, Field, bilinear_corners, bilinear_interp,
+                        grid_cell, pair_scan)
 from .parabolic import Trajectory
 
 INF = math.inf
@@ -57,6 +57,8 @@ class Tuple5:
 
 #: floor under u before the log transform (alpha = 0)
 _POSITIVITY_FLOOR = 1e-300
+#: tau_audit's factor on the largest undivided second difference
+C_TOL = 10.0
 
 
 class Evaluator:
@@ -112,13 +114,24 @@ class Evaluator:
     def pair_block(self, pts, lambdas, ta: float = 0.0, tb: float = 0.0):
         """pair_scan block of value at x2 = lam * pts[j] + (1 - lam) *
         pts[i], t2 = lam * tb + (1 - lam) * ta (inf for ta = inf), bit
-        for bit, with the cells of x2 from lattice_block tables."""
-        def mid(lm, kx, tx, ky, ty):
-            t2 = INF if math.isinf(ta) else lm * tb + (1 - lm) * ta
-            return self._transform(
-                bilinear_corners(self.grid(t2), kx + ky, tx, ty))
-        return lattice_block(pts, lambdas,
-                             functools.partial(grid_cell, self.dom), mid)
+        for bit: grid_cell runs once per axis, on lam * u[b] + (1 - lam)
+        * u[a] for every lambda and pair a, b of the axis's distinct
+        coordinates u, and a block gathers its pairs' cells by code."""
+        lm = np.asarray(lambdas, dtype=float)[:, None, None]
+        axes = [np.unique(pts[:, a], return_inverse=True) for a in (0, 1)]
+        cells = [grid_cell(self.dom, a, lm * u + (1 - lm) * u[:, None])
+                 for a, (u, _) in enumerate(axes)]
+        codes = [(code * u.size, code) for u, code in axes]
+
+        def block(idx1, idx3):
+            keys = [row[idx1] + col[idx3] for row, col in codes]
+            for k, lam in enumerate(lm.ravel()):
+                (kx, tx), (ky, ty) = ([t[k].take(key) for t in cell]
+                                      for cell, key in zip(cells, keys))
+                t2 = INF if math.isinf(ta) else lam * tb + (1 - lam) * ta
+                yield self._transform(
+                    bilinear_corners(self.grid(t2), kx + ky, tx, ty))
+        return block
 
     def point_value(self, x: float, y: float, t: float = 0.0) -> float:
         """value((x, y), t) bit for bit, from the four corner nodes of
@@ -206,16 +219,10 @@ def harmonic_combination(g1, g2, g3, lam):
 
 @dataclass
 class SamplerConfig:
-    """Scan configuration for min_defect.
+    """Scan configuration for min_defect: the tuple-endpoint times
+    audit_times (default: a subset of the snapshot times, plus inf when
+    a stationary slice exists and include_infinity is set)."""
 
-    lambdas is the stage-1 lambda grid (its interior points are
-    scanned); audit_times are tuple-endpoint times (default: a subset of
-    the snapshot times, plus inf when a stationary slice exists and
-    include_infinity is set).
-    """
-
-    lambdas: np.ndarray = dc_field(
-        default_factory=lambda: np.linspace(0.0, 1.0, 17))
     audit_times: list | None = None
     include_infinity: bool = True
 
@@ -246,10 +253,10 @@ class DefectReport:
                            "samples": self.samples}, sort_keys=True)
 
 
-def _second_difference_scale(ev, times) -> float:
-    """Max undivided second difference of the transformed field over the
-    audited slices, both axes (h^2 * |discrete second derivative|), at
-    the nodes whose two neighbours on the axis are interior."""
+def tau_audit_value(ev, times) -> float:
+    """C_TOL times the max undivided second difference (h^2 |v_xx|, h^2
+    |v_yy|) of the transformed field v over the audited slices, at the
+    nodes whose two neighbours on the axis are interior."""
     nb = ev.dom.neighbours
     worst = 0.0
     for t in times:
@@ -260,11 +267,7 @@ def _second_difference_scale(ev, times) -> float:
             finite = np.isfinite(d2)
             if finite.any():
                 worst = max(worst, float(np.max(np.abs(d2[finite]))))
-    return worst
-
-
-def tau_audit_value(ev, times, c_tol: float = 10.0) -> float:
-    return c_tol * _second_difference_scale(ev, times)
+    return C_TOL * worst
 
 
 def _default_times(ev, cfg):
@@ -285,6 +288,10 @@ def _default_times(ev, cfg):
 _SCAN_NODES = 240
 #: stage-1 minima that stage 2 refines
 _REFINE_CANDIDATES = 32
+#: golden-section steps of stage 2's lambda refinement
+_GOLDEN_STEPS = 25
+
+
 def _scan_nodes(dom: DiscretizedDomain, max_nodes: int) -> np.ndarray:
     """Interior nodes on every k-th row and column of the grid, with the
     stride k = ceil(sqrt(N / max_nodes)) (all nodes when N <= max_nodes).
@@ -295,23 +302,21 @@ def _scan_nodes(dom: DiscretizedDomain, max_nodes: int) -> np.ndarray:
     return np.nonzero((iy % stride == 0) & (ix % stride == 0))[0]
 
 
-def min_defect(ev, mode: str, cfg: SamplerConfig | None = None,
-               c_tol: float = 10.0) -> DefectReport:
+def min_defect(ev, mode: str, cfg: SamplerConfig | None = None
+               ) -> DefectReport:
     """Two-stage minimization of the concavity function.
 
     Stage 1: exhaustive pair_scan over lattice-strided interior-node
-    pairs and the lambda grid, once per snapshot-time pair (space mode:
-    each audited time separately).  Stage 2: coordinate-descent
-    refinement on the full grid with golden-section in lambda around
-    the best candidates.
+    pairs and LAMBDAS, once per snapshot-time pair (space mode: each
+    audited time separately).  Stage 2: coordinate-descent refinement
+    on the full grid with golden-section in lambda around the best
+    candidates.
     """
     if mode not in ("space", "spacetime"):
         raise ValueError("mode must be 'space' or 'spacetime'")
     cfg = cfg or SamplerConfig()
     dom = ev.dom
     sel = _scan_nodes(dom, _SCAN_NODES)
-    if sel.size == 0 or len(cfg.lambdas) == 0:
-        raise EmptySampler("sampler produced no tuples")
     times = _default_times(ev, cfg)
     if len(times) == 0:
         raise EmptySampler("no audit times")
@@ -330,14 +335,12 @@ def min_defect(ev, mode: str, cfg: SamplerConfig | None = None,
 
     best = []  # (value, i1, i3, t1, t3, lam)
     samples = 0
-    lam_grid = np.asarray(cfg.lambdas, dtype=float)
-    inner = lam_grid[(lam_grid > 0) & (lam_grid < 1)]
     for (ta, tb) in tpairs:
         mins, i1, i3 = pair_scan(nodes_at(ta)[sel], nodes_at(tb)[sel],
-                                 inner, ev.pair_block(pts, inner, ta, tb))
-        samples += n * (n - 1) // 2 * inner.size
+                                 LAMBDAS, ev.pair_block(pts, LAMBDAS, ta, tb))
+        samples += n * (n - 1) // 2 * LAMBDAS.size
         best += [(float(c), sel[a], sel[b], ta, tb, float(lm))
-                 for c, a, b, lm in zip(mins, i1, i3, inner)]
+                 for c, a, b, lm in zip(mins, i1, i3, LAMBDAS)]
     best = [r for r in best if math.isfinite(r[0])]
     if not best:
         raise EmptySampler("no finite concavity values in the scan")
@@ -375,7 +378,7 @@ def min_defect(ev, mode: str, cfg: SamplerConfig | None = None,
         phi = (math.sqrt(5) - 1) / 2
         c1, c2 = hi - phi * (hi - lo), lo + phi * (hi - lo)
         f1, f2 = tuple_value(a, b, ta, tb, c1), tuple_value(a, b, ta, tb, c2)
-        for _ in range(25):
+        for _ in range(_GOLDEN_STEPS):
             if f1 <= f2:
                 hi, c2, f2 = c2, c1, f1
                 c1 = hi - phi * (hi - lo)
@@ -418,7 +421,7 @@ def min_defect(ev, mode: str, cfg: SamplerConfig | None = None,
             # lambda refinement
             a2, b2, ta2, tb2, lm2 = cur[1]
             lm_new, v = golden_lambda(a2, b2, ta2, tb2, lm2)
-            samples += 25
+            samples += _GOLDEN_STEPS
             if v < cur[0] - 1e-15:
                 cur = (v, (a2, b2, ta2, tb2, lm_new))
                 improved = True
@@ -431,7 +434,7 @@ def min_defect(ev, mode: str, cfg: SamplerConfig | None = None,
     tup = Tuple5(x1=tuple(full_pts[a]), x3=tuple(full_pts[b]),
                  t1=ta, t3=tb, lam=lm)
     grads, spread = _argmin_gradients(ev, tup, dom.h, mode)
-    tau = tau_audit_value(ev, times, c_tol)
+    tau = tau_audit_value(ev, times)
     return DefectReport(mode=mode, minimum=val, argmin=tup,
                         gradients=grads, gradient_spread=spread,
                         tau_audit=tau, samples=samples)
@@ -471,13 +474,13 @@ def _argmin_gradients(ev, tup: Tuple5, h: float, mode: str):
 # quasiconcavity
 # ---------------------------------------------------------------------------
 
-def quasiconcavity_defect(f: Field, c_tol: float = 10.0) -> float:
+def quasiconcavity_defect(f: Field) -> float:
     """Worst superlevel-set convexity violation over 16 levels in
     (0, max f): the midpoint of every pair of in-set nodes (of at most
     _SCAN_NODES lattice-strided ones) must stay above level - tau_audit.
     0 when every check passes."""
     ev = FieldEvaluator(f)
-    tau = tau_audit_value(ev, [0.0], c_tol)
+    tau = tau_audit_value(ev, [0.0])
     top = float(f.values.max())
     if top <= 0:
         return 0.0

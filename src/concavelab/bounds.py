@@ -246,15 +246,10 @@ def barrier_constant(k: float, q: float, gamma: float) -> float:
     return ((1.0 - q) * k / (1.0 + gamma)) ** (1.0 / (1.0 - q))
 
 
-def boundary_lower_bound(params: BoundParams, kind: str,
-                         t: float | None = None, eig=None):
-    """Explicit lower barrier near the parabolic boundary, of the one
-    kind interior_t0: C e^{-lam1 t} t^{(1+gamma)/(1-q)} phi1 at every
-    interior node, with C from k = m."""
-    if kind != "interior_t0":
-        raise ValueError(f"unknown kind {kind!r}")
-    if eig is None or t is None:
-        raise ValueError("interior barrier needs t and the eigenpair")
+def boundary_lower_bound(params: BoundParams, t: float, eig):
+    """Explicit lower barrier near the parabolic boundary at time t:
+    C e^{-lam1 t} t^{(1+gamma)/(1-q)} phi1 at every interior node, with
+    C from k = m."""
     if not 0.0 < t:
         raise ValueError("the barrier applies for t > 0")
     q, gamma = params.q, params.gamma

@@ -33,17 +33,18 @@ from .scenarios import (get_scenario, run_property_suite, run_scenario,
 from .stationary import solve_stationary
 
 
-def _positive(name, kind=float):
-    """Parser of a positive finite number, or integer for kind=int."""
+def _positive(name, kind=float, zero_ok=False):
+    """Parser of a finite number > 0 (>= 0 if zero_ok), int for kind=int."""
     def parse(text):
         try:
             v = math.nan if "_" in text else kind(text)  # 1_0 is not 10
-            if v > 0 and (kind is int or math.isfinite(v)):
+            if (v >= 0 if zero_ok else v > 0) and (
+                    kind is int or math.isfinite(v)):
                 return v
         except ValueError:
             pass
         raise argparse.ArgumentTypeError(
-            f"{name} must be a positive "
+            f"{name} must be a {'non-negative' if zero_ok else 'positive'} "
             f"{'integer' if kind is int else 'number'}, got {text!r}")
     return parse
 
@@ -375,8 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("props", help="randomized inequality suites")
     _add_flags(p, "out")
-    p.add_argument("--seed", type=int, default=1, help="random seed")
-    p.add_argument("--draws", type=int, default=10000,
+    p.add_argument("--seed", type=_positive("seed", int, zero_ok=True),
+                   default=1, help="random seed (an integer >= 0)")
+    p.add_argument("--draws", type=_positive("draws", int), default=10000,
                    help="draws per property (default 10000)")
     for p in sub.choices.values():  # no prefixes: --h must not be --help
         p.allow_abbrev = False

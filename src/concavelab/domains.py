@@ -1,6 +1,6 @@
 """Bounded convex planar domains on uniform grids.
 
-Supports unit squares, rectangles, disks, ellipses and convex polygons.
+Supports rectangles (the unit square too), disks, ellipses and polygons.
 Provides signed distance to the boundary, the interior nodes, cut-cell
 fractions for embedded-boundary stencils and inner regions (distance >
 rho).
@@ -19,8 +19,8 @@ from .errors import NoInteriorNodes, NonConvexPolygon
 class DomainSpec:
     """Geometric description of a bounded convex planar domain.
 
-    kind is one of "unit_square", "rectangle", "disk", "ellipse",
-    "convex_polygon".  strongly_convex is true exactly for disk/ellipse.
+    kind is one of "rectangle", "disk", "ellipse", "convex_polygon".
+    strongly_convex is true exactly for disk/ellipse.
     """
 
     kind: str
@@ -37,7 +37,7 @@ class DomainSpec:
     @property
     def bounding_box(self):
         """((xmin, xmax), (ymin, ymax))"""
-        if self.kind in ("unit_square", "rectangle"):
+        if self.kind == "rectangle":
             return (0.0, self.width), (0.0, self.height)
         if self.kind == "disk":
             r = self.radius
@@ -50,7 +50,7 @@ class DomainSpec:
 
     @property
     def inradius(self) -> float:
-        if self.kind in ("unit_square", "rectangle"):
+        if self.kind == "rectangle":
             return 0.5 * min(self.width, self.height)
         if self.kind == "disk":
             return self.radius
@@ -60,7 +60,7 @@ class DomainSpec:
 
 
 def unit_square() -> DomainSpec:
-    return DomainSpec(kind="unit_square", width=1.0, height=1.0)
+    return rectangle(1.0, 1.0)
 
 
 def rectangle(width: float, height: float) -> DomainSpec:
@@ -216,7 +216,7 @@ def distance_to_boundary(spec: DomainSpec, x) -> float:
     """
     p = np.asarray(x, dtype=float)
     scalar = p.ndim == 1
-    if spec.kind in ("unit_square", "rectangle"):
+    if spec.kind == "rectangle":
         d = _rect_signed_distance(spec.width, spec.height,
                                   p[..., 0], p[..., 1])
     elif spec.kind == "disk":

@@ -16,7 +16,10 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .audit import FieldEvaluator, _scan_nodes
 from .errors import HullDegenerate
-from .operators import Field, pair_scan
+from .operators import LAMBDAS, Field, pair_scan
+
+#: nodes the 2-D envelope and its defect scan subsample
+_ENVELOPE_NODES = 600
 
 
 def hyers_ulam_constant(n: int) -> float:
@@ -101,7 +104,7 @@ def _upper_envelope_2d(pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return np.maximum(env, vals)  # guard roundoff: majorant dominates f
 
 
-def concave_approximation(f, max_nodes: int = 600) -> EnvelopeResult:
+def concave_approximation(f) -> EnvelopeResult:
     """Concave approximant with a distance certificate.
 
     f may be a Field (2-D) or a tuple (x, values) for a 1-D section.
@@ -116,16 +119,15 @@ def concave_approximation(f, max_nodes: int = 600) -> EnvelopeResult:
     elif not isinstance(f, Field):
         raise TypeError("expected a Field or a 1-D (x, values) tuple")
     else:
-        sel = _scan_nodes(f.dom, max_nodes)
+        sel = _scan_nodes(f.dom, _ENVELOPE_NODES)
         pts, vals = f.dom.interior_points[sel], f.values[sel]
         if len(pts) < 3:
             raise HullDegenerate("need at least 3 sample points in 2-D")
         g_hat = _upper_envelope_2d(pts, vals)
-        # delta: the defect over sample pairs and 15 lambdas, with the
+        # delta: the defect over sample pairs and LAMBDAS, with the
         # middle value interpolated bilinearly on the full grid
-        lambdas = np.linspace(0, 1, 17)[1:-1]
-        mins, _, _ = pair_scan(vals, vals, lambdas,
-                               FieldEvaluator(f).pair_block(pts, lambdas))
+        mins, _, _ = pair_scan(vals, vals, LAMBDAS,
+                               FieldEvaluator(f).pair_block(pts, LAMBDAS))
         delta, dim = -min([0.0] + mins.tolist()), 2
     k, dist = hyers_ulam_constant(dim), 0.5 * float(np.max(g_hat - vals))
     return EnvelopeResult(g=g_hat - dist, g_hat=g_hat, distance=dist,

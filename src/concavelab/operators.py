@@ -81,6 +81,11 @@ def bilinear_corners(grid: np.ndarray, k, tx, ty):
 #: slower)
 _PAIR_CHUNK = 1 << 14
 
+#: the lambdas of the audit, envelope and weight-defect scans: the 15
+#: interior points of a 17-point grid on [0, 1] (read-only)
+LAMBDAS = np.linspace(0.0, 1.0, 17)[1:-1]
+LAMBDAS.flags.writeable = False
+
 
 def pair_scan(v1, v3, lambdas, block):
     """Per-lambda minimum of the concavity function
@@ -91,10 +96,10 @@ def pair_scan(v1, v3, lambdas, block):
     the minimum and the pair where it first occurs in row-major pair
     order.  block(idx1, idx3) is called once per row block of at most
     _PAIR_CHUNK pairs (at least one row) and returns the block's values
-    mid_lam(idx1, idx3), one array per lambda (lattice_block makes it
-    from per-axis tables).  As with np.argmin over the unchunked scan,
-    a lambda whose values hold a NaN gets NaN and the first NaN's pair;
-    with fewer than 2 nodes the minima are inf and the pairs -1.
+    mid_lam(idx1, idx3), one array per lambda.  As with np.argmin over
+    the unchunked scan, a lambda whose values hold a NaN gets NaN and the
+    first NaN's pair; with fewer than 2 nodes the minima are inf and the
+    pairs -1.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     mins = np.full(lambdas.size, math.inf)
@@ -116,28 +121,6 @@ def pair_scan(v1, v3, lambdas, block):
                 mins[k], best_i[k], best_j[k] = c[a], idx1[a], idx3[a]
         i0 = i1
     return mins, best_i, best_j
-
-
-def lattice_block(pts, lambdas, table, mid):
-    """pair_scan block of a function of x2 = lam * pts[j] + (1 - lam) *
-    pts[i] from per-axis tables: table(axis, c) is called once per axis,
-    on c = lam * u[b] + (1 - lam) * u[a] (x2's coordinates, bit for bit)
-    for every lambda and pair a, b of the axis's nu distinct coordinates
-    u, and returns a tuple of (lambdas, nu, nu) arrays.  A block gathers
-    its pairs' entries and yields mid(lam, *x entries, *y entries)."""
-    lm = np.asarray(lambdas, dtype=float)[:, None, None]
-    tables, codes = [], []
-    for axis in (0, 1):
-        u, code = np.unique(pts[:, axis], return_inverse=True)
-        tables.append(table(axis, lm * u + (1 - lm) * u[:, None]))
-        codes.append((code * u.size, code))
-
-    def block(idx1, idx3):
-        keys = [row[idx1] + col[idx3] for row, col in codes]
-        for k, lam in enumerate(lm.ravel()):
-            yield mid(lam, *(t[k].take(key) for key, tabs
-                             in zip(keys, tables) for t in tabs))
-    return block
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,11 @@ MAX_STEPS = 1e6  # most time steps a trajectory may take
 _STIFF_SOURCES = ("logistic", "log_s")
 
 
+def monotone_slack(h: float) -> float:
+    """Slack 10 h^2 of the monotone and below-stationary checks."""
+    return 10.0 * h * h
+
+
 @dataclass
 class TimeGrid:
     t0: float
@@ -97,8 +102,8 @@ def seed_from_subsolution(problem: Problem, dom: DiscretizedDomain,
         raise HypothesisViolated(
             "subsolution seeding needs the certified power lower bound")
     k, q, gamma = (hyp.constants[name] for name in ("k", "q", "gamma"))
-    w = boundary_lower_bound(BoundParams(q=q, gamma=gamma, m=k, M=k),
-                             "interior_t0", t=t0, eig=eig)
+    params = BoundParams(q=q, gamma=gamma, m=k, M=k)
+    w = boundary_lower_bound(params, t0, eig)
     # w_t - Lap_h w = ((1+gamma)/(1-q)) w / t0 exactly, since phi is a
     # discrete eigenfunction; check against b at the seed state
     lhs = ((1.0 + gamma) / (1.0 - q)) * w / t0
@@ -199,8 +204,8 @@ def solve_trajectory(problem: Problem, dom: DiscretizedDomain,
         times.append(ts)
         fields.append(u.values.copy())
 
-    tau_mono = 10.0 * dom.h * dom.h
-    monotone = all(np.all(fields[k + 1] >= fields[k] - tau_mono)
+    slack = monotone_slack(dom.h)
+    monotone = all(np.all(fields[k + 1] >= fields[k] - slack)
                    for k in range(len(fields) - 1))
     return Trajectory(dom=dom, times=np.asarray(times), fields=fields,
                       monotone=monotone)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .domains import DiscretizedDomain, DomainSpec, distance_to_boundary
 from .errors import NegativeState, Unbounded
-from .operators import lattice_block, pair_scan
+from .operators import LAMBDAS, pair_scan
 
 FLAG_NAMES = ("lower_power", "lower_power_dist", "lower_power_uniform",
               "one_sided_lipschitz", "hoelder", "time_monotone")
@@ -300,8 +300,10 @@ def weight_concavity_defect(problem: Problem, dom: DiscretizedDomain,
                             theta: float = 1.0, mask=None) -> float:
     """sup of the negative part of the concavity function of a^theta
     (log a for theta=0, a itself for theta=inf) over the pairs of
-    interior nodes (those in mask) and 15 lambdas, by _concavity_min:
-    0 for a concave profile, and without a scan for a constant one."""
+    interior nodes (those in mask) and LAMBDAS, by _concavity_min:
+    0 for a concave profile, and without a scan for a constant one.
+    Node sets that are no lattice rectangle (disk, ellipse, polygon,
+    most masks) cost one weight evaluation per pair and lambda."""
     if problem.weight.spatially_constant:
         return 0.0
     return max(0.0, -_concavity_min(problem.weight, dom, theta, mask))
@@ -311,10 +313,10 @@ def _concavity_min(weight: Weight, dom: DiscretizedDomain, theta: float,
                    mask=None, stride: int = 1) -> float:
     """Signed min of the concavity function of weight^theta over the
     pairs i < j of every stride-th interior node (of those in mask) and
-    the 15 interior lambdas of a 17-point grid; inf for < 2 nodes.  The
-    weight's factors are tabulated per axis.  Nodes filling a lattice
-    rectangle meet per lambda in broadcast blocks of 2^15 values: (r, a)
-    with (r, b > a), then with the rows s > r; others go by pair_scan."""
+    LAMBDAS; inf for < 2 nodes.  Nodes filling a lattice rectangle meet
+    per lambda in broadcast blocks of 2^15 values from per-axis factor
+    tables: (r, a) with (r, b > a), then with the rows s > r; others go
+    by pair_scan, with spatial_at at every middle point."""
     pts, prof = dom.interior_points, weight.spatial_profile(dom)
     if mask is not None:
         pts, prof = pts[mask], prof[mask]
@@ -329,17 +331,18 @@ def _concavity_min(weight: Weight, dom: DiscretizedDomain, theta: float,
             return a + 0.0
         return np.sign(a) * np.abs(a) ** theta
 
-    lm = np.linspace(0.0, 1.0, 17)[1:-1]
     vals = transform(prof)
     ux, uy = (np.unique(c) for c in pts.T)  # nodes are numbered by rows
     if not (ux.size > 1 and len(pts) == ux.size * uy.size):
-        mins, _, _ = pair_scan(vals, vals, lm, lattice_block(
-            pts, lm, lambda axis, u: (weight.factor(spec, axis, u),),
-            lambda _, fx, fy: transform(weight.combine(spec, fx, fy))))
+        def block(idx1, idx3):
+            p1, p3 = pts[idx1], pts[idx3]
+            return (transform(weight.spatial_at(spec, lam * p3 + (1 - lam)
+                                                * p1)) for lam in LAMBDAS)
+        mins, _, _ = pair_scan(vals, vals, LAMBDAS, block)
         return min([math.inf] + mins.tolist())
     v, (a, b) = vals.reshape(uy.size, ux.size), np.triu_indices(ux.size, 1)
     rows, worst = max(1, (1 << 15) // ux.size ** 2), math.inf
-    for lam in lm:
+    for lam in LAMBDAS:
         tx, ty = (weight.factor(spec, k, lam * u + (1 - lam) * u[:, None])
                   for k, u in enumerate((ux, uy)))
         lv, mv, d = lam * v, (1 - lam) * v, np.diagonal(ty)[:, None]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .audit import (Evaluator, SamplerConfig, min_defect,
+from .audit import (_SCAN_NODES, Evaluator, SamplerConfig, min_defect,
                     quasiconcavity_defect)
 from .bounds import (BoundParams, BoundReport, log_concavity_rhs,
                      quantitative_rhs, boundary_lower_bound,
@@ -28,7 +28,7 @@ from .domains import (build_discretization, disk, distance_to_boundary,
                       inner_region_mask, unit_square)
 from .errors import ValidityViolation
 from .operators import Field, principal_eigenpair
-from .parabolic import make_time_grid, solve_trajectory
+from .parabolic import make_time_grid, monotone_slack, solve_trajectory
 from .problems import (Problem, SourceTerm, Weight, _concavity_min,
                        check_hypotheses, sup_slope_lambda,
                        weight_concavity_defect)
@@ -265,7 +265,7 @@ def boundary_barrier_margin(problem, dom, traj, eig, hyp) -> float:
     for t, vals in zip(traj.times, traj.fields):
         if t <= 0.0 or t >= problem.horizon:
             continue
-        barrier = boundary_lower_bound(params, "interior_t0", t=t, eig=eig)
+        barrier = boundary_lower_bound(params, t, eig)
         pos = barrier > 1e-14
         if pos.any():
             worst = min(worst, float(np.min(vals[pos] / barrier[pos])))
@@ -273,10 +273,10 @@ def boundary_barrier_margin(problem, dom, traj, eig, hyp) -> float:
 
 
 def _weight_min_C(problem, dom, mask=None) -> float:
-    """Signed min of the weight's concavity function, <= 240 nodes."""
+    """Signed min of the weight's concavity function, <= _SCAN_NODES."""
     n = dom.n_interior if mask is None else int(np.count_nonzero(mask))
     worst = _concavity_min(problem.weight, dom, math.inf, mask,
-                           max(1, int(math.ceil(n / 240))))
+                           max(1, int(math.ceil(n / _SCAN_NODES))))
     return worst if math.isfinite(worst) else 0.0
 
 
@@ -385,9 +385,8 @@ def run_scenario(scn: Scenario, h: float = 1.0 / 64.0,
         stat = solve_stationary(problem, dom)
         traj.stationary = stat.v.values
         report.diagnostics["stationary_residual"] = stat.residual
-        tau_mono = 10.0 * h * h
-        report.diagnostics["below_stationary"] = bool(
-            np.all(traj.fields[-1] <= stat.v.values + tau_mono))
+        report.diagnostics["below_stationary"] = bool(np.all(
+            traj.fields[-1] <= stat.v.values + monotone_slack(h)))
 
     late = [k for k, t in enumerate(traj.times) if t >= 0.1]
     margins = [hopf_margin(dom, traj.fields[k]) for k in late]
@@ -460,12 +459,15 @@ def run_scenario(scn: Scenario, h: float = 1.0 / 64.0,
 # randomized property suites
 # ---------------------------------------------------------------------------
 
-def _suite_entry(name, margins, skipped, tol=1e-10):
+_SUITE_TOL = 1e-10  # a property-suite margin below -_SUITE_TOL violates
+
+
+def _suite_entry(name, margins, skipped):
     margins = np.asarray(margins, dtype=float)
     worst = float(margins.min()) if margins.size else 0.0
     return {"name": name, "draws": int(margins.size),
             "skipped": int(skipped),
-            "violations": int(np.count_nonzero(margins < -tol)),
+            "violations": int(np.count_nonzero(margins < -_SUITE_TOL)),
             "worst_margin": worst}
 
 
@@ -562,7 +564,7 @@ def run_property_suite(seed: int = 1, draws: int = 10000) -> dict:
     hcg = gg2[ok] - gg1[ok] * gg3[ok] / den_g[ok]
     margins = hch - (hcf - hcg)
     # the subtracted terms are harmonically concave: certificate
-    if not np.all(hcg <= 1e-10):
+    if not np.all(hcg <= _SUITE_TOL):
         raise ValidityViolation("difference_bound: a subtracted term is "
                                 "not harmonically concave")
     results.append(_suite_entry("difference_bound", margins,

@@ -17,6 +17,9 @@ from .errors import NoConvergence, NonuniqueWarning, Unbounded
 from .operators import Field, neg_laplacian_matrix, poisson_solve
 from .problems import Problem
 
+#: Picard iterations before solve_stationary gives up
+_PICARD_MAX_ITER = 10000
+
 
 @dataclass
 class StationaryResult:
@@ -41,8 +44,8 @@ def _strict_decrease_certificate(problem: Problem, dom) -> bool:
     return bool(np.all(np.diff(problem.source.compose(a, s) / s) < 0))
 
 
-def solve_stationary(problem: Problem, dom: DiscretizedDomain,
-                     max_iter: int = 10000) -> StationaryResult:
+def solve_stationary(problem: Problem,
+                     dom: DiscretizedDomain) -> StationaryResult:
     """Single linear solve for state-independent sources; otherwise a
     damped Picard iteration (damping 0.5) from the scaled torsion
     solution, until the successive sup-norm change is <= 1e-10."""
@@ -63,7 +66,7 @@ def solve_stationary(problem: Problem, dom: DiscretizedDomain,
         # point; iterate w = A^{-1} b(w) with damping 0.5
         a_inf = np.maximum(problem.weight_values(dom, math.inf), 0.0)
         v = np.maximum(poisson_solve(dom, np.maximum(a_inf, 1e-8)), 1e-8)
-        for it in range(1, max_iter + 1):
+        for it in range(1, _PICARD_MAX_ITER + 1):
             v_next = 0.5 * v + 0.5 * poisson_solve(
                 dom, _source_at_infinity(problem, dom, v))
             change = float(np.max(np.abs(v_next - v)))
@@ -73,7 +76,7 @@ def solve_stationary(problem: Problem, dom: DiscretizedDomain,
         else:
             raise NoConvergence(
                 f"stationary Picard iteration did not converge in "
-                f"{max_iter} iterations (last change {change:.3e})")
+                f"{_PICARD_MAX_ITER} iterations (last change {change:.3e})")
     res = neg_laplacian_matrix(dom) @ v - _source_at_infinity(problem, dom, v)
     return StationaryResult(v=Field(dom, v, math.inf),
                             residual=float(np.max(np.abs(res))),

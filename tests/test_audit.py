@@ -4,19 +4,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from concavelab import (Field, Problem, SourceTerm, SamplerConfig, Weight,
-                        build_discretization, concavity_value,
+                        build_discretization, concave_approximation,
+                        concavity_value,
                         convex_polygon, disk,
                         ellipse, field_from_function, get_scenario,
                         harmonic_concavity_value, make_time_grid,
                         min_defect, principal_eigenpair,
                         quasiconcavity_defect, solve_stationary,
                         solve_trajectory, unit_square)
+import concavelab.audit as audit_mod
 from concavelab.audit import (DefectReport, Evaluator, FieldEvaluator,
-                              OUTSIDE_DOMAIN, Tuple5, _REFINE_CANDIDATES,
+                              LAMBDAS, OUTSIDE_DOMAIN, Tuple5,
+                              _REFINE_CANDIDATES,
                               _SCAN_NODES, _argmin_gradients,
                               _default_times, _scan_nodes,
                               harmonic_combination, pair_scan,
@@ -137,9 +140,13 @@ def test_min_defect_rejects_bad_mode(square16):
 def test_min_defect_empty_sampler(square16):
     f = field_from_function(square16, lambda x, y: x * y)
     with pytest.raises(EmptySampler):
-        min_defect(FieldEvaluator(f), "space",
-                   SamplerConfig(lambdas=np.array([]),
-                                 include_infinity=False))
+        min_defect(FieldEvaluator(f), "space", SamplerConfig(audit_times=[]))
+
+
+def test_lambdas_are_fixed_and_read_only():
+    assert np.array_equal(LAMBDAS, np.linspace(0.0, 1.0, 17)[1:-1])
+    with pytest.raises(ValueError):
+        LAMBDAS[0] = 0.5
 
 
 def test_evaluator_node_values(square16):
@@ -233,7 +240,8 @@ def _nan_grid_second_difference_scale(ev, times):
                                   ellipse(1.1, 0.6),
                                   convex_polygon([(0, 0), (1.2, 0.1),
                                                   (0.9, 1.0), (0.1, 0.8)])],
-                         ids=lambda s: s.kind)
+                         ids=["unit_square", "disk", "ellipse",
+                              "convex_polygon"])
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 def test_tau_audit_matches_nan_grid_differences(spec, alpha):
     dom = build_discretization(spec, 1.0 / 12.0)
@@ -244,7 +252,7 @@ def test_tau_audit_matches_nan_grid_differences(spec, alpha):
         == 10.0 * _nan_grid_second_difference_scale(ev, [0.0])
 
 
-def test_quasiconcavity_defect(square16):
+def test_quasiconcavity_defect(square16, monkeypatch):
     concave = field_from_function(square16,
                                   lambda x, y: x * (1 - x) * y * (1 - y))
     assert quasiconcavity_defect(concave) <= 0.0
@@ -253,15 +261,16 @@ def test_quasiconcavity_defect(square16):
         lambda x, y: (np.exp(-80 * ((x - 0.3) ** 2 + (y - 0.5) ** 2))
                       + np.exp(-80 * ((x - 0.7) ** 2 + (y - 0.5) ** 2))))
     # analytic field: the sharp-Gaussian curvature inflates the default
-    # tolerance, so tighten c_tol to expose the genuine violation
-    assert quasiconcavity_defect(bumps, c_tol=1.0) > 0.01
+    # tolerance, so tighten C_TOL to expose the genuine violation
+    monkeypatch.setattr(audit_mod, "C_TOL", 1.0)
+    assert quasiconcavity_defect(bumps) > 0.01
 
 
-def _reference_quasiconcavity(f, c_tol=10.0):
+def _reference_quasiconcavity(f):
     """The unchunked scan: at most about 240 lattice-strided nodes, one
     triu_indices gather of the in-set pairs per level of 16."""
     ev = FieldEvaluator(f)
-    tau = tau_audit_value(ev, [0.0], c_tol)
+    tau = tau_audit_value(ev, [0.0])
     top = float(f.values.max())
     if top <= 0:
         return 0.0
@@ -282,7 +291,9 @@ def _reference_quasiconcavity(f, c_tol=10.0):
 
 
 @pytest.mark.parametrize("c_tol", [0.1, 1.0, 10.0])
-def test_quasiconcavity_matches_unchunked_scan(square16, c_tol):
+def test_quasiconcavity_matches_unchunked_scan(square16, c_tol,
+                                               monkeypatch):
+    monkeypatch.setattr(audit_mod, "C_TOL", c_tol)
     ell = build_discretization(ellipse(1.3, 0.6), 1.0 / 32.0)
     rng = np.random.default_rng(3)
     got = []
@@ -291,8 +302,8 @@ def test_quasiconcavity_matches_unchunked_scan(square16, c_tol):
                       dom, lambda x, y: np.exp(-4 * (x - 0.3) ** 2)
                       * (1 + 0.5 * np.cos(6 * y)) + np.exp(-9 * x * x)),
                   Field(dom, rng.uniform(0.0, 1.0, dom.n_interior))):
-            got.append(quasiconcavity_defect(f, c_tol=c_tol))
-            assert got[-1] == _reference_quasiconcavity(f, c_tol)
+            got.append(quasiconcavity_defect(f))
+            assert got[-1] == _reference_quasiconcavity(f)
     assert max(got) > 0
 
 
@@ -372,7 +383,7 @@ def point_block(pts, lambdas, mid):
     return block
 
 
-def _parent_min_defect(ev, mode, cfg=None, c_tol=10.0):
+def _parent_min_defect(ev, mode, cfg=None):
     """min_defect with the one-tuple-at-a-time stage 2 it had before the
     spatial moves were batched, and every value through ev.value: stage
     1 interpolates each point, not per-axis tables."""
@@ -398,8 +409,7 @@ def _parent_min_defect(ev, mode, cfg=None, c_tol=10.0):
 
     best = []
     samples = 0
-    lam_grid = np.asarray(cfg.lambdas, dtype=float)
-    inner = lam_grid[(lam_grid > 0) & (lam_grid < 1)]
+    inner = np.linspace(0.0, 1.0, 17)[1:-1]
     for (ta, tb) in tpairs:
         def mid(x2, lm, ta=ta, tb=tb):
             return ev.value(x2, math.inf if math.isinf(ta)
@@ -508,7 +518,7 @@ def _parent_min_defect(ev, mode, cfg=None, c_tol=10.0):
     grads, spread = _argmin_gradients(ev, tup, dom.h, mode)
     return DefectReport(mode=mode, minimum=val, argmin=tup,
                         gradients=grads, gradient_spread=spread,
-                        tau_audit=tau_audit_value(ev, times, c_tol),
+                        tau_audit=tau_audit_value(ev, times),
                         samples=samples)
 
 
@@ -610,7 +620,6 @@ def _count_scan_work(monkeypatch):
     """Counters of the pair scans' point work: bilinear_interp calls
     made inside a pair_scan, pair_scan calls, and the elements np.floor
     sees outside bilinear_interp (the per-axis tables)."""
-    import concavelab.audit as audit_mod
     counts = {"interp_in_scan": 0, "scans": 0, "floor": 0}
     inside = {"scan": False, "interp": False}
     floor, interp, scan = np.floor, audit_mod.bilinear_interp, pair_scan
@@ -665,3 +674,45 @@ def test_pair_scans_interpolate_no_point(monkeypatch):
     assert counts["scans"] == 16
     assert counts["interp_in_scan"] == 0
     assert 0 < counts["floor"] <= counts["scans"] * 2 * 15 * nu ** 2
+
+
+# ---------------------------------------------------------------------------
+# random convex shapes through solve, audit and envelope
+# ---------------------------------------------------------------------------
+
+def _all_finite(obj):
+    """Every number in a nested report (dicts, lists, arrays) is
+    finite; strings are skipped."""
+    if isinstance(obj, dict):
+        return all(_all_finite(v) for v in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return all(_all_finite(v) for v in obj)
+    return isinstance(obj, str) or bool(np.all(np.isfinite(obj)))
+
+
+_SHAPES = st.one_of(
+    st.builds(ellipse, st.floats(0.35, 1.2), st.floats(0.35, 1.2)),
+    st.builds(lambda n, turn, jitter, r: convex_polygon(
+        [(r * np.cos(t), r * np.sin(t)) for t in
+         turn + 2 * np.pi * (np.arange(n) + np.array(jitter[:n])) / n]),
+        st.integers(4, 8), st.floats(0.0, 2 * np.pi),
+        st.lists(st.floats(-0.2, 0.2), min_size=8, max_size=8),
+        st.floats(0.8, 1.2)))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(spec=_SHAPES, h=st.sampled_from([1 / 12, 1 / 13, 1 / 14, 1 / 16]))
+def test_random_convex_shapes_solve_audit_envelope(spec, h):
+    # Lane-Emden (q = 1/2) on an ellipse or a jittered convex polygon of
+    # inradius >= 4h: the stationary solve, the space audit of v^(1/4)
+    # and the envelope of v^(1/4) raise nothing and report finite numbers
+    assume(spec.inradius >= 4 * h)
+    dom = build_discretization(spec, h)
+    problem = Problem(domain=spec, weight=Weight(kind="constant", c=1.0),
+                      source=SourceTerm(kind="power_q", q=0.5))
+    v = solve_stationary(problem, dom).v
+    rep = min_defect(FieldEvaluator(v, 0.25), "space")
+    f = Field(dom, np.maximum(v.values, 0.0) ** 0.25)
+    env = concave_approximation(f)
+    assert _all_finite(json.loads(rep.to_json()))
+    assert _all_finite(vars(env))

@@ -201,13 +201,11 @@ def test_interior_barrier_values():
     dom = build_discretization(unit_square(), 1.0 / 16.0)
     eig = principal_eigenpair(dom)
     p = BoundParams(q=0.5, gamma=0.0, m=1.0)
-    vals = boundary_lower_bound(p, "interior_t0", t=0.5, eig=eig)
+    vals = boundary_lower_bound(p, 0.5, eig)
     amp = 0.25 * math.exp(-eig.lam * 0.5) * 0.5 ** 2
     assert np.allclose(vals, amp * eig.phi.values)
     with pytest.raises(ValueError):
-        boundary_lower_bound(p, "interior_t0", t=0.0, eig=eig)
-    with pytest.raises(ValueError, match="unknown kind"):
-        boundary_lower_bound(p, "corner")  # a growth exponent, deleted
+        boundary_lower_bound(p, 0.0, eig)
 
 
 def test_barrier_requires_certified_hypothesis():

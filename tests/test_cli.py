@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from concavelab import build_discretization, concave_approximation, unit_square
+from concavelab import (build_discretization, concave_approximation,
+                        scenario_ids, unit_square)
 from concavelab.cli import _FORMATS, load_config, parse_and_dispatch
 
 CONFIG = """\
@@ -155,6 +156,32 @@ def test_props_exit_zero_and_deterministic(tmp_path):
         assert rc == 0
         outs.append((out / "props_report.json").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_props_draws_rejects_digit_separator(tmp_path, capsys):
+    # type=int read 1_0 as 10 draws
+    rc = parse_and_dispatch(["props", "--draws", "1_0", "--out",
+                             str(tmp_path)])
+    assert rc == 2
+    assert "argument --draws: draws must be a positive integer" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "props_report.json").exists()
+
+
+def test_props_seed_is_an_integer_from_zero(tmp_path, capsys):
+    # type=int read 2_0 as seed 20, and -3 reached numpy, whose error
+    # named no flag
+    for value in ("2_0", "-3", "1.5"):
+        rc = parse_and_dispatch(["props", "--seed", value, "--draws", "50",
+                                 "--out", str(tmp_path)])
+        assert rc == 2
+        assert "argument --seed: seed must be a non-negative integer" in \
+            capsys.readouterr().err
+    assert not (tmp_path / "props_report.json").exists()
+    assert parse_and_dispatch(["props", "--seed", "0", "--draws", "50",
+                               "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "props_report.json").read_text())
+    assert report["seed"] == 0
 
 
 def test_suite_requires_selection(capsys):
@@ -768,4 +795,30 @@ def test_verify_values_exit_cleanly(scenario, h, dt, T):
     assert "Traceback" not in err
     assert (rc == 2) == ("error: " in err), argv
     if any("_" in value for value in argv[4::2]):
+        assert rc == 2 and "argument --" in err, argv
+
+
+@pytest.mark.filterwarnings("ignore:.*not strongly convex")
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@example(["torsion-square"], "1_0", None)
+@example(["lane-emden-disk", "ramp-le-eps05"], "0.25", "inf")
+@given(ids=st.lists(st.sampled_from(scenario_ids()), min_size=1,
+                    max_size=2, unique=True),
+       h=st.sampled_from(["0.25", " 0.25 ", "0.2", "0.125", "2"])
+       | st.sampled_from(["1_0", "0_25", "inf", "nan", "-1", "0", "x"]),
+       dt=st.none() | st.sampled_from(["0.1", " 0.25 ", "1"])
+       | st.sampled_from(["1_0", "inf", "nan", "-1", "0"]))
+def test_suite_values_exit_cleanly(ids, h, dt):
+    # suite on one or two catalog ids at h >= 1/8 exits 0, 1 or 2, never
+    # with a traceback, and rejects every flag number with a digit
+    # separator
+    argv = ["suite", "--ids", *ids, "--h", h]
+    if dt is not None:
+        argv += ["--dt", dt]
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, err = _run_quietly(argv + ["--out", tmp])
+    assert rc in (0, 1, 2), argv
+    assert "Traceback" not in err
+    assert (rc == 2) == ("error: " in err), argv
+    if "_" in h or "_" in (dt or ""):
         assert rc == 2 and "argument --" in err, argv

@@ -200,7 +200,8 @@ def test_ellipse_distance_matches_dense_reference(a, b):
                                   ellipse(1.0, 0.5),
                                   convex_polygon([(0, 0), (1, 0.2),
                                                   (0.4, 0.9)])],
-                         ids=lambda s: s.kind)
+                         ids=["unit_square", "disk", "ellipse",
+                              "convex_polygon"])
 def test_neighbours_match_index_map(spec):
     dom = build_discretization(spec, 1.0 / 10.0)
     ny, nx = dom.index_of.shape

@@ -85,8 +85,8 @@ def test_2d_perturbed_field_bound():
 def test_2d_subsampling_large_fields():
     dom = build_discretization(unit_square(), 1.0 / 48.0)
     f = field_from_function(dom, lambda x, y: x * (1 - x) + y * (1 - y))
-    res = concave_approximation(f, max_nodes=400)
-    assert len(res.g) <= 450  # stride subsample, not the full 47^2
+    res = concave_approximation(f)
+    assert len(res.g) <= 650  # stride subsample of ~600, not the 47^2
     assert res.bound_ok
 
 

@@ -360,6 +360,9 @@ class _Recorder:
     def factor(self, spec, axis, u):
         return u
 
+    def spatial_at(self, spec, pts):
+        return self.combine(spec, pts[..., 0], pts[..., 1])
+
     def combine(self, spec, fx, fy):
         fx, fy = np.broadcast_arrays(fx, fy)
         self.calls.append(np.stack([fx, fy], axis=-1).reshape(-1, 2))
@@ -414,6 +417,29 @@ def test_rectangle_scan_bit_exact_at_h64(square64, theta, inner):
         p = Problem(domain=unit_square(), weight=w, source=SourceTerm("one"))
         d = weight_concavity_defect(p, square64, theta, mask=mask)
         assert type(d) is float and d == -_RAMP64_MINS[theta, inner]
+
+
+#: _concavity_min on the disk at h = 1/16 (793 nodes, not a lattice
+#: rectangle) per (weight kind, theta), as the per-axis tables gave it
+_DISK16_MINS = {
+    ("ramp_bump_perturbed", 0.0): -0.21380155805258333,
+    ("ramp_bump_perturbed", 1.0): -0.198736257342655,
+    ("ramp_bump_perturbed", math.inf): -0.198736257342655,
+    ("smoothed_bang_bang", 0.0): -646.3024064410255,
+    ("smoothed_bang_bang", 1.0): -1.3125,
+    ("smoothed_bang_bang", math.inf): -1.3125,
+    ("distance_power", 0.0): 0.00023951649992373994,
+    ("distance_power", 1.0): -0.24414062500000006,
+    ("distance_power", math.inf): -0.24414062500000006}
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0, math.inf])
+@pytest.mark.parametrize("weight", _SCAN_WEIGHTS, ids=lambda w: w.kind)
+def test_disk_scan_bit_exact_at_h16(weight, theta):
+    dom = build_discretization(disk(), 1.0 / 16.0)
+    got = _concavity_min(weight, dom, theta)
+    assert type(got) is float
+    assert repr(got) == repr(_DISK16_MINS[weight.kind, theta])
 
 
 def _scan_path(monkeypatch, weight, dom, mask=None, stride=1):

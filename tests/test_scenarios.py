@@ -145,6 +145,15 @@ def test_report_matches_stored_reference(sid):
     assert run_scenario(get_scenario(sid), h=1.0 / 16.0).to_json() == ref
 
 
+def test_report_matches_stored_reference_h64():
+    # at h = 1/64 the weight scans differ from h <= 1/16: _weight_min_C
+    # strides its nodes onto the every-k-th scan of a non-rectangle node
+    # set, and the rectangle scan needs more than one band of rows
+    ref = (REFERENCE_DIR / "ramp-le-eps05-h64.json").read_text()
+    rep = run_scenario(get_scenario("ramp-le-eps05"), h=1.0 / 64.0)
+    assert rep.to_json() == ref
+
+
 GOLDEN_DIR = Path(__file__).resolve().parent / "reference"
 
 
