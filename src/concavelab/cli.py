@@ -33,30 +33,37 @@ from .scenarios import (get_scenario, run_property_suite, run_scenario,
 from .stationary import solve_stationary
 
 
+def _number(text, kind=float):
+    """kind(text), or nan where text is not a number of that kind or
+    has a digit separator (1_0 is not 10)."""
+    try:
+        return math.nan if "_" in text else kind(text)
+    except ValueError:
+        return math.nan
+
+
 def _positive(name, kind=float, zero_ok=False):
     """Parser of a finite number > 0 (>= 0 if zero_ok), int for kind=int."""
     def parse(text):
-        try:
-            v = math.nan if "_" in text else kind(text)  # 1_0 is not 10
-            if (v >= 0 if zero_ok else v > 0) and (
-                    kind is int or math.isfinite(v)):
-                return v
-        except ValueError:
-            pass
+        v = _number(text, kind)
+        if (v >= 0 if zero_ok else v > 0) and (
+                kind is int or math.isfinite(v)):
+            return v
         raise argparse.ArgumentTypeError(
             f"{name} must be a {'non-negative' if zero_ok else 'positive'} "
             f"{'integer' if kind is int else 'number'}, got {text!r}")
     return parse
 
 
-def _alpha_arg(text):
-    if text == "auto":
-        return "auto"
-    v = float(text)
-    if "_" in text or not 0.0 <= v <= 1.0:
+def _alpha_arg(name):
+    """Parser of a number in [0, 1] or the word auto."""
+    def parse(text):
+        v = text if text == "auto" else _number(text)
+        if v == "auto" or 0.0 <= v <= 1.0:
+            return v
         raise argparse.ArgumentTypeError(
-            f"alpha must lie in [0,1] (or 'auto'), got {text}")
-    return v
+            f"{name} must be a number in [0, 1] or 'auto', got {text!r}")
+    return parse
 
 
 #: field dump formats: file suffix, dump and load function per --format
@@ -73,7 +80,7 @@ _FLAGS = {
                help="time step (default: h)"),
     "T": dict(type=_positive("T"), default=None,
               help="time horizon (default 2, or the scenario's)"),
-    "alpha": dict(type=_alpha_arg, default=None,
+    "alpha": dict(type=_alpha_arg("alpha"), default=None,
                   help="power-transform exponent in [0,1], or 'auto'"),
     "out": dict(type=Path, default=Path("."), help="output directory"),
     "format": dict(choices=tuple(_FORMATS), default="binary",
@@ -95,35 +102,41 @@ def _add_flags(p, names: str):
 # config parsing
 # ---------------------------------------------------------------------------
 
-_DOMAINS = {
-    "square": lambda d: unit_square(),
-    "disk": lambda d: disk(radius=d.get("radius", 1.0)),
-    "rectangle": lambda d: rectangle(d.get("width", 1.0),
-                                     d.get("height", 1.0)),
-    "ellipse": lambda d: ellipse(d.get("a", 1.0), d.get("b", 0.5)),
-}
+#: each [domain] kind: its constructor and its keys with their defaults
+_DOMAINS = {"square": (unit_square, {}),
+            "disk": (disk, {"radius": 1.0}),
+            "rectangle": (rectangle, {"width": 1.0, "height": 1.0}),
+            "ellipse": (ellipse, {"a": 1.0, "b": 0.5})}
 
 
-#: the keys each config section may hold (configparser lowercases them)
-_KEYS = {"domain": "kind radius width height a b",
-         "weight": "kind c gamma omega eps a1 a2 eta theta truncate",
-         "source": "kind q p",
-         "grid": "h dt t snapshots",
-         "audit": "mode alpha beta include_infinity"}
+def _fields(cls):
+    return {f.name: f.default for f in dataclasses.fields(cls)}
 
 
-def _get(cp, sec, key, default):
-    """cp[sec][key] parsed like default, or default when absent: a bool
-    from configparser's boolean words, else a number that is finite or
-    equals the default (theta = inf); ValueError naming the key if not."""
-    if not cp.has_option(sec, key):
-        return default
-    text, flag = cp[sec][key], isinstance(default, bool)
-    try:
-        v = cp.getboolean(sec, key) if flag else float(text)
-    except ValueError:
-        v = math.nan
-    if "_" in text or v != default and not math.isfinite(v):
+#: the keys of the other sections, with their defaults
+_SECTIONS = {"weight": {**_fields(Weight), "truncate": False},
+             "source": _fields(SourceTerm),
+             "grid": {"h": 1.0 / 64.0, "dt": None, "T": 2.0,
+                      "snapshots": 16},
+             "audit": {"alpha": 1.0, "beta": 1.0}}
+
+
+def _parse(sec, key, text, default):
+    """[sec] key = text parsed like its default: by the flag's parser
+    for [grid] and alpha, else as a word, as one of configparser's
+    boolean words, or as a number that is finite or equals the default
+    (theta = inf); ValueError naming the key if it does not parse."""
+    if sec == "grid":
+        return _positive(f"grid key {key}", int if key == "snapshots"
+                         else float)(text)
+    if key == "alpha":
+        return _alpha_arg(f"[{sec}] {key}")(text)
+    if isinstance(default, str):
+        return text
+    flag = isinstance(default, bool)
+    v = configparser.ConfigParser.BOOLEAN_STATES.get(text.lower()) \
+        if flag else _number(text)
+    if v is None or not flag and v != default and not math.isfinite(v):
         raise ValueError(f"[{sec}] {key} = {text} is not a "
                          f"{'boolean' if flag else 'finite number'}")
     return v
@@ -135,60 +148,39 @@ def load_config(path: Path):
     cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     if not cp.read(path):
         raise ValueError(f"config file {path} not found or unreadable")
-    for sec in cp.sections():
-        bad = [f"section [{sec}]"] if sec not in _KEYS else [
-            f"key {k!r} in section [{sec}]" for k in cp[sec]
-            if k not in _KEYS[sec].split()]
-        if bad:
-            raise ValueError(f"config file {path}: unknown {bad[0]}")
-    dom_sec = cp["domain"] if "domain" in cp else {}
-    kind = dom_sec.get("kind", "square")
+    kind = cp.get("domain", "kind", fallback="square")
     if kind not in _DOMAINS:
         raise ValueError(f"domain kind must be one of "
                          f"{sorted(_DOMAINS)}, got {kind!r}")
-    spec = _DOMAINS[kind]({k: _get(cp, "domain", k, 1.0)
-                           for k in dom_sec if k != "kind"})
-
-    # absent weight keys take Weight's defaults
-    w = cp["weight"] if "weight" in cp else {}
-    weight = Weight(**{k: w[k] if k == "kind" else _get(
-        cp, "weight", k, getattr(Weight, k)) for k in w if k != "truncate"})
-
-    s = cp["source"] if "source" in cp else {}
-    source = SourceTerm(kind=s.get("kind", "one"),
-                        q=_get(cp, "source", "q", 0.0),
-                        p=_get(cp, "source", "p", 0.5))
-
-    g = cp["grid"] if "grid" in cp else {}
-    grid = {"h": 1.0 / 64.0, "dt": None, "T": 2.0, "snapshots": 16}
-    for key in grid:
-        if key in g:
-            grid[key] = _positive(f"grid key {key}", int if
-                                  key == "snapshots" else float)(g[key])
-
-    a = cp["audit"] if "audit" in cp else {}
-    audit = {"mode": a.get("mode", "space"),
-             "alpha": "auto" if a.get("alpha") == "auto"
-             else _get(cp, "audit", "alpha", 1.0),
-             "beta": _get(cp, "audit", "beta", 1.0),
-             "include_infinity": _get(cp, "audit", "include_infinity",
-                                      False)}
-
-    problem = Problem(domain=spec, weight=weight, source=source,
-                      horizon=grid["T"],
-                      truncate=_get(cp, "weight", "truncate", False))
-    return problem, grid, audit
+    make, keys = _DOMAINS[kind]
+    conf = {sec: dict(defaults) for sec, defaults in
+            {"domain": {"kind": kind, **keys}, **_SECTIONS}.items()}
+    for sec in cp.sections():
+        if sec not in conf:
+            raise ValueError(f"config file {path}: unknown section [{sec}]")
+        names = {key.lower(): key for key in conf[sec]}  # cp lowercases
+        for k, text in cp[sec].items():
+            if k not in names:
+                of = f" of kind {kind}" if sec == "domain" else ""
+                raise ValueError(f"config file {path}: unknown key {k!r} "
+                                 f"in section [{sec}]{of}")
+            key = names[k]
+            conf[sec][key] = _parse(sec, key, text, conf[sec][key])
+    truncate, grid = conf["weight"].pop("truncate"), conf["grid"]
+    problem = Problem(make(**{k: conf["domain"][k] for k in keys}),
+                      Weight(**conf["weight"]), SourceTerm(**conf["source"]),
+                      horizon=grid["T"], truncate=truncate)
+    return problem, grid, conf["audit"]
 
 
-def _problem_from_args(args, horizon=None):
-    """(problem, grid, audit) of --config, with the horizon replaced
-    when one is given and the config's h by --h when that is given."""
+def _problem_from_args(args):
+    """(problem, grid, audit) of --config, with the [grid] keys h, dt
+    and T replaced by the flags of the same name that are given."""
     problem, grid, audit = load_config(args.config)
-    if horizon is not None:
-        problem = dataclasses.replace(problem, horizon=horizon)
-    if args.h is not None:
-        grid["h"] = args.h
-    return problem, grid, audit
+    for key in ("h", "dt", "T"):
+        if vars(args).get(key) is not None:
+            grid[key] = vars(args)[key]
+    return dataclasses.replace(problem, horizon=grid["T"]), grid, audit
 
 
 def _write(out_dir: Path, name: str, text: str) -> Path:
@@ -201,9 +193,8 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
 # ---------------------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
-    problem, grid, _ = _problem_from_args(args, args.T)
-    h = grid["h"]
-    dt = args.dt if args.dt is not None else grid["dt"]
+    problem, grid, _ = _problem_from_args(args)
+    h, dt = grid["h"], grid["dt"]
     dom = build_discretization(problem.domain, h)
     tg = make_time_grid(problem, h, dt, count=grid["snapshots"])
     traj = solve_trajectory(problem, dom, tg, dt)
@@ -223,7 +214,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_stationary(args) -> int:
-    problem, grid, _ = _problem_from_args(args, args.T)
+    problem, grid, _ = _problem_from_args(args)
     dom = build_discretization(problem.domain, grid["h"])
     res = solve_stationary(problem, dom)
     ext, dump, _ = _FORMATS[args.format]
@@ -261,12 +252,6 @@ def _load_field(problem: Problem, grid, path: Path) -> Field:
 
 def _cmd_audit(args) -> int:
     problem, grid, audit = _problem_from_args(args)
-    if audit["mode"] != "space":
-        raise ValueError(f"[audit] mode = {audit['mode']}: a field dump "
-                         f"has no time axis; use mode = space")
-    if audit["include_infinity"]:
-        raise ValueError("[audit] include_infinity = true: a field dump "
-                         "has no t = infinity slice")
     alpha = _resolve_alpha(problem, audit["alpha"] if args.alpha is None
                            else args.alpha, audit["beta"])
     f = _load_field(problem, grid, args.field)

@@ -55,6 +55,13 @@ class Weight:
     eta: float = 0.0625
     theta: float = math.inf  # claimed concavity exponent of the profile
 
+    def __post_init__(self):
+        if not self.gamma >= 0 or self.gamma and self.kind not in (
+                "separable_power_time", "distance_power"):
+            raise ValueError(f"weight {self.kind!r} with gamma = "
+                             f"{self.gamma}: gamma must be >= 0, and 0 on "
+                             f"a kind without the factor t^gamma")
+
     @property
     def spatially_constant(self) -> bool:
         """a(x, t) does not depend on x."""
@@ -101,8 +108,7 @@ class Weight:
         raise ValueError(f"unknown weight kind {self.kind!r}")
 
     def time_factor(self, t) -> float:
-        if self.kind in ("separable_power_time", "distance_power") \
-                and self.gamma > 0:
+        if self.gamma > 0:
             return float(t) ** self.gamma if t > 0 else 0.0
         return 1.0
 
@@ -286,8 +292,7 @@ def check_hypotheses(problem: Problem) -> HypothesisReport:
         flags["hoelder"] = False
 
     # monotone in t: the only time dependence in the catalog is t^gamma
-    if w.gamma == 0.0 or w.kind in ("constant", "ramp_bump_perturbed",
-                                    "smoothed_bang_bang"):
+    if w.gamma == 0.0:
         flags["time_monotone"] = True  # b constant in t
     elif src.kind in _NONNEG_SOURCES:
         flags["time_monotone"] = True  # t^gamma nondecreasing, f >= 0

@@ -34,7 +34,6 @@ T = 0.5
 snapshots = 6
 
 [audit]
-mode = space
 alpha = 0.5
 """
 
@@ -71,6 +70,27 @@ def test_bad_domain_kind_rejected(tmp_path, capsys):
     rc = parse_and_dispatch(["solve", "--config", str(path)])
     assert rc == 2
     assert "pentagon" in capsys.readouterr().err
+
+
+#: the keys each [domain] kind takes
+DOMAIN_KEYS = {"square": (), "disk": ("radius",),
+               "rectangle": ("width", "height"), "ellipse": ("a", "b")}
+
+
+@pytest.mark.parametrize("kind,key", [("square", "radius"),
+                                      ("disk", "width"),
+                                      ("ellipse", "radius")])
+def test_domain_key_of_another_kind_rejected(tmp_path, capsys, kind, key):
+    # kind = square with radius = 0.3 used to solve the unit square
+    path = tmp_path / "domain.ini"
+    path.write_text(f"[domain]\nkind = {kind}\n{key} = 0.3\n"
+                    "[grid]\nh = 0.25\n")
+    rc = parse_and_dispatch(["stationary", "--config", str(path),
+                             "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"unknown key {key!r} in section [domain] of kind {kind}" in err
+    assert not (tmp_path / "stationary.bin").exists()
 
 
 def test_unknown_scenario_rejected(capsys):
@@ -456,29 +476,71 @@ def test_bad_config_is_usage_error(tmp_path, capsys, text, named):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("line,named", [
-    ("mode = spacetime", "[audit] mode = spacetime"),
-    ("include_infinity = true", "[audit] include_infinity = true"),
-    # configparser's boolean words, not only "true"
-    ("include_infinity = yes", "[audit] include_infinity = true"),
-    ("include_infinity = maybe", "[audit] include_infinity = maybe"),
-])
-def test_audit_rejects_what_a_field_cannot_honor(tmp_path, capsys, line,
-                                                 named):
-    # a CSV field has no time axis and no t = infinity slice
+@pytest.mark.parametrize("line", ["mode = space", "mode = spacetime",
+                                  "include_infinity = false",
+                                  "include_infinity = true",
+                                  "include_infinity = yes",
+                                  "include_infinity = maybe"])
+def test_removed_audit_keys_rejected(tmp_path, capsys, line):
+    # a field dump has one time slice, so the audit of one is a space
+    # audit without t = infinity; the keys that could only say so are
+    # gone
     grid = ("--h", "0.125", "--out", str(tmp_path))
     config = tmp_path / "torsion.ini"
     config.write_text(CONFIG)
     assert parse_and_dispatch(["stationary", "--config", str(config),
                                *grid, "--format", "csv"]) == 0
-    config.write_text(CONFIG.replace("mode = space", line))
+    config.write_text(CONFIG + line + "\n")
     rc = parse_and_dispatch(["audit", "--config", str(config), *grid,
                              "--field", str(tmp_path / "stationary.csv")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert named in err
+    assert f"unknown key {line.split()[0]!r} in section [audit]" in err
     assert "Traceback" not in err
     assert not (tmp_path / "audit_report.json").exists()
+
+
+def test_config_alpha_out_of_range_names_the_key(tmp_path, capsys):
+    # the message used to be "alpha must lie in [0, 1]", without the
+    # section or the key
+    path = tmp_path / "alpha.ini"
+    path.write_text(CONFIG.replace("alpha = 0.5", "alpha = 1.5"))
+    rc = parse_and_dispatch(["audit", "--config", str(path), "--field",
+                             str(tmp_path / "f.csv"), "--out",
+                             str(tmp_path)])
+    assert rc == 2
+    assert ("[audit] alpha must be a number in [0, 1] or 'auto', got "
+            "'1.5'") in capsys.readouterr().err
+
+
+def test_alpha_flag_error_says_what_alpha_takes(tmp_path, capsys,
+                                                config_file):
+    # the message used to be "invalid _alpha_arg value: 'abc'"
+    rc = parse_and_dispatch(["audit", "--config", str(config_file),
+                             "--field", str(tmp_path / "f.csv"), "--out",
+                             str(tmp_path), "--alpha", "abc"])
+    assert rc == 2
+    assert ("argument --alpha: alpha must be a number in [0, 1] or "
+            "'auto', got 'abc'") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,gamma", [("constant", "0.5"),
+                                        ("ramp_bump_perturbed", "0.5"),
+                                        ("smoothed_bang_bang", "0.5"),
+                                        ("separable_power_time", "-0.5")])
+def test_gamma_a_weight_cannot_honor_is_usage_error(tmp_path, capsys, kind,
+                                                    gamma):
+    # these weights have no factor t^gamma, and t^gamma with gamma < 0
+    # is not read either; the seed's barrier used to read gamma anyway
+    path = tmp_path / "gamma.ini"
+    path.write_text(f"[weight]\nkind = {kind}\ngamma = {gamma}\n"
+                    "[grid]\nh = 0.125\nT = 0.5\nsnapshots = 2\n")
+    rc = parse_and_dispatch(["solve", "--config", str(path), "--out",
+                             str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"weight {kind!r} with gamma = {float(gamma)}" in err
+    assert not (tmp_path / "solve_report.json").exists()
 
 
 def _grid_value(valid):
@@ -528,10 +590,13 @@ NUMERIC_KEYS = [("domain", k) for k in ("radius", "width", "height", "a",
                          ids=lambda v: v if isinstance(v, str) else None)
 def test_non_finite_config_number_is_usage_error(tmp_path, capsys, sec,
                                                  key, value):
-    # every numeric key is read, whether or not its kind uses it; inf
+    # every numeric key is read, a [domain] key under its own kind and
+    # a [weight] or [source] key whether or not its kind uses it; inf
     # is the default of [weight] theta and stays allowed there
+    kind = "".join(f"kind = {name}\n" for name, keys in DOMAIN_KEYS.items()
+                   if sec == "domain" and key in keys)
     path = tmp_path / "bad.ini"
-    path.write_text(f"[{sec}]\n{key} = {value}\n[grid]\nh = 0.125\n")
+    path.write_text(f"[{sec}]\n{kind}{key} = {value}\n[grid]\nh = 0.125\n")
     rc = parse_and_dispatch(["stationary", "--config", str(path),
                              "--out", str(tmp_path)])
     err = capsys.readouterr().err
@@ -539,7 +604,11 @@ def test_non_finite_config_number_is_usage_error(tmp_path, capsys, sec,
         assert rc == 0, err
         return
     assert rc == 2
-    assert f"[{sec}] {key} = {value} is not a finite number" in err
+    if key == "alpha":  # read by the parser of --alpha
+        assert (f"[audit] alpha must be a number in [0, 1] or 'auto', "
+                f"got {value!r}") in err
+    else:
+        assert f"[{sec}] {key} = {value} is not a finite number" in err
     assert not (tmp_path / "stationary.bin").exists()
 
 
@@ -729,31 +798,41 @@ def _run_quietly(argv):
     return rc, err.getvalue()
 
 
+def _domain_section(kind):
+    """(kind, [domain] values): numbers for some of the kind's own keys
+    and, at times, one key of another kind, written before them."""
+    own = DOMAIN_KEYS.get(kind, ())
+    other = [key for keys in DOMAIN_KEYS.values() for key in keys
+             if key not in own]
+    return st.tuples(st.just(kind), st.one_of(
+        st.just({}), st.sampled_from(other).map(lambda key: {key: "1"})),
+        st.fixed_dictionaries({}, optional={
+            key: _numeral(0.3, 2) for key in own})).map(
+        lambda t: (t[0], {**t[1], **t[2]}))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@example("audit", "square", {"width": "1_0"}, {"alpha": " 0_5 "})
-@example("envelope", "disk", {"radius": " 1 "}, {"beta": "1_0"})
+@example("audit", ("rectangle", {"width": "1_0"}), {"alpha": " 0_5 "})
+@example("envelope", ("disk", {"radius": " 1 "}), {"beta": "1_0"})
+@example("audit", ("ellipse", {"radius": "1", "a": "1_0"}), {})
 @given(command=st.sampled_from(["audit", "envelope"]),
-       kind=st.sampled_from(["square", "disk", "rectangle", "ellipse", "x"]),
-       domain=st.fixed_dictionaries({}, optional={
-           key: _numeral(0.3, 2) for key in ("radius", "width", "height",
-                                             "a", "b")}),
+       section=st.sampled_from([*DOMAIN_KEYS, "x"]).flatmap(_domain_section),
        audit=st.fixed_dictionaries({}, optional={
-           "mode": st.sampled_from(["space", "spacetime", "x", "1_0"]),
            "alpha": _numeral(0, 1) | st.just("auto"),
-           "beta": _numeral(1, 2),
-           "include_infinity": st.sampled_from(["no", " off ", "yes", "0",
-                                                "1_0", "0_0", "x"])}))
-def test_domain_and_audit_values_exit_cleanly(command, kind, domain, audit):
+           "beta": _numeral(1, 2)}))
+def test_domain_and_audit_values_exit_cleanly(command, section, audit):
     # whatever [domain] and [audit] hold at a coarse h, stationary and
     # then audit or envelope of its field exit 0, 1 or 2 and never with
-    # a traceback; a number with a digit separator is never read
+    # a traceback; a number with a digit separator is never read, and a
+    # key of another domain kind is named
+    kind, domain = section
     text = f"[grid]\nh = 0.25\n[domain]\nkind = {kind}\n" + "".join(
         f"{key} = {value}\n" for key, value in domain.items()) \
         + "[audit]\n" + "".join(f"{key} = {value}\n"
                                  for key, value in audit.items())
-    separator = any("_" in value for key, value in (*domain.items(),
-                                                    *audit.items())
-                    if key != "mode")  # [audit] mode is a word
+    separator = any("_" in value for value in (*domain.values(),
+                                               *audit.values()))
+    other = [key for key in domain if key not in DOMAIN_KEYS.get(kind, ())]
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "fuzz.ini", Path(tmp) / "out"
         config.write_text(text)
@@ -768,6 +847,9 @@ def test_domain_and_audit_values_exit_cleanly(command, kind, domain, audit):
         assert (rc == 2) == ("error: " in err), text
     if separator:
         assert rcs[1][0] == 2, text
+    if other and kind in DOMAIN_KEYS:
+        for rc, err in rcs:
+            assert rc == 2 and f"unknown key {other[0]!r}" in err, text
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

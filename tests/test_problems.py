@@ -70,6 +70,19 @@ def test_time_factor_power(square16):
     assert w.time_factor(0.0) == 0.0
 
 
+@pytest.mark.parametrize("kind,gamma", [
+    ("constant", 0.5), ("ramp_bump_perturbed", 0.5),
+    ("smoothed_bang_bang", 0.5), ("separable_power_time", -0.5),
+    ("distance_power", -0.5), ("separable_power_time", math.nan)])
+def test_weight_rejects_gamma_it_has_no_factor_for(kind, gamma):
+    # time_factor reads gamma only when it is > 0 on a kind with the
+    # factor t^gamma; the seed's barrier and the stationary solve used
+    # to read it on every kind and sign
+    with pytest.raises(ValueError, match=f"weight '{kind}' with gamma = "
+                                         f"{gamma}"):
+        Weight(kind=kind, gamma=gamma)
+
+
 def test_source_power_q():
     s = SourceTerm(kind="power_q", q=0.5)
     assert s.f(4.0) == pytest.approx(2.0)
