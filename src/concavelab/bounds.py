@@ -26,7 +26,6 @@ class BoundParams:
     negative-part concavity defect of the weight (of a^theta for the
     theta modes)."""
     q: float = 0.0
-    gamma: float = 0.0
     theta: float = 1.0
     m: float = 1.0
     M: float = 1.0
@@ -246,13 +245,12 @@ def barrier_constant(k: float, q: float, gamma: float) -> float:
     return ((1.0 - q) * k / (1.0 + gamma)) ** (1.0 / (1.0 - q))
 
 
-def boundary_lower_bound(params: BoundParams, t: float, eig):
+def boundary_lower_bound(consts: dict, t: float, eig):
     """Explicit lower barrier near the parabolic boundary at time t:
     C e^{-lam1 t} t^{(1+gamma)/(1-q)} phi1 at every interior node, with
-    C from k = m."""
-    if not 0.0 < t:
-        raise ValueError("the barrier applies for t > 0")
-    q, gamma = params.q, params.gamma
-    C = barrier_constant(params.m, q, gamma)
-    return C * math.exp(-eig.lam * t) * t ** ((1.0 + gamma) / (1.0 - q)) \
-        * eig.phi.values
+    C from the k, q, gamma of a certified power lower bound (consts)."""
+    k, q, gamma = (consts[name] for name in ("k", "q", "gamma"))
+    if not (0.0 < t and 0.0 <= q < 1.0):
+        raise ValueError(f"the barrier needs t > 0, q in [0,1): t={t}, q={q}")
+    return barrier_constant(k, q, gamma) * math.exp(-eig.lam * t) \
+        * t ** ((1.0 + gamma) / (1.0 - q)) * eig.phi.values

@@ -230,9 +230,11 @@ def _cmd_stationary(args) -> int:
 
 
 def _resolve_alpha(problem: Problem, alpha, beta: float) -> float:
-    """alpha itself, or for "auto" the exponent formula at the source's
-    sublinear exponent and the weight's gamma and theta."""
+    """alpha itself, with beta = 1, or for "auto" the exponent formula at
+    beta, the source's sublinear exponent and the weight's gamma, theta."""
     if alpha != "auto":
+        if beta != 1.0:
+            raise ValueError(f"[audit] beta = {beta} needs alpha = auto")
         return alpha
     q = problem.source.sublinear_exponent
     if q is None:

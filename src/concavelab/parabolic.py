@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundParams, boundary_lower_bound
+from .bounds import boundary_lower_bound
 from .domains import DiscretizedDomain
 from .errors import HypothesisViolated, StateBlowup
 from .operators import (EigenPair, Field, principal_eigenpair,
@@ -23,9 +23,6 @@ from .problems import Problem, check_hypotheses
 
 BLOWUP_THRESHOLD = 1e6
 MAX_STEPS = 1e6  # most time steps a trajectory may take
-# sources whose slope can be stiff near the running state: take one
-# semi-implicit (linearized) correction of the source term
-_STIFF_SOURCES = ("logistic", "log_s")
 
 
 def monotone_slack(h: float) -> float:
@@ -101,9 +98,8 @@ def seed_from_subsolution(problem: Problem, dom: DiscretizedDomain,
     if not hyp.require("lower_power"):
         raise HypothesisViolated(
             "subsolution seeding needs the certified power lower bound")
-    k, q, gamma = (hyp.constants[name] for name in ("k", "q", "gamma"))
-    params = BoundParams(q=q, gamma=gamma, m=k, M=k)
-    w = boundary_lower_bound(params, t0, eig)
+    w = boundary_lower_bound(hyp.constants, t0, eig)
+    q, gamma = hyp.constants["q"], hyp.constants["gamma"]
     # w_t - Lap_h w = ((1+gamma)/(1-q)) w / t0 exactly, since phi is a
     # discrete eigenfunction; check against b at the seed state
     lhs = ((1.0 + gamma) / (1.0 - q)) * w / t0
@@ -124,7 +120,7 @@ def advance(problem: Problem, dom: DiscretizedDomain, u: Field,
     tn = t + dt
     b = problem.source_values(dom, u.values, tn)
     rhs = Field(dom, u.values + dt * b, tn)
-    if problem.source.kind in _STIFF_SOURCES:
+    if problem.source.sign_changing:
         # predictor, then one linearized correction of the source term:
         # (I + dt(-Lap) - dt diag(bs)) u+ = u + dt (b(u*) - bs u*)
         star = solve_shifted_poisson(dt, rhs).values

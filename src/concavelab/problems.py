@@ -16,7 +16,7 @@ Hypothesis flags (True / False / None=undetermined):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -26,6 +26,19 @@ from .operators import LAMBDAS, pair_scan
 
 FLAG_NAMES = ("lower_power", "lower_power_dist", "lower_power_uniform",
               "one_sided_lipschitz", "hoelder", "time_monotone")
+
+
+def _check_fields(obj, what: str):
+    """Reject an unknown kind, and a field that obj's kind does not read
+    (KINDS) set to other than its default, NaN included."""
+    if obj.kind not in obj.KINDS:
+        raise ValueError(f"{what} kind must be one of {sorted(obj.KINDS)}, "
+                         f"got {obj.kind!r}")
+    for f in fields(obj)[1:]:  # the fields after kind
+        value = getattr(obj, f.name)
+        if f.name not in obj.KINDS[obj.kind] and value != f.default:
+            raise ValueError(f"{what} {obj.kind!r} with {f.name} = {value}: "
+                             f"the kind does not read {f.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -55,12 +68,18 @@ class Weight:
     eta: float = 0.0625
     theta: float = math.inf  # claimed concavity exponent of the profile
 
+    #: the fields each kind reads
+    KINDS = {"constant": ("c", "theta"),
+             "separable_power_time": ("c", "gamma", "theta"),
+             "distance_power": ("c", "gamma", "omega", "theta"),
+             "ramp_bump_perturbed": ("eps", "theta"),
+             "smoothed_bang_bang": ("a1", "a2", "eta", "theta")}
+
     def __post_init__(self):
-        if not self.gamma >= 0 or self.gamma and self.kind not in (
-                "separable_power_time", "distance_power"):
+        _check_fields(self, "weight")
+        if not self.gamma >= 0:
             raise ValueError(f"weight {self.kind!r} with gamma = "
-                             f"{self.gamma}: gamma must be >= 0, and 0 on "
-                             f"a kind without the factor t^gamma")
+                             f"{self.gamma}: gamma must be >= 0")
 
     @property
     def spatially_constant(self) -> bool:
@@ -103,19 +122,12 @@ class Weight:
             return self.c * d ** self.omega
         if self.kind == "ramp_bump_perturbed":
             return 1.0 + self.eps * (fx * fy)
-        if self.kind == "smoothed_bang_bang":
-            return fx
-        raise ValueError(f"unknown weight kind {self.kind!r}")
+        return fx  # smoothed_bang_bang
 
     def time_factor(self, t) -> float:
         if self.gamma > 0:
             return float(t) ** self.gamma if t > 0 else 0.0
         return 1.0
-
-    def bounds(self, dom: DiscretizedDomain, t_max: float):
-        """(m, M) over the interior nodes at the largest audited time."""
-        prof = self.spatial_profile(dom) * self.time_factor(t_max)
-        return float(prof.min()), float(prof.max())
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +152,19 @@ class SourceTerm:
     q: float = 0.0
     p: float = 0.5
 
+    #: the fields each kind reads
+    KINDS = {"one": (), "power_q": ("q",), "identity": (), "log_s": (),
+             "log1p_q": ("q",), "saturable_q": ("q",), "saturable": (),
+             "logistic": (), "one_minus_s_p": ("p",),
+             "power_sum": ("q", "p")}
+
+    def __post_init__(self):
+        _check_fields(self, "source")
+
     def f(self, s):
         s = np.asarray(s, dtype=float)
         k = self.kind
-        if k == "one":
-            return np.ones_like(s)
-        if k == "power_q":
+        if k in ("one", "power_q"):  # q = 0 for one
             return _power(s, self.q)
         if k == "power_sum":
             return _power(s, self.p)
@@ -161,16 +180,19 @@ class SourceTerm:
         if k == "saturable_q":
             sq = _power(s, self.q)
             return s * sq / (1.0 + sq)
-        if k == "saturable":
-            return s * s / (1.0 + s)
         if k == "one_minus_s_p":
             return np.where(s < 1, (1.0 - np.minimum(s, 1.0)) ** self.p, 0.0)
-        raise ValueError(f"unknown source kind {k!r}")
+        return s * s / (1.0 + s)  # saturable
 
     def g(self, s):
         if not self.composite:
             return None
         return -(s * s) if self.kind == "logistic" else _power(s, self.q)
+
+    @property
+    def sign_changing(self) -> bool:
+        """b < 0 for some s > 0, where its slope can be stiff."""
+        return self.kind in ("logistic", "log_s")
 
     @property
     def composite(self) -> bool:
@@ -186,10 +208,8 @@ class SourceTerm:
     @property
     def sublinear_exponent(self):
         """The q in the s^q lower-bound hypothesis, when one applies."""
-        if self.kind in ("one", "one_minus_s_p"):
-            return 0.0
-        if self.kind == "power_q":
-            return self.q
+        if self.kind in ("one", "power_q", "one_minus_s_p"):
+            return self.q  # 0 unless power_q
         if self.kind == "power_sum":
             # b = a s^p + s^q >= m s^p for every s >= 0 (m = min a)
             return self.p
@@ -238,10 +258,6 @@ class HypothesisReport:
         return self.flags.get(name) is True
 
 
-_NONNEG_SOURCES = ("one", "power_q", "identity", "saturable", "saturable_q",
-                   "log1p_q", "one_minus_s_p", "power_sum")
-
-
 def check_hypotheses(problem: Problem) -> HypothesisReport:
     """Catalog-rule verdicts for the structural hypotheses on states in
     (0, 1], with the constants k, q of a certified power lower bound and
@@ -277,7 +293,7 @@ def check_hypotheses(problem: Problem) -> HypothesisReport:
     elif src.kind == "logistic":
         flags["lower_power"] = False
 
-    if src.kind in _NONNEG_SOURCES and (m is None or m >= 0) \
+    if not src.sign_changing and (m is None or m >= 0) \
             and w.kind != "smoothed_bang_bang":
         flags["one_sided_lipschitz"] = True
         hq = 1.0
@@ -286,7 +302,7 @@ def check_hypotheses(problem: Problem) -> HypothesisReport:
         elif src.kind == "power_sum":
             hq = min(src.p, src.q)
         flags["hoelder"] = hq >= 0.5
-    elif src.kind in ("logistic", "log_s"):
+    elif src.sign_changing:
         # takes negative values, so the nonnegativity part fails
         flags["one_sided_lipschitz"] = False
         flags["hoelder"] = False
@@ -294,7 +310,7 @@ def check_hypotheses(problem: Problem) -> HypothesisReport:
     # monotone in t: the only time dependence in the catalog is t^gamma
     if w.gamma == 0.0:
         flags["time_monotone"] = True  # b constant in t
-    elif src.kind in _NONNEG_SOURCES:
+    elif not src.sign_changing:
         flags["time_monotone"] = True  # t^gamma nondecreasing, f >= 0
     else:
         flags["time_monotone"] = None

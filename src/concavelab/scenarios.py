@@ -43,7 +43,6 @@ class AuditSpec:
       ("exact",)                    defect >= -tau_audit
       ("quantitative", mode)       defect >= rhs(mode) - tau_audit
       ("log_bound", variant)       defect >= log rhs(variant) - tau_audit
-      ("quasiconcave",)            superlevel sets of snapshots convex
     """
     alpha: float
     beta: float = 1.0
@@ -61,6 +60,7 @@ class Scenario:
     u0_scale: float | None = None
     audits: tuple = ()
     check_boundary_barrier: bool = False
+    check_quasiconcave: bool = False  # snapshots' superlevel sets convex
 
 
 @dataclass
@@ -108,16 +108,14 @@ def _catalog() -> dict:
             description="constant-source problem; sqrt of the rescaled "
                         "solution is concave in space-time",
             problem=Problem(spec, one, SourceTerm("one")),
-            audits=(AuditSpec(alpha=0.5, beta=2.0, mode="spacetime",
-                              checks=(("exact",),)),),
+            audits=(AuditSpec(alpha=0.5, beta=2.0),),
             check_boundary_barrier=True))
         add(Scenario(
             id=f"lane-emden-{name}",
             description="sublinear power source u^(1/2); u^(1/4) concave "
                         "in space-time",
             problem=Problem(spec, one, SourceTerm("power_q", q=0.5)),
-            audits=(AuditSpec(alpha=0.25, beta=1.0, mode="spacetime",
-                              checks=(("exact",),)),),
+            audits=(AuditSpec(alpha=0.25),),
             check_boundary_barrier=True))
 
     add(Scenario(
@@ -125,23 +123,21 @@ def _catalog() -> dict:
         description="source a u^p + u^q with p=0.5, q=0.6; u^((1-q)/2) "
                     "concave in rescaled space-time",
         problem=Problem(square, one, SourceTerm("power_sum", q=0.6, p=0.5)),
-        audits=(AuditSpec(alpha=0.2, beta=2.0, mode="spacetime",
-                          checks=(("exact",),)),)))
+        audits=(AuditSpec(alpha=0.2, beta=2.0),)))
 
     add(Scenario(
         id="dist-weight-torsion-disk",
         description="torsion with the concave weight d(x); u^(1/3) "
                     "concave in rescaled space-time",
         problem=Problem(disk(), dist, SourceTerm("one")),
-        audits=(AuditSpec(alpha=1.0 / 3.0, beta=2.0, mode="spacetime",
-                          checks=(("exact",),)),)))
+        audits=(AuditSpec(alpha=1.0 / 3.0, beta=2.0),)))
 
     add(Scenario(
         id="eigen-square",
         description="linear source a u with constant a; log u concave "
                     "at every time",
         problem=Problem(square, one, SourceTerm("identity")), u0_scale=1.0,
-        audits=(AuditSpec(alpha=0.0, beta=1.0, mode="space",
+        audits=(AuditSpec(alpha=0.0, mode="space",
                           checks=(("exact",), ("log_bound", "eigen"))),)))
 
     add(Scenario(
@@ -149,7 +145,7 @@ def _catalog() -> dict:
         description="saturable source s^2/(1+s) with constant a; log u "
                     "concave at every time",
         problem=Problem(square, one, SourceTerm("saturable")), u0_scale=1.0,
-        audits=(AuditSpec(alpha=0.0, beta=1.0, mode="space",
+        audits=(AuditSpec(alpha=0.0, mode="space",
                           checks=(("exact",), ("log_bound", "general"))),)))
 
     add(Scenario(
@@ -157,8 +153,7 @@ def _catalog() -> dict:
         description="logistic source a(x) u - u^2 with concave a = d(x); "
                     "log u concave at every time",
         problem=Problem(square, dist, SourceTerm("logistic")), u0_scale=0.5,
-        audits=(AuditSpec(alpha=0.0, beta=1.0, mode="space",
-                          checks=(("exact",),)),)))
+        audits=(AuditSpec(alpha=0.0, mode="space"),)))
 
     add(Scenario(
         id="log-square",
@@ -166,7 +161,7 @@ def _catalog() -> dict:
                     "concave at every time on the finite horizon",
         problem=Problem(square, one, SourceTerm("log_s"), horizon=1.0),
         u0_scale=0.5,
-        audits=(AuditSpec(alpha=0.0, beta=1.0, mode="space",
+        audits=(AuditSpec(alpha=0.0, mode="space",
                           checks=(("exact",),
                                   ("log_bound", "product_cases"))),)))
 
@@ -177,16 +172,14 @@ def _catalog() -> dict:
         problem=Problem(square, Weight("distance_power", c=1.0, gamma=0.5,
                                        omega=0.5, theta=1.0),
                         SourceTerm("identity"), truncate=True), u0_scale=1.0,
-        audits=(AuditSpec(alpha=0.0, beta=1.0, mode="space",
-                          checks=(("exact",),)),)))
+        audits=(AuditSpec(alpha=0.0, mode="space"),)))
 
     add(Scenario(
         id="kennington-square",
         description="source (1-u)^p from zero data; snapshots are "
                     "quasiconcave (convex superlevel sets)",
         problem=Problem(square, one, SourceTerm("one_minus_s_p", p=0.5)),
-        audits=(AuditSpec(alpha=1.0, beta=1.0, mode="space",
-                          checks=(("quasiconcave",),)),)))
+        check_quasiconcave=True))
 
     for eps in (0.05, 0.1, 0.2):
         tag = str(eps).replace("0.", "")
@@ -197,11 +190,10 @@ def _catalog() -> dict:
                         f"(eps={eps}); quantitative defect bounds",
             problem=Problem(square, ramp, SourceTerm("power_q", q=0.5)),
             audits=(
-                AuditSpec(alpha=0.25, beta=1.0, mode="spacetime",
-                          checks=(("quantitative", "oscillation"),
-                                  ("quantitative", "rough"),
-                                  ("quantitative", "prop413"))),
-                AuditSpec(alpha=1.0 / 6.0, beta=1.0, mode="spacetime",
+                AuditSpec(alpha=0.25, checks=(("quantitative", "oscillation"),
+                                              ("quantitative", "rough"),
+                                              ("quantitative", "prop413"))),
+                AuditSpec(alpha=1.0 / 6.0,
                           checks=(("quantitative", "theta"),)),
             )))
         add(Scenario(
@@ -210,7 +202,7 @@ def _catalog() -> dict:
                         f"(eps={eps}); log-concavity defect bound",
             problem=Problem(square, ramp, SourceTerm("identity")),
             u0_scale=1.0,
-            audits=(AuditSpec(alpha=0.0, beta=1.0, mode="space",
+            audits=(AuditSpec(alpha=0.0, mode="space",
                               checks=(("log_bound", "eigen"),)),)))
 
     return {s.id: s for s in scns}
@@ -234,15 +226,12 @@ def get_scenario(sid: str) -> Scenario:
 # pipeline helpers
 # ---------------------------------------------------------------------------
 
-def build_problem(scn: Scenario, eig=None,
+def build_problem(scn: Scenario, eig,
                   horizon: float | None = None) -> Problem:
     """scn.problem with the initial data u0_scale * phi1 when u0_scale
     is set, and with the horizon when one is given."""
     kw = {} if horizon is None else {"horizon": horizon}
     if scn.u0_scale is not None:
-        if eig is None:
-            raise ValueError("eigenfunction initial data needs the "
-                             "eigenpair")
         kw["u0_values"] = scn.u0_scale * eig.phi.values
     return dataclasses.replace(scn.problem, **kw)
 
@@ -259,13 +248,11 @@ def hopf_margin(dom, values) -> float:
 def boundary_barrier_margin(problem, dom, traj, eig, hyp) -> float:
     """Min over interior snapshots of u / barrier (barrier from the
     certified power lower bound); > 1 means the barrier holds."""
-    c = hyp.constants
-    params = BoundParams(q=c["q"], gamma=c["gamma"], m=c["k"], M=c["k"])
     worst = math.inf
     for t, vals in zip(traj.times, traj.fields):
         if t <= 0.0 or t >= problem.horizon:
             continue
-        barrier = boundary_lower_bound(params, t, eig)
+        barrier = boundary_lower_bound(hyp.constants, t, eig)
         pos = barrier > 1e-14
         if pos.any():
             worst = min(worst, float(np.min(vals[pos] / barrier[pos])))
@@ -296,11 +283,12 @@ def _quant_params(problem, dom, ev, rep, sup_norm_u_inf, mode):
     report's argmin neighborhood."""
     w, src = problem.weight, problem.source
     q = src.q if src.kind == "power_q" else 0.0
-    m, M = w.bounds(dom, problem.horizon)
-    mask = _inner_region(problem, dom, rep)
     prof = w.spatial_profile(dom)
+    at_T = prof * w.time_factor(problem.horizon)  # (m, M) at the horizon
+    mask = _inner_region(problem, dom, rep)
     prof_rho = prof if mask is None else prof[mask]
-    kw = dict(q=q, m=m, M=M, sup_norm_u_inf=sup_norm_u_inf,
+    kw = dict(q=q, m=float(at_T.min()), M=float(at_T.max()),
+              sup_norm_u_inf=sup_norm_u_inf,
               theta=w.theta if math.isfinite(w.theta) else 1.0)
     if mode == "oscillation":
         kw["osc_a2"] = float((prof ** 2).max() - (prof ** 2).min())
@@ -401,14 +389,14 @@ def run_scenario(scn: Scenario, h: float = 1.0 / 64.0,
         report.add_assertion("boundary_barrier", ratio >= 0.99,
                              ratio, 0.99)
 
+    if scn.check_quasiconcave:
+        worst = max([0.0] + [quasiconcavity_defect(
+            Field(dom, traj.fields[k], traj.times[k]))
+            for k in range(0, len(traj.fields), 3) if traj.times[k] > 0])
+        report.add_assertion("quasiconcave_snapshots",
+                             worst <= 0.0, -worst, -1e-12)
+
     for aud in scn.audits:
-        if aud.checks == (("quasiconcave",),):
-            worst = max([0.0] + [quasiconcavity_defect(
-                Field(dom, traj.fields[k], traj.times[k]))
-                for k in range(0, len(traj.fields), 3) if traj.times[k] > 0])
-            report.add_assertion("quasiconcave_snapshots",
-                                 worst <= 0.0, -worst, -1e-12)
-            continue
         ev = Evaluator(traj, aud.alpha, aud.beta)
         rep = min_defect(ev, aud.mode, SamplerConfig(
             include_infinity=aud.mode == "spacetime"))

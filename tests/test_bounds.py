@@ -200,12 +200,15 @@ def test_barrier_constant_worked_value():
 def test_interior_barrier_values():
     dom = build_discretization(unit_square(), 1.0 / 16.0)
     eig = principal_eigenpair(dom)
-    p = BoundParams(q=0.5, gamma=0.0, m=1.0)
-    vals = boundary_lower_bound(p, 0.5, eig)
+    consts = {"k": 1.0, "q": 0.5, "gamma": 0.0}  # HypothesisReport's
+    vals = boundary_lower_bound(consts, 0.5, eig)
     amp = 0.25 * math.exp(-eig.lam * 0.5) * 0.5 ** 2
     assert np.allclose(vals, amp * eig.phi.values)
     with pytest.raises(ValueError):
-        boundary_lower_bound(p, 0.0, eig)
+        boundary_lower_bound(consts, 0.0, eig)
+    for q in (1.0, 1.5, -0.5, math.nan):  # the barrier needs q in [0, 1)
+        with pytest.raises(ValueError, match="q in \\[0,1\\)"):
+            boundary_lower_bound({**consts, "q": q}, 0.5, eig)
 
 
 def test_barrier_requires_certified_hypothesis():

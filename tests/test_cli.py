@@ -1,6 +1,8 @@
 import contextlib
+import dataclasses
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -13,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from concavelab import (build_discretization, concave_approximation,
-                        scenario_ids, unit_square)
+from concavelab import (SourceTerm, Weight, build_discretization,
+                        concave_approximation, scenario_ids, unit_square)
 from concavelab.cli import _FORMATS, load_config, parse_and_dispatch
 
 CONFIG = """\
@@ -543,6 +545,44 @@ def test_gamma_a_weight_cannot_honor_is_usage_error(tmp_path, capsys, kind,
     assert not (tmp_path / "solve_report.json").exists()
 
 
+def test_unread_weight_and_source_keys_are_usage_errors(tmp_path, capsys):
+    # a constant weight reads neither eps nor omega, and the source one
+    # reads no q: the keys would change nothing, so they are refused
+    path = tmp_path / "unread.ini"
+    path.write_text("[weight]\nkind = constant\neps = 0.5\nomega = 3\n"
+                    "[source]\nkind = one\nq = 0.3\n[grid]\nh = 0.25\n")
+    rc = parse_and_dispatch(["stationary", "--config", str(path), "--out",
+                             str(tmp_path)])
+    assert rc == 2
+    assert "weight 'constant' with omega = 3.0" in capsys.readouterr().err
+    assert not (tmp_path / "stationary.bin").exists()
+
+
+def test_beta_needs_alpha_auto(tmp_path, capsys):
+    # beta rescales time only in the exponent formula of alpha = auto;
+    # with a numeric alpha it would change nothing, so it is refused
+    config = _readme_config(tmp_path)
+    assert parse_and_dispatch(["stationary", "--config", str(config),
+                               "--out", str(tmp_path)]) == 0
+    field = str(tmp_path / "stationary.bin")
+    for alpha, flag, refused in (("0.5", (), True), ("auto", (), False),
+                                 ("auto", ("--alpha", "0.5"), True)):
+        path = tmp_path / f"beta-{alpha}-{len(flag)}.ini"
+        path.write_text(config.read_text().replace(
+            "alpha = 0.5", f"alpha = {alpha}").replace(
+            "beta = 1.0", "beta = 1.7"))
+        rc = parse_and_dispatch(["audit", "--config", str(path), "--field",
+                                 field, "--out", str(tmp_path), *flag])
+        err = capsys.readouterr().err
+        assert (rc == 2) == refused, (alpha, flag, err)
+        assert ("[audit] beta = 1.7 needs alpha = auto" in err) == refused
+    # every command that reads the config accepts its [audit] section
+    for argv in (["solve"], ["stationary"], ["envelope", "--field", field],
+                 ["audit", "--field", field]):
+        assert parse_and_dispatch([*argv, "--config", str(config), "--out",
+                                   str(tmp_path / "shared")]) in (0, 1), argv
+
+
 def _grid_value(valid):
     """Text of a [grid] value: a number from valid, a malformed or
     out-of-range one, or None to leave the key out."""
@@ -697,6 +737,13 @@ def _dumped_values(out: Path) -> list:
 _NUMBER = st.one_of(st.none(), st.sampled_from([0.0, -1.0, -0.5, 0.5, 1.0,
                                                 2.0]), st.floats(-3.0, 3.0))
 _WEIGHT_KEYS = ("c", "gamma", "omega", "eps", "a1", "a2", "eta", "theta")
+_CLASSES = {"weight": Weight, "source": SourceTerm}
+#: in about a quarter of the draws, one key that the kind does not read:
+#: (section, index among the kind's unread keys, value)
+_STRAY = st.one_of(st.none(), st.none(), st.none(), st.tuples(
+    st.sampled_from(sorted(_CLASSES)), st.integers(0, 7),
+    st.sampled_from([0.0, 1.0, 0.0625, 0.5, math.nan])
+    | st.floats(-3.0, 3.0)))
 
 
 def _unset(keys, **values):
@@ -705,32 +752,50 @@ def _unset(keys, **values):
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @example("solve", "smoothed_bang_bang", _unset(_WEIGHT_KEYS, eta=0.0),
-         "one", _unset("qp"))
+         "one", _unset("qp"), None)
 @example("stationary", "smoothed_bang_bang", _unset(_WEIGHT_KEYS, eta=0.0),
-         "one", _unset("qp"))
+         "one", _unset("qp"), None)
 @example("solve", "constant", _unset(_WEIGHT_KEYS), "log1p_q",
-         _unset("qp", q=-1.0))
+         _unset("qp", q=-1.0), None)
+@example("stationary", "constant", _unset(_WEIGHT_KEYS), "one",
+         _unset("qp"), ("weight", 2, math.nan))
+@example("solve", "ramp_bump_perturbed", _unset(_WEIGHT_KEYS, eps=0.5),
+         "one", _unset("qp"), ("source", 0, 0.3))
 @given(command=st.sampled_from(["solve", "stationary"]),
-       weight=st.sampled_from(["constant", "separable_power_time",
-                               "distance_power", "ramp_bump_perturbed",
-                               "smoothed_bang_bang"]),
+       weight=st.sampled_from(sorted(Weight.KINDS)),
        weight_values=st.fixed_dictionaries(
            {key: _NUMBER for key in _WEIGHT_KEYS}),
-       source=st.sampled_from(["one", "power_q", "identity", "log_s",
-                               "log1p_q", "saturable_q", "saturable",
-                               "logistic", "one_minus_s_p", "power_sum"]),
-       source_values=st.fixed_dictionaries({"q": _NUMBER, "p": _NUMBER}))
+       source=st.sampled_from(sorted(SourceTerm.KINDS)),
+       source_values=st.fixed_dictionaries({"q": _NUMBER, "p": _NUMBER}),
+       stray=_STRAY)
 def test_weight_and_source_values_exit_cleanly(command, weight,
                                                weight_values, source,
-                                               source_values):
-    # whatever [weight] and [source] hold at a coarse h, solve and
-    # stationary write finite fields or name what failed
-    text = "[grid]\nh = 0.25\nT = 0.5\nsnapshots = 2\n"
-    for sec, kind, values in (("weight", weight, weight_values),
-                              ("source", source, source_values)):
-        text += f"[{sec}]\nkind = {kind}\n" + "".join(
-            f"{key} = {value!r}\n" for key, value in values.items()
-            if value is not None)
+                                               source_values, stray):
+    # whatever [weight] and [source] hold of the keys their kinds read,
+    # at a coarse h, solve and stationary write finite fields or name
+    # what failed; a key the kind does not read, set to other than its
+    # default, exits 2, names the key and writes no field
+    kinds = {"weight": weight, "source": source}
+    keys = {sec: {key: value for key, value in values.items()
+                  if key in _CLASSES[sec].KINDS[kinds[sec]]
+                  and value is not None}
+            for sec, values in (("weight", weight_values),
+                                ("source", source_values))}
+    named = None
+    if stray is not None:
+        sec, index, value = stray
+        cls = _CLASSES[sec]
+        unread = [f for f in dataclasses.fields(cls)[1:]
+                  if f.name not in cls.KINDS[kinds[sec]]]
+        if unread:
+            key = unread[index % len(unread)]
+            keys[sec][key.name] = value
+            if not value == key.default:
+                named = key.name
+    text = "[grid]\nh = 0.25\nT = 0.5\nsnapshots = 2\n" + "".join(
+        f"[{sec}]\nkind = {kinds[sec]}\n" + "".join(
+            f"{key} = {value!r}\n" for key, value in values.items())
+        for sec, values in keys.items())
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "problem.ini", Path(tmp) / "out"
@@ -742,6 +807,10 @@ def test_weight_and_source_values_exit_cleanly(command, weight,
         fields = _dumped_values(out)
     assert rc in (0, 2), text
     assert "Traceback" not in err.getvalue()
+    if named is not None:
+        assert rc == 2, text
+        assert f"{named} = " in err.getvalue(), text
+        assert fields == [], text
     if rc == 0:
         assert len(fields) == (3 if command == "solve" else 1), text
         assert all(np.all(np.isfinite(v)) for v in fields), text

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,10 +21,73 @@ def square16():
 
 
 def test_constant_weight_bounds(square16):
+    # m and M as scenarios._quant_params takes them: the extremes of the
+    # profile times the time factor at the horizon
     w = Weight(kind="constant", c=2.0)
-    m, M = w.bounds(square16, 1.0)
-    assert m == pytest.approx(2.0)
-    assert M == pytest.approx(2.0)
+    at_T = w.spatial_profile(square16) * w.time_factor(1.0)
+    assert float(at_T.min()) == pytest.approx(2.0)
+    assert float(at_T.max()) == pytest.approx(2.0)
+
+
+#: for every field of Weight and SourceTerm, a value other than its default
+_OFF_DEFAULT = {"c": 2.0, "gamma": 0.5, "omega": 0.5, "eps": 0.2, "a1": 2.0,
+                "a2": 0.5, "eta": 0.1, "theta": 2.0, "q": 0.3, "p": 0.7}
+
+
+def _kind_fields(read):
+    """(class, kind, field) for every kind of Weight and SourceTerm and
+    every field after kind that the kind reads (read) or does not."""
+    return [pytest.param(cls, kind, f.name, id=f"{kind}-{f.name}")
+            for cls in (Weight, SourceTerm)
+            for kind, names in cls.KINDS.items()
+            for f in dataclasses.fields(cls)[1:]
+            if (f.name in names) == read]
+
+
+def test_kinds_tables_name_only_fields():
+    for cls in (Weight, SourceTerm):
+        names = {f.name for f in dataclasses.fields(cls)[1:]}
+        assert dataclasses.fields(cls)[0].name == "kind"
+        assert set(_OFF_DEFAULT) >= names
+        for kind, read in cls.KINDS.items():
+            assert set(read) <= names, kind
+    assert all("theta" in read for read in Weight.KINDS.values())
+
+
+@pytest.mark.parametrize("value", ["off", math.nan], ids=["off", "nan"])
+@pytest.mark.parametrize("cls,kind,name", _kind_fields(read=False))
+def test_unread_field_off_its_default_is_rejected(cls, kind, name, value):
+    # a field the kind does not read would change nothing, so only its
+    # default is accepted
+    value = _OFF_DEFAULT[name] if value == "off" else value
+    what = "weight" if cls is Weight else "source"
+    with pytest.raises(ValueError, match=re.escape(
+            f"{what} {kind!r} with {name} = {value}: ")):
+        cls(kind=kind, **{name: value})
+    default = {f.name: f.default for f in dataclasses.fields(cls)}[name]
+    assert getattr(cls(kind=kind, **{name: default}), name) == default
+
+
+@pytest.mark.parametrize("cls,kind,name", _kind_fields(read=True))
+def test_read_field_is_accepted(cls, kind, name):
+    obj = cls(kind=kind, **{name: _OFF_DEFAULT[name]})
+    assert getattr(obj, name) == _OFF_DEFAULT[name]
+
+
+@pytest.mark.parametrize("cls", [Weight, SourceTerm])
+def test_unknown_kind_is_rejected(cls):
+    with pytest.raises(ValueError, match="kind must be one of") as exc:
+        cls(kind="pentagon")
+    assert "'pentagon'" in str(exc.value)
+    assert all(repr(kind) in str(exc.value) for kind in cls.KINDS)
+
+
+@pytest.mark.parametrize("kind", sorted(SourceTerm.KINDS))
+def test_sign_changing_sources_take_negative_values(kind):
+    # the one rule that picks the stiff step and the hypothesis verdicts
+    src = SourceTerm(kind)
+    s = np.geomspace(1e-3, 10.0, 400)
+    assert src.sign_changing == bool(np.any(src.compose(1.0, s) < 0))
 
 
 def test_distance_weight_profile(square16):

@@ -26,10 +26,14 @@ def test_catalog_fields_consistent():
     for scn in CATALOG.values():
         assert scn.problem.domain in (unit_square(), disk())
         assert scn.problem.horizon > 0
-        assert scn.audits, scn.id
+        assert scn.audits or scn.check_quasiconcave, scn.id
         for aud in scn.audits:
             assert 0.0 <= aud.alpha <= 1.0
             assert aud.mode in ("space", "spacetime")
+    # kennington's convex superlevel sets are a check, not an audit of u
+    assert [scn.id for scn in CATALOG.values()
+            if scn.check_quasiconcave] == ["kennington-square"]
+    assert not get_scenario("kennington-square").audits
 
 
 def test_run_scenario_torsion_coarse():
@@ -99,12 +103,13 @@ def test_strong_convexity_warning(monkeypatch):
                     pass
             if any(issubclass(w.category, UserWarning) for w in caught):
                 warned.add(scn.id)
-            if aud.checks == (("quasiconcave",),):
-                assert seen == [], scn.id
-            else:
-                st = aud.mode == "spacetime"
-                assert seen == [(aud.mode, st, st)], scn.id
+            st = aud.mode == "spacetime"
+            assert seen == [(aud.mode, st, st)], scn.id
     assert warned == NEEDS_STRONG_CONVEXITY
+    # the quasiconcavity check runs no defect audit
+    seen.clear()
+    run_scenario(get_scenario("kennington-square"), h=0.25)
+    assert seen == []
 
 
 def test_report_json_shape():
