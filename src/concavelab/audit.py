@@ -22,7 +22,7 @@ import numpy as np
 from .domains import DiscretizedDomain
 from .errors import EmptySampler, OutOfDomain
 from .operators import (LAMBDAS, Field, bilinear_corners, bilinear_interp,
-                        grid_cell, pair_scan)
+                        bilinear_weights, grid_cell, pair_scan)
 from .parabolic import Trajectory
 
 INF = math.inf
@@ -67,8 +67,9 @@ class Evaluator:
     the stationary slice at t = inf.
 
     Interpolation happens on u *before* the power/log transformation.
-    value, interp and pair_block use the full grid of u, kept for the
-    last time asked for; point_value reads the corners of one cell.
+    grid keeps the full grid of u of the last time asked for, which
+    bilinear_interp and pair_block read; point_value reads the corners of
+    one cell.
     """
 
     def __init__(self, traj: Trajectory, alpha: float = 1.0,
@@ -104,40 +105,37 @@ class Evaluator:
             self._grid_time = s
         return self._grid
 
-    def interp(self, pts, t: float = 0.0):
-        """u, before the transform, at points (..., 2) and time t."""
-        return bilinear_interp(self.dom, self.grid(t), pts)
-
-    def value(self, pts, t: float = 0.0):
-        return self._transform(self.interp(pts, t))
-
-    def pair_block(self, pts, lambdas, ta: float = 0.0, tb: float = 0.0):
-        """pair_scan block of value at x2 = lam * pts[j] + (1 - lam) *
-        pts[i], t2 = lam * tb + (1 - lam) * ta (inf for ta = inf), bit
-        for bit: grid_cell runs once per axis, on lam * u[b] + (1 - lam)
-        * u[a] for every lambda and pair a, b of the axis's distinct
-        coordinates u, and a block gathers its pairs' cells by code."""
+    def pair_block(self, pts, lambdas, tpairs=((0.0, 0.0),)):
+        """pair_scan block of the transformed bilinear_interp at x2 = lam
+        * pts[j] + (1 - lam) * pts[i], bit for bit, a slice per time pair
+        (ta, tb) at t2 = lam * tb + (1 - lam) * ta (inf for ta = inf):
+        grid_cell runs once per axis, on lam * u[b] + (1 - lam) * u[a] for
+        every lambda and pair a, b of the axis's distinct coordinates u; a
+        block gathers its pairs' cells by code and weights them once."""
         lm = np.asarray(lambdas, dtype=float)[:, None, None]
         axes = [np.unique(pts[:, a], return_inverse=True) for a in (0, 1)]
         cells = [grid_cell(self.dom, a, lm * u + (1 - lm) * u[:, None])
                  for a, (u, _) in enumerate(axes)]
         codes = [(code * u.size, code) for u, code in axes]
 
+        def slices(lam, k, w):
+            for ta, tb in tpairs:
+                t2 = INF if math.isinf(ta) else lam * tb + (1 - lam) * ta
+                yield self._transform(bilinear_corners(self.grid(t2), k, w))
+
         def block(idx1, idx3):
             keys = [row[idx1] + col[idx3] for row, col in codes]
             for k, lam in enumerate(lm.ravel()):
                 (kx, tx), (ky, ty) = ([t[k].take(key) for t in cell]
                                       for cell, key in zip(cells, keys))
-                t2 = INF if math.isinf(ta) else lam * tb + (1 - lam) * ta
-                yield self._transform(
-                    bilinear_corners(self.grid(t2), kx + ky, tx, ty))
+                yield slices(lam, kx + ky, bilinear_weights(tx, ty))
         return block
 
     def point_value(self, x: float, y: float, t: float = 0.0) -> float:
-        """value((x, y), t) bit for bit, from the four corner nodes of
-        the cell of (x, y) alone: the expressions of
-        Trajectory.values_at_time and bilinear_interp in plain floats,
-        with no grid."""
+        """u^alpha of bilinear_interp on grid(t) at (x, y) bit for bit,
+        from the four corner nodes of the cell of (x, y) alone: the
+        expressions of Trajectory.values_at_time and bilinear_interp in
+        plain floats, with no grid."""
         dom, times, s = self.dom, self._times, self._u_time(t)
         if math.isinf(s) or s <= times[0] or s >= times[-1]:
             f0, f1, w = self.traj.values_at_time(s), None, 0.0
@@ -306,9 +304,9 @@ def min_defect(ev, mode: str, cfg: SamplerConfig | None = None
                ) -> DefectReport:
     """Two-stage minimization of the concavity function.
 
-    Stage 1: exhaustive pair_scan over lattice-strided interior-node
-    pairs and LAMBDAS, once per snapshot-time pair (space mode: each
-    audited time separately).  Stage 2: coordinate-descent refinement
+    Stage 1: one exhaustive pair_scan over lattice-strided interior-node
+    pairs and LAMBDAS, with one slice per snapshot-time pair (space mode:
+    each audited time separately).  Stage 2: coordinate-descent refinement
     on the full grid with golden-section in lambda around the best
     candidates.
     """
@@ -320,8 +318,7 @@ def min_defect(ev, mode: str, cfg: SamplerConfig | None = None
     times = _default_times(ev, cfg)
     if len(times) == 0:
         raise EmptySampler("no audit times")
-    pts = dom.interior_points[sel]
-    n = len(pts)
+    pts, n = dom.interior_points[sel], len(sel)
 
     if mode == "space":
         tpairs = [(t, t) for t in times]
@@ -333,14 +330,14 @@ def min_defect(ev, mode: str, cfg: SamplerConfig | None = None
 
     nodes_at = functools.lru_cache(maxsize=None)(ev.node_values)
 
-    best = []  # (value, i1, i3, t1, t3, lam)
-    samples = 0
-    for (ta, tb) in tpairs:
-        mins, i1, i3 = pair_scan(nodes_at(ta)[sel], nodes_at(tb)[sel],
-                                 LAMBDAS, ev.pair_block(pts, LAMBDAS, ta, tb))
-        samples += n * (n - 1) // 2 * LAMBDAS.size
-        best += [(float(c), sel[a], sel[b], ta, tb, float(lm))
-                 for c, a, b, lm in zip(mins, i1, i3, LAMBDAS)]
+    ends = np.array([[nodes_at(t)[sel] for t in tp] for tp in tpairs])
+    mins, i1, i3 = pair_scan(ends[:, 0], ends[:, 1], LAMBDAS,
+                             ev.pair_block(pts, LAMBDAS, tpairs))
+    samples = len(tpairs) * (n * (n - 1) // 2 * LAMBDAS.size)
+    # the minimum of each slice and lambda as (value, i1, i3, t1, t3, lam)
+    best = [(float(c), sel[a], sel[b], ta, tb, float(lm))
+            for (ta, tb), *row in zip(tpairs, mins, i1, i3)
+            for c, a, b, lm in zip(*row, LAMBDAS)]
     best = [r for r in best if math.isfinite(r[0])]
     if not best:
         raise EmptySampler("no finite concavity values in the scan")
@@ -368,7 +365,8 @@ def min_defect(ev, mode: str, cfg: SamplerConfig | None = None
         ra, rb = nbr[a][nbr[a] >= 0], nbr[b][nbr[b] >= 0]
         na, nb = np.repeat(ra, rb.size)[1:], np.tile(rb, ra.size)[1:]
         t2 = INF if math.isinf(ta) else lm * tb + (1 - lm) * ta
-        u = ev.interp(lm * full_pts[nb] + (1 - lm) * full_pts[na], t2)
+        u = bilinear_interp(dom, ev.grid(t2),
+                            lm * full_pts[nb] + (1 - lm) * full_pts[na])
         v = (np.array([ev._transform(x) for x in u.tolist()], dtype=float)
              - lm * nodes_at(tb)[nb] - (1 - lm) * nodes_at(ta)[na])
         return zip(na.tolist(), nb.tolist(), v.tolist())
@@ -489,9 +487,8 @@ def quasiconcavity_defect(f: Field) -> float:
     worst = 0.0
     for lev in np.linspace(0.0, top, 18)[1:-1]:
         # pair_scan with zero end values gives the least midpoint value
-        inset = np.nonzero(vals > lev)[0]
-        zero = np.zeros(inset.size)
-        (least,), _, _ = pair_scan(zero, zero, [0.5],
-                                   ev.pair_block(pts[inset], [0.5]))
+        zero = np.zeros((1, np.count_nonzero(vals > lev)))
+        ((least,),), _, _ = pair_scan(zero, zero, [0.5],
+                                      ev.pair_block(pts[vals > lev], [0.5]))
         worst = max(worst, float((lev - tau) - least))
     return max(worst, 0.0)

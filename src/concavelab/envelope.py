@@ -20,6 +20,7 @@ from .operators import LAMBDAS, Field, pair_scan
 
 #: nodes the 2-D envelope and its defect scan subsample
 _ENVELOPE_NODES = 600
+_FACET_BLOCK = 64  # upper facets whose planes the running min takes at once
 
 
 def hyers_ulam_constant(n: int) -> float:
@@ -97,10 +98,11 @@ def _upper_envelope_2d(pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
     if upper.shape[0] == 0:
         raise HullDegenerate("no upper facets: samples are degenerate")
     # plane value z = -(n0 x + n1 y + d)/n2 per facet; envelope = min
-    z = -(upper[:, 0][:, None] * pts[:, 0][None, :]
-          + upper[:, 1][:, None] * pts[:, 1][None, :]
-          + upper[:, 3][:, None]) / upper[:, 2][:, None]
-    env = z.min(axis=0)
+    env = np.inf
+    for b in range(0, len(upper), _FACET_BLOCK):
+        n0, n1, n2, d = upper[b:b + _FACET_BLOCK, :, None].transpose(1, 0, 2)
+        z = -(n0 * pts[:, 0] + n1 * pts[:, 1] + d) / n2
+        env = np.minimum(env, z.min(axis=0))
     return np.maximum(env, vals)  # guard roundoff: majorant dominates f
 
 
@@ -126,8 +128,8 @@ def concave_approximation(f) -> EnvelopeResult:
         g_hat = _upper_envelope_2d(pts, vals)
         # delta: the defect over sample pairs and LAMBDAS, with the
         # middle value interpolated bilinearly on the full grid
-        mins, _, _ = pair_scan(vals, vals, LAMBDAS,
-                               FieldEvaluator(f).pair_block(pts, LAMBDAS))
+        (mins,), _, _ = pair_scan(vals[None], vals[None], LAMBDAS,
+                                  FieldEvaluator(f).pair_block(pts, LAMBDAS))
         delta, dim = -min([0.0] + mins.tolist()), 2
     k, dist = hyers_ulam_constant(dim), 0.5 * float(np.max(g_hat - vals))
     return EnvelopeResult(g=g_hat - dist, g_hat=g_hat, distance=dist,

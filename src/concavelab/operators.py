@@ -37,10 +37,9 @@ class Field:
             raise ValueError("field length must match interior node count")
 
     def to_grid(self) -> np.ndarray:
-        """Full (ny, nx) array, 0 outside the interior."""
+        """Full (ny, nx) array, 0 outside the interior (rows in order)."""
         g = np.zeros(self.dom.index_of.shape)
-        iy, ix = self.dom.interior_idx[:, 0], self.dom.interior_idx[:, 1]
-        g[iy, ix] = self.values
+        g[self.dom.index_of >= 0] = self.values
         return g
 
 
@@ -52,11 +51,8 @@ def field_from_function(dom: DiscretizedDomain, fn, time=None) -> Field:
 def bilinear_interp(dom: DiscretizedDomain, grid: np.ndarray, pts):
     """Bilinear interpolation of a full-grid array at points (...,2)."""
     p = np.asarray(pts, dtype=float)
-    scalar = p.ndim == 1
-    p = np.atleast_2d(p)
     (kx, tx), (ky, ty) = (grid_cell(dom, a, p[..., a]) for a in (0, 1))
-    v = bilinear_corners(grid, kx + ky, tx, ty)
-    return float(v[0]) if scalar else v
+    return bilinear_corners(grid, kx + ky, bilinear_weights(tx, ty))
 
 
 def grid_cell(dom: DiscretizedDomain, axis: int, u):
@@ -69,11 +65,16 @@ def grid_cell(dom: DiscretizedDomain, axis: int, u):
     return i * (1 if axis == 0 else dom.xs.size), np.clip(f - i, 0.0, 1.0)
 
 
-def bilinear_corners(grid: np.ndarray, k, tx, ty):
-    """Cells of flat lower-corner index k at offsets (tx, ty)."""
+def bilinear_weights(tx, ty):
+    """Weights of the four corners of cells at offsets (tx, ty)."""
+    return (1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty
+
+
+def bilinear_corners(grid: np.ndarray, k, w):
+    """Cells of flat lower-corner index k with corner weights w."""
     g, nx = grid.ravel(), grid.shape[1]
-    return ((1 - tx) * (1 - ty) * g.take(k) + tx * (1 - ty) * g.take(k + 1)
-            + (1 - tx) * ty * g.take(k + nx) + tx * ty * g.take(k + nx + 1))
+    return (w[0] * g.take(k) + w[1] * g[1:].take(k) + w[2] * g[nx:].take(k)
+            + w[3] * g[nx + 1:].take(k))
 
 
 #: node pairs per chunk of pair_scan: the temporaries of a chunk fit a
@@ -88,24 +89,21 @@ LAMBDAS.flags.writeable = False
 
 
 def pair_scan(v1, v3, lambdas, block):
-    """Per-lambda minimum of the concavity function
-
-        mid_lam(i, j) - lam * v3[j] - (1 - lam) * v1[i]
-
-    over the node pairs i < j, as arrays (mins, i, j) over `lambdas`:
-    the minimum and the pair where it first occurs in row-major pair
-    order.  block(idx1, idx3) is called once per row block of at most
-    _PAIR_CHUNK pairs (at least one row) and returns the block's values
-    mid_lam(idx1, idx3), one array per lambda.  As with np.argmin over
-    the unchunked scan, a lambda whose values hold a NaN gets NaN and the
-    first NaN's pair; with fewer than 2 nodes the minima are inf and the
-    pairs -1.
+    """Minimum of the concavity function mid_lam,s(i, j) - lam * v3[s,
+    j] - (1 - lam) * v1[s, i] over the node pairs i < j, per slice s of
+    the (S, n) value arrays v1, v3 and per lambda, as arrays (mins, i, j)
+    of shape (S, lambdas): the minimum and the pair where it first occurs
+    in row-major pair order.  block(idx1, idx3) is called once per row
+    block of at most _PAIR_CHUNK pairs (at least one row) and yields, per
+    lambda, the block's values mid_lam,s(idx1, idx3) of each slice in
+    turn.  As with np.argmin over a slice's unchunked scan, a (slice,
+    lambda) whose values hold a NaN gets NaN and the first NaN's pair;
+    with fewer than 2 nodes the minima are inf and the pairs -1.
     """
     lambdas = np.asarray(lambdas, dtype=float)
-    mins = np.full(lambdas.size, math.inf)
-    best_i = np.full(lambdas.size, -1)
-    best_j = np.full(lambdas.size, -1)
-    n = len(v1)
+    mins = np.full((len(v1), lambdas.size), math.inf)
+    best = np.full((2,) + mins.shape, -1)
+    n = v1.shape[1]
     before = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
     i0 = 0
     while i0 < n - 1:  # rows i0..i1-1 hold at most _PAIR_CHUNK pairs
@@ -113,14 +111,16 @@ def pair_scan(v1, v3, lambdas, block):
             before, before[i0] + _PAIR_CHUNK, "right")) - 1)
         idx1, idx3 = np.nonzero(np.arange(n) > np.arange(i0, i1)[:, None])
         idx1 += i0
-        w1, w3 = v1[idx1], v3[idx3]
-        for k, (lm, m) in enumerate(zip(lambdas, block(idx1, idx3))):
-            c = m - lm * w3 - (1 - lm) * w1
-            a = int(np.argmin(c))
-            if c[a] < mins[k] or (np.isnan(c[a]) and not np.isnan(mins[k])):
-                mins[k], best_i[k], best_j[k] = c[a], idx1[a], idx3[a]
+        reps = n - 1 - np.arange(i0, i1)  # idx1 is rows i0..i1-1 repeated
+        for k, (lm, ms) in enumerate(zip(lambdas, block(idx1, idx3))):
+            l3, l1 = lm * v3, (1 - lm) * v1  # (lm * v3)[s, j] = lm * v3[s, j]
+            for s, m in enumerate(ms):
+                c = m - l3[s].take(idx3) - l1[s, i0:i1].repeat(reps)
+                a, cur = int(np.argmin(c)), mins[s, k]
+                if c[a] < cur or (np.isnan(c[a]) and not np.isnan(cur)):
+                    mins[s, k], best[:, s, k] = c[a], (idx1[a], idx3[a])
         i0 = i1
-    return mins, best_i, best_j
+    return mins, best[0], best[1]
 
 
 # ---------------------------------------------------------------------------

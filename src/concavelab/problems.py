@@ -4,7 +4,7 @@ predicates.
 
 Hypothesis flags (True / False / None=undetermined):
 
-* lower_power   -- b(x,s,t) >= k * t^gamma * s^q on (0,1]x(0,T]
+* lower_power   -- b(x,s,t) >= k * t^gamma * s^q on (0,1]x(0,T], 0 <= q < 1
 * lower_power_dist -- same with an extra d_Omega(x)^omega factor
 * lower_power_uniform -- lower_power with a single k valid for every M
 * one_sided_lipschitz -- b nonnegative, measurable in x and
@@ -277,7 +277,7 @@ def check_hypotheses(problem: Problem) -> HypothesisReport:
         m = None  # bang-bang: sign-changing
 
     q = src.sublinear_exponent
-    if q is not None and m is not None:
+    if q is not None and 0 <= q < 1 and m is not None:  # s^q sublinear
         if m > 0:
             if src.kind == "one_minus_s_p":  # f(1) = 0
                 flags["lower_power"] = False
@@ -357,9 +357,9 @@ def _concavity_min(weight: Weight, dom: DiscretizedDomain, theta: float,
     if not (ux.size > 1 and len(pts) == ux.size * uy.size):
         def block(idx1, idx3):
             p1, p3 = pts[idx1], pts[idx3]
-            return (transform(weight.spatial_at(spec, lam * p3 + (1 - lam)
-                                                * p1)) for lam in LAMBDAS)
-        mins, _, _ = pair_scan(vals, vals, LAMBDAS, block)
+            return ([transform(weight.spatial_at(spec, lam * p3 + (1 - lam)
+                                                 * p1))] for lam in LAMBDAS)
+        (mins,), _, _ = pair_scan(vals[None], vals[None], LAMBDAS, block)
         return min([math.inf] + mins.tolist())
     v, (a, b) = vals.reshape(uy.size, ux.size), np.triu_indices(ux.size, 1)
     rows, worst = max(1, (1 << 15) // ux.size ** 2), math.inf

@@ -25,8 +25,23 @@ from concavelab.audit import (DefectReport, Evaluator, FieldEvaluator,
                               harmonic_combination, pair_scan,
                               tau_audit_value)
 from concavelab.errors import EmptySampler
+from concavelab.operators import bilinear_interp
 from concavelab.parabolic import Trajectory
 from concavelab.scenarios import build_problem
+
+
+def value(ev, pts, t=0.0):
+    """The evaluator's transformed u at points (..., 2) and time t,
+    interpolated on its full grid: the oracle of pair_block and
+    point_value."""
+    return ev._transform(bilinear_interp(ev.dom, ev.grid(t), pts))
+
+
+def scan1(v1, v3, lambdas, block):
+    """pair_scan of one slice, from a block with one array per lambda."""
+    mins, i1, i3 = pair_scan(np.asarray(v1)[None], np.asarray(v3)[None],
+                             lambdas, lambda a, b: ([m] for m in block(a, b)))
+    return mins[0], i1[0], i3[0]
 
 
 @pytest.fixture(scope="module")
@@ -193,18 +208,17 @@ def test_evaluator_revisited_time_matches_fresh(square16):
     t_a, t_b = 0.3 * float(traj.times[2]), float(traj.times[4]) + 0.01
     ev = Evaluator(traj, 0.5, 1.5)
     for t in (t_a, t_b, t_a):
-        fresh = Evaluator(traj, 0.5, 1.5).value(pts, t)
-        assert np.array_equal(ev.value(pts, t), fresh)
+        fresh = value(Evaluator(traj, 0.5, 1.5), pts, t)
+        assert np.array_equal(value(ev, pts, t), fresh)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0])
 def test_field_evaluator_transforms_after_interpolation(square16, alpha):
-    from concavelab.operators import bilinear_interp
     f = field_from_function(square16, lambda x, y: 0.1 + x * (1 - x) * y)
     pts = np.random.default_rng(8).uniform(0.0, 1.0, (50, 2))
     u = bilinear_interp(square16, f.to_grid(), pts)
     want = {0.0: np.log(u), 0.25: u ** 0.25, 1.0: u}[alpha]
-    assert np.array_equal(FieldEvaluator(f, alpha).value(pts), want)
+    assert np.array_equal(value(FieldEvaluator(f, alpha), pts), want)
     assert np.array_equal(FieldEvaluator(f, alpha).node_values(),
                           {0.0: np.log(f.values), 0.25: f.values ** 0.25,
                            1.0: f.values}[alpha])
@@ -285,7 +299,7 @@ def _reference_quasiconcavity(f):
         if inset.size < 2:
             continue
         i1, i3 = np.triu_indices(inset.size, k=1)
-        vm = ev.value(0.5 * (pts[inset[i1]] + pts[inset[i3]]))
+        vm = value(ev, 0.5 * (pts[inset[i1]] + pts[inset[i3]]))
         worst = max(worst, float(((lev - tau) - vm).max()))
     return max(worst, 0.0)
 
@@ -369,7 +383,7 @@ def test_point_value_is_value_bit_for_bit(name, data):
     x = data.draw(_coordinate(dom.xs, h))
     y = data.draw(_coordinate(dom.ys, h))
     ev = Evaluator(traj, alpha, beta)
-    want = ev.value(np.array([x, y]), t)
+    want = value(ev, np.array([x, y]), t)
     assert repr(ev.point_value(x, y, t)) == repr(float(want))
 
 
@@ -412,11 +426,11 @@ def _parent_min_defect(ev, mode, cfg=None):
     inner = np.linspace(0.0, 1.0, 17)[1:-1]
     for (ta, tb) in tpairs:
         def mid(x2, lm, ta=ta, tb=tb):
-            return ev.value(x2, math.inf if math.isinf(ta)
-                            else lm * tb + (1 - lm) * ta)
+            return value(ev, x2, math.inf if math.isinf(ta)
+                         else lm * tb + (1 - lm) * ta)
 
-        mins, i1, i3 = pair_scan(nodes_at(ta)[sel], nodes_at(tb)[sel],
-                                 inner, point_block(pts, inner, mid))
+        mins, i1, i3 = scan1(nodes_at(ta)[sel], nodes_at(tb)[sel],
+                             inner, point_block(pts, inner, mid))
         samples += n * (n - 1) // 2 * inner.size
         best += [(float(c), sel[a], sel[b], ta, tb, float(lm))
                  for c, a, b, lm in zip(mins, i1, i3, inner)]
@@ -430,7 +444,7 @@ def _parent_min_defect(ev, mode, cfg=None):
         x1, x3 = full_pts[a], full_pts[b]
         x2 = lm * x3 + (1 - lm) * x1
         t2 = math.inf if math.isinf(ta) else lm * tb + (1 - lm) * ta
-        return (float(ev.value(x2, t2))
+        return (float(value(ev, x2, t2))
                 - lm * float(nodes_at(tb)[b])
                 - (1 - lm) * float(nodes_at(ta)[a]))
 
@@ -602,18 +616,26 @@ def test_pair_block_is_value_bit_for_bit(name, data):
     between = [0.5 * (a + b) for a, b in zip(on_snaps, on_snaps[1:])]
     t = st.one_of(st.sampled_from(on_snaps + between + [0.0, 0.01, 2.0]),
                   st.floats(0.0, 1.5))
-    ta, tb = data.draw(st.one_of(st.tuples(t, t),
-                                 st.just((math.inf, math.inf))))
+    # one slice per time pair, from cells and weights formed once per
+    # lambda for all of them
+    tpairs = data.draw(st.lists(st.one_of(
+        st.tuples(t, t), st.just((math.inf, math.inf))),
+        min_size=1, max_size=3))
     lambdas = data.draw(st.lists(st.one_of(
         st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         st.sampled_from(_LAMBDA_EDGES)), min_size=1, max_size=4))
-    ev = Evaluator(traj, alpha, beta)
+    ev, oracle = Evaluator(traj, alpha, beta), Evaluator(traj, alpha, beta)
     i1, i3 = np.triu_indices(len(pts), k=1)
-    got = ev.pair_block(pts, lambdas, ta, tb)(i1, i3)
-    for lm, mid in zip(np.asarray(lambdas), got):
-        t2 = math.inf if math.isinf(ta) else lm * tb + (1 - lm) * ta
-        want = ev.value(lm * pts[i3] + (1 - lm) * pts[i1], t2)
-        assert mid.dtype == want.dtype and mid.tobytes() == want.tobytes()
+    got = list(ev.pair_block(pts, lambdas, tpairs)(i1, i3))
+    assert len(got) == len(lambdas)
+    for lm, slices in zip(np.asarray(lambdas), got):
+        mids = list(slices)
+        assert len(mids) == len(tpairs)
+        for (ta, tb), mid in zip(tpairs, mids):
+            t2 = math.inf if math.isinf(ta) else lm * tb + (1 - lm) * ta
+            want = value(oracle, lm * pts[i3] + (1 - lm) * pts[i1], t2)
+            assert mid.dtype == want.dtype
+            assert mid.tobytes() == want.tobytes()
 
 
 def _count_scan_work(monkeypatch):
@@ -659,14 +681,15 @@ def _axis_values(pts):
 def test_pair_scans_interpolate_no_point(monkeypatch):
     # stage 1 and the quasiconcavity levels gather tabulated cells: no
     # bilinear_interp call inside a pair_scan, and np.floor sees at most
-    # 2 * 15 * nu^2 elements per scan (stage 2 interpolates its moves)
+    # 2 * 15 * nu^2 elements per scan (stage 2 interpolates its moves);
+    # stage 1 scans its 5 time pairs in one pass
     traj = _synthetic_trajectory("disk")
     dom = traj.dom
     nu = _axis_values(dom.interior_points[_scan_nodes(dom, _SCAN_NODES)])
     counts = _count_scan_work(monkeypatch)
     cfg = SamplerConfig(audit_times=[0.05, 0.45, math.inf])
     min_defect(Evaluator(traj, 0.5), "spacetime", cfg)
-    assert counts["scans"] == 5
+    assert counts["scans"] == 1
     assert counts["interp_in_scan"] == 0
     assert 0 < counts["floor"] <= counts["scans"] * 2 * 15 * nu ** 2
     counts.update(scans=0, floor=0)

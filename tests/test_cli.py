@@ -558,6 +558,21 @@ def test_unread_weight_and_source_keys_are_usage_errors(tmp_path, capsys):
     assert not (tmp_path / "stationary.bin").exists()
 
 
+@pytest.mark.parametrize("source", ["kind = power_q\nq = 1.5",
+                                    "kind = power_q\nq = 1.0",
+                                    "kind = power_sum\np = 1.5\nq = 2"])
+def test_superlinear_power_sources_solve(tmp_path, capsys, source):
+    # b(., 0) = 0, so the run is seeded at t0; a superlinear exponent has
+    # no interior barrier, and the seed is 1e-8 phi1 instead of an exit 2
+    path = tmp_path / "superlinear.ini"
+    path.write_text(f"[domain]\nkind = square\n[source]\n{source}\n"
+                    "[grid]\nh = 0.25\n")
+    assert parse_and_dispatch(["solve", "--config", str(path), "--out",
+                               str(tmp_path)]) == 0
+    assert "barrier" not in capsys.readouterr().err
+    assert (tmp_path / "solve_report.json").exists()
+
+
 def test_beta_needs_alpha_auto(tmp_path, capsys):
     # beta rescales time only in the exponent formula of alpha = auto;
     # with a numeric alpha it would change nothing, so it is refused

@@ -7,6 +7,7 @@ from concavelab import (Field, build_discretization, concave_approximation,
                         ellipse, field_from_function, hyers_ulam_constant,
                         unit_square)
 from concavelab.audit import _scan_nodes
+from concavelab.envelope import _FACET_BLOCK, _upper_envelope_2d
 from concavelab.errors import HullDegenerate
 from concavelab.operators import bilinear_interp
 
@@ -174,3 +175,31 @@ def test_2d_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
+
+
+def _dense_envelope(pts, vals):
+    """The envelope from the whole facets x points plane matrix."""
+    from scipy.spatial import ConvexHull
+    eqs = ConvexHull(np.column_stack([pts, vals])).equations
+    upper = eqs[eqs[:, 2] > 1e-12]
+    z = -(upper[:, 0][:, None] * pts[:, 0][None, :]
+          + upper[:, 1][:, None] * pts[:, 1][None, :]
+          + upper[:, 3][:, None]) / upper[:, 2][:, None]
+    return np.maximum(z.min(axis=0), vals), len(upper)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_envelope_facet_blocks_match_dense_planes(seed):
+    # the running minimum over blocks of facets gives the bits of the
+    # minimum over the dense plane matrix, on scattered and grid points
+    rng = np.random.default_rng(seed)
+    if seed < 2:
+        pts = rng.uniform(-1.0, 1.0, (600, 2))
+    else:
+        dom = build_discretization(ellipse(1.3, 0.7), 1 / 32)
+        pts = dom.interior_points[_scan_nodes(dom, 600)]
+    x, y = pts.T
+    vals = 1.0 - x ** 2 - 0.5 * y ** 2 + 0.05 * rng.standard_normal(len(x))
+    want, facets = _dense_envelope(pts, vals)
+    assert facets > _FACET_BLOCK  # more than one block
+    assert _upper_envelope_2d(pts, vals).tobytes() == want.tobytes()

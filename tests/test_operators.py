@@ -305,6 +305,13 @@ def point_block(pts, lambdas, mid):
     return block
 
 
+def scan1(v1, v3, lambdas, block):
+    """pair_scan of one slice, from a block with one array per lambda."""
+    mins, i1, i3 = pair_scan(np.asarray(v1)[None], np.asarray(v3)[None],
+                             lambdas, lambda a, b: ([m] for m in block(a, b)))
+    return mins[0], i1[0], i3[0]
+
+
 def _reference_pair_scan(pts, v1, v3, lambdas, mid):
     """Unchunked scan: one triu_indices gather per lambda, np.argmin."""
     i1, i3 = np.triu_indices(len(pts), k=1)
@@ -344,7 +351,7 @@ def test_pair_scan_matches_unchunked(mid):
     lambdas = np.linspace(0.0, 1.0, 17)[1:-1]
     if mid is _coarse:
         v1 = v3 = np.zeros(len(pts))
-    got = pair_scan(v1, v3, lambdas, point_block(pts, lambdas, mid))
+    got = scan1(v1, v3, lambdas, point_block(pts, lambdas, mid))
     ref = _reference_pair_scan(pts, v1, v3, lambdas, mid)
     for g, r in zip(got, ref):
         assert np.array_equal(g, r)
@@ -369,8 +376,8 @@ def test_pair_scan_nan_first_occurrence():
         return out
 
     lambdas = [0.25, 0.5]
-    mins, bi, bj = pair_scan(v1, v3, lambdas,
-                             point_block(pts, lambdas, mid))
+    mins, bi, bj = scan1(v1, v3, lambdas,
+                         point_block(pts, lambdas, mid))
     ref = _reference_pair_scan(pts, v1, v3, lambdas, mid)
     assert np.all(np.isnan(mins)) and np.all(np.isnan(ref[0]))
     assert np.array_equal(bi, ref[1]) and np.array_equal(bj, ref[2])
@@ -387,7 +394,7 @@ def test_pair_scan_visits_every_pair_once():
         return np.zeros(len(x2))
 
     lambdas = np.linspace(0.0, 1.0, 5)[1:-1]
-    pair_scan(v1, v3, lambdas, point_block(pts, lambdas, mid))
+    scan1(v1, v3, lambdas, point_block(pts, lambdas, mid))
     assert len(calls) > 2 * len(lambdas)  # more than two chunks
     i1, i3 = np.triu_indices(len(pts), k=1)
     ref = np.concatenate([np.column_stack(
@@ -400,7 +407,60 @@ def test_pair_scan_visits_every_pair_once():
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_pair_scan_without_pairs(n):
-    mins, bi, bj = pair_scan(np.zeros(n), np.zeros(n), [0.5],
-                             point_block(np.zeros((n, 2)), [0.5], _wavy))
+    mins, bi, bj = scan1(np.zeros(n), np.zeros(n), [0.5],
+                         point_block(np.zeros((n, 2)), [0.5], _wavy))
     assert mins.tolist() == [math.inf]
     assert bi.tolist() == bj.tolist() == [-1]
+
+
+def _slice_mid(s, nan_pair=None, pts=None):
+    """The middle values of slice s: _wavy shifted by s, NaN at the
+    points of nan_pair (i, j) when given."""
+    def mid(x2, lm):
+        out = _wavy(x2, lm) + 0.25 * s
+        if nan_pair is not None:
+            i, j = nan_pair
+            out[np.all(x2 == lm * pts[j] + (1 - lm) * pts[i], axis=1)] = \
+                np.nan
+        return out
+    return mid
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 40, 300])
+def test_multi_slice_scan_is_each_one_slice_scan(n):
+    # S slices in one pass give, bit for bit, each slice's own scan and
+    # the unchunked reference: minima, first pairs, the NaN rule (slice
+    # 1 holds a NaN) and the no-pair result; 300 nodes take more than
+    # one chunk
+    pts, v1, v3 = _scan_inputs(n=n, seed=5)
+    rng = np.random.default_rng(n)
+    v1s = np.vstack([v1, rng.normal(size=n), np.zeros(n)])
+    v3s = np.vstack([v3, rng.normal(size=n), np.zeros(n)])
+    lambdas = np.linspace(0.0, 1.0, 17)[1:-1]
+    nan_pair = (n // 3, n - 1) if n >= 2 else None
+    mids = [_slice_mid(0), _slice_mid(1, nan_pair, pts), _coarse]
+    calls = []
+
+    def block(idx1, idx3):
+        calls.append(len(idx1))
+        p1, p3 = pts[idx1], pts[idx3]
+        for lm in lambdas:
+            x2 = lm * p3 + (1 - lm) * p1
+            yield (mid(x2, lm) for mid in mids)
+
+    got = pair_scan(v1s, v3s, lambdas, block)
+    assert all(g.shape == (3, lambdas.size) for g in got)
+    if n == 300:
+        assert len(calls) > 1 and max(calls) <= _PAIR_CHUNK
+    for s, mid in enumerate(mids):
+        one = scan1(v1s[s], v3s[s], lambdas, point_block(pts, lambdas, mid))
+        ref = (_reference_pair_scan(pts, v1s[s], v3s[s], lambdas, mid)
+               if n >= 2 else one)
+        for g, o, r in zip(got, one, ref):
+            assert g[s].tobytes() == o.tobytes() == np.asarray(r).tobytes()
+    if n >= 2:
+        assert np.all(np.isnan(got[0][1]))
+        assert set(got[1][1]) == {nan_pair[0]}
+        assert set(got[2][1]) == {nan_pair[1]}
+    else:
+        assert np.all(got[0] == math.inf) and np.all(got[1] == -1)

@@ -316,6 +316,24 @@ def test_hypotheses_one_minus_s_p_has_no_power_bound():
     assert "k" not in hyp.constants
 
 
+@pytest.mark.parametrize("src", [
+    SourceTerm(kind="power_q", q=1.0), SourceTerm(kind="power_q", q=1.5),
+    SourceTerm(kind="power_sum", p=1.5, q=2.0),
+    SourceTerm(kind="power_sum", p=1.0, q=0.5)])
+def test_superlinear_power_bound_is_not_certified(src):
+    # the interior barrier needs q in [0, 1): a superlinear exponent
+    # certifies no power lower bound, so the run is seeded from phi1
+    p = Problem(domain=unit_square(), weight=Weight(kind="constant", c=1.0),
+                source=src)
+    hyp = check_hypotheses(p)
+    assert not hyp.require("lower_power")
+    assert not hyp.require("lower_power_uniform")
+    assert "q" not in hyp.constants
+    lower = check_hypotheses(dataclasses.replace(p, source=SourceTerm(
+        kind="power_q", q=0.5)))
+    assert lower.require("lower_power") and lower.constants["q"] == 0.5
+
+
 def test_weight_defect_zero_for_constant(square16):
     for w in (Weight(kind="constant", c=2.5),
               Weight(kind="separable_power_time", c=0.7, gamma=0.5)):

@@ -177,3 +177,19 @@ def test_golden_reports_cover_the_catalog():
     stored = {p.stem[:-len("-h12")] for p in GOLDEN_DIR.glob("*-h12.json")}
     stored |= {p.stem[:-len("-h16")] for p in REFERENCE_DIR.glob("*-h16.json")}
     assert stored == set(scenario_ids())
+
+
+@pytest.mark.filterwarnings("ignore:.*not strongly convex")
+@pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("*-h32.json")),
+                         ids=lambda p: p.stem)
+def test_report_matches_golden_h32(path):
+    # made by tests/make_reference.py for the whole catalog at h = 1/32,
+    # where the scans subsample their nodes (the disks stride them)
+    sid = path.stem[:-len("-h32")]
+    assert run_scenario(get_scenario(sid), h=1.0 / 32.0).to_json() == \
+        path.read_text()
+
+
+def test_h32_goldens_cover_the_catalog():
+    stored = {p.stem[:-len("-h32")] for p in GOLDEN_DIR.glob("*-h32.json")}
+    assert stored == set(scenario_ids())
