@@ -51,6 +51,11 @@ class Tuple5:
         return self.lam * self.t3 + (1 - self.lam) * self.t1
 
 
+def mid_time(ta: float, tb: float, lam: float) -> float:
+    """t2 of a tuple of the audit, whose time pairs are finite or inf."""
+    return INF if math.isinf(ta) else lam * tb + (1 - lam) * ta
+
+
 # ---------------------------------------------------------------------------
 # evaluators
 # ---------------------------------------------------------------------------
@@ -120,8 +125,8 @@ class Evaluator:
 
         def slices(lam, k, w):
             for ta, tb in tpairs:
-                t2 = INF if math.isinf(ta) else lam * tb + (1 - lam) * ta
-                yield self._transform(bilinear_corners(self.grid(t2), k, w))
+                yield self._transform(bilinear_corners(
+                    self.grid(mid_time(ta, tb, lam)), k, w))
 
         def block(idx1, idx3):
             keys = [row[idx1] + col[idx3] for row, col in codes]
@@ -306,9 +311,9 @@ def min_defect(ev, mode: str, cfg: SamplerConfig | None = None
 
     Stage 1: one exhaustive pair_scan over lattice-strided interior-node
     pairs and LAMBDAS, with one slice per snapshot-time pair (space mode:
-    each audited time separately).  Stage 2: coordinate-descent refinement
-    on the full grid with golden-section in lambda around the best
-    candidates.
+    each audited time separately).  Stage 2: coordinate descent on the
+    full grid from the best candidates, spatial moves, time moves and a
+    golden-section search in lambda under one acceptance rule.
     """
     if mode not in ("space", "spacetime"):
         raise ValueError("mode must be 'space' or 'spacetime'")
@@ -349,27 +354,39 @@ def min_defect(ev, mode: str, cfg: SamplerConfig | None = None
     px, py = full_pts[:, 0].tolist(), full_pts[:, 1].tolist()
 
     def tuple_value(a, b, ta, tb, lm):
-        t2 = INF if math.isinf(ta) else lm * tb + (1 - lm) * ta
         return (ev.point_value(lm * px[b] + (1 - lm) * px[a],
-                               lm * py[b] + (1 - lm) * py[a], t2)
+                               lm * py[b] + (1 - lm) * py[a],
+                               mid_time(ta, tb, lm))
                 - lm * float(nodes_at(tb)[b])
                 - (1 - lm) * float(nodes_at(ta)[a]))
 
     # each node, then its neighbours in the order the moves are tried
     nbr = np.column_stack([np.arange(dom.n_interior), dom.neighbours])
 
-    def move_values(a, b, ta, tb, lm):
-        """Node pairs of the spatial moves from (a, b), in the order
-        they are tried, and their concavity values: u interpolated in
-        one batch, each value transformed by the scalar path."""
+    # stage 2's sources: each yields (value, tuple, samples) for the
+    # moves from one tuple
+    def spatial_moves(a, b, ta, tb, lm):
+        """Node pairs around (a, b): u interpolated in one batch, each
+        value transformed by the scalar path."""
         ra, rb = nbr[a][nbr[a] >= 0], nbr[b][nbr[b] >= 0]
         na, nb = np.repeat(ra, rb.size)[1:], np.tile(rb, ra.size)[1:]
-        t2 = INF if math.isinf(ta) else lm * tb + (1 - lm) * ta
-        u = bilinear_interp(dom, ev.grid(t2),
+        u = bilinear_interp(dom, ev.grid(mid_time(ta, tb, lm)),
                             lm * full_pts[nb] + (1 - lm) * full_pts[na])
         v = (np.array([ev._transform(x) for x in u.tolist()], dtype=float)
              - lm * nodes_at(tb)[nb] - (1 - lm) * nodes_at(ta)[na])
-        return zip(na.tolist(), nb.tolist(), v.tolist())
+        return ((x, (c, d, ta, tb, lm), 1)
+                for c, d, x in zip(na.tolist(), nb.tolist(), v.tolist()))
+
+    def time_moves(a, b, ta, tb, lm):
+        """One step of t1 or t3 along the audited snapshot times."""
+        if ta not in finite_times or tb not in finite_times:
+            return
+        ia, ib = finite_times.index(ta), finite_times.index(tb)
+        for ja, jb in ((ia + 1, ib), (ia - 1, ib), (ia, ib + 1),
+                       (ia, ib - 1)):
+            if 0 <= ja < len(finite_times) and 0 <= jb < len(finite_times):
+                t1, t3 = finite_times[ja], finite_times[jb]
+                yield tuple_value(a, b, t1, t3, lm), (a, b, t1, t3, lm), 1
 
     def golden_lambda(a, b, ta, tb, lm0):
         lo, hi = max(lm0 - 1 / 16, 1e-6), min(lm0 + 1 / 16, 1 - 1e-6)
@@ -386,44 +403,23 @@ def min_defect(ev, mode: str, cfg: SamplerConfig | None = None
                 c2 = lo + phi * (hi - lo)
                 f2 = tuple_value(a, b, ta, tb, c2)
         lm = 0.5 * (lo + hi)
-        return lm, tuple_value(a, b, ta, tb, lm)
+        yield tuple_value(a, b, ta, tb, lm), (a, b, ta, tb, lm), _GOLDEN_STEPS
 
+    sources = (spatial_moves, golden_lambda) if mode == "space" \
+        else (spatial_moves, time_moves, golden_lambda)
     overall = (math.inf, None)
-    for val, a, b, ta, tb, lm in cands:
-        cur = (val, (a, b, ta, tb, lm))
+    for val, *tup in cands:
+        cur = (val, tuple(tup))
         for _ in range(30):
-            improved = False
-            v0, (a, b, ta, tb, lm) = cur
-            # spatial moves: every move is tried from (a, b); a move is
-            # taken when it beats the best value so far
-            for na, nb, v in move_values(a, b, ta, tb, lm):
-                samples += 1
-                if v < cur[0] - 1e-15:
-                    cur = (v, (na, nb, ta, tb, lm))
-                    improved = True
-            # time moves along the audited snapshot times
-            if mode == "spacetime" and ta in finite_times \
-                    and tb in finite_times:
-                ia, ib = finite_times.index(ta), finite_times.index(tb)
-                a2, b2, _, _, lm2 = cur[1]
-                for ja, jb in ((ia + 1, ib), (ia - 1, ib), (ia, ib + 1),
-                               (ia, ib - 1)):
-                    if 0 <= ja < len(finite_times) \
-                            and 0 <= jb < len(finite_times):
-                        t1, t3 = finite_times[ja], finite_times[jb]
-                        v = tuple_value(a2, b2, t1, t3, lm2)
-                        samples += 1
-                        if v < cur[0] - 1e-15:
-                            cur = (v, (a2, b2, t1, t3, lm2))
-                            improved = True
-            # lambda refinement
-            a2, b2, ta2, tb2, lm2 = cur[1]
-            lm_new, v = golden_lambda(a2, b2, ta2, tb2, lm2)
-            samples += _GOLDEN_STEPS
-            if v < cur[0] - 1e-15:
-                cur = (v, (a2, b2, ta2, tb2, lm_new))
-                improved = True
-            if not improved:
+            start = cur
+            # each source starts from the best tuple so far; a move is
+            # taken when it beats the best value so far by over 1e-15
+            for source in sources:
+                for v, t, s in source(*cur[1]):
+                    samples += s
+                    if v < cur[0] - 1e-15:
+                        cur = (v, t)
+            if cur is start:
                 break
         if cur[0] < overall[0]:
             overall = cur

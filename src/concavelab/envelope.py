@@ -92,7 +92,13 @@ def _upper_envelope_2d(pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
     try:
         hull = ConvexHull(cloud)
     except QhullError as exc:
-        raise HullDegenerate(str(exc)) from exc
+        # samples affine in (x, y) (a flat cloud) are their own majorant
+        plane = np.column_stack([np.ones(len(pts)), pts])
+        c, _, rank, _ = np.linalg.lstsq(plane, vals, rcond=None)
+        if rank == 3 and np.allclose(plane @ c, vals, rtol=0.0,
+                                     atol=1e-12 * (1 + np.abs(vals).max())):
+            return vals
+        raise HullDegenerate(str(exc).strip().splitlines()[0]) from exc
     eqs = hull.equations  # outward normals: n . x + d = 0
     upper = eqs[eqs[:, 2] > 1e-12]
     if upper.shape[0] == 0:

@@ -267,37 +267,47 @@ def _weight_min_C(problem, dom, mask=None) -> float:
     return worst if math.isfinite(worst) else 0.0
 
 
-def _inner_region(problem, dom, rep):
-    """Mask of the interior nodes deeper than rho, the boundary distance
-    of the nearer endpoint of the audit report's argmin (at least 2h);
-    None when no interior node lies that deep."""
+def _bound_report(problem, ev, rep, stat, q, kind, arg):
+    """BoundReport of a quantitative (arg: its mode) or log_bound (arg:
+    its variant) check, measured on the inner region: the interior nodes
+    deeper than rho, the boundary distance of the nearer endpoint of the
+    audit report's argmin (at least 2h), or all when none lies deeper."""
+    w, src, dom = problem.weight, problem.source, ev.dom
     d = distance_to_boundary(problem.domain,
                              np.array([rep.argmin.x1, rep.argmin.x3]))
-    rho = max(float(d.min()), 2 * dom.h)
-    mask = inner_region_mask(dom, rho)
-    return mask if mask.any() else None
-
-
-def _quant_params(problem, dom, ev, rep, sup_norm_u_inf, mode):
-    """Measured BoundParams for a quantitative mode from the audit
-    report's argmin neighborhood."""
-    w, src = problem.weight, problem.source
-    q = src.q if src.kind == "power_q" else 0.0
+    mask = inner_region_mask(dom, max(float(d.min()), 2 * dom.h))
+    mask = mask if mask.any() else None
+    if kind == "log_bound":
+        lam = sup_slope_lambda(src)
+        sup_defect = weight_concavity_defect(problem, dom, theta=1.0,
+                                             mask=mask)
+        # sup of f(u)/u over the inner region and the snapshots; 1 for a
+        # source with a term g(u) without the weight
+        fbar = 1.0 if src.composite else 0.0
+        for vals in () if src.composite else ev.traj.fields:
+            v = vals if mask is None else vals[mask]
+            pos = v > 1e-12
+            if pos.any():
+                fbar = max(fbar, float(np.max(src.f(v[pos]) / v[pos])))
+        rhs = log_concavity_rhs(problem.horizon, lam, sup_defect, arg,
+                                fbar_norm=fbar)
+        return BoundReport(bound_id=f"log_{arg}", rhs=rhs, constants={
+            "Lambda": lam, "sup_defect": sup_defect, "fbar_norm": fbar})
     prof = w.spatial_profile(dom)
     at_T = prof * w.time_factor(problem.horizon)  # (m, M) at the horizon
-    mask = _inner_region(problem, dom, rep)
     prof_rho = prof if mask is None else prof[mask]
     kw = dict(q=q, m=float(at_T.min()), M=float(at_T.max()),
-              sup_norm_u_inf=sup_norm_u_inf,
+              sup_norm_u_inf=stat.sup_norm if stat is not None else
+              max(float(np.max(f)) for f in ev.traj.fields),
               theta=w.theta if math.isfinite(w.theta) else 1.0)
-    if mode == "oscillation":
+    if arg == "oscillation":
         kw["osc_a2"] = float((prof ** 2).max() - (prof ** 2).min())
-    elif mode == "rough":
+    elif arg == "rough":
         kw["osc_a"] = float(prof.max() - prof.min())
-    elif mode in ("theta", "elliptic_theta"):
+    elif arg in ("theta", "elliptic_theta"):
         kw["sup_neg_defect"] = weight_concavity_defect(
             problem, dom, theta=kw["theta"])
-    elif mode == "prop413":
+    elif arg == "prop413":
         kw["inf_a_rho"] = float(prof_rho.min())
         kw["sup_a_rho"] = float(prof_rho.max())
         kw["inf_C_a"] = _weight_min_C(problem, dom, mask)
@@ -305,28 +315,9 @@ def _quant_params(problem, dom, ev, rep, sup_norm_u_inf, mode):
         kw["xi"] = grads.mean(axis=0)
         kw["xi_mismatch"] = rep.gradient_spread
         kw["lam_argmin"] = rep.argmin.lam
-        t1, t3 = rep.argmin.t1, rep.argmin.t3
-        kw["v1"] = ev.point_value(*rep.argmin.x1, t1)
-        kw["v3"] = ev.point_value(*rep.argmin.x3, t3)
-    return BoundParams(**kw)
-
-
-def _log_bound_inputs(problem, dom, traj, rep):
-    """(Lambda, sup weight defect on the inner region, fbar norm)."""
-    src = problem.source
-    lam = sup_slope_lambda(src)
-    mask = _inner_region(problem, dom, rep)
-    sup_defect = weight_concavity_defect(problem, dom, theta=1.0,
-                                         mask=mask)
-    # sup of f(u)/u over the inner region and the snapshots; 1 for a
-    # source with a term g(u) without the weight
-    fbar = 0.0
-    for vals in () if src.composite else traj.fields:
-        v = vals if mask is None else vals[mask]
-        pos = v > 1e-12
-        if pos.any():
-            fbar = max(fbar, float(np.max(src.f(v[pos]) / v[pos])))
-    return lam, sup_defect, 1.0 if src.composite else fbar
+        kw["v1"] = ev.point_value(*rep.argmin.x1, rep.argmin.t1)
+        kw["v3"] = ev.point_value(*rep.argmin.x3, rep.argmin.t3)
+    return quantitative_rhs(BoundParams(**kw), arg)
 
 
 # ---------------------------------------------------------------------------
@@ -402,40 +393,22 @@ def run_scenario(scn: Scenario, h: float = 1.0 / 64.0,
             include_infinity=aud.mode == "spacetime"))
         report.defect_reports.append(rep)
         for check in aud.checks:
+            # exact: defect >= -tau; quantitative and log_bound: defect
+            # >= rhs - tau, and no assertion when a validity gate fails
             if check[0] == "exact":
-                report.add_assertion(
-                    f"exact_alpha{aud.alpha:g}", rep.minimum >=
-                    -rep.tau_audit, rep.minimum, -rep.tau_audit)
-            elif check[0] == "quantitative":
-                mode = check[1]
-                sup_norm = stat.sup_norm if stat is not None else \
-                    max(float(np.max(f)) for f in traj.fields)
+                name, bound = f"exact_alpha{aud.alpha:g}", -rep.tau_audit
+            else:
                 try:
-                    params = _quant_params(problem, dom, ev, rep,
-                                           sup_norm, mode)
-                    brep = quantitative_rhs(params, mode)
+                    brep = _bound_report(problem, ev, rep, stat, q, *check)
                 except ValidityViolation as exc:
-                    report.diagnostics[f"{mode}_gate"] = str(exc)
+                    report.diagnostics[f"{check[1]}_gate"] = str(exc)
                     continue
                 report.bound_reports.append(brep)
-                report.add_assertion(
-                    f"quant_{mode}_alpha{aud.alpha:g}",
-                    rep.minimum >= brep.rhs - rep.tau_audit,
-                    rep.minimum, brep.rhs - rep.tau_audit)
-            elif check[0] == "log_bound":
-                variant = check[1]
-                lam, sup_defect, fbar = _log_bound_inputs(
-                    problem, dom, traj, rep)
-                rhs = log_concavity_rhs(problem.horizon, lam, sup_defect,
-                                        variant, fbar_norm=fbar)
-                report.bound_reports.append(BoundReport(
-                    bound_id=f"log_{variant}", rhs=rhs,
-                    constants={"Lambda": lam, "sup_defect": sup_defect,
-                               "fbar_norm": fbar}))
-                report.add_assertion(
-                    f"log_{variant}",
-                    rep.minimum >= rhs - rep.tau_audit,
-                    rep.minimum, rhs - rep.tau_audit)
+                name = brep.bound_id if check[0] == "log_bound" else \
+                    f"quant_{check[1]}_alpha{aud.alpha:g}"
+                bound = brep.rhs - rep.tau_audit
+            report.add_assertion(name, rep.minimum >= bound, rep.minimum,
+                                 bound)
 
     if any(not a["passed"] for a in report.assertions):
         report.verdict = "fail"

@@ -4,12 +4,15 @@
 
 Runs every catalog scenario that perfbench/reference/ does not cover at
 h = 1/12, and every catalog scenario at h = 1/32, and stores
-``run_scenario(...).to_json()`` as tests/reference/<id>-h<1/h>.json.
+``run_scenario(...).to_json()`` as tests/reference/<id>-h<1/h>.json;
+and ramp-le-eps05 with eps = 0.5, whose theta check fails its gate, at
+h = 1/12 as tests/reference/ramp-le-eps50-h12-gated.json.
 The stored reports are the numerics of
 the commit that made them; regenerate them only when a change to the
 numerics is deliberate and stated.
 """
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -35,6 +38,14 @@ def reference_path(sid: str, h_inv: int = H_INV) -> Path:
     return REFERENCE_DIR / f"{sid}-h{h_inv}.json"
 
 
+def gated_scenario():
+    """ramp-le-eps05 with the ripple eps = 0.5 (m = 0.567, M = 1.5)."""
+    scn = get_scenario("ramp-le-eps05")
+    weight = dataclasses.replace(scn.problem.weight, eps=0.5)
+    return dataclasses.replace(
+        scn, problem=dataclasses.replace(scn.problem, weight=weight))
+
+
 def main() -> int:
     REFERENCE_DIR.mkdir(exist_ok=True)
     for h_inv, ids in ((H_INV, golden_ids()),
@@ -44,6 +55,9 @@ def main() -> int:
             path = reference_path(sid, h_inv)
             path.write_text(rep.to_json())
             print(f"{path.relative_to(ROOT)}: {rep.verdict}")
+    path = REFERENCE_DIR / f"ramp-le-eps50-h{H_INV}-gated.json"
+    path.write_text(run_scenario(gated_scenario(), h=1.0 / H_INV).to_json())
+    print(f"{path.relative_to(ROOT)}: gated")
     return 0
 
 

@@ -138,6 +138,20 @@ def test_solve_then_audit_and_envelope(tmp_path, config_file, capsys):
     assert env["bound_ok"] is True
 
 
+def test_envelope_of_the_zero_initial_snapshot(tmp_path, config_file):
+    # solve writes u = 0 at t = 0, an affine field whose lifted samples
+    # are flat: its envelope is itself
+    out = tmp_path / "out"
+    assert parse_and_dispatch(["solve", "--config", str(config_file),
+                               "--out", str(out), "--format", "csv"]) == 0
+    assert parse_and_dispatch(["envelope", "--config", str(config_file),
+                               "--field", str(out / "field_000.csv"),
+                               "--out", str(out)]) == 0
+    env = json.loads((out / "envelope_report.json").read_text())
+    assert env["bound_ok"] is True
+    assert env["distance"] == 0.0
+
+
 def test_solve_binary_format(tmp_path, config_file):
     out = tmp_path / "bin"
     rc = parse_and_dispatch(["solve", "--config", str(config_file),

@@ -72,6 +72,29 @@ def test_2d_concave_field():
     assert np.all(res.g_hat >= f.values - 1e-12)
 
 
+@pytest.mark.parametrize("spec", [unit_square(), ellipse(1.0, 0.6)],
+                         ids=["square", "ellipse"])
+@pytest.mark.parametrize("fn", [lambda x, y: 0.0 * x,
+                                lambda x, y: 2.0 * x - 3.0 * y + 0.7],
+                         ids=["zero", "affine"])
+def test_2d_affine_field_is_its_own_envelope(spec, fn):
+    # the lifted samples are coplanar, which Qhull cannot hull: the
+    # majorant is the samples themselves, at distance 0
+    f = field_from_function(build_discretization(spec, 1.0 / 8.0), fn)
+    res = concave_approximation(f)
+    sel = _scan_nodes(f.dom, 600)
+    assert np.array_equal(res.g_hat, f.values[sel])
+    assert res.distance == 0.0
+    assert res.bound_ok
+
+
+def test_2d_collinear_samples_raise_a_one_line_error():
+    pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+    with pytest.raises(HullDegenerate) as info:
+        _upper_envelope_2d(pts, np.array([0.0, 1.0, 5.0, 2.0]))
+    assert "\n" not in str(info.value)
+
+
 def test_2d_perturbed_field_bound():
     dom = build_discretization(unit_square(), 1.0 / 12.0)
     rng = np.random.default_rng(4)

@@ -21,7 +21,7 @@ def square16():
 
 
 def test_constant_weight_bounds(square16):
-    # m and M as scenarios._quant_params takes them: the extremes of the
+    # m and M as scenarios._bound_report takes them: the extremes of the
     # profile times the time factor at the horizon
     w = Weight(kind="constant", c=2.0)
     at_T = w.spatial_profile(square16) * w.time_factor(1.0)

@@ -193,3 +193,23 @@ def test_report_matches_golden_h32(path):
 def test_h32_goldens_cover_the_catalog():
     stored = {p.stem[:-len("-h32")] for p in GOLDEN_DIR.glob("*-h32.json")}
     assert stored == set(scenario_ids())
+
+
+def _ramp_le_eps50():
+    """ramp-le-eps05 with the ripple eps = 0.5, which fails the theta
+    bound's gate m^theta >= M^theta / 2 (m = 0.567, M = 1.5)."""
+    scn = get_scenario("ramp-le-eps05")
+    weight = dataclasses.replace(scn.problem.weight, eps=0.5)
+    return dataclasses.replace(
+        scn, problem=dataclasses.replace(scn.problem, weight=weight))
+
+
+def test_report_matches_golden_with_a_failed_gate():
+    # made by tests/make_reference.py; pins a check that a validity gate
+    # turns into a <mode>_gate diagnostic and no assertion
+    rep = run_scenario(_ramp_le_eps50(), h=1.0 / 12.0)
+    assert "theta_gate" in rep.diagnostics
+    assert [a["name"] for a in rep.assertions] == [
+        f"quant_{m}_alpha0.25" for m in ("oscillation", "rough", "prop413")]
+    assert rep.to_json() == \
+        (GOLDEN_DIR / "ramp-le-eps50-h12-gated.json").read_text()
