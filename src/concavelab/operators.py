@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .domains import DiscretizedDomain
 from .errors import MaxIterations, NoConvergence
@@ -163,9 +163,12 @@ def neg_laplacian_matrix(dom: DiscretizedDomain) -> sp.csr_matrix:
 # linear solves
 # ---------------------------------------------------------------------------
 
+#: GMRES's relative residual target and its restart cycles (of 20 steps)
+_GMRES_RTOL, _GMRES_CYCLES = 1e-12, 10
+
+
 def _solve(dom: DiscretizedDomain, b: np.ndarray, tau=None, shift=None):
-    """x with M x = b for M = -Lap_h (tau None) or the shifted system,
-    on the factorizations cached as solve_shifted_poisson states."""
+    """x with M x = b for M = -Lap_h (tau None) or the shifted system."""
     A = neg_laplacian_matrix(dom)
     if "lap_lu" not in dom._cache:
         lu = splu(A.tocsc())
@@ -179,31 +182,32 @@ def _solve(dom: DiscretizedDomain, b: np.ndarray, tau=None, shift=None):
             dom._cache["shift_lu"] = (
                 tau, Mp, splu(Mp, permc_spec="NATURAL"), diag)
         _, M, lu, diag = dom._cache["shift_lu"]
-        if shift is not None and np.any(shift):
-            M = M.copy()
-            M.data[diag] += np.asarray(shift, dtype=float)[q]
-            lu = splu(M, permc_spec="NATURAL")
-    y = lu.solve(b)
+    y, what = lu.solve(b), "direct solve"
+    if shift is not None and np.any(shift):
+        M, its = M.copy(), []
+        M.data[diag] += np.asarray(shift, dtype=float)[q]
+        y = gmres(M, b, y, rtol=_GMRES_RTOL, maxiter=_GMRES_CYCLES,
+                  M=LinearOperator(M.shape, lu.solve), callback=its.append,
+                  callback_type="pr_norm")[0]
+        what = f"shifted solve (tau {tau:g}, {len(its)} GMRES iterations)"
     res, bn = np.linalg.norm(M @ y - b), np.linalg.norm(b)
     if not res <= 1e-8 * bn:  # also when b holds a NaN or an inf
-        raise MaxIterations(f"direct solve residual {res / bn:.3g} is not "
+        raise MaxIterations(f"{what} residual {res / bn:.3g} is not "
                             f"within 1e-8")
     return y if tau is None else y[perm]
 
 
 def solve_shifted_poisson(tau: float, rhs: Field,
                           diag_shift=None) -> Field:
-    """Solve (I + tau*(-Lap_h) + diag_shift) u = rhs by sparse LU.
+    """Solve (I + tau*(-Lap_h) + diag_shift) u = rhs on one LU per tau.
 
-    The cut-cell stencils are nonsymmetric, so one direct path serves
-    every grid; the relative residual is checked a posteriori against
-    1e-8.  All systems share -Lap_h's pattern, so COLAMD runs once per
-    domain, on poisson_solve's LU; the others are factored NATURAL with
-    their columns (Mp) in its order perm_c, and x = y[perm_c].  The
-    domain keeps one (tau, Mp, LU) for the last tau: a trajectory uses
-    one step size per snapshot interval.  A shift is added in place on
-    the diagonal of a copy of Mp, rounding (1 + tau*a_ii) + s_i as the
-    assembled sum does; an all-zero (or -0.0) shift reuses Mp's LU.
+    I + tau*(-Lap_h) is factored NATURAL with its columns (Mp) in the
+    order perm_c of poisson_solve's COLAMD LU, x = y[perm_c], and the
+    domain keeps the last tau's (tau, Mp, LU): a trajectory uses one
+    step size per snapshot interval.  A nonzero shift, added to a copy
+    of Mp's diagonal, is solved by GMRES preconditioned by and started
+    from that LU; a zero (or -0.0) one is that LU's solve.  The relative
+    residual is checked a posteriori against 1e-8.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -212,9 +216,8 @@ def solve_shifted_poisson(tau: float, rhs: Field,
 
 
 def poisson_solve(dom: DiscretizedDomain, rhs_values: np.ndarray):
-    """Solve (-Lap_h) u = rhs (pure elliptic, no shift) on the domain's
-    one COLAMD factorization, whose column order every shifted system
-    reuses; the residual is checked as in solve_shifted_poisson."""
+    """Solve (-Lap_h) u = rhs on the domain's one COLAMD LU, whose column
+    order every shifted system reuses, with the same residual check."""
     return _solve(dom, np.asarray(rhs_values, dtype=float))
 
 
@@ -236,9 +239,8 @@ def principal_eigenpair(dom: DiscretizedDomain) -> EigenPair:
     """
     if dom.n_interior < 4:
         raise ValueError("need at least 4 interior nodes")
-    key = "eigenpair"
-    if key in dom._cache:
-        return dom._cache[key]
+    if "eigenpair" in dom._cache:
+        return dom._cache["eigenpair"]
     A = neg_laplacian_matrix(dom)
     v = np.ones(dom.n_interior)
     lam_old = np.inf
@@ -248,16 +250,14 @@ def principal_eigenpair(dom: DiscretizedDomain) -> EigenPair:
         Aw = A @ w
         lam = float(w @ Aw) / float(w @ w)
         resid = np.max(np.abs(Aw - lam * w)) / np.max(np.abs(w))
+        v = w
         if abs(lam - lam_old) <= 1e-10 and resid <= 1e-9 * lam:
-            v = w
             break
         lam_old = lam
-        v = w
     else:
         raise NoConvergence("inverse power iteration exceeded 500 iterations")
     if v.sum() < 0:
         v = -v
     v = v / np.max(np.abs(v))
-    pair = EigenPair(lam=lam, phi=Field(dom, v))
-    dom._cache[key] = pair
+    pair = dom._cache["eigenpair"] = EigenPair(lam=lam, phi=Field(dom, v))
     return pair

@@ -73,6 +73,9 @@ def test_solves_reject_non_finite_rhs(square32, bad):
         poisson_solve(square32, rhs)
     with pytest.raises(MaxIterations, match="direct solve residual"):
         solve_shifted_poisson(0.01, Field(square32, rhs))
+    with pytest.raises(MaxIterations, match="shifted solve .* residual"):
+        solve_shifted_poisson(0.01, Field(square32, rhs),
+                              np.full(square32.n_interior, 0.5))
 
 
 def test_zero_rhs_solves_to_zero(square32):
@@ -126,15 +129,9 @@ _SOLVE_SPECS = (unit_square(), disk(), ellipse(1.0, 0.5), convex_polygon(
     [(np.cos(s), np.sin(s)) for s in (0.0, 1.5, 2.6, 3.9, 5.0)]))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(k=st.integers(0, len(_SOLVE_SPECS) - 1),
-       tau=st.sampled_from([1e-4, 3e-3, 0.05, 2.0]),
-       shift=st.sampled_from(["zero", "neg_zero", "nonpositive",
-                              "nonnegative"]),
-       seed=st.integers(0, 2 ** 16))
-def test_cached_order_solve_is_plain_splu(k, tau, shift, seed):
-    # the shared column order and the in-place diagonal shift give the
-    # bits of a fresh COLAMD factorization of the assembled matrix
+def _solve_case(k, tau, shift, seed):
+    """A domain of _SOLVE_SPECS at h = 1/16, its generator, the diagonal
+    shift of the named kind and I + tau*(-Lap_h)."""
     dom = build_discretization(_SOLVE_SPECS[k], 1.0 / 16.0)
     rng = np.random.default_rng(seed)
     N = dom.n_interior
@@ -142,50 +139,116 @@ def test_cached_order_solve_is_plain_splu(k, tau, shift, seed):
          "nonpositive": -rng.uniform(0.0, 0.9, N),
          "nonnegative": rng.uniform(0.0, 5.0, N)}[shift]
     M = sp.identity(N, format="csc") + tau * neg_laplacian_matrix(dom)
-    for diag_shift, system in ((s, M + sp.diags(s)), (None, M)):
-        b = rng.standard_normal(N)
+    return dom, rng, s, M
+
+
+_SOLVE_CASES = dict(k=st.integers(0, len(_SOLVE_SPECS) - 1),
+                    tau=st.sampled_from([1e-4, 3e-3, 0.05, 2.0]),
+                    seed=st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(shift=st.sampled_from(["zero", "neg_zero"]), **_SOLVE_CASES)
+def test_cached_order_solve_is_plain_splu(k, tau, shift, seed):
+    # the shared column order gives the bits of a fresh COLAMD
+    # factorization of the assembled matrix; a zero shift is no shift
+    dom, rng, s, M = _solve_case(k, tau, shift, seed)
+    for diag_shift in (s, None):
+        b = rng.standard_normal(dom.n_interior)
         got = solve_shifted_poisson(tau, Field(dom, b), diag_shift).values
-        assert np.array_equal(got, splu(system.tocsc()).solve(b))
-    b = rng.standard_normal(N)
+        assert np.array_equal(got, splu(M.tocsc()).solve(b))
+    b = rng.standard_normal(dom.n_interior)
     assert np.array_equal(poisson_solve(dom, b), splu(
         neg_laplacian_matrix(dom).tocsc()).solve(b))
 
 
-def test_stiff_trajectory_factors_per_tau_and_nonzero_shift(monkeypatch):
-    # logistic-square: one COLAMD factorization of the Laplacian, one
-    # NATURAL one per step size and per corrector with a nonzero shift;
-    # an all-zero shift reuses the step size's LU
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(shift=st.sampled_from(["nonpositive", "nonnegative"]),
+       **_SOLVE_CASES)
+def test_nonzero_shift_solve_meets_residual(k, tau, shift, seed):
+    # GMRES on the step size's LU: the relative residual is within the
+    # solve's 1e-8 check, and x is a fresh LU's solve to 1e-9 relative
+    dom, rng, s, M = _solve_case(k, tau, shift, seed)
+    system = (M + sp.diags(s)).tocsc()
+    b = rng.standard_normal(dom.n_interior)
+    got = solve_shifted_poisson(tau, Field(dom, b), s).values
+    ref = splu(system).solve(b)
+    assert np.linalg.norm(system @ got - b) <= 1e-8 * np.linalg.norm(b)
+    assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+def test_singular_shifted_system_raises_max_iterations():
+    # the shift cancels the diagonal of I + tau*(-Lap_h); a fresh LU of
+    # that system is exactly singular and used to escape as SuperLU's
+    # RuntimeError
+    dom = build_discretization(unit_square(), 1.0 / 8.0)
+    shift = -(1 + 0.01 * neg_laplacian_matrix(dom).diagonal())
+    f = Field(dom, np.ones(dom.n_interior))
+    with pytest.raises(MaxIterations, match=r"shifted solve \(tau 0\.01, "
+                       r"\d+ GMRES iterations\) residual"):
+        solve_shifted_poisson(0.01, f, shift)
+
+
+def _record_stiff_solves(monkeypatch, sid, h):
+    """Run sid's trajectory at h; return the (tau, nonzero shift) of each
+    shifted solve, the permc_spec of each splu call and the GMRES
+    iterations of each GMRES call."""
     import concavelab.operators as operators
     from concavelab.scenarios import build_problem, get_scenario
-    h = 1.0 / 16.0
-    calls, factored = [], []
-    shifted = operators.solve_shifted_poisson
-    splu = operators.splu
+    calls, factored, iterations = [], [], []
+    shifted, splu, gmres = (operators.solve_shifted_poisson, operators.splu,
+                            operators.gmres)
 
     def record_solve(tau, rhs, diag_shift=None):
-        calls.append((tau, None if diag_shift is None
-                      else bool(np.any(diag_shift))))
+        calls.append((tau, diag_shift is not None and bool(np.any(
+            diag_shift))))
         return shifted(tau, rhs, diag_shift)
 
     def record_splu(M, **kw):
         factored.append(kw.get("permc_spec"))
         return splu(M, **kw)
 
+    def record_gmres(*args, callback, **kw):
+        iterations.append(0)
+
+        def count(r):
+            iterations[-1] += 1
+            callback(r)
+        return gmres(*args, callback=count, **kw)
+
     monkeypatch.setattr("concavelab.parabolic.solve_shifted_poisson",
                         record_solve)
     monkeypatch.setattr(operators, "splu", record_splu)
+    monkeypatch.setattr(operators, "gmres", record_gmres)
     dom = build_discretization(unit_square(), h)
     eig = principal_eigenpair(dom)
-    problem = build_problem(get_scenario("logistic-square"), eig)
+    problem = build_problem(get_scenario(sid), eig)
     solve_trajectory(problem, dom, make_time_grid(problem, h, count=16),
                      eig=eig)
+    return calls, factored, iterations
+
+
+def test_stiff_trajectory_factors_once_per_tau(monkeypatch):
+    # logistic-square: one COLAMD factorization of the Laplacian and one
+    # NATURAL one per step size; a corrector with a nonzero shift runs
+    # GMRES on its step size's LU instead of factoring its own
+    calls, factored, iterations = _record_stiff_solves(
+        monkeypatch, "logistic-square", 1.0 / 16.0)
     taus = [tau for tau, _ in calls]
     tau_changes = 1 + sum(a != b for a, b in zip(taus, taus[1:]))
-    nonzero = sum(1 for _, nz in calls if nz)
-    zero = sum(1 for _, nz in calls if nz is False)
-    assert nonzero > 0 and zero > 0
-    assert len(factored) == 1 + tau_changes + nonzero
-    assert factored == [None] + ["NATURAL"] * (len(factored) - 1)
+    nonzero = sum(nz for _, nz in calls)
+    assert 0 < nonzero < len(calls)
+    assert len(iterations) == nonzero
+    assert factored == [None] + ["NATURAL"] * tau_changes
+
+
+def test_log_square_correctors_take_few_gmres_iterations(monkeypatch):
+    # the step size's LU preconditions the shifted system well: at most
+    # 6 iterations per corrector when this test was written
+    calls, _, iterations = _record_stiff_solves(
+        monkeypatch, "log-square", 1.0 / 32.0)
+    assert len(iterations) == sum(nz for _, nz in calls) > 0
+    assert max(iterations) <= 8
 
 
 def test_eigenpair_square(square32):
