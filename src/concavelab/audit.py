@@ -46,9 +46,7 @@ class Tuple5:
 
     @property
     def t2(self):
-        if math.isinf(self.t1) and math.isinf(self.t3):
-            return INF
-        return self.lam * self.t3 + (1 - self.lam) * self.t1
+        return mid_time(self.t1, self.t3, self.lam)
 
 
 def mid_time(ta: float, tb: float, lam: float) -> float:

@@ -38,32 +38,6 @@ class EnvelopeResult:
     dimension: int
 
 
-# ---------------------------------------------------------------------------
-# 1-D sections
-# ---------------------------------------------------------------------------
-
-def _upper_envelope_1d(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least concave majorant of samples on a 1-D grid (values at x)."""
-    order = np.argsort(x)
-    xs, ys = x[order], y[order]
-    # upper hull by a monotone-chain sweep
-    hull = []  # indices into xs
-    for i in range(len(xs)):
-        while len(hull) >= 2:
-            i1, i2 = hull[-2], hull[-1]
-            cross = (xs[i2] - xs[i1]) * (ys[i] - ys[i1]) \
-                - (ys[i2] - ys[i1]) * (xs[i] - xs[i1])
-            if cross >= 0:  # middle point below the chord: drop it
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    env_sorted = np.interp(xs, xs[hull], ys[hull])
-    env = np.empty_like(env_sorted)
-    env[order] = env_sorted
-    return env
-
-
 def _defect_1d(x: np.ndarray, y: np.ndarray) -> float:
     """Worst negative concavity-function value over sample triples
     (endpoints at samples, middle point at every sample between)."""
@@ -81,34 +55,34 @@ def _defect_1d(x: np.ndarray, y: np.ndarray) -> float:
     return -worst
 
 
-# ---------------------------------------------------------------------------
-# 2-D fields
-# ---------------------------------------------------------------------------
-
-def _upper_envelope_2d(pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Least concave majorant at the sample points via the lifted hull:
-    the envelope is the pointwise minimum of the upper-facet planes."""
+def _upper_envelope(pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Least concave majorant at samples pts of shape (n, d) via the
+    lifted hull: the pointwise minimum of the upper-facet planes."""
+    d = pts.shape[1]
     cloud = np.column_stack([pts, vals])
     try:
         hull = ConvexHull(cloud)
     except QhullError as exc:
-        # samples affine in (x, y) (a flat cloud) are their own majorant
+        # samples affine in pts (a flat cloud) are their own majorant
         plane = np.column_stack([np.ones(len(pts)), pts])
         c, _, rank, _ = np.linalg.lstsq(plane, vals, rcond=None)
-        if rank == 3 and np.allclose(plane @ c, vals, rtol=0.0,
-                                     atol=1e-12 * (1 + np.abs(vals).max())):
+        if rank == d + 1 and np.allclose(plane @ c, vals, rtol=0.0,
+                                         atol=1e-12 * (1 + abs(vals).max())):
             return vals
         raise HullDegenerate(str(exc).strip().splitlines()[0]) from exc
-    eqs = hull.equations  # outward normals: n . x + d = 0
-    upper = eqs[eqs[:, 2] > 1e-12]
+    eqs = hull.equations  # outward normals: n . (pts, vals) + off = 0
+    upper = eqs[eqs[:, d] > 1e-12]
     if upper.shape[0] == 0:
         raise HullDegenerate("no upper facets: samples are degenerate")
-    # plane value z = -(n0 x + n1 y + d)/n2 per facet; envelope = min
+    # plane value -(n0 x0 + n1 x1 + ... + off)/n_d per facet, summed in
+    # coordinate order; envelope = min
     env = np.inf
     for b in range(0, len(upper), _FACET_BLOCK):
-        n0, n1, n2, d = upper[b:b + _FACET_BLOCK, :, None].transpose(1, 0, 2)
-        z = -(n0 * pts[:, 0] + n1 * pts[:, 1] + d) / n2
-        env = np.minimum(env, z.min(axis=0))
+        *n, nv, off = upper[b:b + _FACET_BLOCK, :, None].transpose(1, 0, 2)
+        s = n[0] * pts[:, 0]
+        for nk, xk in zip(n[1:], pts.T[1:]):
+            s = s + nk * xk
+        env = np.minimum(env, (-(s + off) / nv).min(axis=0))
     return np.maximum(env, vals)  # guard roundoff: majorant dominates f
 
 
@@ -123,7 +97,8 @@ def concave_approximation(f) -> EnvelopeResult:
         x, vals = (np.asarray(v, dtype=float) for v in f)
         if len(np.unique(x)) < 2:
             raise HullDegenerate("need at least 2 distinct sample abscissae")
-        g_hat, delta, dim = _upper_envelope_1d(x, vals), _defect_1d(x, vals), 1
+        g_hat = _upper_envelope(x[:, None], vals)
+        delta, dim = _defect_1d(x, vals), 1
     elif not isinstance(f, Field):
         raise TypeError("expected a Field or a 1-D (x, values) tuple")
     else:
@@ -131,7 +106,7 @@ def concave_approximation(f) -> EnvelopeResult:
         pts, vals = f.dom.interior_points[sel], f.values[sel]
         if len(pts) < 3:
             raise HullDegenerate("need at least 3 sample points in 2-D")
-        g_hat = _upper_envelope_2d(pts, vals)
+        g_hat = _upper_envelope(pts, vals)
         # delta: the defect over sample pairs and LAMBDAS, with the
         # middle value interpolated bilinearly on the full grid
         (mins,), _, _ = pair_scan(vals[None], vals[None], LAMBDAS,

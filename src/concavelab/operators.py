@@ -186,9 +186,10 @@ def _solve(dom: DiscretizedDomain, b: np.ndarray, tau=None, shift=None):
     if shift is not None and np.any(shift):
         M, its = M.copy(), []
         M.data[diag] += np.asarray(shift, dtype=float)[q]
-        y = gmres(M, b, y, rtol=_GMRES_RTOL, maxiter=_GMRES_CYCLES,
-                  M=LinearOperator(M.shape, lu.solve), callback=its.append,
-                  callback_type="pr_norm")[0]
+        if np.isfinite(b).all():  # else the residual check rejects b
+            y = gmres(M, b, y, rtol=_GMRES_RTOL, maxiter=_GMRES_CYCLES,
+                      M=LinearOperator(M.shape, lu.solve),
+                      callback=its.append, callback_type="pr_norm")[0]
         what = f"shifted solve (tau {tau:g}, {len(its)} GMRES iterations)"
     res, bn = np.linalg.norm(M @ y - b), np.linalg.norm(b)
     if not res <= 1e-8 * bn:  # also when b holds a NaN or an inf

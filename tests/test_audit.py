@@ -22,8 +22,8 @@ from concavelab.audit import (DefectReport, Evaluator, FieldEvaluator,
                               _REFINE_CANDIDATES,
                               _SCAN_NODES, _argmin_gradients,
                               _default_times, _scan_nodes,
-                              harmonic_combination, pair_scan,
-                              tau_audit_value)
+                              harmonic_combination, mid_time,
+                              pair_scan, tau_audit_value)
 from concavelab.errors import EmptySampler
 from concavelab.operators import bilinear_interp
 from concavelab.parabolic import Trajectory
@@ -89,6 +89,18 @@ def test_concavity_value_nonneg_for_concave(square16):
         tup = Tuple5(x1=tuple(a), x3=tuple(b), t1=0.1, t3=0.1,
                      lam=float(rng.uniform(0.05, 0.95)))
         assert concavity_value(ev, tup) >= -1e-12
+
+
+def test_tuple_t2_is_mid_time():
+    # one middle-time rule for tuples and the audit's time pairs
+    rng = np.random.default_rng(8)
+    for lam in list(LAMBDAS) + rng.uniform(0.0, 1.0, 20).tolist():
+        t1, t3 = rng.uniform(0.0, 5.0, 2)
+        tup = Tuple5(x1=(0.2, 0.5), x3=(0.8, 0.5), t1=t1, t3=t3, lam=lam)
+        assert tup.t2.hex() == mid_time(t1, t3, lam).hex()
+    tup = Tuple5(x1=(0.2, 0.5), x3=(0.8, 0.5), t1=math.inf, t3=math.inf,
+                 lam=0.5)
+    assert tup.t2 == math.inf
 
 
 def test_harmonic_combination_formula():

@@ -7,7 +7,7 @@ from concavelab import (Field, build_discretization, concave_approximation,
                         ellipse, field_from_function, hyers_ulam_constant,
                         unit_square)
 from concavelab.audit import _scan_nodes
-from concavelab.envelope import _FACET_BLOCK, _upper_envelope_2d
+from concavelab.envelope import _FACET_BLOCK, _upper_envelope
 from concavelab.errors import HullDegenerate
 from concavelab.operators import bilinear_interp
 
@@ -62,6 +62,77 @@ def test_1d_degenerate_raises():
         concave_approximation((np.zeros(5), np.arange(5.0)))
 
 
+def test_1d_nan_section_raises():
+    x = np.linspace(0.0, 1.0, 11)
+    y = np.abs(x - 0.5)
+    y[4] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        concave_approximation((x, y))
+
+
+def test_1d_duplicate_first_abscissa_is_dominated():
+    # the majorant at x = 0 is the largest of the three values there
+    res = concave_approximation((np.array([0.0, 0.0, 0.0, 1.0]),
+                                 np.array([0.0, 2.0, 1.0, 0.0])))
+    assert res.g_hat.tolist() == [2.0, 2.0, 2.0, 0.0]
+    assert res.distance == 1.0
+
+
+def _monotone_chain_envelope(x, y):
+    """Least concave majorant of a 1-D section by a monotone-chain sweep
+    over the samples sorted by abscissa, then value (sorted by abscissa
+    alone, three samples at the first abscissa can leave the majorant
+    below f there), interpolated linearly between hull points."""
+    order = np.lexsort((y, x))
+    xs, ys = x[order], y[order]
+    hull = []  # indices into xs
+    for i in range(len(xs)):
+        while len(hull) >= 2:
+            i1, i2 = hull[-2], hull[-1]
+            cross = (xs[i2] - xs[i1]) * (ys[i] - ys[i1]) \
+                - (ys[i2] - ys[i1]) * (xs[i] - xs[i1])
+            if cross >= 0:  # middle point below the chord: drop it
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    env_sorted = np.interp(xs, xs[hull], ys[hull])
+    env = np.empty_like(env_sorted)
+    env[order] = env_sorted
+    return env
+
+
+def _section(kind, n, rng):
+    if kind == "sorted":
+        x = np.sort(rng.uniform(0.0, 1.0, n))
+    elif kind == "unsorted":
+        x = rng.uniform(-1.0, 2.0, n)
+    elif kind == "duplicates":  # about three samples per abscissa
+        x = rng.integers(0, max(2, n // 3), n) / 7.0
+        x[:2] = 0.0, 1.0
+    else:  # collinear runs: a concave broken line with some samples lowered
+        x = rng.permutation(np.linspace(0.0, 1.0, n))
+        y = np.minimum(np.minimum(3.0 * x, 1.0 + 0.5 * x), 4.0 - 3.0 * x)
+        low = rng.random(n) < 0.3
+        return x, y - low * rng.uniform(0.0, 1.0, n)
+    return x, np.sin(3.0 * x) + rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 17, 64, 300])
+@pytest.mark.parametrize("kind", ["sorted", "unsorted", "duplicates",
+                                  "collinear"])
+def test_1d_majorant_matches_monotone_chain(kind, n):
+    # the lifted hull agrees with the sweep to the rounding floor
+    x, y = _section(kind, n, np.random.default_rng(n))
+    want = _monotone_chain_envelope(x, y)
+    dist = 0.5 * float(np.max(want - y))
+    res = concave_approximation((x, y))
+    scale = np.abs(want).max()
+    assert np.max(np.abs(res.g_hat - want)) <= 1e-13 * scale
+    assert abs(res.distance - dist) <= 1e-13 * scale
+    assert res.bound_ok == (dist <= res.k_n * res.delta + 1e-12)
+
+
 def test_2d_concave_field():
     dom = build_discretization(unit_square(), 1.0 / 12.0)
     f = field_from_function(dom, lambda x, y: x * (1 - x) + y * (1 - y))
@@ -91,7 +162,7 @@ def test_2d_affine_field_is_its_own_envelope(spec, fn):
 def test_2d_collinear_samples_raise_a_one_line_error():
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     with pytest.raises(HullDegenerate) as info:
-        _upper_envelope_2d(pts, np.array([0.0, 1.0, 5.0, 2.0]))
+        _upper_envelope(pts, np.array([0.0, 1.0, 5.0, 2.0]))
     assert "\n" not in str(info.value)
 
 
@@ -225,4 +296,4 @@ def test_envelope_facet_blocks_match_dense_planes(seed):
     vals = 1.0 - x ** 2 - 0.5 * y ** 2 + 0.05 * rng.standard_normal(len(x))
     want, facets = _dense_envelope(pts, vals)
     assert facets > _FACET_BLOCK  # more than one block
-    assert _upper_envelope_2d(pts, vals).tobytes() == want.tobytes()
+    assert _upper_envelope(pts, vals).tobytes() == want.tobytes()

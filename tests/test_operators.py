@@ -78,6 +78,27 @@ def test_solves_reject_non_finite_rhs(square32, bad):
                               np.full(square32.n_interior, 0.5))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_shifted_solve_runs_no_gmres_on_non_finite_rhs(square32, bad,
+                                                       monkeypatch):
+    # GMRES used to run all its iterations on such a right-hand side
+    # before the residual check rejected it
+    import concavelab.operators as operators
+    calls, gmres = [], operators.gmres
+
+    def count_gmres(*args, **kw):
+        calls.append(1)
+        return gmres(*args, **kw)
+
+    monkeypatch.setattr(operators, "gmres", count_gmres)
+    rhs = np.ones(square32.n_interior)
+    rhs[7] = bad
+    with pytest.raises(MaxIterations, match="0 GMRES iterations"):
+        solve_shifted_poisson(0.01, Field(square32, rhs),
+                              np.full(square32.n_interior, 0.5))
+    assert calls == []
+
+
 def test_zero_rhs_solves_to_zero(square32):
     zero = np.zeros(square32.n_interior)
     assert not np.any(poisson_solve(square32, zero))
