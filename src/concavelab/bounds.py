@@ -106,17 +106,8 @@ def alpha_exponent(q: float, gamma: float, beta: float = 1.0,
                 f"beta in [1, min(1/gamma, 2)] violated: beta={beta}, "
                 f"upper={hi}")
         return (1.0 - q) / (2.0 + beta * gamma)
-    if variant == "torsion":
-        if not gamma < 0.5:
-            raise RangeViolation(f"gamma < 1/2 violated: gamma={gamma}")
-        theta_min = 1.0 / (1.0 - 2.0 * gamma)
-        if theta < theta_min:
-            raise RangeViolation(
-                f"theta >= 1/(1 - 2 gamma) violated: theta={theta} "
-                f"< {theta_min}")
-        if math.isinf(theta):
-            return 1.0 / (2.0 + 2.0 * gamma)
-        return theta / (2.0 * theta + 2.0 * theta * gamma + 1.0)
+    if variant == "torsion":  # lane_emden at q = 0, beta = 2
+        return alpha_exponent(0.0, gamma, 2.0, theta)
     raise ValueError(f"unknown variant {variant!r}")
 
 

@@ -1,6 +1,7 @@
 """Bounded convex planar domains on uniform grids.
 
-Supports rectangles (the unit square too), disks, ellipses and polygons.
+Supports disks, ellipses and convex polygons; a rectangle (the unit
+square too) is the polygon of its four corners.
 Provides signed distance to the boundary, the interior nodes, cut-cell
 fractions for embedded-boundary stencils and inner regions (distance >
 rho).
@@ -19,13 +20,11 @@ from .errors import NoInteriorNodes, NonConvexPolygon
 class DomainSpec:
     """Geometric description of a bounded convex planar domain.
 
-    kind is one of "rectangle", "disk", "ellipse", "convex_polygon".
+    kind is one of "disk", "ellipse", "convex_polygon".
     strongly_convex is true exactly for disk/ellipse.
     """
 
     kind: str
-    width: float = 1.0
-    height: float = 1.0
     radius: float = 1.0
     semi_axes: tuple = (1.0, 1.0)
     vertices: tuple = ()
@@ -37,8 +36,6 @@ class DomainSpec:
     @property
     def bounding_box(self):
         """((xmin, xmax), (ymin, ymax))"""
-        if self.kind == "rectangle":
-            return (0.0, self.width), (0.0, self.height)
         if self.kind == "disk":
             r = self.radius
             return (-r, r), (-r, r)
@@ -50,8 +47,6 @@ class DomainSpec:
 
     @property
     def inradius(self) -> float:
-        if self.kind == "rectangle":
-            return 0.5 * min(self.width, self.height)
         if self.kind == "disk":
             return self.radius
         if self.kind == "ellipse":
@@ -64,9 +59,10 @@ def unit_square() -> DomainSpec:
 
 
 def rectangle(width: float, height: float) -> DomainSpec:
+    """The convex polygon [0, width] x [0, height]."""
     if width <= 0 or height <= 0:
         raise ValueError("rectangle sides must be positive")
-    return DomainSpec(kind="rectangle", width=width, height=height)
+    return convex_polygon([(0, 0), (width, 0), (width, height), (0, height)])
 
 
 def disk(radius: float = 1.0) -> DomainSpec:
@@ -103,26 +99,14 @@ def convex_polygon(vertices) -> DomainSpec:
 # signed distance to the boundary (positive inside, negative outside)
 # ---------------------------------------------------------------------------
 
-def _rect_signed_distance(w, h, x, y):
-    inside = np.minimum(np.minimum(x, w - x), np.minimum(y, h - y))
-    # outside: Euclidean distance to the rectangle, negated
-    dx = np.maximum(np.maximum(-x, x - w), 0.0)
-    dy = np.maximum(np.maximum(-y, y - h), 0.0)
-    outside = np.hypot(dx, dy)
-    return np.where(inside > 0, inside, -outside)
-
-
-def _polygon_signed_distance(verts, p):
-    """Least distance from p (..., 2) to an edge segment, negated unless
-    p is on the inner side of every edge (_inside's cross products)."""
-    v, p = np.asarray(verts, dtype=float), np.asarray(p, dtype=float)
+def _polygon_boundary_distance(verts, p):
+    """Least distance from the points p (n, 2) to an edge segment."""
+    v = np.asarray(verts, dtype=float)
     e = np.roll(v, -1, axis=0) - v
-    rel = p[..., None, :] - v
+    rel = p[:, None, :] - v
     t = np.clip((rel * e).sum(-1) / (e * e).sum(-1), 0.0, 1.0)
     off = rel - t[..., None] * e
-    d = np.hypot(off[..., 0], off[..., 1]).min(axis=-1)
-    cross = e[:, 0] * rel[..., 1] - e[:, 1] * rel[..., 0]
-    return np.where(np.all(cross >= 0, axis=-1), d, -d)
+    return np.hypot(off[..., 0], off[..., 1]).min(axis=-1)
 
 
 def _polygon_inradius(v):
@@ -192,8 +176,8 @@ def _ellipse_boundary_distance(a, b, px, py):
 
 def _inside(spec: DomainSpec, pts) -> np.ndarray:
     """Strict-interior predicate on an (n, 2) array of points: the sign
-    rule of distance_to_boundary, without the distances for the ellipse
-    (implicit equation) and the polygon (every edge's half-plane)."""
+    rule of distance_to_boundary, by the implicit equation for the
+    ellipse and every edge's open half-plane for the polygon."""
     if spec.kind == "ellipse":
         a, b = spec.semi_axes
         return (pts[:, 0] / a) ** 2 + (pts[:, 1] / b) ** 2 < 1.0
@@ -207,7 +191,10 @@ def _inside(spec: DomainSpec, pts) -> np.ndarray:
 def distance_to_boundary(spec: DomainSpec, x) -> float:
     """Signed distance to the domain boundary, positive inside.
 
-    Exact up to rounding for square/rectangle/disk/polygon.  For the
+    kind is "disk", "ellipse" or "convex_polygon".  The disk's is
+    radius - |x|; the ellipse's and the polygon's are the unsigned
+    distance, negated unless _inside holds (a point on the boundary is
+    not inside).  Exact up to rounding for the disk and polygon.  For the
     ellipse, bisection narrows each critical angle to 2^-60 of the
     pi/512 scan step, so the distance is that of the nearest boundary
     point up to rounding; the tests hold it within 1e-12 of a
@@ -216,18 +203,14 @@ def distance_to_boundary(spec: DomainSpec, x) -> float:
     """
     p = np.asarray(x, dtype=float)
     scalar = p.ndim == 1
-    if spec.kind == "rectangle":
-        d = _rect_signed_distance(spec.width, spec.height,
-                                  p[..., 0], p[..., 1])
-    elif spec.kind == "disk":
+    if spec.kind == "disk":
         d = spec.radius - np.linalg.norm(p, axis=-1)
-    elif spec.kind == "ellipse":
-        a, b = spec.semi_axes
+    elif spec.kind in ("ellipse", "convex_polygon"):
         flat = p.reshape(-1, 2)
-        dd = _ellipse_boundary_distance(a, b, flat[:, 0], flat[:, 1])
+        dd = (_ellipse_boundary_distance(*spec.semi_axes, *flat.T)
+              if spec.kind == "ellipse"
+              else _polygon_boundary_distance(spec.vertices, flat))
         d = np.where(_inside(spec, flat), dd, -dd).reshape(p.shape[:-1])
-    elif spec.kind == "convex_polygon":
-        d = _polygon_signed_distance(spec.vertices, p)
     else:
         raise ValueError(f"unknown domain kind {spec.kind!r}")
     return float(d) if scalar else d

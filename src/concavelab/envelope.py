@@ -47,6 +47,8 @@ def _defect_1d(x: np.ndarray, y: np.ndarray) -> float:
     worst = 0.0
     for i in range(n - 2):
         for j in range(i + 2, n):
+            if xs[j] == xs[i]:  # lambda would be 0/0
+                continue
             lam = (xs[i + 1:j] - xs[i]) / (xs[j] - xs[i])
             c = ys[i + 1:j] - lam * ys[j] - (1 - lam) * ys[i]
             m = c.min()

@@ -45,6 +45,29 @@ def test_exponent_monotone_in_theta():
     assert vals[-1] == pytest.approx(lim, abs=1e-3)
 
 
+@pytest.mark.parametrize("q", [0.0, 0.3])
+@pytest.mark.parametrize("gamma", [0.0, 0.1, 0.25, 0.4, 0.4999999, 0.5, 0.7])
+@pytest.mark.parametrize("theta", [1.0, 1.5, 2.0, 5.0, 1e3, math.inf])
+def test_torsion_exponent_is_lane_emden_at_beta_2(q, gamma, theta):
+    # the torsion form ignores q; its closed form and gates were
+    # theta / (2 theta + 2 theta gamma + 1), gamma < 1/2 and
+    # theta >= 1/(1 - 2 gamma)
+    def outcome(**kw):
+        try:
+            return repr(alpha_exponent(**kw))
+        except RangeViolation:
+            return "RangeViolation"
+
+    if gamma >= 0.5 or theta < 1.0 / (1.0 - 2.0 * gamma):
+        want = "RangeViolation"
+    elif math.isinf(theta):
+        want = repr(1.0 / (2.0 + 2.0 * gamma))
+    else:
+        want = repr(theta / (2.0 * theta + 2.0 * theta * gamma + 1.0))
+    assert outcome(q=q, gamma=gamma, theta=theta, variant="torsion") == want
+    assert outcome(q=0.0, gamma=gamma, beta=2.0, theta=theta) == want
+
+
 def test_exponent_gates():
     with pytest.raises(RangeViolation, match="q"):
         alpha_exponent(1.0, 0.0)

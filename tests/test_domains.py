@@ -101,6 +101,21 @@ def test_convex_polygon_triangle_builds():
     assert np.all(d > 0)
 
 
+@pytest.mark.parametrize("vertices, n_interior", [
+    ([(0, 0), (3, 0), (0, 3)], 406),
+    ([(0, 0), (0.5, 0), (0.5, 0.7), (0, 0.7)], 24),
+])
+def test_polygon_nodes_on_an_edge_are_not_interior(vertices, n_interior):
+    # at h = 0.1 grid lines run along the edges: a node on an edge is
+    # outside the open half-plane, so it is no unknown and no cut
+    # fraction falls to the 1e-12 floor
+    spec = convex_polygon(vertices)
+    dom = build_discretization(spec, 0.1)
+    assert dom.n_interior == n_interior
+    assert np.all(domains._inside(spec, dom.interior_points))
+    assert dom.fractions.min() > 1e-12
+
+
 def test_strong_convexity_flags():
     assert disk().strongly_convex
     assert ellipse(1.0, 0.5).strongly_convex
@@ -268,6 +283,16 @@ _SLOW = settings(max_examples=8, deadline=None, derandomize=True,
 def test_rectangle_fractions_match_scalar_bisection(w, hgt, h):
     dom = build_discretization(rectangle(w, hgt), h)
     assert np.array_equal(dom.fractions, _reference_fractions(dom))
+
+    # the rectangle's closed-form distance, bit for bit, on the interior
+    # set it makes positive
+    def closed_form(x, y):
+        return np.minimum(np.minimum(x, w - x), np.minimum(y, hgt - y))
+
+    X, Y = np.meshgrid(dom.xs, dom.ys)
+    assert np.array_equal(dom.index_of >= 0, closed_form(X, Y) > 0)
+    assert np.array_equal(dom.interior_distances,
+                          closed_form(*dom.interior_points.T))
 
 
 @_FAST

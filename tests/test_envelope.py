@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,19 @@ def test_1d_majorant_matches_monotone_chain(kind, n):
     assert np.max(np.abs(res.g_hat - want)) <= 1e-13 * scale
     assert abs(res.distance - dist) <= 1e-13 * scale
     assert res.bound_ok == (dist <= res.k_n * res.delta + 1e-12)
+
+
+@pytest.mark.parametrize("n, want", [(5, "1.2052255934098"),
+                                     (17, "3.886469714464373"),
+                                     (64, "5.591572481807006")])
+def test_1d_duplicate_abscissae_delta_without_warnings(n, want):
+    # a pair of samples at one abscissa has no middle point (its lambda
+    # would be 0/0): it is skipped, with no RuntimeWarning
+    x, y = _section("duplicates", n, np.random.default_rng(n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = concave_approximation((x, y))
+    assert repr(float(res.delta)) == want
 
 
 def test_2d_concave_field():
