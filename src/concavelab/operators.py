@@ -184,12 +184,13 @@ def _solve(dom: DiscretizedDomain, b: np.ndarray, tau=None, shift=None):
         _, M, lu, diag = dom._cache["shift_lu"]
     y, what = lu.solve(b), "direct solve"
     if shift is not None and np.any(shift):
-        M, its = M.copy(), []
+        M, its, y0, bb = M.copy(), [], y, b.tobytes()  # y0 solves b
         M.data[diag] += np.asarray(shift, dtype=float)[q]
         if np.isfinite(b).all():  # else the residual check rejects b
+            pre = LinearOperator(M.shape, dtype=float, matvec=lambda v: (
+                y0.copy() if v.tobytes() == bb else lu.solve(v)))
             y = gmres(M, b, y, rtol=_GMRES_RTOL, maxiter=_GMRES_CYCLES,
-                      M=LinearOperator(M.shape, lu.solve),
-                      callback=its.append, callback_type="pr_norm")[0]
+                      M=pre, callback=its.append, callback_type="pr_norm")[0]
         what = f"shifted solve (tau {tau:g}, {len(its)} GMRES iterations)"
     res, bn = np.linalg.norm(M @ y - b), np.linalg.norm(b)
     if not res <= 1e-8 * bn:  # also when b holds a NaN or an inf
@@ -246,12 +247,11 @@ def principal_eigenpair(dom: DiscretizedDomain) -> EigenPair:
     v = np.ones(dom.n_interior)
     lam_old = np.inf
     for _ in range(500):
-        w = poisson_solve(dom, v)
-        w /= np.linalg.norm(w)
-        Aw = A @ w
-        lam = float(w @ Aw) / float(w @ w)
-        resid = np.max(np.abs(Aw - lam * w)) / np.max(np.abs(w))
-        v = w
+        v = poisson_solve(dom, v)
+        v /= np.linalg.norm(v)
+        Av = A @ v
+        lam = float(v @ Av) / float(v @ v)
+        resid = np.max(np.abs(Av - lam * v)) / np.max(np.abs(v))
         if abs(lam - lam_old) <= 1e-10 and resid <= 1e-9 * lam:
             break
         lam_old = lam

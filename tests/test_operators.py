@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from concavelab import (Field, Problem, SourceTerm, Weight,
                         build_discretization, convex_polygon, disk, ellipse,
@@ -14,9 +14,9 @@ from concavelab import (Field, Problem, SourceTerm, Weight,
                         unit_square)
 from concavelab.domains import MOVES
 from concavelab.errors import MaxIterations
-from concavelab.operators import (_PAIR_CHUNK, bilinear_interp,
-                                  neg_laplacian_matrix, pair_scan,
-                                  solve_shifted_poisson)
+from concavelab.operators import (_GMRES_CYCLES, _GMRES_RTOL, _PAIR_CHUNK,
+                                  bilinear_interp, neg_laplacian_matrix,
+                                  pair_scan, solve_shifted_poisson)
 
 
 @pytest.fixture(scope="module")
@@ -156,10 +156,17 @@ def _solve_case(k, tau, shift, seed):
     dom = build_discretization(_SOLVE_SPECS[k], 1.0 / 16.0)
     rng = np.random.default_rng(seed)
     N = dom.n_interior
+    M = sp.identity(N, format="csc") + tau * neg_laplacian_matrix(dom)
     s = {"zero": np.zeros(N), "neg_zero": np.full(N, -0.0),
          "nonpositive": -rng.uniform(0.0, 0.9, N),
-         "nonnegative": rng.uniform(0.0, 5.0, N)}[shift]
-    M = sp.identity(N, format="csc") + tau * neg_laplacian_matrix(dom)
+         "nonnegative": rng.uniform(0.0, 5.0, N)}.get(shift)
+    if shift == "mixed":
+        s = np.where(rng.random(N) < 0.5, 0.0, rng.uniform(0.0, 5.0, N))
+    elif shift == "log":  # -tau (log u + 1) of states u down to 1e-300
+        u = 10.0 ** rng.uniform(-300.0, 0.0, N)
+        s = -tau * np.minimum(np.log(u) + 1.0, 0.0)
+    elif shift == "restart":  # a spread the LU of M barely captures
+        s = rng.uniform(0.0, 50.0, N) * M.diagonal()
     return dom, rng, s, M
 
 
@@ -208,6 +215,110 @@ def test_singular_shifted_system_raises_max_iterations():
     with pytest.raises(MaxIterations, match=r"shifted solve \(tau 0\.01, "
                        r"\d+ GMRES iterations\) residual"):
         solve_shifted_poisson(0.01, f, shift)
+
+
+class _CountingLU:
+    """A SuperLU factor that counts its solve calls."""
+
+    def __init__(self, lu):
+        self.lu, self.perm_c, self.solves = lu, lu.perm_c, 0
+
+    def solve(self, b):
+        self.solves += 1
+        return self.lu.solve(b)
+
+
+def _shifted_solve_as_formulated(dom, tau, b, s):
+    """The shifted solve as first written: the NATURAL LU's solve of b,
+    and for a nonzero s, gmres on a copy of the column-ordered I +
+    tau*(-Lap_h) with s added on its diagonal, started from that solve
+    and preconditioned by a LinearOperator of the LU's solve.  Returns
+    x, whether its relative residual is within 1e-8, the LU solves and
+    the GMRES iterations."""
+    A = neg_laplacian_matrix(dom)
+    perm = splu(A.tocsc()).perm_c
+    q = np.argsort(perm)
+    Mp = (sp.identity(len(q), format="csc") + tau * A).tocsc()[:, q]
+    diag = np.flatnonzero(Mp.indices == q.repeat(np.diff(Mp.indptr)))
+    lu = _CountingLU(splu(Mp, permc_spec="NATURAL"))
+    y, M, its = lu.solve(b), Mp, []
+    if np.any(s):
+        M = Mp.copy()
+        M.data[diag] += s[q]
+        y = gmres(M, b, y, rtol=_GMRES_RTOL, maxiter=_GMRES_CYCLES,
+                  M=LinearOperator(M.shape, lu.solve), callback=its.append,
+                  callback_type="pr_norm")[0]
+    ok = np.linalg.norm(M @ y - b) <= 1e-8 * np.linalg.norm(b)
+    return y[perm], ok, lu.solves, len(its)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(shift=st.sampled_from(["zero", "neg_zero", "mixed", "log",
+                              "restart"]), **_SOLVE_CASES)
+def test_shifted_solve_reuses_the_start_solve(k, tau, shift, seed):
+    # k GMRES iterations in c restart cycles take k + 1 + c LU solves
+    # (k + 2 in one cycle): the start solve, one per cycle start and one
+    # per iteration.  The bits are those of the first formulation, which
+    # takes two more: scipy's dtype probe of the LinearOperator and
+    # gmres's own solve of b (for the norm of M^-1 b)
+    import concavelab.operators as operators
+    if shift == "restart":
+        tau = min(tau, 3e-3)  # 100 to 170 iterations: several cycles
+    dom, rng, s, _ = _solve_case(k, tau, shift, seed)
+    b = rng.standard_normal(dom.n_interior)
+    want, ok, solves, its = _shifted_solve_as_formulated(dom, tau, b, s)
+    lus = []
+
+    def counting_splu(M, **kw):
+        lus.append(_CountingLU(splu(M, **kw)))
+        return lus[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "splu", counting_splu)
+        if ok:
+            got = solve_shifted_poisson(tau, Field(dom, b), s).values
+            assert got.tobytes() == want.tobytes()
+        else:
+            with pytest.raises(MaxIterations):
+                solve_shifted_poisson(tau, Field(dom, b), s)
+    made = sum(lu.solves for lu in lus)
+    if shift in ("zero", "neg_zero"):
+        assert made == solves == 1
+        return
+    cycles = solves - 3 - its
+    assert cycles >= (2 if shift == "restart" else 1)
+    assert made == its + 1 + cycles == solves - 2
+
+
+@pytest.mark.parametrize("singular", [False, True])
+def test_shifted_solve_leaks_nothing(singular):
+    # a corrector shifts a copy of the step size's Mp, never Mp or its
+    # LU: the next zero-shift and s2-shift solves at that tau are a fresh
+    # domain's, also after a singular shift whose corrector raised
+    tau, h = 0.01, 1.0 / 8.0
+    dom, fresh = (build_discretization(unit_square(), h) for _ in range(2))
+    rng = np.random.default_rng(11)
+    N = dom.n_interior
+    b, s1, s2 = rng.standard_normal(N), rng.uniform(0.0, 5.0, N), \
+        rng.uniform(0.0, 5.0, N)
+    if singular:  # cancels the diagonal of I + tau*(-Lap_h)
+        s1 = -(1 + tau * neg_laplacian_matrix(dom).diagonal())
+
+    def solve(d, s):
+        return solve_shifted_poisson(tau, Field(d, b), s).values.tobytes()
+
+    solve(dom, s2)
+    Mp = dom._cache["shift_lu"][1]
+    kept = Mp.data.copy()
+    if singular:
+        with pytest.raises(MaxIterations):
+            solve(dom, s1)
+    else:
+        solve(dom, s1)
+    assert dom._cache["shift_lu"][1] is Mp
+    assert Mp.data.tobytes() == kept.tobytes()
+    assert solve(dom, None) == solve(fresh, None)
+    assert solve(dom, s2) == solve(fresh, s2)
 
 
 def _record_stiff_solves(monkeypatch, sid, h):
