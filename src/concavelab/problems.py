@@ -125,9 +125,8 @@ class Weight:
         return fx  # smoothed_bang_bang
 
     def time_factor(self, t) -> float:
-        if self.gamma > 0:
-            return float(t) ** self.gamma if t > 0 else 0.0
-        return 1.0
+        """t^gamma, 1 for gamma = 0 and 0 for t <= 0 < gamma."""
+        return float(t) ** self.gamma if t > 0 or self.gamma == 0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +170,7 @@ class SourceTerm:
         if k in ("identity", "logistic"):
             return s
         if k == "log_s":
-            out = np.zeros_like(s)
-            pos = s > 0
-            out[pos] = s[pos] * np.log(s[pos])
-            return out
+            return np.where(s > 0, s * np.log(np.where(s > 0, s, 1.0)), 0.0)
         if k == "log1p_q":
             return s * np.log1p(np.maximum(s, 0.0)) ** self.q
         if k == "saturable_q":
@@ -228,9 +224,7 @@ class Problem:
     truncate: bool = False
 
     def effective_time(self, t: float) -> float:
-        if self.truncate:
-            return min(t, self.horizon)
-        return t
+        return min(t, self.horizon) if self.truncate else t
 
     def weight_values(self, dom: DiscretizedDomain, t: float) -> np.ndarray:
         te = self.effective_time(t)
@@ -266,29 +260,20 @@ def check_hypotheses(problem: Problem) -> HypothesisReport:
     flags = {name: None for name in FLAG_NAMES}
     consts = {"gamma": w.gamma}
 
-    # weight lower bound m over space (t factor handled separately)
-    if w.spatially_constant:
-        m = w.c
-    elif w.kind == "ramp_bump_perturbed":
-        m = 1.0 - w.eps
-    elif w.kind == "distance_power":
-        m = 0.0  # vanishes at the boundary
-    else:
-        m = None  # bang-bang: sign-changing
+    # weight lower bound m over space (t factor handled separately): 0
+    # where it vanishes at the boundary, None where it changes sign
+    m = {"ramp_bump_perturbed": 1.0 - w.eps, "distance_power": 0.0,
+         "smoothed_bang_bang": None}.get(w.kind, w.c)
 
     q = src.sublinear_exponent
     if q is not None and 0 <= q < 1 and m is not None:  # s^q sublinear
         if m > 0:
-            if src.kind == "one_minus_s_p":  # f(1) = 0
-                flags["lower_power"] = False
-                flags["lower_power_uniform"] = False
-            else:
-                flags["lower_power"] = True
-                flags["lower_power_uniform"] = True
+            ok = src.kind != "one_minus_s_p"  # its f(1) = 0
+            flags.update(lower_power=ok, lower_power_uniform=ok)
+            if ok:
                 consts.update(k=m, q=q)
         elif w.kind == "distance_power":
-            flags["lower_power"] = False
-            flags["lower_power_dist"] = True
+            flags.update(lower_power=False, lower_power_dist=True)
             consts.update(k=w.c, q=q)
     elif src.kind == "logistic":
         flags["lower_power"] = False
@@ -304,16 +289,12 @@ def check_hypotheses(problem: Problem) -> HypothesisReport:
         flags["hoelder"] = hq >= 0.5
     elif src.sign_changing:
         # takes negative values, so the nonnegativity part fails
-        flags["one_sided_lipschitz"] = False
-        flags["hoelder"] = False
+        flags.update(one_sided_lipschitz=False, hoelder=False)
 
-    # monotone in t: the only time dependence in the catalog is t^gamma
-    if w.gamma == 0.0:
-        flags["time_monotone"] = True  # b constant in t
-    elif not src.sign_changing:
-        flags["time_monotone"] = True  # t^gamma nondecreasing, f >= 0
-    else:
-        flags["time_monotone"] = None
+    # monotone in t: the only time dependence in the catalog is t^gamma,
+    # so where b is constant in t, or t^gamma nondecreasing and f >= 0
+    if w.gamma == 0.0 or not src.sign_changing:
+        flags["time_monotone"] = True
     return HypothesisReport(flags=flags, constants=consts)
 
 
@@ -323,6 +304,8 @@ def weight_concavity_defect(problem: Problem, dom: DiscretizedDomain,
     (log a for theta=0, a itself for theta=inf) over the pairs of
     interior nodes (those in mask) and LAMBDAS, by _concavity_min:
     0 for a concave profile, and without a scan for a constant one.
+    Exact, though a lattice rectangle's scan of the ramp or bang-bang
+    weight skips the blocks it proves lie above a value it computed.
     Node sets that are no lattice rectangle (disk, ellipse, polygon,
     most masks) cost one weight evaluation per pair and lambda."""
     if problem.weight.spatially_constant:
@@ -334,10 +317,14 @@ def _concavity_min(weight: Weight, dom: DiscretizedDomain, theta: float,
                    mask=None, stride: int = 1) -> float:
     """Signed min of the concavity function of weight^theta over the
     pairs i < j of every stride-th interior node (of those in mask) and
-    LAMBDAS; inf for < 2 nodes.  Nodes filling a lattice rectangle meet
-    per lambda in broadcast blocks of 2^15 values from per-axis factor
-    tables: (r, a) with (r, b > a), then with the rows s > r; others go
-    by pair_scan, with spatial_at at every middle point."""
+    LAMBDAS, a lambda with a NaN value skipped; inf for < 2 nodes.
+    Nodes filling a lattice rectangle meet per lambda in broadcast
+    blocks of 2^15 values from per-axis factor tables: (r, a) with
+    (r, b > a), then with the rows s > r; others go by pair_scan, with
+    spatial_at at every middle point.  The ramp's and bang-bang's
+    combine is monotone in fx, so for theta >= 0 low[r, s] (less 1e-12
+    relative: np.log, np.power need not be monotone) bounds rows r, s > r
+    from below, and blocks whose least low is above cut are skipped."""
     pts, prof = dom.interior_points, weight.spatial_profile(dom)
     if mask is not None:
         pts, prof = pts[mask], prof[mask]
@@ -361,20 +348,37 @@ def _concavity_min(weight: Weight, dom: DiscretizedDomain, theta: float,
                                                  * p1))] for lam in LAMBDAS)
         (mins,), _, _ = pair_scan(vals[None], vals[None], LAMBDAS, block)
         return min([math.inf] + mins.tolist())
+
+    def least(blocks):  # NaN if a value is NaN
+        return float(np.min([math.inf] + [
+            (transform(weight.combine(spec, fx, fy)) - w3 - w1).min()
+            for fx, fy, w3, w1 in blocks]))
+
     v, (a, b) = vals.reshape(uy.size, ux.size), np.triu_indices(ux.size, 1)
-    rows, worst = max(1, (1 << 15) // ux.size ** 2), math.inf
+    rows, tabs, worst = max(1, (1 << 15) // ux.size ** 2), [], math.inf
     for lam in LAMBDAS:
         tx, ty = (weight.factor(spec, k, lam * u + (1 - lam) * u[:, None])
                   for k, u in enumerate((ux, uy)))
         lv, mv, d = lam * v, (1 - lam) * v, np.diagonal(ty)[:, None]
-        blocks = [(tx[a, b], d[r:r + rows], lv[r:r + rows, b],
-                   mv[r:r + rows, a]) for r in range(0, uy.size, rows)] + [
+        low = np.full_like(ty, -math.inf)
+        if theta >= 0 and getattr(weight, "kind", "") in (
+                "ramp_bump_perturbed", "smoothed_bang_bang"):
+            # combine is monotone in fx: its ends, and 0 between them
+            t = np.clip([tx.min(), 0.0, tx.max()], tx.min(), tx.max())
+            lo = transform(weight.combine(spec, t[:, None, None], ty)).min(0)
+            low = lo - 1e-12 * abs(lo) - lv.max(1) - mv.max(1)[:, None]
+        tabs.append((tx, ty, lv, mv, low, least(
+            (tx[a, b], d[r:r + rows], lv[r:r + rows, b], mv[r:r + rows, a])
+            for r in range(0, uy.size, rows))))
+    # a same-row min cuts when no bound of its lambda admits a NaN
+    cut = min([m for *_, low, m in tabs
+               if (low > -math.inf).all() and not math.isnan(m)] + [math.inf])
+    for tx, ty, lv, mv, low, m in tabs:  # a lambda with a NaN is skipped
+        worst = min(worst, float(np.min([m, least(
             (tx[:, None], ty[r, s:s + rows, None], lv[s:s + rows],
              mv[r, :, None, None]) for r in range(uy.size)
-            for s in range(r + 1, uy.size, rows)]
-        worst = min(worst, float(np.min([  # a lambda with a NaN is skipped
-            (transform(weight.combine(spec, fx, fy)) - w3 - w1).min()
-            for fx, fy, w3, w1 in blocks])))
+            for s in range(r + 1, uy.size, rows)
+            if not low[r, s:s + rows].min() > cut)])))
     return worst
 
 
@@ -384,16 +388,11 @@ def _concavity_min(weight: Weight, dom: DiscretizedDomain, theta: float,
 
 def sup_slope_lambda(source: SourceTerm) -> float:
     """sup_{s>0} s * d/ds [ f(s)/s ], closed form for catalog kinds."""
-    k = source.kind
-    if k in ("one", "power_q", "identity", "logistic", "one_minus_s_p"):
-        # fbar nonincreasing (or constant): the supremum is 0
-        return 0.0
-    if k == "log_s":
-        return 1.0
-    if k == "saturable":
-        return 0.25
-    if k == "saturable_q":
-        return source.q / 4.0
+    closed = dict.fromkeys(("one", "power_q", "identity", "logistic",
+                            "one_minus_s_p"), 0.0)  # fbar nonincreasing
+    closed.update(log_s=1.0, saturable=0.25, saturable_q=source.q / 4.0)
+    if source.kind in closed:
+        return closed[source.kind]
     # numeric fallback with a 1% safety margin
     s = np.geomspace(1e-8, 1e8, 20001)
 

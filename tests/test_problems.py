@@ -515,6 +515,48 @@ def test_rectangle_scan_bit_exact_at_h64(square64, theta, inner):
         assert type(d) is float and d == -_RAMP64_MINS[theta, inner]
 
 
+_PRUNED_WEIGHTS = tuple(Weight(kind="ramp_bump_perturbed", eps=eps)
+                        for eps in (0.05, -0.3, 0.9, math.inf)) + (
+    Weight(kind="smoothed_bang_bang", a1=1.0, a2=0.5),)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("weight", _PRUNED_WEIGHTS,
+                         ids=lambda w: f"{w.kind}-{w.eps}")
+def test_pruned_scan_matches_every_pair(square32, weight, masked):
+    # the blocks a corner bound skips hold no minimum.  With eps = inf
+    # every bound is NaN (1 + inf * 0 at fx = 0) and skips nothing, and
+    # every lambda holds a NaN (inf - inf) and is skipped: the min is inf
+    thetas = (0.0, 1.0, 2.5, math.inf)
+    mask = inner_region_mask(square32, 0.2) if masked else None
+    pts, prof = square32.interior_points, weight.spatial_profile(square32)
+    if masked:
+        pts, prof = pts[mask], prof[mask]
+    ref = _reference_mins(weight, unit_square(), pts, prof, thetas)
+    for theta in thetas:
+        got = _concavity_min(weight, square32, theta, mask)
+        assert repr(got) == repr(ref[theta])
+
+
+def test_ramp_scan_skips_most_values(square64, monkeypatch):
+    # the ramp's minimum lies near its floor, so the corner bounds skip
+    # almost every block of two rows: at most a tenth of the 15 values
+    # of each of the n(n - 1)/2 pairs reach Weight.combine
+    w = Weight(kind="ramp_bump_perturbed", eps=0.05)
+    p = Problem(domain=unit_square(), weight=w, source=SourceTerm("one"))
+    n, seen, combine = square64.n_interior, [], Weight.combine
+
+    def counted(self, spec, fx, fy):
+        seen.append(np.broadcast(fx, fy).size)
+        return combine(self, spec, fx, fy)
+
+    monkeypatch.setattr(Weight, "combine", counted)
+    d = weight_concavity_defect(p, square64, 1.0)
+    assert d == -_RAMP64_MINS[1.0, False]
+    assert 0 < sum(seen) <= 15 * n * (n - 1) // 2 // 10
+
+
 #: _concavity_min on the disk at h = 1/16 (793 nodes, not a lattice
 #: rectangle) per (weight kind, theta), as the per-axis tables gave it
 _DISK16_MINS = {
@@ -586,6 +628,34 @@ def test_lambda_with_a_nan_value_is_skipped(square16):
                               mask) == -478 / 256
 
 
+def test_lambda_with_a_nan_between_rows_cuts_nothing(square16):
+    # a stand-in pruned as the ramp is, with the x factor x - 1/2 and the
+    # combine -(3 fx + 2 fy), NaN at fx = 0 and fy = 239/256 (the ramp
+    # with eps = inf is NaN where fx * fy = 0): only in the block of rows
+    # 14/16 and 15/16 at lambda = 15/16, where fx = 0 lies between the
+    # ends of fx.  That lambda's same-row min, -813/256, lies below the
+    # least value, -812/256 (the same rows at lambda = 14/16), so it
+    # must not cut a block, and the NaN block must not be cut either
+    class NanBetweenRows(_Recorder):
+        kind = "ramp_bump_perturbed"
+
+        def factor(self, spec, axis, u):
+            return u - 0.5 if axis == 0 else u
+
+        def spatial_at(self, spec, pts):
+            return self.combine(spec, pts[..., 0] - 0.5, pts[..., 1])
+
+        def combine(self, spec, fx, fy):
+            return np.where((fx == 0) & (fy == 239 / 256), np.nan,
+                            -(3 * fx + 2 * fy))
+
+    w, pts = NanBetweenRows(), square16.interior_points
+    ref = _reference_mins(w, unit_square(), pts, w.spatial_profile(square16),
+                          (math.inf,))
+    assert ref[math.inf] == -812 / 256
+    assert _concavity_min(w, square16, math.inf) == -812 / 256
+
+
 def test_ramp_scan_evaluates_factors_per_coordinate_pair(square32,
                                                          monkeypatch):
     # the ramp's cos factors are tabulated over the 15 lambdas and the
@@ -604,18 +674,21 @@ def test_ramp_scan_evaluates_factors_per_coordinate_pair(square32,
 
 def test_weight_defect_memory_bounded():
     # h=1/48: 2,209 nodes, 2.4M pairs; gathering them all at once
-    # peaks near 250 MB
-    dom = build_discretization(unit_square(), 1.0 / 48.0)
+    # peaks near 250 MB.  h=1/64 is the benchmark's scan, whose blocks
+    # stream lambda by lambda (about 3 MB): keeping the blocks of every
+    # lambda alive until the second pass peaks near 35 MB
     p = Problem(domain=unit_square(),
                 weight=Weight(kind="ramp_bump_perturbed", eps=0.05),
                 source=SourceTerm(kind="one"))
-    tracemalloc.start()
-    try:
-        weight_concavity_defect(p, dom, 1.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2 ** 20
+    for h, mb in ((1.0 / 48.0, 64), (1.0 / 64.0, 16)):
+        dom = build_discretization(unit_square(), h)
+        tracemalloc.start()
+        try:
+            weight_concavity_defect(p, dom, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < mb * 2 ** 20
 
 
 def test_truncation_caps_time():
