@@ -20,7 +20,7 @@ from .errors import (ConcavelabError, HullDegenerate, HypothesisViolated,
 from .operators import (EigenPair, Field, field_from_function,
                         poisson_solve, principal_eigenpair)
 from .parabolic import (Trajectory, dump_field_binary, dump_field_csv,
-                        load_field_csv, make_time_grid, solve_trajectory)
+                        load_field_csv, solve_trajectory)
 from .problems import (HypothesisReport, Problem, SourceTerm, Weight,
                        check_hypotheses, sup_slope_lambda,
                        weight_concavity_defect)
@@ -42,7 +42,7 @@ __all__ = [
     "dump_field_binary", "dump_field_csv", "ellipse",
     "field_from_function", "get_scenario", "harmonic_concavity_value",
     "hyers_ulam_constant", "inner_region_mask", "load_field_csv",
-    "log_concavity_rhs", "make_time_grid", "min_defect", "poisson_solve",
+    "log_concavity_rhs", "min_defect", "poisson_solve",
     "principal_eigenpair", "quantitative_rhs", "quasiconcavity_defect",
     "rectangle", "run_property_suite", "run_scenario", "run_suite",
     "scenario_ids", "solve_stationary", "solve_trajectory",

@@ -275,7 +275,8 @@ def _default_times(ev, cfg):
     if cfg.audit_times is not None:
         return list(cfg.audit_times)
     snaps = ev.traj.times
-    # tuple-endpoint times sit exactly on snapshots (tau = s^{1/beta})
+    # tau = s^{1/beta} for 7 spread snapshots s; tau^beta can miss s by an
+    # ulp, so values_at_time may weight a neighbour by ~1e-15 there
     pick = np.unique(np.round(
         np.linspace(0, len(snaps) - 1, 7)).astype(int))
     times = [float(snaps[k]) ** (1.0 / ev.beta) for k in pick]

@@ -26,7 +26,7 @@ from .envelope import concave_approximation
 from .errors import ConcavelabError
 from .operators import Field
 from .parabolic import (dump_field_binary, dump_field_csv, load_field_binary,
-                        load_field_csv, make_time_grid, solve_trajectory)
+                        load_field_csv, solve_trajectory)
 from .problems import Problem, SourceTerm, Weight
 from .scenarios import (get_scenario, run_property_suite, run_scenario,
                         run_suite, scenario_ids)
@@ -196,8 +196,7 @@ def _cmd_solve(args) -> int:
     problem, grid, _ = _problem_from_args(args)
     h, dt = grid["h"], grid["dt"]
     dom = build_discretization(problem.domain, h)
-    tg = make_time_grid(problem, h, dt, count=grid["snapshots"])
-    traj = solve_trajectory(problem, dom, tg, dt)
+    traj = solve_trajectory(problem, dom, grid["snapshots"], dt)
     ext, dump, _ = _FORMATS[args.format]
     files = [f"field_{k:03d}{ext}" for k in range(len(traj.times))]
     for name, vals, t in zip(files, traj.fields, traj.times):

@@ -30,33 +30,10 @@ def monotone_slack(h: float) -> float:
     return 10.0 * h * h
 
 
-@dataclass
-class TimeGrid:
-    t0: float
-    snapshots: np.ndarray  # strictly increasing, up to T
-
-    def __post_init__(self):
-        self.snapshots = np.asarray(self.snapshots, dtype=float)
-        if np.any(np.diff(self.snapshots) <= 0):
-            raise ValueError("snapshot times must be strictly increasing")
-
-
 def quadratic_snapshots(T: float, count: int) -> np.ndarray:
     """Snapshot times T*(k/count)^2, k=1..count (graded toward t=0)."""
     k = np.arange(1, count + 1)
     return T * (k / count) ** 2
-
-
-def make_time_grid(problem: Problem, h: float, dt: float | None = None,
-                   count: int = 24) -> TimeGrid:
-    """Default grid: t0 for seeding and quadratically graded snapshots."""
-    if count < 1:
-        raise ValueError(f"snapshot count must be at least 1, got {count}")
-    T = problem.horizon
-    dt = h if dt is None else dt
-    snaps = quadratic_snapshots(T, count)
-    t0 = min(10 * dt, 0.01 * T, 0.5 * float(snaps[0]))
-    return TimeGrid(t0=t0, snapshots=snaps)
 
 
 @dataclass
@@ -149,48 +126,63 @@ def _interval_steps(span, t, dt, s1) -> float:
                np.ceil(span / max(t / 32.0, s1 / 512.0) - 1e-12))
 
 
-def solve_trajectory(problem: Problem, dom: DiscretizedDomain,
-                     grid: TimeGrid, dt: float | None = None,
-                     eig: EigenPair | None = None) -> Trajectory:
-    """Integrate to the horizon, recording the snapshot fields.
+def solve_trajectory(problem: Problem, dom: DiscretizedDomain, count: int,
+                     dt: float | None = None) -> Trajectory:
+    """Integrate to the horizon T, recording the fields at the count
+    snapshot times quadratic_snapshots(T, count), in steps set by dt
+    (default dom.h; see _interval_steps).
 
     Zero initial data (u0_values None) starts from zero when b(., 0) is
     positive and finite.  Else (b(., 0) = 0: zero is a solution; inf or
-    NaN: zero has no first step) it is seeded at grid.t0 on the positive
-    branch: from the explicit subsolution when the power lower bound is
-    certified, else from 1e-8 phi1.
+    NaN: zero has no first step) it is seeded at t0 = min(10 dt, T/100,
+    s1/2), s1 the first snapshot, on the positive branch: from the
+    explicit subsolution when the power lower bound is certified, else
+    from 1e-8 phi1.  ValueError naming the quantity when T or dt is not
+    positive and finite, count < 1, T is too small for count distinct
+    snapshot times, or u0_values is not finite.
     """
     dt = dom.h if dt is None else dt
+    T = problem.horizon
+    for name, x in (("horizon T", T), ("dt", dt)):
+        if not 0.0 < x < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {x!r}")
+    if count < 1:
+        raise ValueError(f"snapshot count must be at least 1, got {count}")
+    snapshots = quadratic_snapshots(T, count)
+    if not np.all(np.diff(snapshots, prepend=0.0) > 0):
+        raise ValueError(f"horizon T = {T!r} is too small for {count} "
+                         f"distinct snapshot times after t = 0")
+    s1 = float(snapshots[0])
     hyp = check_hypotheses(problem)
     times = [0.0]
     fields = [np.zeros(dom.n_interior)]
     if problem.u0_values is not None:
         u = Field(dom, np.array(problem.u0_values, dtype=float), 0.0)
+        if not np.all(np.isfinite(u.values)):
+            raise ValueError("initial data u0_values must be finite")
         fields[0] = u.values.copy()
         t = 0.0
     elif not 0.0 < problem.source.compose(1.0, np.zeros(1))[0] < math.inf:
-        eig = eig or principal_eigenpair(dom)
+        t = min(10 * dt, 0.01 * T, 0.5 * s1)
+        eig = principal_eigenpair(dom)
         if hyp.require("lower_power"):
-            u = seed_from_subsolution(problem, dom, grid.t0, eig, hyp)
+            u = seed_from_subsolution(problem, dom, t, eig, hyp)
         else:
             # no certified power bound (e.g. eigen-type f=s): a small
             # multiple of the principal eigenfunction selects the
             # positive branch without overshooting
-            u = Field(dom, 1e-8 * eig.phi.values, grid.t0)
-        t = grid.t0
+            u = Field(dom, 1e-8 * eig.phi.values, t)
     else:
         u = Field(dom, np.zeros(dom.n_interior), 0.0)
         t = 0.0
 
-    s1 = float(grid.snapshots[0])
-    starts = np.concatenate(([t], grid.snapshots[:-1]))
+    starts = np.concatenate(([t], snapshots[:-1]))
     total = sum(_interval_steps(ts - ta, ta, dt, s1)
-                for ta, ts in zip(starts, grid.snapshots))
+                for ta, ts in zip(starts, snapshots))
     if total > MAX_STEPS:
         raise ValueError(f"{total:.3g} time steps from dt = {dt!r} to T = "
-                         f"{problem.horizon!r}, above the cap of "
-                         f"{MAX_STEPS:.0e}")
-    for ts in grid.snapshots:
+                         f"{T!r}, above the cap of {MAX_STEPS:.0e}")
+    for ts in snapshots:
         span = ts - t
         n = int(_interval_steps(span, t, dt, s1))
         step = span / n

@@ -28,7 +28,7 @@ from .domains import (build_discretization, disk, distance_to_boundary,
                       inner_region_mask, unit_square)
 from .errors import ValidityViolation
 from .operators import Field, principal_eigenpair
-from .parabolic import make_time_grid, monotone_slack, solve_trajectory
+from .parabolic import monotone_slack, solve_trajectory
 from .problems import (Problem, SourceTerm, Weight, _concavity_min,
                        check_hypotheses, sup_slope_lambda,
                        weight_concavity_defect)
@@ -355,8 +355,7 @@ def run_scenario(scn: Scenario, h: float = 1.0 / 64.0,
 
     needs_inf = any(a.mode == "spacetime" for a in scn.audits)
     count = max(12, int(round(0.75 / h))) if needs_inf else 16
-    grid = make_time_grid(problem, h, dt, count=count)
-    traj = solve_trajectory(problem, dom, grid, dt, eig)
+    traj = solve_trajectory(problem, dom, count, dt)
     report.diagnostics["monotone"] = bool(traj.monotone)
 
     stat = None

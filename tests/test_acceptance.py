@@ -12,8 +12,8 @@ import pytest
 
 from concavelab import (Field, Problem, SamplerConfig, SourceTerm, Weight,
                         alpha_exponent, build_discretization,
-                        concave_approximation, disk, make_time_grid,
-                        min_defect, principal_eigenpair, run_property_suite,
+                        concave_approximation, disk, min_defect,
+                        principal_eigenpair, run_property_suite,
                         run_scenario, solve_trajectory, unit_square)
 from concavelab.audit import Evaluator
 from concavelab.parabolic import advance
@@ -135,8 +135,7 @@ def test_criterion_04_log_concavity_every_snapshot(capsys):
         dom = build_discretization(unit_square(), h)
         eig = principal_eigenpair(dom)
         problem = build_problem(scn, eig)
-        grid = make_time_grid(problem, h, count=16)
-        traj = solve_trajectory(problem, dom, grid, eig=eig)
+        traj = solve_trajectory(problem, dom, 16)
         ev = Evaluator(traj, 0.0)
         times = [float(t) for t in traj.times if t > 0]
         rep = min_defect(ev, "space",
@@ -216,8 +215,7 @@ def test_criterion_06_monotonicity_and_comparison(capsys):
                     weight=Weight(kind="constant", c=1.0),
                     source=SourceTerm(kind="saturable"),
                     u0_values=scale * eig.phi.values, horizon=1.0)
-        g = make_time_grid(p, h, count=10)
-        return solve_trajectory(p, dom, g, eig=eig)
+        return solve_trajectory(p, dom, 10)
 
     main, sub = run(1.0), run(0.5)
     below = all(np.all(s <= m + NOISE_FLOOR)

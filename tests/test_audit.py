@@ -12,8 +12,8 @@ from concavelab import (Field, Problem, SourceTerm, SamplerConfig, Weight,
                         concavity_value,
                         convex_polygon, disk,
                         ellipse, field_from_function, get_scenario,
-                        harmonic_concavity_value, make_time_grid,
-                        min_defect, principal_eigenpair,
+                        harmonic_concavity_value, min_defect,
+                        principal_eigenpair,
                         quasiconcavity_defect, solve_stationary,
                         solve_trajectory, unit_square)
 import concavelab.audit as audit_mod
@@ -179,8 +179,7 @@ def test_lambdas_are_fixed_and_read_only():
 def test_evaluator_node_values(square16):
     p = Problem(domain=unit_square(), weight=Weight(kind="constant", c=1.0),
                 source=SourceTerm(kind="one"), horizon=1.0)
-    g = make_time_grid(p, square16.h, count=6)
-    traj = solve_trajectory(p, square16, g)
+    traj = solve_trajectory(p, square16, 6)
     ev = Evaluator(traj, 0.5, 1.0)
     t = float(traj.times[-1])
     got = ev.node_values(t)
@@ -190,8 +189,7 @@ def test_evaluator_node_values(square16):
 def test_evaluator_validates_exponents(square16):
     p = Problem(domain=unit_square(), weight=Weight(kind="constant", c=1.0),
                 source=SourceTerm(kind="one"), horizon=1.0)
-    g = make_time_grid(p, square16.h, count=4)
-    traj = solve_trajectory(p, square16, g)
+    traj = solve_trajectory(p, square16, 4)
     with pytest.raises(ValueError):
         Evaluator(traj, 1.5)
     with pytest.raises(ValueError):
@@ -202,8 +200,7 @@ def test_time_rescaling_in_transform(square16):
     # beta = 2 evaluates u at t^2
     p = Problem(domain=unit_square(), weight=Weight(kind="constant", c=1.0),
                 source=SourceTerm(kind="one"), horizon=1.0)
-    g = make_time_grid(p, square16.h, count=6)
-    traj = solve_trajectory(p, square16, g)
+    traj = solve_trajectory(p, square16, 6)
     ev = Evaluator(traj, 1.0, 2.0)
     t = math.sqrt(float(traj.times[3]))
     assert np.allclose(ev.node_values(t), traj.fields[3])
@@ -214,8 +211,7 @@ def test_evaluator_revisited_time_matches_fresh(square16):
     # an earlier time must rebuild it, not reuse the later one
     p = Problem(domain=unit_square(), weight=Weight(kind="constant", c=1.0),
                 source=SourceTerm(kind="one"), horizon=1.0)
-    traj = solve_trajectory(p, square16, make_time_grid(p, square16.h,
-                                                        count=6))
+    traj = solve_trajectory(p, square16, 6)
     pts = np.random.default_rng(4).uniform(0.05, 0.95, (40, 2))
     t_a, t_b = 0.3 * float(traj.times[2]), float(traj.times[4]) + 0.01
     ev = Evaluator(traj, 0.5, 1.5)
@@ -567,9 +563,7 @@ def test_batched_stage_two_matches_scalar_loop_spacetime():
     dom = build_discretization(disk(), h)
     eig = principal_eigenpair(dom)
     problem = build_problem(scn, eig, None)
-    traj = solve_trajectory(problem, dom, make_time_grid(problem, h,
-                                                         count=18),
-                            None, eig)
+    traj = solve_trajectory(problem, dom, 18)
     traj.stationary = solve_stationary(problem, dom).v.values
     # four snapshot times and t = inf: time moves in both directions
     cfg = SamplerConfig(audit_times=[float(traj.times[k])

@@ -9,7 +9,7 @@ from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from concavelab import (Field, Problem, SourceTerm, Weight,
                         build_discretization, convex_polygon, disk, ellipse,
-                        field_from_function, make_time_grid, poisson_solve,
+                        field_from_function, poisson_solve,
                         principal_eigenpair, rectangle, solve_trajectory,
                         unit_square)
 from concavelab.domains import MOVES
@@ -137,7 +137,7 @@ def test_trajectory_keeps_one_shift_factorization(monkeypatch):
     monkeypatch.setattr("concavelab.parabolic.solve_shifted_poisson",
                         record_tau)
     monkeypatch.setattr(operators, "splu", record_splu)
-    solve_trajectory(p, dom, make_time_grid(p, dom.h, count=8))
+    solve_trajectory(p, dom, 8)
     changes = 1 + sum(a != b for a, b in zip(taus, taus[1:]))
     assert len(set(taus)) > 1
     assert len(factored) == changes
@@ -355,8 +355,7 @@ def _record_stiff_solves(monkeypatch, sid, h):
     dom = build_discretization(unit_square(), h)
     eig = principal_eigenpair(dom)
     problem = build_problem(get_scenario(sid), eig)
-    solve_trajectory(problem, dom, make_time_grid(problem, h, count=16),
-                     eig=eig)
+    solve_trajectory(problem, dom, 16)
     return calls, factored, iterations
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from concavelab import (Field, Problem, SourceTerm, Weight,
                         build_discretization, convex_polygon, disk,
                         dump_field_binary, dump_field_csv, ellipse,
-                        load_field_csv, make_time_grid, principal_eigenpair,
+                        load_field_csv, principal_eigenpair,
                         rectangle, solve_trajectory, unit_square)
 from concavelab.parabolic import (advance, load_field_binary,
                                   quadratic_snapshots, seed_from_subsolution)
@@ -56,27 +56,66 @@ def test_quadratic_snapshots_grading():
     assert np.all(np.diff(np.diff(s)) > 0)  # graded toward t = 0
 
 
-def test_make_time_grid_defaults(square16):
-    p = Problem(domain=unit_square(), weight=Weight(),
-                source=SourceTerm(kind="one"), horizon=2.0)
-    g = make_time_grid(p, square16.h, count=12)
-    assert len(g.snapshots) == 12
-    assert g.t0 < g.snapshots[0]
-    assert g.t0 > 0
+class _Seeded(Exception):
+    pass
 
 
-@pytest.mark.parametrize("count", [0, -1])
-def test_make_time_grid_rejects_no_snapshots(square16, count):
-    p = Problem(domain=unit_square(), horizon=2.0)
-    with pytest.raises(ValueError, match="snapshot count"):
-        make_time_grid(p, square16.h, count=count)
+@pytest.mark.parametrize("dt, T, count, binding", [
+    (1e-4, 1.0, 4, 0),    # 10 dt = 1e-3 < T/100 = 1e-2 < s1/2 = 1/32
+    (1e-2, 1.0, 4, 1),    # T/100 = 1e-2 < s1/2 = 1/32 < 10 dt = 0.1
+    (1e-2, 1.0, 16, 2)],  # s1/2 = 1/512 < T/100 < 10 dt
+    ids=["10dt", "T/100", "s1/2"])
+def test_seed_time_is_the_least_of_three(square16, monkeypatch, dt, T,
+                                         count, binding):
+    # t0 = min(10 dt, T/100, s1/2), s1 the first snapshot; the stand-in
+    # seed records t0 and stops the run before it steps
+    seen = []
+
+    def record(problem, dom, t0, eig, hyp=None):
+        seen.append(t0)
+        raise _Seeded
+
+    monkeypatch.setattr("concavelab.parabolic.seed_from_subsolution",
+                        record)
+    p = Problem(domain=unit_square(), weight=Weight(kind="constant", c=1.0),
+                source=SourceTerm(kind="power_q", q=0.5), horizon=T)
+    with pytest.raises(_Seeded):
+        solve_trajectory(p, square16, count, dt)
+    terms = [10 * dt, 0.01 * T, 0.5 * float(quadratic_snapshots(T, count)[0])]
+    assert seen == [terms[binding]]
+    assert all(terms[binding] < x for k, x in enumerate(terms)
+               if k != binding)
+
+
+@pytest.mark.parametrize("quantity, value", [
+    ("horizon", math.nan), ("horizon", math.inf), ("horizon", 0.0),
+    ("horizon", 5e-324),  # positive, but its snapshot times round to 0
+    ("dt", math.nan), ("dt", math.inf), ("dt", 0.0), ("dt", -0.01),
+    ("u0_values", math.nan), ("u0_values", math.inf),
+    ("count", 0), ("count", -1)])
+def test_solve_trajectory_rejects_bad_input(square16, quantity, value):
+    # a seeded source: a bad dt must be named before the barrier sees it
+    kw = {"horizon": 1.0, "dt": None, "count": 4, "u0_values": None}
+    if quantity == "u0_values":
+        kw["u0_values"] = np.full(square16.n_interior, 0.1)
+        kw["u0_values"][7] = value
+    else:
+        kw[quantity] = value
+    p = Problem(domain=unit_square(), weight=Weight(kind="constant", c=1.0),
+                source=SourceTerm(kind="power_q", q=0.5),
+                u0_values=kw["u0_values"], horizon=kw["horizon"])
+    match = {"horizon": "^horizon T",
+             "dt": "^dt must be positive and finite",
+             "u0_values": "^initial data u0_values must be finite",
+             "count": "^snapshot count must be at least 1"}[quantity]
+    with pytest.raises(ValueError, match=match):
+        solve_trajectory(p, square16, kw["count"], kw["dt"])
 
 
 def test_torsion_trajectory_monotone(square16):
     p = Problem(domain=unit_square(), weight=Weight(kind="constant", c=1.0),
                 source=SourceTerm(kind="one"), horizon=2.0)
-    g = make_time_grid(p, square16.h, count=10)
-    traj = solve_trajectory(p, square16, g)
+    traj = solve_trajectory(p, square16, 10)
     assert traj.monotone
     assert traj.times[0] == 0.0
     assert np.all(traj.fields[0] == 0.0)
@@ -88,8 +127,7 @@ def test_subsolution_seeded_branch_grows(square16):
     # f(s) = s^q with u0 = 0 must select the positive branch
     p = Problem(domain=unit_square(), weight=Weight(kind="constant", c=1.0),
                 source=SourceTerm(kind="power_q", q=0.5), horizon=2.0)
-    g = make_time_grid(p, square16.h, count=10)
-    traj = solve_trajectory(p, square16, g)
+    traj = solve_trajectory(p, square16, 10)
     assert traj.monotone
     assert float(np.max(traj.fields[-1])) > 1e-3
 
@@ -97,7 +135,7 @@ def test_subsolution_seeded_branch_grows(square16):
 def _zero_data_trajectory(dom, source):
     p = Problem(domain=unit_square(), weight=Weight(kind="constant", c=1.0),
                 source=source, horizon=1.0)
-    return solve_trajectory(p, dom, make_time_grid(p, dom.h, count=4))
+    return solve_trajectory(p, dom, 4)
 
 
 def test_log1p_source_seeded_from_zero_data(square16):
@@ -148,8 +186,7 @@ def test_comparison_smaller_initial_data_stays_below(square16):
                     weight=Weight(kind="constant", c=1.0),
                     source=SourceTerm(kind="saturable"),
                     u0_values=scale * eig.phi.values, horizon=1.0)
-        g = make_time_grid(p, square16.h, count=8)
-        return solve_trajectory(p, square16, g, eig=eig)
+        return solve_trajectory(p, square16, 8)
 
     main, sub = run(1.0), run(0.5)
     assert np.allclose(main.times, sub.times)
@@ -160,8 +197,7 @@ def test_comparison_smaller_initial_data_stays_below(square16):
 def test_values_at_time_interpolates(square16):
     p = Problem(domain=unit_square(), weight=Weight(kind="constant", c=1.0),
                 source=SourceTerm(kind="one"), horizon=1.0)
-    g = make_time_grid(p, square16.h, count=6)
-    traj = solve_trajectory(p, square16, g)
+    traj = solve_trajectory(p, square16, 6)
     t = 0.5 * (traj.times[2] + traj.times[3])
     v = traj.values_at_time(t)
     lo = np.minimum(traj.fields[2], traj.fields[3])

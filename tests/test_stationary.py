@@ -65,12 +65,11 @@ def test_time_weight_truncated_solves(square32):
 
 
 def test_stationary_dominates_trajectory(square32):
-    from concavelab import make_time_grid, solve_trajectory
+    from concavelab import solve_trajectory
     p = Problem(domain=unit_square(), weight=Weight(kind="constant", c=1.0),
                 source=SourceTerm(kind="one"), horizon=2.0)
     res = solve_stationary(p, square32)
-    g = make_time_grid(p, square32.h, count=8)
-    traj = solve_trajectory(p, square32, g)
+    traj = solve_trajectory(p, square32, 8)
     tau = 10.0 * square32.h ** 2
     assert np.all(traj.fields[-1] <= res.v.values + tau)
 
