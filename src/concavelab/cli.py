@@ -386,7 +386,7 @@ def parse_and_dispatch(argv=None) -> int:
     try:
         args.out.mkdir(parents=True, exist_ok=True)
         return _HANDLERS[args.command](args)
-    except (ConcavelabError, ValueError, KeyError, OSError,
+    except (ConcavelabError, ValueError, KeyError, OSError, MemoryError,
             configparser.Error, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,9 @@ import numpy as np
 
 from .errors import NoInteriorNodes, NonConvexPolygon
 
+MAX_NODES = 1e7  # most grid nodes nx * ny (150 times h = 1/128's 257^2)
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Geometric description of a bounded convex planar domain.
@@ -301,11 +304,13 @@ def build_discretization(spec: DomainSpec, h: float) -> DiscretizedDomain:
     if h >= spec.inradius:
         raise NoInteriorNodes(
             f"h={h} is not smaller than the inradius {spec.inradius}")
-    (x0, x1), (y0, y1) = spec.bounding_box
-    nx = int(np.ceil((x1 - x0) / h - 1e-12)) + 1
-    ny = int(np.ceil((y1 - y0) / h - 1e-12)) + 1
-    xs = x0 + h * np.arange(nx)
-    ys = y0 + h * np.arange(ny)
+    (x0, _), (y0, _) = spec.bounding_box
+    nx, ny = (np.ceil(float(b - a) / h - 1e-12) + 1
+              for a, b in spec.bounding_box)
+    if nx * ny > MAX_NODES:  # inf when h is subnormal
+        raise ValueError(f"h = {h!r} gives a {nx:.0f} x {ny:.0f} grid, above"
+                         f" the cap of {MAX_NODES:.0e} nodes")
+    xs, ys = x0 + h * np.arange(int(nx)), y0 + h * np.arange(int(ny))
     dist = distance_to_boundary(spec, np.stack(np.meshgrid(xs, ys), -1))
 
     interior = dist > 0
@@ -313,7 +318,7 @@ def build_discretization(spec: DomainSpec, h: float) -> DiscretizedDomain:
         raise NoInteriorNodes("no grid node falls strictly inside the domain")
 
     iy, ix = np.nonzero(interior)
-    index_of = np.full((ny, nx), -1, dtype=int)
+    index_of = np.full(interior.shape, -1, dtype=int)
     index_of[iy, ix] = np.arange(len(iy))
     neighbours = np.pad(index_of, 1, constant_values=-1)[
         iy[:, None] + 1 + MOVES[:, 0], ix[:, None] + 1 + MOVES[:, 1]]

@@ -77,7 +77,7 @@ def bilinear_corners(grid: np.ndarray, k, w):
             + w[3] * g[nx + 1:].take(k))
 
 
-#: node pairs per chunk of pair_scan: the temporaries of a chunk fit a
+#: node pairs per run of pair_scan: the temporaries of a run fit a
 #: 2 MB L2 cache (chunks of 2^18 pairs ran the weight scan about 25%
 #: slower)
 _PAIR_CHUNK = 1 << 14
@@ -93,9 +93,9 @@ def pair_scan(v1, v3, lambdas, block):
     j] - (1 - lam) * v1[s, i] over the node pairs i < j, per slice s of
     the (S, n) value arrays v1, v3 and per lambda, as arrays (mins, i, j)
     of shape (S, lambdas): the minimum and the pair where it first occurs
-    in row-major pair order.  block(idx1, idx3) is called once per row
-    block of at most _PAIR_CHUNK pairs (at least one row) and yields, per
-    lambda, the block's values mid_lam,s(idx1, idx3) of each slice in
+    in row-major pair order.  block(idx1, idx3) gets each run of at most
+    _PAIR_CHUNK consecutive pairs in that order (not whole rows) and
+    yields, per lambda, the run's mid_lam,s(idx1, idx3) of each slice in
     turn.  As with np.argmin over a slice's unchunked scan, a (slice,
     lambda) whose values hold a NaN gets NaN and the first NaN's pair;
     with fewer than 2 nodes the minima are inf and the pairs -1.
@@ -103,23 +103,16 @@ def pair_scan(v1, v3, lambdas, block):
     lambdas = np.asarray(lambdas, dtype=float)
     mins = np.full((len(v1), lambdas.size), math.inf)
     best = np.full((2,) + mins.shape, -1)
-    n = v1.shape[1]
-    before = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
-    i0 = 0
-    while i0 < n - 1:  # rows i0..i1-1 hold at most _PAIR_CHUNK pairs
-        i1 = max(i0 + 1, int(np.searchsorted(
-            before, before[i0] + _PAIR_CHUNK, "right")) - 1)
-        idx1, idx3 = np.nonzero(np.arange(n) > np.arange(i0, i1)[:, None])
-        idx1 += i0
-        reps = n - 1 - np.arange(i0, i1)  # idx1 is rows i0..i1-1 repeated
+    pairs = np.triu_indices(v1.shape[1], 1)
+    for p0 in range(0, pairs[0].size, _PAIR_CHUNK):
+        idx1, idx3 = (p[p0:p0 + _PAIR_CHUNK] for p in pairs)
         for k, (lm, ms) in enumerate(zip(lambdas, block(idx1, idx3))):
             l3, l1 = lm * v3, (1 - lm) * v1  # (lm * v3)[s, j] = lm * v3[s, j]
             for s, m in enumerate(ms):
-                c = m - l3[s].take(idx3) - l1[s, i0:i1].repeat(reps)
+                c = m - l3[s].take(idx3) - l1[s].take(idx1)
                 a, cur = int(np.argmin(c)), mins[s, k]
                 if c[a] < cur or (np.isnan(c[a]) and not np.isnan(cur)):
                     mins[s, k], best[:, s, k] = c[a], (idx1[a], idx3[a])
-        i0 = i1
     return mins, best[0], best[1]
 
 

@@ -139,7 +139,7 @@ def solve_trajectory(problem: Problem, dom: DiscretizedDomain, count: int,
     explicit subsolution when the power lower bound is certified, else
     from 1e-8 phi1.  ValueError naming the quantity when T or dt is not
     positive and finite, count < 1, T is too small for count distinct
-    snapshot times, or u0_values is not finite.
+    snapshot times (or s1 / 512 underflows), or u0_values is not finite.
     """
     dt = dom.h if dt is None else dt
     T = problem.horizon
@@ -149,10 +149,10 @@ def solve_trajectory(problem: Problem, dom: DiscretizedDomain, count: int,
     if count < 1:
         raise ValueError(f"snapshot count must be at least 1, got {count}")
     snapshots = quadratic_snapshots(T, count)
-    if not np.all(np.diff(snapshots, prepend=0.0) > 0):
+    s1 = float(snapshots[0])  # _interval_steps' least step is s1 / 512
+    if not (np.all(np.diff(snapshots, prepend=0.0) > 0) and s1 / 512 > 0):
         raise ValueError(f"horizon T = {T!r} is too small for {count} "
-                         f"distinct snapshot times after t = 0")
-    s1 = float(snapshots[0])
+                         f"snapshot times and their time steps after t = 0")
     hyp = check_hypotheses(problem)
     times = [0.0]
     fields = [np.zeros(dom.n_interior)]

@@ -245,7 +245,7 @@ def hopf_margin(dom, values) -> float:
     return float(np.min(quot[sel])) if sel.any() else math.inf
 
 
-def boundary_barrier_margin(problem, dom, traj, eig, hyp) -> float:
+def boundary_barrier_margin(problem, traj, eig, hyp) -> float:
     """Min over interior snapshots of u / barrier (barrier from the
     certified power lower bound); > 1 means the barrier holds."""
     worst = math.inf
@@ -374,7 +374,7 @@ def run_scenario(scn: Scenario, h: float = 1.0 / 64.0,
         report.add_assertion("hopf_positive", False, min(margins), 0.0)
 
     if scn.check_boundary_barrier and hyp.require("lower_power"):
-        ratio = boundary_barrier_margin(problem, dom, traj, eig, hyp)
+        ratio = boundary_barrier_margin(problem, traj, eig, hyp)
         report.diagnostics["barrier_min_ratio"] = ratio
         report.add_assertion("boundary_barrier", ratio >= 0.99,
                              ratio, 0.99)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from concavelab import (SourceTerm, Weight, build_discretization,
                         concave_approximation, scenario_ids, unit_square)
+from concavelab import cli as cli_mod
 from concavelab.cli import _FORMATS, load_config, parse_and_dispatch
 
 CONFIG = """\
@@ -727,6 +728,30 @@ def test_verify_step_count_is_capped(tmp_path):
                             "--dt", "1e-300"], tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert "dt = 1e-300" in proc.stderr and "above the cap" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["verify", "stationary"])
+def test_node_count_is_capped(tmp_path, command):
+    # a 1000001 x 1000001 grid would need terabytes: refused, not built
+    path = tmp_path / "fine.ini"
+    path.write_text("[grid]\nh = 1e-6\n")
+    args = (["verify", "--scenario", "torsion-square", "--h", "1e-6"]
+            if command == "verify" else ["stationary", "--config", str(path)])
+    proc = _cli_subprocess(args, tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "h = 1e-06 gives a 1000001 x 1000001 grid" in proc.stderr
+    assert "above the cap" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_memory_error_is_usage_error(monkeypatch, capsys, config_file):
+    # an input too large for memory exits 2 with numpy's message
+    def too_large(args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setitem(cli_mod._HANDLERS, "solve", too_large)
+    rc = parse_and_dispatch(["solve", "--config", str(config_file)])
+    assert rc == 2
+    assert "error: Unable to allocate 7.28 TiB" in capsys.readouterr().err
 
 
 #: a weight whose mollifying band has width 0: a = 0/0 on the midline

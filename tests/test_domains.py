@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +171,29 @@ def test_polygon_h_above_inradius_has_no_interior_nodes():
     with pytest.raises(NoInteriorNodes, match="inradius"):
         build_discretization(spec, 1.0 + 1e-9)
     assert build_discretization(spec, 1.0 - 1e-9).n_interior > 0
+
+
+@pytest.mark.parametrize("h, grid", [(1e-6, "1000001 x 1000001"),
+                                     (5e-324, "inf x inf")])
+def test_grid_above_node_cap_is_refused_before_allocating(h, grid):
+    # 10^12 nodes would need terabytes: the refusal comes first, so the
+    # call allocates no array of the grid's size
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^h = {h!r} gives a {grid}"):
+            build_discretization(unit_square(), h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_node_cap_is_inclusive(monkeypatch):
+    # h = 1/8 on the unit square is a 9 x 9 grid
+    monkeypatch.setattr(domains, "MAX_NODES", 81)
+    assert build_discretization(unit_square(), 1.0 / 8.0).n_interior == 49
+    with pytest.raises(ValueError, match="10 x 10 grid, above the cap"):
+        build_discretization(unit_square(), 1.0 / 8.5)
 
 
 def _dense_ellipse_distance(a, b, p):

@@ -550,11 +550,9 @@ def test_pair_scan_matches_unchunked(mid):
     for g, r in zip(got, ref):
         assert np.array_equal(g, r)
     if mid is _coarse:
-        # the tie-break matters: the first minimum is not in the last chunk
-        last_row = np.searchsorted(
-            np.cumsum(np.arange(len(pts) - 1, 0, -1)),
-            n_pairs - _PAIR_CHUNK)
-        assert np.all(got[1] < last_row)
+        # the tie-break matters: the first minimum is not in the last run
+        last_run = (n_pairs - 1) // _PAIR_CHUNK * _PAIR_CHUNK
+        assert np.all(got[1] < np.triu_indices(len(pts), k=1)[0][last_run])
 
 
 def test_pair_scan_nan_first_occurrence():
@@ -597,6 +595,23 @@ def test_pair_scan_visits_every_pair_once():
     got = np.concatenate(calls)
     assert got.shape == ref.shape
     assert np.array_equal(got[np.lexsort(got.T)], ref[np.lexsort(ref.T)])
+
+
+def test_pair_scan_runs_are_row_major_pairs(monkeypatch):
+    # runs of at most _PAIR_CHUNK consecutive pairs that need not hold
+    # whole rows: with runs of 5 the first one stops inside row 0
+    monkeypatch.setattr("concavelab.operators._PAIR_CHUNK", 5)
+    runs = []
+
+    def block(idx1, idx3):
+        runs.append((idx1.copy(), idx3.copy()))
+        return ([np.zeros(len(idx1))] for _ in range(2))
+
+    pair_scan(np.zeros((1, 12)), np.zeros((1, 12)), [0.25, 0.5], block)
+    assert all(len(i1) <= 5 for i1, _ in runs)
+    got = [np.concatenate(a) for a in zip(*runs)]
+    assert all(np.array_equal(g, r)
+               for g, r in zip(got, np.triu_indices(12, k=1)))
 
 
 @pytest.mark.parametrize("n", [0, 1])

@@ -90,9 +90,11 @@ def test_seed_time_is_the_least_of_three(square16, monkeypatch, dt, T,
 @pytest.mark.parametrize("quantity, value", [
     ("horizon", math.nan), ("horizon", math.inf), ("horizon", 0.0),
     ("horizon", 5e-324),  # positive, but its snapshot times round to 0
+    ("horizon", 1e-320),  # distinct snapshot times, but s1 / 512 is 0
     ("dt", math.nan), ("dt", math.inf), ("dt", 0.0), ("dt", -0.01),
     ("u0_values", math.nan), ("u0_values", math.inf),
     ("count", 0), ("count", -1)])
+@pytest.mark.filterwarnings("error")  # rejected before numpy warns
 def test_solve_trajectory_rejects_bad_input(square16, quantity, value):
     # a seeded source: a bad dt must be named before the barrier sees it
     kw = {"horizon": 1.0, "dt": None, "count": 4, "u0_values": None}
