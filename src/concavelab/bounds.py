@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -59,17 +59,7 @@ class BoundReport:
     validity: dict = dc_field(default_factory=dict)
 
     def to_json(self) -> str:
-        def default(o):
-            if isinstance(o, np.ndarray):
-                return o.tolist()
-            if isinstance(o, (np.floating, np.integer)):
-                return float(o)
-            raise TypeError(type(o))
-        payload = {"bound_id": self.bound_id,
-                   "rhs": None if self.rhs is None else float(self.rhs),
-                   "constants": self.constants,
-                   "validity": self.validity}
-        return json.dumps(payload, sort_keys=True, default=default)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

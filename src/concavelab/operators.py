@@ -103,9 +103,12 @@ def pair_scan(v1, v3, lambdas, block):
     lambdas = np.asarray(lambdas, dtype=float)
     mins = np.full((len(v1), lambdas.size), math.inf)
     best = np.full((2,) + mins.shape, -1)
-    pairs = np.triu_indices(v1.shape[1], 1)
-    for p0 in range(0, pairs[0].size, _PAIR_CHUNK):
-        idx1, idx3 = (p[p0:p0 + _PAIR_CHUNK] for p in pairs)
+    n = v1.shape[1]
+    before = np.cumsum(np.arange(n, -1, -1)) - n  # pairs in the rows < i
+    for p0 in range(0, before[-1], _PAIR_CHUNK):
+        p = np.arange(p0, min(p0 + _PAIR_CHUNK, before[-1]))
+        idx1 = np.searchsorted(before, p, "right") - 1
+        idx3 = p - before[idx1] + idx1 + 1
         for k, (lm, ms) in enumerate(zip(lambdas, block(idx1, idx3))):
             l3, l1 = lm * v3, (1 - lm) * v1  # (lm * v3)[s, j] = lm * v3[s, j]
             for s, m in enumerate(ms):
@@ -192,9 +195,10 @@ def _solve(dom: DiscretizedDomain, b: np.ndarray, tau=None, shift=None):
     return y if tau is None else y[perm]
 
 
-def solve_shifted_poisson(tau: float, rhs: Field,
-                          diag_shift=None) -> Field:
-    """Solve (I + tau*(-Lap_h) + diag_shift) u = rhs on one LU per tau.
+def solve_shifted_poisson(dom: DiscretizedDomain, tau: float, b: np.ndarray,
+                          diag_shift=None) -> np.ndarray:
+    """Node values u with (I + tau*(-Lap_h) + diag_shift) u = b, for
+    float node values b, on one LU per tau.
 
     I + tau*(-Lap_h) is factored NATURAL with its columns (Mp) in the
     order perm_c of poisson_solve's COLAMD LU, x = y[perm_c], and the
@@ -206,8 +210,7 @@ def solve_shifted_poisson(tau: float, rhs: Field,
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    return Field(rhs.dom, _solve(rhs.dom, rhs.values, tau, diag_shift),
-                 rhs.time)
+    return _solve(dom, b, tau, diag_shift)
 
 
 def poisson_solve(dom: DiscretizedDomain, rhs_values: np.ndarray):

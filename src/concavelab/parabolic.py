@@ -66,12 +66,11 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 def seed_from_subsolution(problem: Problem, dom: DiscretizedDomain,
-                          t0: float, eig: EigenPair,
-                          hyp=None) -> Field:
-    """Seed field at t0 > 0 from the explicit subsolution, the interior
-    barrier C e^{-lam1 t0} t0^{(1+gamma)/(1-q)} phi1; verified a
-    posteriori to be a discrete subsolution (w_t - Lap_h w <= b + 1e-8)."""
-    hyp = hyp or check_hypotheses(problem)
+                          t0: float, eig: EigenPair, hyp) -> np.ndarray:
+    """Node values at t0 > 0 of the explicit subsolution, the interior
+    barrier C e^{-lam1 t0} t0^{(1+gamma)/(1-q)} phi1, from the constants
+    of hyp = check_hypotheses(problem); verified a posteriori to be a
+    discrete subsolution (w_t - Lap_h w <= b + 1e-8)."""
     if not hyp.require("lower_power"):
         raise HypothesisViolated(
             "subsolution seeding needs the certified power lower bound")
@@ -84,38 +83,34 @@ def seed_from_subsolution(problem: Problem, dom: DiscretizedDomain,
     if np.any(lhs > rhs + 1e-8):
         raise HypothesisViolated(
             "seed failed the a-posteriori subsolution check")
-    return Field(dom, w, t0)
+    return w
 
 
-def advance(problem: Problem, dom: DiscretizedDomain, u: Field,
-            t: float, dt: float) -> Field:
-    """One IMEX backward-Euler step from t to t + dt."""
+def advance(problem: Problem, dom: DiscretizedDomain, u: np.ndarray,
+            t: float, dt: float) -> np.ndarray:
+    """One IMEX backward-Euler step of the node values u from t to
+    t + dt; returns the new node values (u is not written)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if np.any(u.values < -1e-12):
+    if np.any(u < -1e-12):
         raise ValueError("state below the -1e-12 tolerance")
     tn = t + dt
-    b = problem.source_values(dom, u.values, tn)
-    rhs = Field(dom, u.values + dt * b, tn)
+    rhs, shift = u + dt * problem.source_values(dom, u, tn), None
     if problem.source.sign_changing:
         # predictor, then one linearized correction of the source term:
         # (I + dt(-Lap) - dt diag(bs)) u+ = u + dt (b(u*) - bs u*)
-        star = solve_shifted_poisson(dt, rhs).values
-        star = np.maximum(star, 0.0)
+        star = np.maximum(solve_shifted_poisson(dom, dt, rhs), 0.0)
         eps = 1e-7 * np.maximum(star, 1e-7)
         b_star = problem.source_values(dom, star, tn)
         bs = (problem.source_values(dom, star + eps, tn) - b_star) / eps
         bs = np.minimum(bs, 0.0)  # keep the implicit part dissipative
-        rhs2 = Field(dom, u.values + dt * (b_star - bs * star), tn)
-        new = solve_shifted_poisson(dt, rhs2, diag_shift=-dt * bs)
-    else:
-        new = solve_shifted_poisson(dt, rhs)
-    vals = new.values
+        rhs, shift = u + dt * (b_star - bs * star), -dt * bs
+    vals = solve_shifted_poisson(dom, dt, rhs, shift)
     if np.max(np.abs(vals)) > BLOWUP_THRESHOLD:
         raise StateBlowup(f"sup norm {np.max(np.abs(vals)):.3e} exceeds 1e6")
     if np.any(vals < -1e-12):
         raise ValueError("integration produced values below -1e-12")
-    return Field(dom, np.maximum(vals, 0.0), tn)
+    return np.maximum(vals, 0.0)
 
 
 def _interval_steps(span, t, dt, s1) -> float:
@@ -154,14 +149,14 @@ def solve_trajectory(problem: Problem, dom: DiscretizedDomain, count: int,
         raise ValueError(f"horizon T = {T!r} is too small for {count} "
                          f"snapshot times and their time steps after t = 0")
     hyp = check_hypotheses(problem)
-    times = [0.0]
-    fields = [np.zeros(dom.n_interior)]
+    times, fields = [0.0], [np.zeros(dom.n_interior)]
+    u, t = fields[0], 0.0
     if problem.u0_values is not None:
-        u = Field(dom, np.array(problem.u0_values, dtype=float), 0.0)
-        if not np.all(np.isfinite(u.values)):
+        u = fields[0] = np.array(problem.u0_values, dtype=float)
+        if u.shape != (dom.n_interior,):
+            raise ValueError("field length must match interior node count")
+        if not np.all(np.isfinite(u)):
             raise ValueError("initial data u0_values must be finite")
-        fields[0] = u.values.copy()
-        t = 0.0
     elif not 0.0 < problem.source.compose(1.0, np.zeros(1))[0] < math.inf:
         t = min(10 * dt, 0.01 * T, 0.5 * s1)
         eig = principal_eigenpair(dom)
@@ -171,10 +166,7 @@ def solve_trajectory(problem: Problem, dom: DiscretizedDomain, count: int,
             # no certified power bound (e.g. eigen-type f=s): a small
             # multiple of the principal eigenfunction selects the
             # positive branch without overshooting
-            u = Field(dom, 1e-8 * eig.phi.values, t)
-    else:
-        u = Field(dom, np.zeros(dom.n_interior), 0.0)
-        t = 0.0
+            u = 1e-8 * eig.phi.values
 
     starts = np.concatenate(([t], snapshots[:-1]))
     total = sum(_interval_steps(ts - ta, ta, dt, s1)
@@ -190,7 +182,7 @@ def solve_trajectory(problem: Problem, dom: DiscretizedDomain, count: int,
             u = advance(problem, dom, u, t, step)
             t += step
         times.append(ts)
-        fields.append(u.values.copy())
+        fields.append(u)
 
     slack = monotone_slack(dom.h)
     monotone = all(np.all(fields[k + 1] >= fields[k] - slack)

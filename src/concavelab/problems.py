@@ -314,9 +314,9 @@ def weight_concavity_defect(problem: Problem, dom: DiscretizedDomain,
 
 
 def _concavity_min(weight: Weight, dom: DiscretizedDomain, theta: float,
-                   mask=None, stride: int = 1) -> float:
+                   mask=None) -> float:
     """Signed min of the concavity function of weight^theta over the
-    pairs i < j of every stride-th interior node (of those in mask) and
+    pairs i < j of the interior nodes (those in mask) and
     LAMBDAS, a lambda with a NaN value skipped; inf for < 2 nodes.
     Nodes filling a lattice rectangle meet per lambda in broadcast
     blocks of 2^15 values from per-axis factor tables: (r, a) with
@@ -328,7 +328,7 @@ def _concavity_min(weight: Weight, dom: DiscretizedDomain, theta: float,
     pts, prof = dom.interior_points, weight.spatial_profile(dom)
     if mask is not None:
         pts, prof = pts[mask], prof[mask]
-    pts, prof, spec = pts[::stride], prof[::stride], dom.spec
+    spec = dom.spec
 
     def transform(a):
         if math.isinf(theta):
@@ -390,6 +390,8 @@ def sup_slope_lambda(source: SourceTerm) -> float:
     """sup_{s>0} s * d/ds [ f(s)/s ], closed form for catalog kinds."""
     closed = dict.fromkeys(("one", "power_q", "identity", "logistic",
                             "one_minus_s_p"), 0.0)  # fbar nonincreasing
+    if max(source.p, source.q) <= 1.0:
+        closed["power_sum"] = 0.0  # fbar = s^(p-1) + s^(q-1) nonincreasing
     closed.update(log_s=1.0, saturable=0.25, saturable_q=source.q / 4.0)
     if source.kind in closed:
         return closed[source.kind]

@@ -86,7 +86,7 @@ class VerificationReport:
             "assertions": self.assertions,
             "defects": [json.loads(r.to_json())
                         for r in self.defect_reports],
-            "bounds": [json.loads(r.to_json()) for r in self.bound_reports],
+            "bounds": [dataclasses.asdict(r) for r in self.bound_reports],
             "diagnostics": self.diagnostics,
         }
         return json.dumps(payload, sort_keys=True)
@@ -260,10 +260,12 @@ def boundary_barrier_margin(problem, traj, eig, hyp) -> float:
 
 
 def _weight_min_C(problem, dom, mask=None) -> float:
-    """Signed min of the weight's concavity function, <= _SCAN_NODES."""
-    n = dom.n_interior if mask is None else int(np.count_nonzero(mask))
-    worst = _concavity_min(problem.weight, dom, math.inf, mask,
-                           max(1, int(math.ceil(n / _SCAN_NODES))))
+    """Signed min of the weight's concavity function over every k-th
+    interior node (of those in mask), at most _SCAN_NODES nodes."""
+    keep = np.ones(dom.n_interior, bool) if mask is None else mask
+    k = max(1, int(math.ceil(np.count_nonzero(keep) / _SCAN_NODES)))
+    worst = _concavity_min(problem.weight, dom, math.inf,
+                           keep & ((np.cumsum(keep) - 1) % k == 0))
     return worst if math.isfinite(worst) else 0.0
 
 

@@ -246,4 +246,5 @@ def test_barrier_requires_certified_hypothesis():
     assert "k" not in hyp.constants
     dom = build_discretization(unit_square(), 0.25)
     with pytest.raises(HypothesisViolated, match="power lower bound"):
-        seed_from_subsolution(prob, dom, 0.01, principal_eigenpair(dom))
+        seed_from_subsolution(prob, dom, 0.01, principal_eigenpair(dom),
+                              hyp)

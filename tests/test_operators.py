@@ -72,9 +72,9 @@ def test_solves_reject_non_finite_rhs(square32, bad):
     with pytest.raises(MaxIterations, match="direct solve residual"):
         poisson_solve(square32, rhs)
     with pytest.raises(MaxIterations, match="direct solve residual"):
-        solve_shifted_poisson(0.01, Field(square32, rhs))
+        solve_shifted_poisson(square32, 0.01, rhs)
     with pytest.raises(MaxIterations, match="shifted solve .* residual"):
-        solve_shifted_poisson(0.01, Field(square32, rhs),
+        solve_shifted_poisson(square32, 0.01, rhs,
                               np.full(square32.n_interior, 0.5))
 
 
@@ -94,7 +94,7 @@ def test_shifted_solve_runs_no_gmres_on_non_finite_rhs(square32, bad,
     rhs = np.ones(square32.n_interior)
     rhs[7] = bad
     with pytest.raises(MaxIterations, match="0 GMRES iterations"):
-        solve_shifted_poisson(0.01, Field(square32, rhs),
+        solve_shifted_poisson(square32, 0.01, rhs,
                               np.full(square32.n_interior, 0.5))
     assert calls == []
 
@@ -102,17 +102,15 @@ def test_shifted_solve_runs_no_gmres_on_non_finite_rhs(square32, bad,
 def test_zero_rhs_solves_to_zero(square32):
     zero = np.zeros(square32.n_interior)
     assert not np.any(poisson_solve(square32, zero))
-    assert not np.any(solve_shifted_poisson(0.01, Field(square32, zero))
-                      .values)
+    assert not np.any(solve_shifted_poisson(square32, 0.01, zero))
 
 
 def test_shifted_poisson_residual(square32):
     rng = np.random.default_rng(3)
-    rhs = Field(square32, rng.standard_normal(square32.n_interior))
-    u = solve_shifted_poisson(0.01, rhs)
+    rhs = rng.standard_normal(square32.n_interior)
+    u = solve_shifted_poisson(square32, 0.01, rhs)
     # residual of (I + tau * (-Lap)) u = rhs
-    res = u.values + 0.01 * (neg_laplacian_matrix(square32) @ u.values) \
-        - rhs.values
+    res = u + 0.01 * (neg_laplacian_matrix(square32) @ u) - rhs
     assert np.max(np.abs(res)) < 1e-9
 
 
@@ -126,9 +124,9 @@ def test_trajectory_keeps_one_shift_factorization(monkeypatch):
     shifted = operators.solve_shifted_poisson
     splu = operators.splu
 
-    def record_tau(tau, rhs, diag_shift=None):
+    def record_tau(dom, tau, b, diag_shift=None):
         taus.append(tau)
-        return shifted(tau, rhs, diag_shift)
+        return shifted(dom, tau, b, diag_shift)
 
     def record_splu(M, **kw):
         factored.append(M)
@@ -183,7 +181,7 @@ def test_cached_order_solve_is_plain_splu(k, tau, shift, seed):
     dom, rng, s, M = _solve_case(k, tau, shift, seed)
     for diag_shift in (s, None):
         b = rng.standard_normal(dom.n_interior)
-        got = solve_shifted_poisson(tau, Field(dom, b), diag_shift).values
+        got = solve_shifted_poisson(dom, tau, b, diag_shift)
         assert np.array_equal(got, splu(M.tocsc()).solve(b))
     b = rng.standard_normal(dom.n_interior)
     assert np.array_equal(poisson_solve(dom, b), splu(
@@ -199,7 +197,7 @@ def test_nonzero_shift_solve_meets_residual(k, tau, shift, seed):
     dom, rng, s, M = _solve_case(k, tau, shift, seed)
     system = (M + sp.diags(s)).tocsc()
     b = rng.standard_normal(dom.n_interior)
-    got = solve_shifted_poisson(tau, Field(dom, b), s).values
+    got = solve_shifted_poisson(dom, tau, b, s)
     ref = splu(system).solve(b)
     assert np.linalg.norm(system @ got - b) <= 1e-8 * np.linalg.norm(b)
     assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
@@ -211,10 +209,10 @@ def test_singular_shifted_system_raises_max_iterations():
     # RuntimeError
     dom = build_discretization(unit_square(), 1.0 / 8.0)
     shift = -(1 + 0.01 * neg_laplacian_matrix(dom).diagonal())
-    f = Field(dom, np.ones(dom.n_interior))
+    b = np.ones(dom.n_interior)
     with pytest.raises(MaxIterations, match=r"shifted solve \(tau 0\.01, "
                        r"\d+ GMRES iterations\) residual"):
-        solve_shifted_poisson(0.01, f, shift)
+        solve_shifted_poisson(dom, 0.01, b, shift)
 
 
 class _CountingLU:
@@ -276,11 +274,11 @@ def test_shifted_solve_reuses_the_start_solve(k, tau, shift, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(operators, "splu", counting_splu)
         if ok:
-            got = solve_shifted_poisson(tau, Field(dom, b), s).values
+            got = solve_shifted_poisson(dom, tau, b, s)
             assert got.tobytes() == want.tobytes()
         else:
             with pytest.raises(MaxIterations):
-                solve_shifted_poisson(tau, Field(dom, b), s)
+                solve_shifted_poisson(dom, tau, b, s)
     made = sum(lu.solves for lu in lus)
     if shift in ("zero", "neg_zero"):
         assert made == solves == 1
@@ -305,7 +303,7 @@ def test_shifted_solve_leaks_nothing(singular):
         s1 = -(1 + tau * neg_laplacian_matrix(dom).diagonal())
 
     def solve(d, s):
-        return solve_shifted_poisson(tau, Field(d, b), s).values.tobytes()
+        return solve_shifted_poisson(d, tau, b, s).tobytes()
 
     solve(dom, s2)
     Mp = dom._cache["shift_lu"][1]
@@ -331,10 +329,10 @@ def _record_stiff_solves(monkeypatch, sid, h):
     shifted, splu, gmres = (operators.solve_shifted_poisson, operators.splu,
                             operators.gmres)
 
-    def record_solve(tau, rhs, diag_shift=None):
+    def record_solve(dom, tau, b, diag_shift=None):
         calls.append((tau, diag_shift is not None and bool(np.any(
             diag_shift))))
-        return shifted(tau, rhs, diag_shift)
+        return shifted(dom, tau, b, diag_shift)
 
     def record_splu(M, **kw):
         factored.append(kw.get("permc_spec"))
@@ -612,6 +610,24 @@ def test_pair_scan_runs_are_row_major_pairs(monkeypatch):
     got = [np.concatenate(a) for a in zip(*runs)]
     assert all(np.array_equal(g, r)
                for g, r in zip(got, np.triu_indices(12, k=1)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 240, 601])
+def test_pair_scan_runs_are_full_until_the_last(n):
+    # each run computes its pairs from its first pair's place in the
+    # row-major order: all but the last hold _PAIR_CHUNK pairs, and
+    # together they are np.triu_indices(n, 1) in order
+    runs = []
+
+    def block(idx1, idx3):
+        runs.append((idx1.copy(), idx3.copy()))
+        return iter([[np.zeros(len(idx1))]])
+
+    pair_scan(np.zeros((1, n)), np.zeros((1, n)), [0.5], block)
+    assert all(len(i1) == _PAIR_CHUNK for i1, _ in runs[:-1])
+    got = [np.concatenate(a) for a in zip(*runs)]
+    assert all(np.array_equal(g, r)
+               for g, r in zip(got, np.triu_indices(n, k=1)))
 
 
 @pytest.mark.parametrize("n", [0, 1])

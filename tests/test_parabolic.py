@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concavelab import (Field, Problem, SourceTerm, Weight,
-                        build_discretization, convex_polygon, disk,
+                        build_discretization, check_hypotheses,
+                        convex_polygon, disk,
                         dump_field_binary, dump_field_csv, ellipse,
                         load_field_csv, principal_eigenpair,
                         rectangle, solve_trajectory, unit_square)
@@ -40,13 +41,13 @@ def test_heat_decay_coarse(square16):
     problem = _heat_problem(dom, T)
     n = max(int(round(T / (2.0 * dom.h ** 2))), 1)
     dt = T / n  # ~2h^2, adjusted to land exactly on T
-    u = Field(dom, problem.u0_values, 0.0)
+    u = problem.u0_values
     t = 0.0
     for _ in range(n):
         u = advance(problem, dom, u, t, dt)
         t += dt
     exact = math.exp(-2 * math.pi ** 2 * T) * problem.u0_values
-    assert np.max(np.abs(u.values - exact)) < 0.05
+    assert np.max(np.abs(u - exact)) < 0.05
 
 
 def test_quadratic_snapshots_grading():
@@ -71,7 +72,7 @@ def test_seed_time_is_the_least_of_three(square16, monkeypatch, dt, T,
     # seed records t0 and stops the run before it steps
     seen = []
 
-    def record(problem, dom, t0, eig, hyp=None):
+    def record(problem, dom, t0, eig, hyp):
         seen.append(t0)
         raise _Seeded
 
@@ -175,9 +176,8 @@ def test_seed_is_the_interior_barrier(square16):
     C = ((1.0 - q) * k / 1.0) ** (1.0 / (1.0 - q))
     want = C * math.exp(-eig.lam * t0) * t0 ** (1.0 / (1.0 - q)) \
         * eig.phi.values
-    got = seed_from_subsolution(p, square16, t0, eig)
-    assert got.time == t0
-    assert np.array_equal(got.values, want)
+    got = seed_from_subsolution(p, square16, t0, eig, check_hypotheses(p))
+    assert np.array_equal(got, want)
 
 
 def test_comparison_smaller_initial_data_stays_below(square16):
@@ -401,6 +401,5 @@ def test_load_binary_maps_rows_as_csv(square16, tmp_path):
 
 def test_advance_rejects_nonpositive_step(square16):
     p = _heat_problem(square16, 1.0)
-    u = Field(square16, p.u0_values, 0.0)
     with pytest.raises(ValueError):
-        advance(p, square16, u, 0.0, 0.0)
+        advance(p, square16, p.u0_values, 0.0, 0.0)

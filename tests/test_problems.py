@@ -271,13 +271,10 @@ def test_source_values_compose_bit_for_bit(square16, src, weight):
 
 
 def _former_sup_slope_numeric(source):
-    """The numeric fallback of sup_slope_lambda as it was, with the
-    power_sum quotient written out."""
+    """The numeric fallback of sup_slope_lambda as it was."""
     s = np.geomspace(1e-8, 1e8, 20001)
 
     def fbar(v):
-        if source.kind == "power_sum":
-            return (v ** source.p + v ** source.q) / v
         return _former_f(source, v) / v
 
     ds = s * 1e-6
@@ -288,12 +285,19 @@ def _former_sup_slope_numeric(source):
 
 
 @pytest.mark.parametrize("src", [
-    SourceTerm("power_sum", p=0.5, q=0.6), SourceTerm("power_sum", p=0.0,
-                                                      q=0.3),
     SourceTerm("log1p_q", q=0.5), SourceTerm("log1p_q", q=0.0)],
     ids=lambda s: f"{s.kind}-p{s.p:g}-q{s.q:g}")
 def test_sup_slope_lambda_fallback_bit_for_bit(src):
     assert sup_slope_lambda(src) == _former_sup_slope_numeric(src)
+
+
+@pytest.mark.parametrize("p, q", [(0.5, 0.6), (0.5, 0.0), (0.0, 0.3),
+                                  (1.0, 1.0), (1.0, 0.2)])
+def test_sup_slope_lambda_power_sum_is_zero(p, q):
+    # s * fbar'(s) = (p-1) s^(p-1) + (q-1) s^(q-1) <= 0 tends to 0 as
+    # s -> infinity; the numeric fallback gave -2.99e-4 at (0.5, 0.6)
+    # and -4.95e-5 at (0.5, 0), below the supremum a lower bound needs
+    assert sup_slope_lambda(SourceTerm("power_sum", p=p, q=q)) == 0.0
 
 
 def test_hypotheses_torsion(square16):
@@ -580,12 +584,13 @@ def test_disk_scan_bit_exact_at_h16(weight, theta):
     assert repr(got) == repr(_DISK16_MINS[weight.kind, theta])
 
 
-def _scan_path(monkeypatch, weight, dom, mask=None, stride=1):
-    """Which path _concavity_min took: 'pair_scan' or 'rectangle'."""
+def _scan_path(monkeypatch, run, *args):
+    """Which path run(*args) took in _concavity_min: 'pair_scan' or
+    'rectangle'."""
     calls, scan = [], problems_mod.pair_scan
     monkeypatch.setattr(problems_mod, "pair_scan",
-                        lambda *args: calls.append(1) or scan(*args))
-    _concavity_min(weight, dom, 1.0, mask, stride)
+                        lambda *a: calls.append(1) or scan(*a))
+    run(*args)
     monkeypatch.setattr(problems_mod, "pair_scan", scan)
     return "pair_scan" if calls else "rectangle"
 
@@ -595,20 +600,18 @@ def test_scan_path_is_chosen_from_the_node_set(square64, monkeypatch):
     p = Problem(domain=unit_square(), weight=w, source=SourceTerm("one"))
     inner = inner_region_mask(square64, 0.2)
     pts = square64.interior_points
-    assert _scan_path(monkeypatch, w, square64) == "rectangle"
-    assert _scan_path(monkeypatch, w, square64, inner) == "rectangle"
-    round_mask = np.hypot(*(pts - 0.5).T) < 0.3
-    assert _scan_path(monkeypatch, w, square64, round_mask) == "pair_scan"
-    disk16 = build_discretization(disk(), 1.0 / 16.0)
-    assert _scan_path(monkeypatch, w, disk16) == "pair_scan"
-    # _weight_min_C's every-k-th node is scattered over the lattice
+
+    def path(dom, mask=None):
+        return _scan_path(monkeypatch, _concavity_min, w, dom, 1.0, mask)
+
+    assert path(square64) == "rectangle"
+    assert path(square64, inner) == "rectangle"
+    assert path(square64, np.hypot(*(pts - 0.5).T) < 0.3) == "pair_scan"
+    assert path(build_discretization(disk(), 1.0 / 16.0)) == "pair_scan"
+    # _weight_min_C's mask of every k-th node is scattered over the lattice
     for mask in (None, inner):
-        calls, scan = [], problems_mod.pair_scan
-        monkeypatch.setattr(problems_mod, "pair_scan",
-                            lambda *args: calls.append(1) or scan(*args))
-        _weight_min_C(p, square64, mask)
-        monkeypatch.setattr(problems_mod, "pair_scan", scan)
-        assert calls
+        assert _scan_path(monkeypatch, _weight_min_C, p, square64,
+                          mask) == "pair_scan"
 
 
 def test_lambda_with_a_nan_value_is_skipped(square16):
@@ -676,12 +679,17 @@ def test_weight_defect_memory_bounded():
     # h=1/48: 2,209 nodes, 2.4M pairs; gathering them all at once
     # peaks near 250 MB.  h=1/64 is the benchmark's scan, whose blocks
     # stream lambda by lambda (about 3 MB): keeping the blocks of every
-    # lambda alive until the second pass peaks near 35 MB
+    # lambda alive until the second pass peaks near 35 MB.  The disk at
+    # h=1/32 (3,205 nodes, 5.1M pairs) goes by pair_scan: a list of
+    # every pair, 16 bytes each, peaked near 88 MB; its runs, computed
+    # one at a time, take about 2 MB
     p = Problem(domain=unit_square(),
                 weight=Weight(kind="ramp_bump_perturbed", eps=0.05),
                 source=SourceTerm(kind="one"))
-    for h, mb in ((1.0 / 48.0, 64), (1.0 / 64.0, 16)):
-        dom = build_discretization(unit_square(), h)
+    for spec, h, mb in ((unit_square(), 1.0 / 48.0, 64),
+                        (unit_square(), 1.0 / 64.0, 16),
+                        (disk(), 1.0 / 32.0, 16)):
+        dom = build_discretization(spec, h)
         tracemalloc.start()
         try:
             weight_concavity_defect(p, dom, 1.0)
