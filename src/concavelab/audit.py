@@ -87,6 +87,7 @@ class Evaluator:
         self.beta = beta
         self._grid_time = self._grid = None
         self._times = traj.times.tolist()
+        self._snap = {s ** (1.0 / beta): s for s in self._times}
         self._x0, self._y0 = float(traj.dom.xs[0]), float(traj.dom.ys[0])
 
     def _transform(self, u):
@@ -97,7 +98,8 @@ class Evaluator:
         return np.maximum(u, 0.0) ** self.alpha
 
     def _u_time(self, t: float) -> float:
-        return t if math.isinf(t) else t ** self.beta
+        # a snapshot's audit time s^(1/beta) reads s, which t^beta can miss
+        return t if math.isinf(t) else self._snap.get(t, t ** self.beta)
 
     def grid(self, t: float = 0.0) -> np.ndarray:
         """Full grid of u, before the transform, at time t."""
@@ -275,10 +277,8 @@ def _default_times(ev, cfg):
     if cfg.audit_times is not None:
         return list(cfg.audit_times)
     snaps = ev.traj.times
-    # tau = s^{1/beta} for 7 spread snapshots s; tau^beta can miss s by an
-    # ulp, so values_at_time may weight a neighbour by ~1e-15 there
-    pick = np.unique(np.round(
-        np.linspace(0, len(snaps) - 1, 7)).astype(int))
+    # tau = s^{1/beta} for 7 spread snapshots s, which ev reads at s
+    pick = np.unique(np.linspace(0, len(snaps) - 1, 7).round().astype(int))
     times = [float(snaps[k]) ** (1.0 / ev.beta) for k in pick]
     if cfg.include_infinity and ev.traj.stationary is not None \
             and ev.traj.monotone:
@@ -294,14 +294,15 @@ _REFINE_CANDIDATES = 32
 _GOLDEN_STEPS = 25
 
 
-def _scan_nodes(dom: DiscretizedDomain, max_nodes: int) -> np.ndarray:
-    """Interior nodes on every k-th row and column of the grid, with the
-    stride k = ceil(sqrt(N / max_nodes)) (all nodes when N <= max_nodes).
-    Striding the 2-D index lattice, not the flat node list, keeps the
-    subsample spatially uniform."""
-    stride = max(1, int(math.ceil(math.sqrt(dom.n_interior / max_nodes))))
+def _scan_nodes(dom: DiscretizedDomain, max_nodes: int, mask=None):
+    """Interior nodes (of the N in mask) on every k-th row and column of
+    the grid, k = ceil(sqrt(N / max_nodes)).  Striding the 2-D index
+    lattice, not the flat node list, keeps the subsample spatially
+    uniform, and a lattice rectangle where mask is a rectangle."""
+    keep = np.ones(dom.n_interior, bool) if mask is None else mask
+    k = max(1, math.ceil(math.sqrt(np.count_nonzero(keep) / max_nodes)))
     iy, ix = dom.interior_idx[:, 0], dom.interior_idx[:, 1]
-    return np.nonzero((iy % stride == 0) & (ix % stride == 0))[0]
+    return np.nonzero(keep & (iy % k == 0) & (ix % k == 0))[0]
 
 
 def min_defect(ev, mode: str, cfg: SamplerConfig | None = None

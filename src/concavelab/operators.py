@@ -202,8 +202,8 @@ def solve_shifted_poisson(dom: DiscretizedDomain, tau: float, b: np.ndarray,
 
     I + tau*(-Lap_h) is factored NATURAL with its columns (Mp) in the
     order perm_c of poisson_solve's COLAMD LU, x = y[perm_c], and the
-    domain keeps the last tau's (tau, Mp, LU): a trajectory uses one
-    step size per snapshot interval.  A nonzero shift, added to a copy
+    domain keeps the last tau's (tau, Mp, LU): a trajectory takes the
+    steps of each size in one run.  A nonzero shift, added to a copy
     of Mp's diagonal, is solved by GMRES preconditioned by and started
     from that LU; a zero (or -0.0) one is that LU's solve.  The relative
     residual is checked a posteriori against 1e-8.

@@ -113,28 +113,23 @@ def advance(problem: Problem, dom: DiscretizedDomain, u: np.ndarray,
     return np.maximum(vals, 0.0)
 
 
-def _interval_steps(span, t, dt, s1) -> float:
-    """Steps over span from time t, as a float (inf when span / dt
-    overflows): 4 per dt, each at most t/32 (floored at s1/512), so that
-    the ramp near t = 0, on the time scale t, is resolved to ~1%."""
-    return max(max(np.ceil(float(span) / dt - 1e-12), 1.0) * 4,
-               np.ceil(span / max(t / 32.0, s1 / 512.0) - 1e-12))
-
-
 def solve_trajectory(problem: Problem, dom: DiscretizedDomain, count: int,
                      dt: float | None = None) -> Trajectory:
-    """Integrate to the horizon T, recording the fields at the count
-    snapshot times quadratic_snapshots(T, count), in steps set by dt
-    (default dom.h; see _interval_steps).
+    """Integrate to the horizon T, recording count snapshots near the
+    times quadratic_snapshots(T, count), in steps set by dt (default
+    dom.h): to the first, s1, 4 per dt, each at most t/64 (t the start,
+    floored at s1/512); from each later start t, round(span / tau) steps
+    of tau, the largest dt/4 * 2^-j at most t/32 and the span, to a
+    snapshot at the time reached, or to T exactly in equal steps of at
+    most tau.  So each ladder level tau is one LU factorization.
 
-    Zero initial data (u0_values None) starts from zero when b(., 0) is
-    positive and finite.  Else (b(., 0) = 0: zero is a solution; inf or
-    NaN: zero has no first step) it is seeded at t0 = min(10 dt, T/100,
-    s1/2), s1 the first snapshot, on the positive branch: from the
-    explicit subsolution when the power lower bound is certified, else
-    from 1e-8 phi1.  ValueError naming the quantity when T or dt is not
-    positive and finite, count < 1, T is too small for count distinct
-    snapshot times (or s1 / 512 underflows), or u0_values is not finite.
+    Zero data (u0_values None) starts from zero when b(., 0) is positive
+    and finite, else (b(., 0) = 0: zero is a solution; inf or NaN: no
+    first step) from t0 = min(10 dt, T/100, s1/2) on the positive branch:
+    the explicit subsolution when the power lower bound is certified,
+    else 1e-8 phi1.  ValueError names a T or dt not positive and finite,
+    count < 1, a T too small for count distinct snapshot times (or for
+    s1 / 512), over MAX_STEPS steps, or a u0_values not finite.
     """
     dt = dom.h if dt is None else dt
     T = problem.horizon
@@ -144,7 +139,7 @@ def solve_trajectory(problem: Problem, dom: DiscretizedDomain, count: int,
     if count < 1:
         raise ValueError(f"snapshot count must be at least 1, got {count}")
     snapshots = quadratic_snapshots(T, count)
-    s1 = float(snapshots[0])  # _interval_steps' least step is s1 / 512
+    s1 = float(snapshots[0])  # the first interval's least step is s1 / 512
     if not (np.all(np.diff(snapshots, prepend=0.0) > 0) and s1 / 512 > 0):
         raise ValueError(f"horizon T = {T!r} is too small for {count} "
                          f"snapshot times and their time steps after t = 0")
@@ -164,24 +159,30 @@ def solve_trajectory(problem: Problem, dom: DiscretizedDomain, count: int,
             u = seed_from_subsolution(problem, dom, t, eig, hyp)
         else:
             # no certified power bound (e.g. eigen-type f=s): a small
-            # multiple of the principal eigenfunction selects the
-            # positive branch without overshooting
+            # multiple of phi1 selects the positive branch, no overshoot
             u = 1e-8 * eig.phi.values
 
-    starts = np.concatenate(([t], snapshots[:-1]))
-    total = sum(_interval_steps(ts - ta, ta, dt, s1)
-                for ta, ts in zip(starts, snapshots))
-    if total > MAX_STEPS:
-        raise ValueError(f"{total:.3g} time steps from dt = {dt!r} to T = "
-                         f"{T!r}, above the cap of {MAX_STEPS:.0e}")
-    for ts in snapshots:
-        span = ts - t
-        n = int(_interval_steps(span, t, dt, s1))
-        step = span / n
-        for _ in range(n):
-            u = advance(problem, dom, u, t, step)
-            t += step
-        times.append(ts)
+    plan, total = [], 0.0  # (start, steps, step, end) per snapshot
+    for k, ts in enumerate(snapshots):
+        span, exact = ts - t, k in (0, count - 1)  # exact: ends at ts
+        if k == 0:
+            n = max(4 * np.ceil(span / dt - 1e-12),
+                    np.ceil(span / max(t / 64.0, s1 / 512.0) - 1e-12))
+        else:
+            tau = dt / 4
+            while tau > min(t / 32, span):
+                tau /= 2
+            n = (np.ceil if exact else np.rint)(span / tau)
+        if not (total := total + n) <= MAX_STEPS:  # NaN fails; t stays finite
+            raise ValueError(f"at least {total:.3g} steps from dt = {dt!r} to "
+                             f"T = {T!r}, above the cap of {MAX_STEPS:.0e}")
+        step, end = (span / n, ts) if exact else (tau, t + n * tau)
+        plan.append((t, int(n), step, end))
+        t = end
+    for ta, n, step, tb in plan:
+        for i in range(n):
+            u = advance(problem, dom, u, ta + i * step, step)
+        times.append(tb)
         fields.append(u)
 
     slack = monotone_slack(dom.h)

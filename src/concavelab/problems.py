@@ -316,7 +316,7 @@ def weight_concavity_defect(problem: Problem, dom: DiscretizedDomain,
 def _concavity_min(weight: Weight, dom: DiscretizedDomain, theta: float,
                    mask=None) -> float:
     """Signed min of the concavity function of weight^theta over the
-    pairs i < j of the interior nodes (those in mask) and
+    pairs i < j of the interior nodes (those mask selects) and
     LAMBDAS, a lambda with a NaN value skipped; inf for < 2 nodes.
     Nodes filling a lattice rectangle meet per lambda in broadcast
     blocks of 2^15 values from per-axis factor tables: (r, a) with

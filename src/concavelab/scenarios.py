@@ -19,8 +19,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .audit import (_SCAN_NODES, Evaluator, SamplerConfig, min_defect,
-                    quasiconcavity_defect)
+from .audit import (_SCAN_NODES, Evaluator, SamplerConfig, _scan_nodes,
+                    min_defect, quasiconcavity_defect)
 from .bounds import (BoundParams, BoundReport, log_concavity_rhs,
                      quantitative_rhs, boundary_lower_bound,
                      spacetime_alpha_window)
@@ -260,12 +260,10 @@ def boundary_barrier_margin(problem, traj, eig, hyp) -> float:
 
 
 def _weight_min_C(problem, dom, mask=None) -> float:
-    """Signed min of the weight's concavity function over every k-th
-    interior node (of those in mask), at most _SCAN_NODES nodes."""
-    keep = np.ones(dom.n_interior, bool) if mask is None else mask
-    k = max(1, int(math.ceil(np.count_nonzero(keep) / _SCAN_NODES)))
+    """Signed min of the weight's concavity function over the interior
+    nodes (of those in mask) that _scan_nodes keeps for _SCAN_NODES."""
     worst = _concavity_min(problem.weight, dom, math.inf,
-                           keep & ((np.cumsum(keep) - 1) % k == 0))
+                           _scan_nodes(dom, _SCAN_NODES, mask))
     return worst if math.isfinite(worst) else 0.0
 
 

@@ -2,14 +2,15 @@
 
     python3 tests/make_reference.py
 
-Runs every catalog scenario whose bits perfbench/reference/ does not
-hold at h = 1/12, and every catalog scenario at h = 1/32, and stores
-``run_scenario(...).to_json()`` as tests/reference/<id>-h<1/h>.json;
-and ramp-le-eps05 with eps = 0.5, whose theta check fails its gate, at
-h = 1/12 as tests/reference/ramp-le-eps50-h12-gated.json.
-The stored reports are the numerics of
-the commit that made them; regenerate them only when a change to the
-numerics is deliberate and stated.
+Runs every catalog scenario but the benchmark's at h = 1/12, every
+catalog scenario at h = 1/32, and the benchmark's scenarios whose bits
+perfbench/reference/ no longer holds at h = 1/16 (and ramp-le-eps05 at
+h = 1/64), and stores ``run_scenario(...).to_json()`` as
+tests/reference/<id>-h<1/h>.json; and ramp-le-eps05 with eps = 0.5,
+whose theta check fails its gate, at h = 1/12 as
+tests/reference/ramp-le-eps50-h12-gated.json.  The stored reports are
+the numerics of the commit that made them; regenerate them only when a
+change to the numerics is deliberate and stated.
 """
 
 import dataclasses
@@ -22,8 +23,8 @@ sys.path.insert(0, str(ROOT / "src"))
 from concavelab import get_scenario, run_scenario, scenario_ids  # noqa: E402
 
 REFERENCE_DIR = ROOT / "tests" / "reference"
-#: the ids whose reports perfbench/reference/ holds byte for byte (it
-#: holds logistic-square's only to the benchmark's gate)
+#: the benchmark's ids whose h = 1/16 bits are stored here (perfbench/
+#: reference/ holds them, and logistic-square's, only to its gate)
 PERFBENCH_IDS = ("lane-emden-disk", "ramp-le-eps05", "saturable-square")
 H_INV = 12
 #: the grid of the goldens that cover the whole catalog
@@ -49,7 +50,8 @@ def gated_scenario():
 def main() -> int:
     REFERENCE_DIR.mkdir(exist_ok=True)
     for h_inv, ids in ((H_INV, golden_ids()),
-                       (CATALOG_H_INV, scenario_ids())):
+                       (CATALOG_H_INV, scenario_ids()),
+                       (16, PERFBENCH_IDS), (64, ("ramp-le-eps05",))):
         for sid in ids:
             rep = run_scenario(get_scenario(sid), h=1.0 / h_inv)
             path = reference_path(sid, h_inv)

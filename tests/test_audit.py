@@ -26,7 +26,7 @@ from concavelab.audit import (DefectReport, Evaluator, FieldEvaluator,
                               pair_scan, tau_audit_value)
 from concavelab.errors import EmptySampler
 from concavelab.operators import bilinear_interp
-from concavelab.parabolic import Trajectory
+from concavelab.parabolic import Trajectory, quadratic_snapshots
 from concavelab.scenarios import build_problem
 
 
@@ -218,6 +218,26 @@ def test_evaluator_revisited_time_matches_fresh(square16):
     for t in (t_a, t_b, t_a):
         fresh = value(Evaluator(traj, 0.5, 1.5), pts, t)
         assert np.array_equal(value(ev, pts, t), fresh)
+
+
+@pytest.mark.parametrize("count", [16, 24, 48])
+@pytest.mark.parametrize("beta", [1.5, 2.0])
+def test_default_times_read_their_snapshots_alone(square16, count, beta):
+    # tau = s^(1/beta) with tau^beta != s for some picks (at beta = 2,
+    # 5 of 7 at 16 snapshots): each audited time reads its snapshot's
+    # field bit for bit, with no weight on a neighbour
+    rng = np.random.default_rng(count)
+    times = np.concatenate(([0.0], quadratic_snapshots(2.0, count)))
+    fields = list(rng.uniform(0.5, 1.5, (count + 1, square16.n_interior)))
+    ev = Evaluator(Trajectory(dom=square16, times=times, fields=fields),
+                   1.0, beta)
+    audited = _default_times(ev, SamplerConfig(include_infinity=False))
+    assert len(audited) == 7
+    x, y = square16.interior_points[40]
+    for t in audited:
+        k = int(np.argmin(np.abs(times ** (1.0 / beta) - t)))
+        assert np.array_equal(ev.node_values(t), fields[k])
+        assert ev.point_value(x, y, t) == fields[k][40]
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0])

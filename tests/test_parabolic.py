@@ -15,8 +15,10 @@ from concavelab import (Field, Problem, SourceTerm, Weight,
                         dump_field_binary, dump_field_csv, ellipse,
                         load_field_csv, principal_eigenpair,
                         rectangle, solve_trajectory, unit_square)
+import concavelab.operators as operators_mod
 from concavelab.parabolic import (advance, load_field_binary,
                                   quadratic_snapshots, seed_from_subsolution)
+from concavelab.scenarios import get_scenario, run_scenario
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +115,91 @@ def test_solve_trajectory_rejects_bad_input(square16, quantity, value):
              "count": "^snapshot count must be at least 1"}[quantity]
     with pytest.raises(ValueError, match=match):
         solve_trajectory(p, square16, kw["count"], kw["dt"])
+
+
+@pytest.fixture(scope="module")
+def square32():
+    return build_discretization(unit_square(), 1.0 / 32.0)
+
+
+def _stepped(monkeypatch, dom, source, count, dt=None):
+    """The trajectory on the unit square (c = 1, T = 2) and its steps as
+    an array of (start, length) rows, recorded around advance."""
+    steps, step = [], advance
+
+    def record(problem, dom, u, t, dt):
+        steps.append((t, dt))
+        return step(problem, dom, u, t, dt)
+
+    monkeypatch.setattr("concavelab.parabolic.advance", record)
+    p = Problem(domain=unit_square(), weight=Weight(kind="constant", c=1.0),
+                source=source, horizon=2.0)
+    return solve_trajectory(p, dom, count, dt), np.array(steps)
+
+
+@pytest.mark.parametrize("source", [SourceTerm("one"),
+                                    SourceTerm("power_q", q=0.5)],
+                         ids=["from-zero", "seeded"])
+def test_steps_stay_under_the_ladder_bound(monkeypatch, square32, source):
+    # after the first interval every step is at most min(dt/4, t/32), t
+    # the interval's start; in a seeded first interval at most t0/64
+    traj, steps = _stepped(monkeypatch, square32, source, 24)
+    k = np.searchsorted(traj.times, steps[:, 0], side="right") - 1
+    start, later = traj.times[k], k > 0
+    bound = np.minimum(square32.h / 4, start / 32) * (1 + 1e-12)
+    assert np.all(steps[later, 1] <= bound[later])
+    if source.kind == "power_q":
+        t0 = steps[0, 0]
+        assert t0 > 0
+        assert np.all(steps[~later, 1] <= t0 / 64 * (1 + 1e-12))
+    # a handful of step sizes, each taken in one run of steps
+    sizes = steps[np.flatnonzero(np.diff(steps[:, 1], prepend=0.0)), 1]
+    assert len(sizes) == len(set(sizes.tolist())) <= 12
+
+
+def test_from_zero_run_takes_512_steps_to_s1(monkeypatch, square32):
+    traj, steps = _stepped(monkeypatch, square32, SourceTerm("one"), 24)
+    s1 = float(quadratic_snapshots(2.0, 24)[0])
+    first = steps[steps[:, 0] < s1]
+    assert traj.times[1] == s1 and len(first) == 512
+    assert np.all(first[:, 1] == s1 / 512)
+    assert np.array_equal(first[:, 0], np.arange(512) * (s1 / 512))
+
+
+@pytest.mark.parametrize("count, dt", [(24, None), (12, 0.1), (200, 1.0)],
+                         ids=["catalog", "coarse-dt", "dense-snapshots"])
+def test_snapshots_lie_within_a_step_of_their_targets(monkeypatch,
+                                                     square32, count, dt):
+    # the last lands on T; snapshots denser than t/32 still increase
+    traj, steps = _stepped(monkeypatch, square32, SourceTerm("one"), count,
+                           dt)
+    times, target = traj.times, quadratic_snapshots(2.0, count)
+    assert times[-1] == 2.0 and np.all(np.diff(times) > 0)
+    k = np.searchsorted(times, steps[:, 0], side="right") - 1
+    longest = np.zeros(count)
+    np.maximum.at(longest, k, steps[:, 1])
+    assert np.all(np.abs(times[1:] - target) <= longest)
+
+
+def test_step_cap_counts_the_steps_taken(monkeypatch, square32):
+    # the MAX_STEPS pre-count is the plan the loop runs, step for step
+    source = SourceTerm("power_q", q=0.5)
+    _, steps = _stepped(monkeypatch, square32, source, 24)
+    monkeypatch.setattr("concavelab.parabolic.MAX_STEPS", len(steps))
+    assert len(_stepped(monkeypatch, square32, source, 24)[1]) == len(steps)
+    monkeypatch.setattr("concavelab.parabolic.MAX_STEPS", len(steps) - 1)
+    with pytest.raises(ValueError, match="above the cap"):
+        _stepped(monkeypatch, square32, source, 24)
+
+
+def test_disk_trajectory_factors_few_step_sizes(monkeypatch):
+    # one shifted LU per ladder level, not one per snapshot interval
+    calls, factor = [], operators_mod.splu
+    monkeypatch.setattr(operators_mod, "splu",
+                        lambda *a, **k: calls.append(1) or factor(*a, **k))
+    rep = run_scenario(get_scenario("lane-emden-disk"), h=1.0 / 32.0)
+    assert rep.verdict == "pass"
+    assert 0 < len(calls) <= 12
 
 
 def test_torsion_trajectory_monotone(square16):

@@ -441,9 +441,11 @@ def test_weight_min_C_bit_exact(square32, masked):
     pts = square32.interior_points
     if masked:
         prof, pts = prof[mask], pts[mask]
-    stride = math.ceil(len(pts) / 240)
-    ref = _reference_mins(w, p.domain, pts[::stride], prof[::stride],
-                          (math.inf,))
+    # every k-th row and column of the lattice, k = ceil(sqrt(N / 240))
+    iy, ix = square32.interior_idx[mask if masked else slice(None)].T
+    k = math.ceil(math.sqrt(len(pts) / 240))
+    on = (iy % k == 0) & (ix % k == 0)
+    ref = _reference_mins(w, p.domain, pts[on], prof[on], (math.inf,))
     assert _weight_min_C(p, square32, mask) == ref[math.inf]
 
 
@@ -608,10 +610,10 @@ def test_scan_path_is_chosen_from_the_node_set(square64, monkeypatch):
     assert path(square64, inner) == "rectangle"
     assert path(square64, np.hypot(*(pts - 0.5).T) < 0.3) == "pair_scan"
     assert path(build_discretization(disk(), 1.0 / 16.0)) == "pair_scan"
-    # _weight_min_C's mask of every k-th node is scattered over the lattice
+    # _weight_min_C's every k-th row and column of a rectangle is one too
     for mask in (None, inner):
         assert _scan_path(monkeypatch, _weight_min_C, p, square64,
-                          mask) == "pair_scan"
+                          mask) == "rectangle"
 
 
 def test_lambda_with_a_nan_value_is_skipped(square16):

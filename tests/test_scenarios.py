@@ -151,41 +151,41 @@ def _benchmark_gate():
     return module.check_report
 
 
+GOLDEN_DIR = Path(__file__).resolve().parent / "reference"
+
+
 @pytest.mark.parametrize("sid", ["logistic-square", "lane-emden-disk",
                                  "ramp-le-eps05", "saturable-square"])
 def test_report_matches_stored_reference(sid):
-    # the stored reports are byte-for-byte what run_scenario produced
-    # when they were made (numpy 2.4.6, scipy 1.17.1); a change that
-    # leaves the numerics alone must reproduce them exactly.  The GMRES
-    # corrector of a sign-changing source moved logistic-square's
-    # snapshots by rounding (4e-14 of max|u| at h = 1/48), so its report
-    # is held to the benchmark's gate; tests/reference/ has its bits
-    ref = (REFERENCE_DIR / f"{sid}-h16.json").read_text()
+    # tests/reference/ holds the bits of run_scenario's reports at h =
+    # 1/16 (numpy 2.4.6, scipy 1.17.1): a change that leaves the numerics
+    # alone must reproduce them exactly.  perfbench/reference/, made
+    # before the step-size ladder, is held to the benchmark's gate, and
+    # for logistic-square only that: the GMRES corrector moved its
+    # snapshots by rounding; tests/reference/ has its bits at 1/12, 1/32
     got = run_scenario(get_scenario(sid), h=1.0 / 16.0).to_json()
-    if sid == "logistic-square":
-        assert _benchmark_gate()(got, ref) == []
-    else:
-        assert got == ref
+    ref = (REFERENCE_DIR / f"{sid}-h16.json").read_text()
+    assert _benchmark_gate()(got, ref) == []
+    if sid != "logistic-square":
+        assert got == (GOLDEN_DIR / f"{sid}-h16.json").read_text()
 
 
 def test_report_matches_stored_reference_h64():
     # at h = 1/64 the weight scans differ from h <= 1/16: _weight_min_C
-    # strides its nodes onto the every-k-th scan of a non-rectangle node
-    # set, and the rectangle scan needs more than one band of rows
+    # strides the rows and columns of its nodes, and the rectangle scan
+    # needs more than one band of rows
+    got = run_scenario(get_scenario("ramp-le-eps05"), h=1.0 / 64.0).to_json()
     ref = (REFERENCE_DIR / "ramp-le-eps05-h64.json").read_text()
-    rep = run_scenario(get_scenario("ramp-le-eps05"), h=1.0 / 64.0)
-    assert rep.to_json() == ref
-
-
-GOLDEN_DIR = Path(__file__).resolve().parent / "reference"
+    assert _benchmark_gate()(got, ref) == []
+    assert got == (GOLDEN_DIR / "ramp-le-eps05-h64.json").read_text()
 
 
 @pytest.mark.filterwarnings("ignore:.*not strongly convex")
 @pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("*-h12.json")),
                          ids=lambda p: p.stem)
 def test_report_matches_golden_h12(path):
-    # made by tests/make_reference.py before stage 2 was batched; the
-    # catalog ids whose bits perfbench/reference/ does not hold
+    # made by tests/make_reference.py; the catalog ids that no h = 1/16
+    # report above holds
     sid = path.stem[:-len("-h12")]
     assert run_scenario(get_scenario(sid), h=1.0 / 12.0).to_json() == \
         path.read_text()
