@@ -133,9 +133,7 @@ def neg_laplacian_matrix(dom: DiscretizedDomain) -> sp.csr_matrix:
     """
     if "neg_lap" in dom._cache:
         return dom._cache["neg_lap"]
-    h2 = dom.h * dom.h
-    N = dom.n_interior
-    fr = dom.fractions
+    h2, N, fr = dom.h * dom.h, dom.n_interior, dom.fractions
     rows, cols, vals = [np.arange(N)], [np.arange(N)], []
     # axis pairs: (E, W) are fraction columns (0, 1); (N, S) are (2, 3);
     # the E/W term enters the diagonal first
@@ -166,22 +164,24 @@ _GMRES_RTOL, _GMRES_CYCLES = 1e-12, 10
 def _solve(dom: DiscretizedDomain, b: np.ndarray, tau=None, shift=None):
     """x with M x = b for M = -Lap_h (tau None) or the shifted system."""
     A = neg_laplacian_matrix(dom)
-    if "lap_lu" not in dom._cache:
-        lu = splu(A.tocsc())
+    if "lap_lu" not in dom._cache:  # diagonal pivots: perm_r is perm_c
+        lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                  options={"SymmetricMode": True})
         dom._cache["lap_lu"] = (lu, lu.perm_c, np.argsort(lu.perm_c))
-    (lu, perm, q), M = dom._cache["lap_lu"], A
+    (lu, perm, r), M = dom._cache["lap_lu"], A
     if tau is not None:
         if dom._cache.get("shift_lu", (None,))[0] != tau:
             dom._cache.pop("shift_lu", None)  # free the last tau's LU first
-            Mp = (sp.identity(len(q), format="csc") + tau * A).tocsc()[:, q]
-            diag = np.flatnonzero(Mp.indices == q.repeat(np.diff(Mp.indptr)))
-            dom._cache["shift_lu"] = (
-                tau, Mp, splu(Mp, permc_spec="NATURAL"), diag)
-        _, M, lu, diag = dom._cache["shift_lu"]
+            Mp = (sp.identity(len(r), format="csr") + tau * A)[r][:, r].tocsc()
+            diag = np.flatnonzero(Mp.indices == Mp.tocoo().col)
+            dom._cache["shift_lu"] = (tau, Mp, splu(
+                Mp, permc_spec="NATURAL", diag_pivot_thresh=0), diag,
+                sp.csc_matrix((Mp.data.copy(), Mp.indices, Mp.indptr)))
+        (_, M, lu, diag, buf), b = dom._cache["shift_lu"], b[r]
     y, what = lu.solve(b), "direct solve"
     if shift is not None and np.any(shift):
-        M, its, y0, bb = M.copy(), [], y, b.tobytes()  # y0 solves b
-        M.data[diag] += np.asarray(shift, dtype=float)[q]
+        buf.data[diag] = M.data[diag] + np.asarray(shift, dtype=float)[r]
+        M, its, y0, bb = buf, [], y, b.tobytes()  # y0 solves b
         if np.isfinite(b).all():  # else the residual check rejects b
             pre = LinearOperator(M.shape, dtype=float, matvec=lambda v: (
                 y0.copy() if v.tobytes() == bb else lu.solve(v)))
@@ -200,13 +200,14 @@ def solve_shifted_poisson(dom: DiscretizedDomain, tau: float, b: np.ndarray,
     """Node values u with (I + tau*(-Lap_h) + diag_shift) u = b, for
     float node values b, on one LU per tau.
 
-    I + tau*(-Lap_h) is factored NATURAL with its columns (Mp) in the
-    order perm_c of poisson_solve's COLAMD LU, x = y[perm_c], and the
-    domain keeps the last tau's (tau, Mp, LU): a trajectory takes the
-    steps of each size in one run.  A nonzero shift, added to a copy
-    of Mp's diagonal, is solved by GMRES preconditioned by and started
-    from that LU; a zero (or -0.0) one is that LU's solve.  The relative
-    residual is checked a posteriori against 1e-8.
+    I + tau*(-Lap_h), permuted by poisson_solve's order r in its rows
+    and columns (Mp), is factored NATURAL with diagonal pivots, and x[r]
+    = y for Mp y = b[r]; the domain keeps the last tau's (tau, Mp, LU):
+    a trajectory takes the steps of each size in one run.  A nonzero
+    shift, added at the diagonal of a buffer sharing Mp's indices, is
+    solved by GMRES preconditioned by and started from that LU; a zero
+    (or -0.0) one is that LU's solve.  The relative residual is checked
+    a posteriori against 1e-8.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -214,8 +215,9 @@ def solve_shifted_poisson(dom: DiscretizedDomain, tau: float, b: np.ndarray,
 
 
 def poisson_solve(dom: DiscretizedDomain, rhs_values: np.ndarray):
-    """Solve (-Lap_h) u = rhs on the domain's one COLAMD LU, whose column
-    order every shifted system reuses, with the same residual check."""
+    """Solve (-Lap_h) u = rhs on the domain's one LU, with the same residual
+    check: symmetric minimum-degree order r, which every shifted LU reuses,
+    and diagonal pivots (enough for diagonally dominant M-matrices)."""
     return _solve(dom, np.asarray(rhs_values, dtype=float))
 
 
@@ -239,9 +241,7 @@ def principal_eigenpair(dom: DiscretizedDomain) -> EigenPair:
         raise ValueError("need at least 4 interior nodes")
     if "eigenpair" in dom._cache:
         return dom._cache["eigenpair"]
-    A = neg_laplacian_matrix(dom)
-    v = np.ones(dom.n_interior)
-    lam_old = np.inf
+    A, v, lam_old = neg_laplacian_matrix(dom), np.ones(dom.n_interior), np.inf
     for _ in range(500):
         v = poisson_solve(dom, v)
         v /= np.linalg.norm(v)
@@ -253,8 +253,6 @@ def principal_eigenpair(dom: DiscretizedDomain) -> EigenPair:
         lam_old = lam
     else:
         raise NoConvergence("inverse power iteration exceeded 500 iterations")
-    if v.sum() < 0:
-        v = -v
-    v = v / np.max(np.abs(v))
+    v = (-v if v.sum() < 0 else v) / np.max(np.abs(v))
     pair = dom._cache["eigenpair"] = EigenPair(lam=lam, phi=Field(dom, v))
     return pair

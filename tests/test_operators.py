@@ -173,19 +173,78 @@ _SOLVE_CASES = dict(k=st.integers(0, len(_SOLVE_SPECS) - 1),
                     seed=st.integers(0, 2 ** 16))
 
 
+def _symmetric_lu(A):
+    """-Lap_h's factor in SuperLU's symmetric minimum-degree order, with
+    diagonal pivots."""
+    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                options={"SymmetricMode": True})
+
+
+def _permuted_solve(M, r, b):
+    """x with M x = b by a NATURAL factor, with diagonal pivots, of P M
+    P^T for the permutation P with (P v)[i] = v[r[i]]."""
+    N = len(r)
+    P = sp.csr_matrix((np.ones(N), (np.arange(N), r)), shape=(N, N))
+    Mp = (P @ M @ P.T).tocsc()
+    Mp.sort_indices()
+    x = np.empty(N)
+    x[r] = splu(Mp, permc_spec="NATURAL", diag_pivot_thresh=0).solve(P @ b)
+    return x
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(shift=st.sampled_from(["zero", "neg_zero"]), **_SOLVE_CASES)
 def test_cached_order_solve_is_plain_splu(k, tau, shift, seed):
-    # the shared column order gives the bits of a fresh COLAMD
-    # factorization of the assembled matrix; a zero shift is no shift
+    # the shared symmetric order r gives the bits of a fresh factor of
+    # the assembled matrix permuted by r in its rows and columns, and
+    # poisson_solve those of a fresh factor of -Lap_h in that order; a
+    # zero shift is no shift
     dom, rng, s, M = _solve_case(k, tau, shift, seed)
+    A = neg_laplacian_matrix(dom)
+    lu = _symmetric_lu(A)
+    r = np.argsort(lu.perm_c)
     for diag_shift in (s, None):
         b = rng.standard_normal(dom.n_interior)
         got = solve_shifted_poisson(dom, tau, b, diag_shift)
-        assert np.array_equal(got, splu(M.tocsc()).solve(b))
+        assert np.array_equal(got, _permuted_solve(M, r, b))
     b = rng.standard_normal(dom.n_interior)
-    assert np.array_equal(poisson_solve(dom, b), splu(
-        neg_laplacian_matrix(dom).tocsc()).solve(b))
+    assert np.array_equal(poisson_solve(dom, b), lu.solve(b))
+
+
+@pytest.mark.parametrize("k", range(len(_SOLVE_SPECS)))
+def test_symmetric_order_thins_the_factors(k):
+    # both cached factors pivot on the diagonal (the shifted one's perm_r
+    # is the identity) and hold at most 0.7 of the L + U entries of a
+    # default splu (COLAMD, partial pivoting) of the same matrix
+    tau, dom = 0.05, build_discretization(_SOLVE_SPECS[k], 1.0 / 32.0)
+    N, A = dom.n_interior, neg_laplacian_matrix(dom)
+    solve_shifted_poisson(dom, tau, np.ones(N))
+    lap, shifted = dom._cache["lap_lu"][0], dom._cache["shift_lu"][2]
+    assert np.array_equal(lap.perm_r, lap.perm_c)
+    assert np.array_equal(shifted.perm_r, np.arange(N))
+    for lu, M in ((lap, A), (shifted, sp.identity(N) + tau * A)):
+        ref = splu(M.tocsc())
+        assert lu.L.nnz + lu.U.nnz <= 0.7 * (ref.L.nnz + ref.U.nnz)
+
+
+def test_diagonal_pivots_are_safe_at_a_floored_cut_fraction():
+    # a vertex 2e-13 above the grid line y = 0 floors cut fractions at
+    # 1e-12, so diagonals reach about 2/(1e-12 h^2); the solves without
+    # row interchanges agree with a partial-pivoting splu to 1e-12
+    # relative and pass the residual check
+    dom = build_discretization(convex_polygon(
+        [(-1, -1), (1, -1), (1, 1), (-1, 2e-13)]), 1.0 / 16.0)
+    N, A = dom.n_interior, neg_laplacian_matrix(dom)
+    assert dom.fractions.min() == 1e-12
+    assert A.diagonal().max() >= 2 / (1e-12 * dom.h ** 2)
+    b = np.random.default_rng(5).standard_normal(N)
+    cases = [(poisson_solve(dom, b), A)] + [
+        (solve_shifted_poisson(dom, tau, b), sp.identity(N) + tau * A)
+        for tau in (1e-4, 0.05, 2.0)]
+    for got, M in cases:
+        ref = splu(M.tocsc()).solve(b)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(M @ got - b) <= 1e-8 * np.linalg.norm(b)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -227,22 +286,25 @@ class _CountingLU:
 
 
 def _shifted_solve_as_formulated(dom, tau, b, s):
-    """The shifted solve as first written: the NATURAL LU's solve of b,
-    and for a nonzero s, gmres on a copy of the column-ordered I +
-    tau*(-Lap_h) with s added on its diagonal, started from that solve
-    and preconditioned by a LinearOperator of the LU's solve.  Returns
-    x, whether its relative residual is within 1e-8, the LU solves and
-    the GMRES iterations."""
+    """The shifted solve as first written: the NATURAL LU's solve of b[r]
+    for I + tau*(-Lap_h) ordered by r in its rows and columns, and for a
+    nonzero s, gmres on a copy of that matrix with s[r] added on its
+    diagonal, started from that solve and preconditioned by a
+    LinearOperator of the LU's solve.  Returns x, whether its relative
+    residual is within 1e-8, the LU solves and the GMRES iterations."""
     A = neg_laplacian_matrix(dom)
-    perm = splu(A.tocsc()).perm_c
-    q = np.argsort(perm)
-    Mp = (sp.identity(len(q), format="csc") + tau * A).tocsc()[:, q]
-    diag = np.flatnonzero(Mp.indices == q.repeat(np.diff(Mp.indptr)))
-    lu = _CountingLU(splu(Mp, permc_spec="NATURAL"))
+    perm = _symmetric_lu(A).perm_c
+    r = np.argsort(perm)
+    Mp = (sp.identity(len(r), format="csc") + tau * A).tocsc()[r][:, r]
+    Mp.sort_indices()
+    diag = np.flatnonzero(Mp.indices == np.arange(len(r)).repeat(
+        np.diff(Mp.indptr)))
+    lu = _CountingLU(splu(Mp, permc_spec="NATURAL", diag_pivot_thresh=0))
+    b = b[r]
     y, M, its = lu.solve(b), Mp, []
     if np.any(s):
         M = Mp.copy()
-        M.data[diag] += s[q]
+        M.data[diag] += s[r]
         y = gmres(M, b, y, rtol=_GMRES_RTOL, maxiter=_GMRES_CYCLES,
                   M=LinearOperator(M.shape, lu.solve), callback=its.append,
                   callback_type="pr_norm")[0]
@@ -319,10 +381,28 @@ def test_shifted_solve_leaks_nothing(singular):
     assert solve(dom, s2) == solve(fresh, s2)
 
 
+def test_correctors_refill_one_buffer_per_step_size():
+    # each corrector writes Mp's diagonal plus s[r] into the diagonal of
+    # one buffer per step size that shares Mp's indices and indptr: the
+    # bits of a copy of Mp shifted on its diagonal
+    tau, dom = 0.01, build_discretization(unit_square(), 1.0 / 8.0)
+    N, rng = dom.n_interior, np.random.default_rng(2)
+    solve_shifted_poisson(dom, tau, np.ones(N), rng.uniform(0.0, 5.0, N))
+    _, Mp, _, _, buf = dom._cache["shift_lu"]
+    s, r = rng.uniform(0.0, 5.0, N), dom._cache["lap_lu"][2]
+    solve_shifted_poisson(dom, tau, np.ones(N), s)
+    assert dom._cache["shift_lu"][4] is buf
+    assert np.shares_memory(buf.indices, Mp.indices)
+    assert np.shares_memory(buf.indptr, Mp.indptr)
+    want = Mp.toarray()
+    want[np.diag_indices(N)] += s[r]
+    assert np.array_equal(buf.toarray(), want)
+
+
 def _record_stiff_solves(monkeypatch, sid, h):
     """Run sid's trajectory at h; return the (tau, nonzero shift) of each
-    shifted solve, the permc_spec of each splu call and the GMRES
-    iterations of each GMRES call."""
+    shifted solve, the (permc_spec, diag_pivot_thresh) of each splu call
+    and the GMRES iterations of each GMRES call."""
     import concavelab.operators as operators
     from concavelab.scenarios import build_problem, get_scenario
     calls, factored, iterations = [], [], []
@@ -335,7 +415,7 @@ def _record_stiff_solves(monkeypatch, sid, h):
         return shifted(dom, tau, b, diag_shift)
 
     def record_splu(M, **kw):
-        factored.append(kw.get("permc_spec"))
+        factored.append((kw.get("permc_spec"), kw.get("diag_pivot_thresh")))
         return splu(M, **kw)
 
     def record_gmres(*args, callback, **kw):
@@ -358,9 +438,10 @@ def _record_stiff_solves(monkeypatch, sid, h):
 
 
 def test_stiff_trajectory_factors_once_per_tau(monkeypatch):
-    # logistic-square: one COLAMD factorization of the Laplacian and one
-    # NATURAL one per step size; a corrector with a nonzero shift runs
-    # GMRES on its step size's LU instead of factoring its own
+    # logistic-square: one minimum-degree factorization of the Laplacian
+    # and one NATURAL one per step size, all with diagonal pivots; a
+    # corrector with a nonzero shift runs GMRES on its step size's LU
+    # instead of factoring its own
     calls, factored, iterations = _record_stiff_solves(
         monkeypatch, "logistic-square", 1.0 / 16.0)
     taus = [tau for tau, _ in calls]
@@ -368,7 +449,8 @@ def test_stiff_trajectory_factors_once_per_tau(monkeypatch):
     nonzero = sum(nz for _, nz in calls)
     assert 0 < nonzero < len(calls)
     assert len(iterations) == nonzero
-    assert factored == [None] + ["NATURAL"] * tau_changes
+    assert factored == [("MMD_AT_PLUS_A", 0)] + [
+        ("NATURAL", 0)] * tau_changes
 
 
 def test_log_square_correctors_take_few_gmres_iterations(monkeypatch):
