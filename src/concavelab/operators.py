@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.sparse.linalg import splu
 
 from .domains import DiscretizedDomain
 from .errors import MaxIterations, NoConvergence
@@ -157,12 +157,8 @@ def neg_laplacian_matrix(dom: DiscretizedDomain) -> sp.csr_matrix:
 # linear solves
 # ---------------------------------------------------------------------------
 
-#: GMRES's relative residual target and its restart cycles (of 20 steps)
-_GMRES_RTOL, _GMRES_CYCLES = 1e-12, 10
-
-
-def _solve(dom: DiscretizedDomain, b: np.ndarray, tau=None, shift=None):
-    """x with M x = b for M = -Lap_h (tau None) or the shifted system."""
+def _solve(dom: DiscretizedDomain, b: np.ndarray, tau=None):
+    """x with M x = b for M = -Lap_h (tau None) or I + tau*(-Lap_h)."""
     A = neg_laplacian_matrix(dom)
     if "lap_lu" not in dom._cache:  # diagonal pivots: perm_r is perm_c
         lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
@@ -173,45 +169,31 @@ def _solve(dom: DiscretizedDomain, b: np.ndarray, tau=None, shift=None):
         if dom._cache.get("shift_lu", (None,))[0] != tau:
             dom._cache.pop("shift_lu", None)  # free the last tau's LU first
             Mp = (sp.identity(len(r), format="csr") + tau * A)[r][:, r].tocsc()
-            diag = np.flatnonzero(Mp.indices == Mp.tocoo().col)
             dom._cache["shift_lu"] = (tau, Mp, splu(
-                Mp, permc_spec="NATURAL", diag_pivot_thresh=0), diag,
-                sp.csc_matrix((Mp.data.copy(), Mp.indices, Mp.indptr)))
-        (_, M, lu, diag, buf), b = dom._cache["shift_lu"], b[r]
-    y, what = lu.solve(b), "direct solve"
-    if shift is not None and np.any(shift):
-        buf.data[diag] = M.data[diag] + np.asarray(shift, dtype=float)[r]
-        M, its, y0, bb = buf, [], y, b.tobytes()  # y0 solves b
-        if np.isfinite(b).all():  # else the residual check rejects b
-            pre = LinearOperator(M.shape, dtype=float, matvec=lambda v: (
-                y0.copy() if v.tobytes() == bb else lu.solve(v)))
-            y = gmres(M, b, y, rtol=_GMRES_RTOL, maxiter=_GMRES_CYCLES,
-                      M=pre, callback=its.append, callback_type="pr_norm")[0]
-        what = f"shifted solve (tau {tau:g}, {len(its)} GMRES iterations)"
+                Mp, permc_spec="NATURAL", diag_pivot_thresh=0))
+        (_, M, lu), b = dom._cache["shift_lu"], b[r]
+    y = lu.solve(b)
     res, bn = np.linalg.norm(M @ y - b), np.linalg.norm(b)
     if not res <= 1e-8 * bn:  # also when b holds a NaN or an inf
-        raise MaxIterations(f"{what} residual {res / bn:.3g} is not "
+        raise MaxIterations(f"direct solve residual {res / bn:.3g} is not "
                             f"within 1e-8")
     return y if tau is None else y[perm]
 
 
-def solve_shifted_poisson(dom: DiscretizedDomain, tau: float, b: np.ndarray,
-                          diag_shift=None) -> np.ndarray:
-    """Node values u with (I + tau*(-Lap_h) + diag_shift) u = b, for
-    float node values b, on one LU per tau.
+def solve_shifted_poisson(dom: DiscretizedDomain, tau: float,
+                          b: np.ndarray) -> np.ndarray:
+    """Node values u with (I + tau*(-Lap_h)) u = b, for float node values
+    b, on one LU per tau.
 
     I + tau*(-Lap_h), permuted by poisson_solve's order r in its rows
     and columns (Mp), is factored NATURAL with diagonal pivots, and x[r]
     = y for Mp y = b[r]; the domain keeps the last tau's (tau, Mp, LU):
-    a trajectory takes the steps of each size in one run.  A nonzero
-    shift, added at the diagonal of a buffer sharing Mp's indices, is
-    solved by GMRES preconditioned by and started from that LU; a zero
-    (or -0.0) one is that LU's solve.  The relative residual is checked
-    a posteriori against 1e-8.
+    a trajectory takes the steps of each size in one run.  The relative
+    residual is checked a posteriori against 1e-8.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    return _solve(dom, b, tau, diag_shift)
+    return _solve(dom, b, tau)
 
 
 def poisson_solve(dom: DiscretizedDomain, rhs_values: np.ndarray):

@@ -1,9 +1,9 @@
 """Time integration of u_t - Lap u = b(x,u,t) with Dirichlet data.
 
-IMEX backward Euler with an optional semi-implicit source correction,
-subsolution seeding for the positive branch from zero initial data,
-monotonicity tracking, and trajectory storage with an optional
-stationary (t = infinity) slice.
+IMEX backward Euler in one shifted-Poisson solve per step, with a
+source's sinks taken implicit in their own rate, subsolution seeding
+for the positive branch from zero initial data, monotonicity tracking,
+and trajectory storage with an optional stationary (t = infinity) slice.
 """
 
 from __future__ import annotations
@@ -89,23 +89,19 @@ def seed_from_subsolution(problem: Problem, dom: DiscretizedDomain,
 def advance(problem: Problem, dom: DiscretizedDomain, u: np.ndarray,
             t: float, dt: float) -> np.ndarray:
     """One IMEX backward-Euler step of the node values u from t to
-    t + dt; returns the new node values (u is not written)."""
+    t + dt, b = source_values(u, t + dt) taken explicit but for its
+    sinks (b < 0 < u), whose rate b/u is taken implicit, lagged
+    (Patankar-type): first order and positive at any dt; one shifted
+    solve per step.  Returns the new node values (u is not written)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if np.any(u < -1e-12):
         raise ValueError("state below the -1e-12 tolerance")
-    tn = t + dt
-    rhs, shift = u + dt * problem.source_values(dom, u, tn), None
-    if problem.source.sign_changing:
-        # predictor, then one linearized correction of the source term:
-        # (I + dt(-Lap) - dt diag(bs)) u+ = u + dt (b(u*) - bs u*)
-        star = np.maximum(solve_shifted_poisson(dom, dt, rhs), 0.0)
-        eps = 1e-7 * np.maximum(star, 1e-7)
-        b_star = problem.source_values(dom, star, tn)
-        bs = (problem.source_values(dom, star + eps, tn) - b_star) / eps
-        bs = np.minimum(bs, 0.0)  # keep the implicit part dissipative
-        rhs, shift = u + dt * (b_star - bs * star), -dt * bs
-    vals = solve_shifted_poisson(dom, dt, rhs, shift)
+    b = problem.source_values(dom, u, t + dt)
+    rhs, sink = u + dt * b, np.flatnonzero(b < 0)
+    sink = sink[u[sink] > 0]
+    rhs[sink] = u[sink] / (1 - dt * b[sink] / u[sink])
+    vals = solve_shifted_poisson(dom, dt, rhs)
     if np.max(np.abs(vals)) > BLOWUP_THRESHOLD:
         raise StateBlowup(f"sup norm {np.max(np.abs(vals)):.3e} exceeds 1e6")
     if np.any(vals < -1e-12):

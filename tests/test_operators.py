@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.sparse.linalg import splu
 
 from concavelab import (Field, Problem, SourceTerm, Weight,
                         build_discretization, convex_polygon, disk, ellipse,
@@ -14,9 +14,9 @@ from concavelab import (Field, Problem, SourceTerm, Weight,
                         unit_square)
 from concavelab.domains import MOVES
 from concavelab.errors import MaxIterations
-from concavelab.operators import (_GMRES_CYCLES, _GMRES_RTOL, _PAIR_CHUNK,
-                                  bilinear_interp, neg_laplacian_matrix,
-                                  pair_scan, solve_shifted_poisson)
+from concavelab.operators import (_PAIR_CHUNK, bilinear_interp,
+                                  neg_laplacian_matrix, pair_scan,
+                                  solve_shifted_poisson)
 
 
 @pytest.fixture(scope="module")
@@ -73,30 +73,6 @@ def test_solves_reject_non_finite_rhs(square32, bad):
         poisson_solve(square32, rhs)
     with pytest.raises(MaxIterations, match="direct solve residual"):
         solve_shifted_poisson(square32, 0.01, rhs)
-    with pytest.raises(MaxIterations, match="shifted solve .* residual"):
-        solve_shifted_poisson(square32, 0.01, rhs,
-                              np.full(square32.n_interior, 0.5))
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_shifted_solve_runs_no_gmres_on_non_finite_rhs(square32, bad,
-                                                       monkeypatch):
-    # GMRES used to run all its iterations on such a right-hand side
-    # before the residual check rejected it
-    import concavelab.operators as operators
-    calls, gmres = [], operators.gmres
-
-    def count_gmres(*args, **kw):
-        calls.append(1)
-        return gmres(*args, **kw)
-
-    monkeypatch.setattr(operators, "gmres", count_gmres)
-    rhs = np.ones(square32.n_interior)
-    rhs[7] = bad
-    with pytest.raises(MaxIterations, match="0 GMRES iterations"):
-        solve_shifted_poisson(square32, 0.01, rhs,
-                              np.full(square32.n_interior, 0.5))
-    assert calls == []
 
 
 def test_zero_rhs_solves_to_zero(square32):
@@ -124,9 +100,9 @@ def test_trajectory_keeps_one_shift_factorization(monkeypatch):
     shifted = operators.solve_shifted_poisson
     splu = operators.splu
 
-    def record_tau(dom, tau, b, diag_shift=None):
+    def record_tau(dom, tau, b):
         taus.append(tau)
-        return shifted(dom, tau, b, diag_shift)
+        return shifted(dom, tau, b)
 
     def record_splu(M, **kw):
         factored.append(M)
@@ -146,26 +122,6 @@ def test_trajectory_keeps_one_shift_factorization(monkeypatch):
 
 _SOLVE_SPECS = (unit_square(), disk(), ellipse(1.0, 0.5), convex_polygon(
     [(np.cos(s), np.sin(s)) for s in (0.0, 1.5, 2.6, 3.9, 5.0)]))
-
-
-def _solve_case(k, tau, shift, seed):
-    """A domain of _SOLVE_SPECS at h = 1/16, its generator, the diagonal
-    shift of the named kind and I + tau*(-Lap_h)."""
-    dom = build_discretization(_SOLVE_SPECS[k], 1.0 / 16.0)
-    rng = np.random.default_rng(seed)
-    N = dom.n_interior
-    M = sp.identity(N, format="csc") + tau * neg_laplacian_matrix(dom)
-    s = {"zero": np.zeros(N), "neg_zero": np.full(N, -0.0),
-         "nonpositive": -rng.uniform(0.0, 0.9, N),
-         "nonnegative": rng.uniform(0.0, 5.0, N)}.get(shift)
-    if shift == "mixed":
-        s = np.where(rng.random(N) < 0.5, 0.0, rng.uniform(0.0, 5.0, N))
-    elif shift == "log":  # -tau (log u + 1) of states u down to 1e-300
-        u = 10.0 ** rng.uniform(-300.0, 0.0, N)
-        s = -tau * np.minimum(np.log(u) + 1.0, 0.0)
-    elif shift == "restart":  # a spread the LU of M barely captures
-        s = rng.uniform(0.0, 50.0, N) * M.diagonal()
-    return dom, rng, s, M
 
 
 _SOLVE_CASES = dict(k=st.integers(0, len(_SOLVE_SPECS) - 1),
@@ -193,19 +149,21 @@ def _permuted_solve(M, r, b):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(shift=st.sampled_from(["zero", "neg_zero"]), **_SOLVE_CASES)
-def test_cached_order_solve_is_plain_splu(k, tau, shift, seed):
+@given(**_SOLVE_CASES)
+def test_cached_order_solve_is_plain_splu(k, tau, seed):
     # the shared symmetric order r gives the bits of a fresh factor of
-    # the assembled matrix permuted by r in its rows and columns, and
-    # poisson_solve those of a fresh factor of -Lap_h in that order; a
-    # zero shift is no shift
-    dom, rng, s, M = _solve_case(k, tau, shift, seed)
+    # the assembled matrix permuted by r in its rows and columns, on the
+    # first solve at tau and on the next, which reuses its LU; and
+    # poisson_solve those of a fresh factor of -Lap_h in that order
+    dom = build_discretization(_SOLVE_SPECS[k], 1.0 / 16.0)
+    rng = np.random.default_rng(seed)
     A = neg_laplacian_matrix(dom)
+    M = sp.identity(dom.n_interior, format="csc") + tau * A
     lu = _symmetric_lu(A)
     r = np.argsort(lu.perm_c)
-    for diag_shift in (s, None):
+    for _ in range(2):
         b = rng.standard_normal(dom.n_interior)
-        got = solve_shifted_poisson(dom, tau, b, diag_shift)
+        got = solve_shifted_poisson(dom, tau, b)
         assert np.array_equal(got, _permuted_solve(M, r, b))
     b = rng.standard_normal(dom.n_interior)
     assert np.array_equal(poisson_solve(dom, b), lu.solve(b))
@@ -247,219 +205,68 @@ def test_diagonal_pivots_are_safe_at_a_floored_cut_fraction():
         assert np.linalg.norm(M @ got - b) <= 1e-8 * np.linalg.norm(b)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(shift=st.sampled_from(["nonpositive", "nonnegative"]),
-       **_SOLVE_CASES)
-def test_nonzero_shift_solve_meets_residual(k, tau, shift, seed):
-    # GMRES on the step size's LU: the relative residual is within the
-    # solve's 1e-8 check, and x is a fresh LU's solve to 1e-9 relative
-    dom, rng, s, M = _solve_case(k, tau, shift, seed)
-    system = (M + sp.diags(s)).tocsc()
-    b = rng.standard_normal(dom.n_interior)
-    got = solve_shifted_poisson(dom, tau, b, s)
-    ref = splu(system).solve(b)
-    assert np.linalg.norm(system @ got - b) <= 1e-8 * np.linalg.norm(b)
-    assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
-
-
-def test_singular_shifted_system_raises_max_iterations():
-    # the shift cancels the diagonal of I + tau*(-Lap_h); a fresh LU of
-    # that system is exactly singular and used to escape as SuperLU's
-    # RuntimeError
-    dom = build_discretization(unit_square(), 1.0 / 8.0)
-    shift = -(1 + 0.01 * neg_laplacian_matrix(dom).diagonal())
-    b = np.ones(dom.n_interior)
-    with pytest.raises(MaxIterations, match=r"shifted solve \(tau 0\.01, "
-                       r"\d+ GMRES iterations\) residual"):
-        solve_shifted_poisson(dom, 0.01, b, shift)
-
-
-class _CountingLU:
-    """A SuperLU factor that counts its solve calls."""
-
-    def __init__(self, lu):
-        self.lu, self.perm_c, self.solves = lu, lu.perm_c, 0
-
-    def solve(self, b):
-        self.solves += 1
-        return self.lu.solve(b)
-
-
-def _shifted_solve_as_formulated(dom, tau, b, s):
-    """The shifted solve as first written: the NATURAL LU's solve of b[r]
-    for I + tau*(-Lap_h) ordered by r in its rows and columns, and for a
-    nonzero s, gmres on a copy of that matrix with s[r] added on its
-    diagonal, started from that solve and preconditioned by a
-    LinearOperator of the LU's solve.  Returns x, whether its relative
-    residual is within 1e-8, the LU solves and the GMRES iterations."""
-    A = neg_laplacian_matrix(dom)
-    perm = _symmetric_lu(A).perm_c
-    r = np.argsort(perm)
-    Mp = (sp.identity(len(r), format="csc") + tau * A).tocsc()[r][:, r]
-    Mp.sort_indices()
-    diag = np.flatnonzero(Mp.indices == np.arange(len(r)).repeat(
-        np.diff(Mp.indptr)))
-    lu = _CountingLU(splu(Mp, permc_spec="NATURAL", diag_pivot_thresh=0))
-    b = b[r]
-    y, M, its = lu.solve(b), Mp, []
-    if np.any(s):
-        M = Mp.copy()
-        M.data[diag] += s[r]
-        y = gmres(M, b, y, rtol=_GMRES_RTOL, maxiter=_GMRES_CYCLES,
-                  M=LinearOperator(M.shape, lu.solve), callback=its.append,
-                  callback_type="pr_norm")[0]
-    ok = np.linalg.norm(M @ y - b) <= 1e-8 * np.linalg.norm(b)
-    return y[perm], ok, lu.solves, len(its)
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(shift=st.sampled_from(["zero", "neg_zero", "mixed", "log",
-                              "restart"]), **_SOLVE_CASES)
-def test_shifted_solve_reuses_the_start_solve(k, tau, shift, seed):
-    # k GMRES iterations in c restart cycles take k + 1 + c LU solves
-    # (k + 2 in one cycle): the start solve, one per cycle start and one
-    # per iteration.  The bits are those of the first formulation, which
-    # takes two more: scipy's dtype probe of the LinearOperator and
-    # gmres's own solve of b (for the norm of M^-1 b)
-    import concavelab.operators as operators
-    if shift == "restart":
-        tau = min(tau, 3e-3)  # 100 to 170 iterations: several cycles
-    dom, rng, s, _ = _solve_case(k, tau, shift, seed)
-    b = rng.standard_normal(dom.n_interior)
-    want, ok, solves, its = _shifted_solve_as_formulated(dom, tau, b, s)
-    lus = []
-
-    def counting_splu(M, **kw):
-        lus.append(_CountingLU(splu(M, **kw)))
-        return lus[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(operators, "splu", counting_splu)
-        if ok:
-            got = solve_shifted_poisson(dom, tau, b, s)
-            assert got.tobytes() == want.tobytes()
-        else:
-            with pytest.raises(MaxIterations):
-                solve_shifted_poisson(dom, tau, b, s)
-    made = sum(lu.solves for lu in lus)
-    if shift in ("zero", "neg_zero"):
-        assert made == solves == 1
-        return
-    cycles = solves - 3 - its
-    assert cycles >= (2 if shift == "restart" else 1)
-    assert made == its + 1 + cycles == solves - 2
-
-
-@pytest.mark.parametrize("singular", [False, True])
-def test_shifted_solve_leaks_nothing(singular):
-    # a corrector shifts a copy of the step size's Mp, never Mp or its
-    # LU: the next zero-shift and s2-shift solves at that tau are a fresh
-    # domain's, also after a singular shift whose corrector raised
+@pytest.mark.parametrize("rejected", [False, True])
+def test_shifted_solve_leaks_nothing(rejected):
+    # a solve leaves the step size's Mp and LU as they were: the next
+    # solve at that tau is a fresh domain's, also after a solve whose
+    # residual check rejected a NaN right-hand side
     tau, h = 0.01, 1.0 / 8.0
     dom, fresh = (build_discretization(unit_square(), h) for _ in range(2))
     rng = np.random.default_rng(11)
-    N = dom.n_interior
-    b, s1, s2 = rng.standard_normal(N), rng.uniform(0.0, 5.0, N), \
-        rng.uniform(0.0, 5.0, N)
-    if singular:  # cancels the diagonal of I + tau*(-Lap_h)
-        s1 = -(1 + tau * neg_laplacian_matrix(dom).diagonal())
+    b1, b2 = rng.standard_normal((2, dom.n_interior))
+    if rejected:
+        b1[3] = math.nan
 
-    def solve(d, s):
-        return solve_shifted_poisson(d, tau, b, s).tobytes()
+    def solve(d, b):
+        return solve_shifted_poisson(d, tau, b).tobytes()
 
-    solve(dom, s2)
+    solve(dom, b2)
     Mp = dom._cache["shift_lu"][1]
     kept = Mp.data.copy()
-    if singular:
+    if rejected:
         with pytest.raises(MaxIterations):
-            solve(dom, s1)
+            solve(dom, b1)
     else:
-        solve(dom, s1)
+        solve(dom, b1)
     assert dom._cache["shift_lu"][1] is Mp
     assert Mp.data.tobytes() == kept.tobytes()
-    assert solve(dom, None) == solve(fresh, None)
-    assert solve(dom, s2) == solve(fresh, s2)
+    assert solve(dom, b2) == solve(fresh, b2)
 
 
-def test_correctors_refill_one_buffer_per_step_size():
-    # each corrector writes Mp's diagonal plus s[r] into the diagonal of
-    # one buffer per step size that shares Mp's indices and indptr: the
-    # bits of a copy of Mp shifted on its diagonal
-    tau, dom = 0.01, build_discretization(unit_square(), 1.0 / 8.0)
-    N, rng = dom.n_interior, np.random.default_rng(2)
-    solve_shifted_poisson(dom, tau, np.ones(N), rng.uniform(0.0, 5.0, N))
-    _, Mp, _, _, buf = dom._cache["shift_lu"]
-    s, r = rng.uniform(0.0, 5.0, N), dom._cache["lap_lu"][2]
-    solve_shifted_poisson(dom, tau, np.ones(N), s)
-    assert dom._cache["shift_lu"][4] is buf
-    assert np.shares_memory(buf.indices, Mp.indices)
-    assert np.shares_memory(buf.indptr, Mp.indptr)
-    want = Mp.toarray()
-    want[np.diag_indices(N)] += s[r]
-    assert np.array_equal(buf.toarray(), want)
-
-
-def _record_stiff_solves(monkeypatch, sid, h):
-    """Run sid's trajectory at h; return the (tau, nonzero shift) of each
-    shifted solve, the (permc_spec, diag_pivot_thresh) of each splu call
-    and the GMRES iterations of each GMRES call."""
+def test_stiff_trajectory_factors_once_per_tau(monkeypatch):
+    # logistic-square, whose sinks take the implicit rate: one shifted
+    # solve per step; one minimum-degree factorization of the Laplacian
+    # and one NATURAL one per step size, all with diagonal pivots
     import concavelab.operators as operators
+    import concavelab.parabolic as parabolic
     from concavelab.scenarios import build_problem, get_scenario
-    calls, factored, iterations = [], [], []
-    shifted, splu, gmres = (operators.solve_shifted_poisson, operators.splu,
-                            operators.gmres)
+    taus, steps, factored = [], [], []
+    shifted, splu = operators.solve_shifted_poisson, operators.splu
+    advance = parabolic.advance
 
-    def record_solve(dom, tau, b, diag_shift=None):
-        calls.append((tau, diag_shift is not None and bool(np.any(
-            diag_shift))))
-        return shifted(dom, tau, b, diag_shift)
+    def record_solve(dom, tau, b):
+        taus.append(tau)
+        return shifted(dom, tau, b)
+
+    def record_step(*args):
+        steps.append(len(taus))  # the solves made before this step
+        return advance(*args)
 
     def record_splu(M, **kw):
         factored.append((kw.get("permc_spec"), kw.get("diag_pivot_thresh")))
         return splu(M, **kw)
 
-    def record_gmres(*args, callback, **kw):
-        iterations.append(0)
-
-        def count(r):
-            iterations[-1] += 1
-            callback(r)
-        return gmres(*args, callback=count, **kw)
-
-    monkeypatch.setattr("concavelab.parabolic.solve_shifted_poisson",
-                        record_solve)
+    monkeypatch.setattr(parabolic, "solve_shifted_poisson", record_solve)
+    monkeypatch.setattr(parabolic, "advance", record_step)
     monkeypatch.setattr(operators, "splu", record_splu)
-    monkeypatch.setattr(operators, "gmres", record_gmres)
-    dom = build_discretization(unit_square(), h)
+    dom = build_discretization(unit_square(), 1.0 / 16.0)
     eig = principal_eigenpair(dom)
-    problem = build_problem(get_scenario(sid), eig)
+    problem = build_problem(get_scenario("logistic-square"), eig)
     solve_trajectory(problem, dom, 16)
-    return calls, factored, iterations
-
-
-def test_stiff_trajectory_factors_once_per_tau(monkeypatch):
-    # logistic-square: one minimum-degree factorization of the Laplacian
-    # and one NATURAL one per step size, all with diagonal pivots; a
-    # corrector with a nonzero shift runs GMRES on its step size's LU
-    # instead of factoring its own
-    calls, factored, iterations = _record_stiff_solves(
-        monkeypatch, "logistic-square", 1.0 / 16.0)
-    taus = [tau for tau, _ in calls]
-    tau_changes = 1 + sum(a != b for a, b in zip(taus, taus[1:]))
-    nonzero = sum(nz for _, nz in calls)
-    assert 0 < nonzero < len(calls)
-    assert len(iterations) == nonzero
+    assert steps == list(range(len(steps))) and len(taus) == len(steps)
+    tau_changes = sum(a != b for a, b in zip(taus, taus[1:]))
     assert factored == [("MMD_AT_PLUS_A", 0)] + [
-        ("NATURAL", 0)] * tau_changes
-
-
-def test_log_square_correctors_take_few_gmres_iterations(monkeypatch):
-    # the step size's LU preconditions the shifted system well: at most
-    # 6 iterations per corrector when this test was written
-    calls, _, iterations = _record_stiff_solves(
-        monkeypatch, "log-square", 1.0 / 32.0)
-    assert len(iterations) == sum(nz for _, nz in calls) > 0
-    assert max(iterations) <= 8
+        ("NATURAL", 0)] * (1 + tau_changes)
 
 
 def test_eigenpair_square(square32):

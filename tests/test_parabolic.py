@@ -18,7 +18,7 @@ from concavelab import (Field, Problem, SourceTerm, Weight,
 import concavelab.operators as operators_mod
 from concavelab.parabolic import (advance, load_field_binary,
                                   quadratic_snapshots, seed_from_subsolution)
-from concavelab.scenarios import get_scenario, run_scenario
+from concavelab.scenarios import build_problem, get_scenario, run_scenario
 
 
 @pytest.fixture(scope="module")
@@ -490,3 +490,56 @@ def test_advance_rejects_nonpositive_step(square16):
     p = _heat_problem(square16, 1.0)
     with pytest.raises(ValueError):
         advance(p, square16, p.u0_values, 0.0, 0.0)
+
+
+def test_sink_step_stays_positive_at_a_large_step(square16):
+    # u log u at states from 1e-3 down to 1e-30: the sinks' implicit
+    # rate keeps the step positive at dt = 0.25, where the explicit
+    # u + dt b is below 0 (as it is for u < e^-4) and so is its solve
+    phi = principal_eigenpair(square16).phi.values
+    u = 1e-3 * phi ** (math.log(1e-27) / math.log(phi.min()))
+    assert u.min() == pytest.approx(1e-30)
+    dt = 0.25
+    p = Problem(domain=unit_square(), weight=Weight(kind="constant", c=1.0),
+                source=SourceTerm(kind="log_s"), u0_values=u, horizon=1.0)
+    got = advance(p, square16, u, 0.0, dt)
+    assert np.all(np.isfinite(got)) and np.all(got > 0)
+    explicit = u + dt * p.source_values(square16, u, dt)
+    assert operators_mod.solve_shifted_poisson(square16, dt, explicit).min() \
+        < -1e-12
+
+
+@pytest.mark.parametrize("source", [SourceTerm(kind="power_q", q=0.5),
+                                    SourceTerm(kind="identity"),
+                                    SourceTerm(kind="saturable")])
+def test_step_without_sinks_is_one_explicit_source_solve(square16, source):
+    # b >= 0: no sink, and the step is the shifted solve of u + dt b
+    u = 0.5 * principal_eigenpair(square16).phi.values
+    p = Problem(domain=unit_square(), weight=Weight(kind="constant", c=1.0),
+                source=source, u0_values=u, horizon=1.0)
+    t, dt = 0.3, 0.01
+    b = p.source_values(square16, u, t + dt)
+    assert b.min() >= 0
+    want = operators_mod.solve_shifted_poisson(square16, dt, u + dt * b)
+    assert advance(p, square16, u, t, dt).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("sid", ["log-square", "logistic-square"])
+def test_stiff_pair_steps_are_first_order(sid):
+    # uniform steps to T = 0.1 at h = 1/16 against a 6,400-step run: the
+    # error max |log u - log u_ref| falls by 4^p from 100 to 400 steps
+    # with p >= 0.8 (about 1 when this test was written)
+    scn = get_scenario(sid)
+    dom = build_discretization(scn.problem.domain, 1.0 / 16.0)
+    p = build_problem(scn, principal_eigenpair(dom))
+    assert np.any(p.source_values(dom, p.u0_values, 0.0) < 0)  # sinks
+
+    def log_u(n):
+        u, dt = p.u0_values, 0.1 / n
+        for i in range(n):
+            u = advance(p, dom, u, i * dt, dt)
+        return np.log(u)
+
+    ref = log_u(6400)
+    e100, e400 = (np.max(np.abs(log_u(n) - ref)) for n in (100, 400))
+    assert math.log(e100 / e400, 4) >= 0.8

@@ -84,7 +84,7 @@ def test_unknown_kind_is_rejected(cls):
 
 @pytest.mark.parametrize("kind", sorted(SourceTerm.KINDS))
 def test_sign_changing_sources_take_negative_values(kind):
-    # the one rule that picks the stiff step and the hypothesis verdicts
+    # the one rule that picks the hypothesis verdicts of a sign change
     src = SourceTerm(kind)
     s = np.geomspace(1e-3, 10.0, 400)
     assert src.sign_changing == bool(np.any(src.compose(1.0, s) < 0))

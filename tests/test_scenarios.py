@@ -161,8 +161,8 @@ def test_report_matches_stored_reference(sid):
     # 1/16 (numpy 2.4.6, scipy 1.17.1): a change that leaves the numerics
     # alone must reproduce them exactly.  perfbench/reference/, made
     # before the step-size ladder, is held to the benchmark's gate, and
-    # for logistic-square only that: the GMRES corrector moved its
-    # snapshots by rounding; tests/reference/ has its bits at 1/12, 1/32
+    # for logistic-square only that: its reference was stepped by an
+    # older sink scheme; tests/reference/ has its bits at 1/12, 1/32
     got = run_scenario(get_scenario(sid), h=1.0 / 16.0).to_json()
     ref = (REFERENCE_DIR / f"{sid}-h16.json").read_text()
     assert _benchmark_gate()(got, ref) == []
