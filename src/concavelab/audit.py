@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import DiscretizedDomain
+from .domains import _SCAN_NODES, DiscretizedDomain, _scan_nodes
 from .errors import EmptySampler, OutOfDomain
 from .operators import (LAMBDAS, Field, bilinear_corners, bilinear_interp,
                         bilinear_weights, grid_cell, pair_scan)
@@ -286,23 +286,10 @@ def _default_times(ev, cfg):
     return times
 
 
-#: interior nodes the stage-1 and quasiconcavity pair scans subsample
-_SCAN_NODES = 240
 #: stage-1 minima that stage 2 refines
 _REFINE_CANDIDATES = 32
 #: golden-section steps of stage 2's lambda refinement
 _GOLDEN_STEPS = 25
-
-
-def _scan_nodes(dom: DiscretizedDomain, max_nodes: int, mask=None):
-    """Interior nodes (of the N in mask) on every k-th row and column of
-    the grid, k = ceil(sqrt(N / max_nodes)).  Striding the 2-D index
-    lattice, not the flat node list, keeps the subsample spatially
-    uniform, and a lattice rectangle where mask is a rectangle."""
-    keep = np.ones(dom.n_interior, bool) if mask is None else mask
-    k = max(1, math.ceil(math.sqrt(np.count_nonzero(keep) / max_nodes)))
-    iy, ix = dom.interior_idx[:, 0], dom.interior_idx[:, 1]
-    return np.nonzero(keep & (iy % k == 0) & (ix % k == 0))[0]
 
 
 def min_defect(ev, mode: str, cfg: SamplerConfig | None = None

@@ -9,6 +9,7 @@ rho).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -340,3 +341,19 @@ def inner_region_mask(dom: DiscretizedDomain, rho: float) -> np.ndarray:
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     return dom.interior_distances > rho
+
+
+#: the most interior nodes a pair scan visits: the audit's stage 1, the
+#: quasiconcavity check and the weight's concavity scans
+_SCAN_NODES = 240
+
+
+def _scan_nodes(dom: DiscretizedDomain, max_nodes: int, mask=None):
+    """Interior nodes (of the N in mask) on every k-th row and column of
+    the grid, k = ceil(sqrt(N / max_nodes)).  Striding the 2-D index
+    lattice, not the flat node list, keeps the subsample spatially
+    uniform."""
+    keep = np.ones(dom.n_interior, bool) if mask is None else mask
+    k = max(1, math.ceil(math.sqrt(np.count_nonzero(keep) / max_nodes)))
+    iy, ix = dom.interior_idx[:, 0], dom.interior_idx[:, 1]
+    return np.nonzero(keep & (iy % k == 0) & (ix % k == 0))[0]

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .audit import FieldEvaluator, _scan_nodes
+from .audit import FieldEvaluator
+from .domains import _scan_nodes
 from .errors import HullDegenerate
 from .operators import LAMBDAS, Field, pair_scan
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
-from .domains import DiscretizedDomain, DomainSpec, distance_to_boundary
+from .domains import (_SCAN_NODES, DiscretizedDomain, DomainSpec,
+                      _scan_nodes, distance_to_boundary)
 from .errors import NegativeState, Unbounded
 from .operators import LAMBDAS, pair_scan
 
@@ -96,33 +97,21 @@ class Weight:
         return dom._cache[key]
 
     def spatial_at(self, spec: DomainSpec, pts) -> np.ndarray:
+        """a at the points pts (..., 2), without its time factor."""
         p = np.asarray(pts, dtype=float)
-        return self.combine(spec, self.factor(spec, 0, p[..., 0]),
-                            self.factor(spec, 1, p[..., 1]))
-
-    def factor(self, spec: DomainSpec, axis: int, u) -> np.ndarray:
-        """Factor of a along axis 0 (x) or 1 (y) at coordinates u: the
-        identity where a does not factor (distance; bang-bang's y)."""
-        if self.kind == "ramp_bump_perturbed":
-            lo, hi = spec.bounding_box[axis]
-            return np.cos(2 * np.pi * ((u - lo) / (hi - lo)))
-        if self.kind == "smoothed_bang_bang" and axis == 0:
-            (x0, x1), _ = spec.bounding_box
-            s = np.clip((u - 0.5 * (x0 + x1)) / self.eta + 0.5, 0.0, 1.0)
-            return self.a1 * (1 - s) + (-self.a2) * s
-        return u
-
-    def combine(self, spec: DomainSpec, fx, fy) -> np.ndarray:
-        """a from its factors at x (fx) and at y (fy)."""
         if self.spatially_constant:
-            return np.full_like(fx, self.c)
+            return np.full_like(p[..., 0], self.c)
         if self.kind == "distance_power":
-            d = np.maximum(distance_to_boundary(
-                spec, np.stack(np.broadcast_arrays(fx, fy), -1)), 0.0)
+            d = np.maximum(distance_to_boundary(spec, p), 0.0)
             return self.c * d ** self.omega
+        (x0, x1), (y0, y1) = spec.bounding_box
+        x, y = p[..., 0], p[..., 1]
         if self.kind == "ramp_bump_perturbed":
+            fx = np.cos(2 * np.pi * ((x - x0) / (x1 - x0)))
+            fy = np.cos(2 * np.pi * ((y - y0) / (y1 - y0)))
             return 1.0 + self.eps * (fx * fy)
-        return fx  # smoothed_bang_bang
+        s = np.clip((x - 0.5 * (x0 + x1)) / self.eta + 0.5, 0.0, 1.0)
+        return self.a1 * (1 - s) + (-self.a2) * s  # smoothed_bang_bang
 
     def time_factor(self, t) -> float:
         """t^gamma, 1 for gamma = 0 and 0 for t <= 0 < gamma."""
@@ -301,13 +290,10 @@ def check_hypotheses(problem: Problem) -> HypothesisReport:
 def weight_concavity_defect(problem: Problem, dom: DiscretizedDomain,
                             theta: float = 1.0, mask=None) -> float:
     """sup of the negative part of the concavity function of a^theta
-    (log a for theta=0, a itself for theta=inf) over the pairs of
-    interior nodes (those in mask) and LAMBDAS, by _concavity_min:
-    0 for a concave profile, and without a scan for a constant one.
-    Exact, though a lattice rectangle's scan of the ramp or bang-bang
-    weight skips the blocks it proves lie above a value it computed.
-    Node sets that are no lattice rectangle (disk, ellipse, polygon,
-    most masks) cost one weight evaluation per pair and lambda."""
+    (log a for theta=0, a itself for theta=inf) over the pairs of the
+    interior nodes (of those in mask) that _scan_nodes keeps and LAMBDAS,
+    by _concavity_min: 0 for a concave profile, and without a scan for a
+    constant one.  A sampled sup is at most the sup over every node."""
     if problem.weight.spatially_constant:
         return 0.0
     return max(0.0, -_concavity_min(problem.weight, dom, theta, mask))
@@ -316,19 +302,12 @@ def weight_concavity_defect(problem: Problem, dom: DiscretizedDomain,
 def _concavity_min(weight: Weight, dom: DiscretizedDomain, theta: float,
                    mask=None) -> float:
     """Signed min of the concavity function of weight^theta over the
-    pairs i < j of the interior nodes (those mask selects) and
-    LAMBDAS, a lambda with a NaN value skipped; inf for < 2 nodes.
-    Nodes filling a lattice rectangle meet per lambda in broadcast
-    blocks of 2^15 values from per-axis factor tables: (r, a) with
-    (r, b > a), then with the rows s > r; others go by pair_scan, with
-    spatial_at at every middle point.  The ramp's and bang-bang's
-    combine is monotone in fx, so for theta >= 0 low[r, s] (less 1e-12
-    relative: np.log, np.power need not be monotone) bounds rows r, s > r
-    from below, and blocks whose least low is above cut are skipped."""
-    pts, prof = dom.interior_points, weight.spatial_profile(dom)
-    if mask is not None:
-        pts, prof = pts[mask], prof[mask]
-    spec = dom.spec
+    pairs i < j of the interior nodes (of those in mask) that _scan_nodes
+    keeps for _SCAN_NODES and LAMBDAS, by one pair_scan with spatial_at
+    at every middle point; a lambda whose values hold a NaN is skipped,
+    and the min is inf for < 2 nodes."""
+    sel, spec = _scan_nodes(dom, _SCAN_NODES, mask), dom.spec
+    pts = dom.interior_points[sel]
 
     def transform(a):
         if math.isinf(theta):
@@ -339,47 +318,14 @@ def _concavity_min(weight: Weight, dom: DiscretizedDomain, theta: float,
             return a + 0.0
         return np.sign(a) * np.abs(a) ** theta
 
-    vals = transform(prof)
-    ux, uy = (np.unique(c) for c in pts.T)  # nodes are numbered by rows
-    if not (ux.size > 1 and len(pts) == ux.size * uy.size):
-        def block(idx1, idx3):
-            p1, p3 = pts[idx1], pts[idx3]
-            return ([transform(weight.spatial_at(spec, lam * p3 + (1 - lam)
-                                                 * p1))] for lam in LAMBDAS)
-        (mins,), _, _ = pair_scan(vals[None], vals[None], LAMBDAS, block)
-        return min([math.inf] + mins.tolist())
+    def block(idx1, idx3):
+        p1, p3 = pts[idx1], pts[idx3]
+        return ([transform(weight.spatial_at(spec, lam * p3 + (1 - lam)
+                                             * p1))] for lam in LAMBDAS)
 
-    def least(blocks):  # NaN if a value is NaN
-        return float(np.min([math.inf] + [
-            (transform(weight.combine(spec, fx, fy)) - w3 - w1).min()
-            for fx, fy, w3, w1 in blocks]))
-
-    v, (a, b) = vals.reshape(uy.size, ux.size), np.triu_indices(ux.size, 1)
-    rows, tabs, worst = max(1, (1 << 15) // ux.size ** 2), [], math.inf
-    for lam in LAMBDAS:
-        tx, ty = (weight.factor(spec, k, lam * u + (1 - lam) * u[:, None])
-                  for k, u in enumerate((ux, uy)))
-        lv, mv, d = lam * v, (1 - lam) * v, np.diagonal(ty)[:, None]
-        low = np.full_like(ty, -math.inf)
-        if theta >= 0 and getattr(weight, "kind", "") in (
-                "ramp_bump_perturbed", "smoothed_bang_bang"):
-            # combine is monotone in fx: its ends, and 0 between them
-            t = np.clip([tx.min(), 0.0, tx.max()], tx.min(), tx.max())
-            lo = transform(weight.combine(spec, t[:, None, None], ty)).min(0)
-            low = lo - 1e-12 * abs(lo) - lv.max(1) - mv.max(1)[:, None]
-        tabs.append((tx, ty, lv, mv, low, least(
-            (tx[a, b], d[r:r + rows], lv[r:r + rows, b], mv[r:r + rows, a])
-            for r in range(0, uy.size, rows))))
-    # a same-row min cuts when no bound of its lambda admits a NaN
-    cut = min([m for *_, low, m in tabs
-               if (low > -math.inf).all() and not math.isnan(m)] + [math.inf])
-    for tx, ty, lv, mv, low, m in tabs:  # a lambda with a NaN is skipped
-        worst = min(worst, float(np.min([m, least(
-            (tx[:, None], ty[r, s:s + rows, None], lv[s:s + rows],
-             mv[r, :, None, None]) for r in range(uy.size)
-            for s in range(r + 1, uy.size, rows)
-            if not low[r, s:s + rows].min() > cut)])))
-    return worst
+    vals = transform(weight.spatial_profile(dom)[sel])[None]
+    (mins,), _, _ = pair_scan(vals, vals, LAMBDAS, block)
+    return min([math.inf] + mins.tolist())  # a NaN never compares less
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .audit import (_SCAN_NODES, Evaluator, SamplerConfig, _scan_nodes,
-                    min_defect, quasiconcavity_defect)
+from .audit import (Evaluator, SamplerConfig, min_defect,
+                    quasiconcavity_defect)
 from .bounds import (BoundParams, BoundReport, log_concavity_rhs,
                      quantitative_rhs, boundary_lower_bound,
                      spacetime_alpha_window)
@@ -261,9 +261,8 @@ def boundary_barrier_margin(problem, traj, eig, hyp) -> float:
 
 def _weight_min_C(problem, dom, mask=None) -> float:
     """Signed min of the weight's concavity function over the interior
-    nodes (of those in mask) that _scan_nodes keeps for _SCAN_NODES."""
-    worst = _concavity_min(problem.weight, dom, math.inf,
-                           _scan_nodes(dom, _SCAN_NODES, mask))
+    nodes (of those in mask) that _scan_nodes keeps, 0 for < 2 nodes."""
+    worst = _concavity_min(problem.weight, dom, math.inf, mask)
     return worst if math.isfinite(worst) else 0.0
 
 

@@ -19,11 +19,10 @@ from concavelab import (Field, Problem, SourceTerm, SamplerConfig, Weight,
 import concavelab.audit as audit_mod
 from concavelab.audit import (DefectReport, Evaluator, FieldEvaluator,
                               LAMBDAS, OUTSIDE_DOMAIN, Tuple5,
-                              _REFINE_CANDIDATES,
-                              _SCAN_NODES, _argmin_gradients,
-                              _default_times, _scan_nodes,
-                              harmonic_combination, mid_time,
-                              pair_scan, tau_audit_value)
+                              _REFINE_CANDIDATES, _argmin_gradients,
+                              _default_times, harmonic_combination,
+                              mid_time, pair_scan, tau_audit_value)
+from concavelab.domains import _SCAN_NODES, _scan_nodes
 from concavelab.errors import EmptySampler
 from concavelab.operators import bilinear_interp
 from concavelab.parabolic import Trajectory, quadratic_snapshots

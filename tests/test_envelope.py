@@ -7,7 +7,7 @@ import pytest
 from concavelab import (Field, build_discretization, concave_approximation,
                         ellipse, field_from_function, hyers_ulam_constant,
                         unit_square)
-from concavelab.audit import _scan_nodes
+from concavelab.domains import _scan_nodes
 from concavelab.envelope import _FACET_BLOCK, _upper_envelope
 from concavelab.errors import HullDegenerate
 from concavelab.operators import bilinear_interp

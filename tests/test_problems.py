@@ -10,7 +10,7 @@ from concavelab import (Problem, SourceTerm, Weight, build_discretization,
                         check_hypotheses, disk, distance_to_boundary,
                         inner_region_mask, sup_slope_lambda, unit_square,
                         weight_concavity_defect)
-from concavelab import problems as problems_mod
+from concavelab.domains import _SCAN_NODES, _scan_nodes
 from concavelab.problems import _concavity_min
 from concavelab.scenarios import _weight_min_C
 
@@ -98,8 +98,7 @@ def test_distance_weight_profile(square16):
 
 
 def _closed_form(weight, spec, pts):
-    """a(x) in one expression per kind, as the profile was written before
-    it was split into per-axis factors."""
+    """a(x) in one expression per kind, apart from Weight.spatial_at."""
     x, y = pts[:, 0], pts[:, 1]
     (x0, x1), (y0, y1) = spec.bounding_box
     if weight.kind == "ramp_bump_perturbed":
@@ -120,8 +119,8 @@ def _closed_form(weight, spec, pts):
 @pytest.mark.parametrize("spec", [unit_square(), disk(0.8)],
                          ids=["square", "disk"])
 def test_factored_profile_is_closed_form_bit_for_bit(weight, spec):
-    # combine(factor x, factor y) keeps the one-expression formula, so
-    # profiles, scans and reports do not move
+    # spatial_at keeps the one-expression formula, so profiles, scans
+    # and reports do not move
     rng = np.random.default_rng(3)
     (x0, x1), (y0, y1) = spec.bounding_box
     pts = rng.uniform((x0, y0), (x1, y1), (500, 2))
@@ -404,7 +403,8 @@ def test_theta_one_transform_is_a_plus_zero_bit_for_bit():
 
 @pytest.fixture(scope="module")
 def square32():
-    # 961 interior nodes: 461,280 pairs, several chunks of the scan
+    # 961 interior nodes (461,280 pairs), 100 on every third row and
+    # column
     return build_discretization(unit_square(), 1.0 / 32.0)
 
 
@@ -416,19 +416,34 @@ _SCAN_WEIGHTS = (Weight(kind="ramp_bump_perturbed", eps=0.2),
 @pytest.mark.parametrize("weight", _SCAN_WEIGHTS, ids=lambda w: w.kind)
 @pytest.mark.parametrize("masked", [False, True])
 def test_weight_defect_bit_exact(square32, weight, masked):
+    # the scan visits the nodes _scan_nodes keeps (100 of 961, and 81
+    # of the inner region's 361), every pair of them once
     p = Problem(domain=unit_square(), weight=weight,
                 source=SourceTerm(kind="one"))
     mask = inner_region_mask(square32, 0.2) if masked else None
-    prof = weight.spatial_profile(square32)
-    pts = square32.interior_points
-    if masked:
-        prof, pts = prof[mask], pts[mask]
-    thetas = (0.0, 1.0, math.inf)
-    ref = _reference_mins(weight, p.domain, pts, prof, thetas)
+    sel = _scan_nodes(square32, _SCAN_NODES, mask)
+    n = square32.n_interior if mask is None else np.count_nonzero(mask)
+    assert len(sel) <= _SCAN_NODES < n
+    thetas = (0.0, 1.0, 2.5, math.inf)
+    ref = _reference_mins(weight, p.domain, square32.interior_points[sel],
+                          weight.spatial_profile(square32)[sel], thetas)
     for theta in thetas:
         got = weight_concavity_defect(p, square32, theta, mask=mask)
         assert got == max(0.0, -ref[theta])
     assert ref[1.0] < 0.0  # every weight here has a positive defect
+
+
+def test_sampled_defect_is_at_most_the_full_one(square32):
+    # the sampled pairs are some of all pairs, so the defect the bounds
+    # read is at or below the one over every node: a stricter rhs
+    w = Weight(kind="ramp_bump_perturbed", eps=0.2)
+    p = Problem(domain=unit_square(), weight=w, source=SourceTerm("one"))
+    thetas = (0.0, 1.0, math.inf)
+    full = _reference_mins(w, p.domain, square32.interior_points,
+                           w.spatial_profile(square32), thetas)
+    for theta in thetas:
+        got = weight_concavity_defect(p, square32, theta)
+        assert 0.0 < got <= -full[theta]
 
 
 @pytest.mark.parametrize("masked", [False, True])
@@ -450,8 +465,8 @@ def test_weight_min_C_bit_exact(square32, masked):
 
 
 class _Recorder:
-    """A stand-in weight with identity factors: combine records the
-    lambda points x2 it gets, flattened from their broadcast shape."""
+    """A stand-in weight, 0 everywhere: spatial_at records the lambda
+    points x2 it gets."""
 
     def __init__(self):
         self.calls = []
@@ -459,28 +474,21 @@ class _Recorder:
     def spatial_profile(self, dom):
         return np.zeros(dom.n_interior)
 
-    def factor(self, spec, axis, u):
-        return u
-
     def spatial_at(self, spec, pts):
-        return self.combine(spec, pts[..., 0], pts[..., 1])
-
-    def combine(self, spec, fx, fy):
-        fx, fy = np.broadcast_arrays(fx, fy)
-        self.calls.append(np.stack([fx, fy], axis=-1).reshape(-1, 2))
-        return np.zeros(fx.shape)
+        self.calls.append(pts)
+        return np.zeros(len(pts))
 
 
 def test_pair_scan_visits_every_pair_once(square16):
-    # the 15 lambda points of each pair i < j come exactly once, in the
-    # broadcast blocks of the full square and in pair_scan's chunks of a
-    # mask that is not a rectangle
+    # the 15 lambda points of each pair i < j come exactly once, in
+    # pair_scan's runs, of the full square (225 nodes, none dropped by
+    # _scan_nodes) and of a disk-shaped mask
     pts = square16.interior_points
     for mask in (None, np.hypot(*(pts - 0.5).T) < 0.4):
         rec = _Recorder()
         _concavity_min(rec, square16, 1.0, mask)
         if mask is None:
-            assert len(rec.calls) > 15  # more than one block per lambda
+            assert len(rec.calls) > 15  # more than one run per lambda
         sub = pts if mask is None else pts[mask]
         idx1, idx3 = np.triu_indices(len(sub), k=1)
         ref = np.concatenate([lm * sub[idx3] + (1 - lm) * sub[idx1]
@@ -497,14 +505,14 @@ def square64():
 
 
 #: _concavity_min of the ramp weight with eps = 0.05 at h = 1/64 per
-#: (theta, inner region), as the scan returned before it had broadcast
-#: blocks (pair_scan over every pair)
-_RAMP64_MINS = {(0.0, False): -0.09937245722228093,
-                (0.0, True): -0.018825004550045748,
-                (1.0, False): -0.09927886834369071,
-                (1.0, True): -0.01872749355515957,
-                (math.inf, False): -0.09927886834369071,
-                (math.inf, True): -0.01872749355515957}
+#: (theta, inner region), on the 144 (inner: 169) nodes _scan_nodes
+#: keeps, as _reference_mins gives them
+_RAMP64_MINS = {(0.0, False): -0.0880984006757661,
+                (0.0, True): -0.01736269968785786,
+                (1.0, False): -0.08784689385794131,
+                (1.0, True): -0.017262295554397955,
+                (math.inf, False): -0.08784689385794131,
+                (math.inf, True): -0.017262295554397955}
 
 
 @pytest.mark.parametrize("theta", [0.0, 1.0, math.inf])
@@ -521,60 +529,18 @@ def test_rectangle_scan_bit_exact_at_h64(square64, theta, inner):
         assert type(d) is float and d == -_RAMP64_MINS[theta, inner]
 
 
-_PRUNED_WEIGHTS = tuple(Weight(kind="ramp_bump_perturbed", eps=eps)
-                        for eps in (0.05, -0.3, 0.9, math.inf)) + (
-    Weight(kind="smoothed_bang_bang", a1=1.0, a2=0.5),)
-
-
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("masked", [False, True])
-@pytest.mark.parametrize("weight", _PRUNED_WEIGHTS,
-                         ids=lambda w: f"{w.kind}-{w.eps}")
-def test_pruned_scan_matches_every_pair(square32, weight, masked):
-    # the blocks a corner bound skips hold no minimum.  With eps = inf
-    # every bound is NaN (1 + inf * 0 at fx = 0) and skips nothing, and
-    # every lambda holds a NaN (inf - inf) and is skipped: the min is inf
-    thetas = (0.0, 1.0, 2.5, math.inf)
-    mask = inner_region_mask(square32, 0.2) if masked else None
-    pts, prof = square32.interior_points, weight.spatial_profile(square32)
-    if masked:
-        pts, prof = pts[mask], prof[mask]
-    ref = _reference_mins(weight, unit_square(), pts, prof, thetas)
-    for theta in thetas:
-        got = _concavity_min(weight, square32, theta, mask)
-        assert repr(got) == repr(ref[theta])
-
-
-def test_ramp_scan_skips_most_values(square64, monkeypatch):
-    # the ramp's minimum lies near its floor, so the corner bounds skip
-    # almost every block of two rows: at most a tenth of the 15 values
-    # of each of the n(n - 1)/2 pairs reach Weight.combine
-    w = Weight(kind="ramp_bump_perturbed", eps=0.05)
-    p = Problem(domain=unit_square(), weight=w, source=SourceTerm("one"))
-    n, seen, combine = square64.n_interior, [], Weight.combine
-
-    def counted(self, spec, fx, fy):
-        seen.append(np.broadcast(fx, fy).size)
-        return combine(self, spec, fx, fy)
-
-    monkeypatch.setattr(Weight, "combine", counted)
-    d = weight_concavity_defect(p, square64, 1.0)
-    assert d == -_RAMP64_MINS[1.0, False]
-    assert 0 < sum(seen) <= 15 * n * (n - 1) // 2 // 10
-
-
-#: _concavity_min on the disk at h = 1/16 (793 nodes, not a lattice
-#: rectangle) per (weight kind, theta), as the per-axis tables gave it
+#: _concavity_min on the disk at h = 1/16 (193 of its 793 nodes) per
+#: (weight kind, theta), as _reference_mins gives it
 _DISK16_MINS = {
-    ("ramp_bump_perturbed", 0.0): -0.21380155805258333,
-    ("ramp_bump_perturbed", 1.0): -0.198736257342655,
-    ("ramp_bump_perturbed", math.inf): -0.198736257342655,
+    ("ramp_bump_perturbed", 0.0): -0.20518292249444642,
+    ("ramp_bump_perturbed", 1.0): -0.1955409662519293,
+    ("ramp_bump_perturbed", math.inf): -0.1955409662519293,
     ("smoothed_bang_bang", 0.0): -646.3024064410255,
-    ("smoothed_bang_bang", 1.0): -1.3125,
-    ("smoothed_bang_bang", math.inf): -1.3125,
-    ("distance_power", 0.0): 0.00023951649992373994,
-    ("distance_power", 1.0): -0.24414062500000006,
-    ("distance_power", math.inf): -0.24414062500000006}
+    ("smoothed_bang_bang", 1.0): -1.21875,
+    ("smoothed_bang_bang", math.inf): -1.21875,
+    ("distance_power", 0.0): 0.0010050691560135432,
+    ("distance_power", 1.0): -0.23828124999999994,
+    ("distance_power", math.inf): -0.23828124999999994}
 
 
 @pytest.mark.parametrize("theta", [0.0, 1.0, math.inf])
@@ -586,105 +552,47 @@ def test_disk_scan_bit_exact_at_h16(weight, theta):
     assert repr(got) == repr(_DISK16_MINS[weight.kind, theta])
 
 
-def _scan_path(monkeypatch, run, *args):
-    """Which path run(*args) took in _concavity_min: 'pair_scan' or
-    'rectangle'."""
-    calls, scan = [], problems_mod.pair_scan
-    monkeypatch.setattr(problems_mod, "pair_scan",
-                        lambda *a: calls.append(1) or scan(*a))
-    run(*args)
-    monkeypatch.setattr(problems_mod, "pair_scan", scan)
-    return "pair_scan" if calls else "rectangle"
-
-
-def test_scan_path_is_chosen_from_the_node_set(square64, monkeypatch):
-    w = Weight(kind="ramp_bump_perturbed", eps=0.05)
-    p = Problem(domain=unit_square(), weight=w, source=SourceTerm("one"))
-    inner = inner_region_mask(square64, 0.2)
-    pts = square64.interior_points
-
-    def path(dom, mask=None):
-        return _scan_path(monkeypatch, _concavity_min, w, dom, 1.0, mask)
-
-    assert path(square64) == "rectangle"
-    assert path(square64, inner) == "rectangle"
-    assert path(square64, np.hypot(*(pts - 0.5).T) < 0.3) == "pair_scan"
-    assert path(build_discretization(disk(), 1.0 / 16.0)) == "pair_scan"
-    # _weight_min_C's every k-th row and column of a rectangle is one too
-    for mask in (None, inner):
-        assert _scan_path(monkeypatch, _weight_min_C, p, square64,
-                          mask) == "rectangle"
-
-
 def test_lambda_with_a_nan_value_is_skipped(square16):
     # x2 = (239/256, 15/16) comes only from the top row's last pair at
     # lambda = 15/16, where the weight is NaN: that lambda, which holds
     # the least value -479/256, is skipped whole, and the min is the one
     # of lambda = 14/16
     class NanAtOnePoint(_Recorder):
-        def combine(self, spec, fx, fy):
-            fx, fy = np.broadcast_arrays(fx, fy)
-            return np.where((fx == 239 / 256) & (fy == 15 / 16), np.nan,
-                            -(fx + fy))
+        def spatial_at(self, spec, pts):
+            x, y = pts[..., 0], pts[..., 1]
+            return np.where((x == 239 / 256) & (y == 15 / 16), np.nan,
+                            -(x + y))
 
     pts = square16.interior_points
-    for mask in (None, np.any(pts != 1 / 16, axis=1)):  # rectangle or not
+    for mask in (None, np.any(pts != 1 / 16, axis=1)):  # 225 or 224 nodes
         assert _concavity_min(NanAtOnePoint(), square16, math.inf,
                               mask) == -478 / 256
 
 
-def test_lambda_with_a_nan_between_rows_cuts_nothing(square16):
-    # a stand-in pruned as the ramp is, with the x factor x - 1/2 and the
-    # combine -(3 fx + 2 fy), NaN at fx = 0 and fy = 239/256 (the ramp
-    # with eps = inf is NaN where fx * fy = 0): only in the block of rows
-    # 14/16 and 15/16 at lambda = 15/16, where fx = 0 lies between the
-    # ends of fx.  That lambda's same-row min, -813/256, lies below the
-    # least value, -812/256 (the same rows at lambda = 14/16), so it
-    # must not cut a block, and the NaN block must not be cut either
-    class NanBetweenRows(_Recorder):
-        kind = "ramp_bump_perturbed"
+def test_weight_scan_is_capped_at_the_scan_nodes(monkeypatch):
+    # the disk at h = 1/32 has 3,205 nodes: every pair would take about
+    # 77 M middle points; the scan takes those of _SCAN_NODES at most
+    dom = build_discretization(disk(), 1.0 / 32.0)
+    w = Weight(kind="distance_power", c=1.0, omega=2.0)
+    p = Problem(domain=disk(), weight=w, source=SourceTerm("one"))
+    w.spatial_profile(dom)  # the node profile is not the scan
+    points, spatial_at = [], Weight.spatial_at
 
-        def factor(self, spec, axis, u):
-            return u - 0.5 if axis == 0 else u
+    def counted(self, spec, pts):
+        points.append(len(pts))
+        return spatial_at(self, spec, pts)
 
-        def spatial_at(self, spec, pts):
-            return self.combine(spec, pts[..., 0] - 0.5, pts[..., 1])
-
-        def combine(self, spec, fx, fy):
-            return np.where((fx == 0) & (fy == 239 / 256), np.nan,
-                            -(3 * fx + 2 * fy))
-
-    w, pts = NanBetweenRows(), square16.interior_points
-    ref = _reference_mins(w, unit_square(), pts, w.spatial_profile(square16),
-                          (math.inf,))
-    assert ref[math.inf] == -812 / 256
-    assert _concavity_min(w, square16, math.inf) == -812 / 256
-
-
-def test_ramp_scan_evaluates_factors_per_coordinate_pair(square32,
-                                                         monkeypatch):
-    # the ramp's cos factors are tabulated over the 15 lambdas and the
-    # 31 x 31 coordinate pairs per axis, not over the 461,280 node pairs
-    w = Weight(kind="ramp_bump_perturbed", eps=0.2)
-    p = Problem(domain=unit_square(), weight=w, source=SourceTerm("one"))
-    w.spatial_profile(square32)  # the node profile is not the scan
-    nx = square32.xs.size - 2
-    evals = []
-    cos = np.cos
-    monkeypatch.setattr(np, "cos", lambda u: evals.append(np.size(u))
-                        or cos(u))
-    assert weight_concavity_defect(p, square32, 1.0) > 0.0
-    assert 0 < sum(evals) <= 2 * 15 * nx ** 2
+    monkeypatch.setattr(Weight, "spatial_at", counted)
+    assert weight_concavity_defect(p, dom, 1.0) > 0.0
+    assert 0 < sum(points) <= 15 * _SCAN_NODES * (_SCAN_NODES - 1) // 2
 
 
 def test_weight_defect_memory_bounded():
     # h=1/48: 2,209 nodes, 2.4M pairs; gathering them all at once
-    # peaks near 250 MB.  h=1/64 is the benchmark's scan, whose blocks
-    # stream lambda by lambda (about 3 MB): keeping the blocks of every
-    # lambda alive until the second pass peaks near 35 MB.  The disk at
-    # h=1/32 (3,205 nodes, 5.1M pairs) goes by pair_scan: a list of
-    # every pair, 16 bytes each, peaked near 88 MB; its runs, computed
-    # one at a time, take about 2 MB
+    # peaks near 250 MB.  h=1/64 is the benchmark's scan.  The disk at
+    # h=1/32 has 3,205 nodes (5.1M pairs): a list of every pair, 16
+    # bytes each, peaked near 88 MB.  Each scan takes the pairs of at
+    # most _SCAN_NODES nodes in pair_scan's runs, one at a time
     p = Problem(domain=unit_square(),
                 weight=Weight(kind="ramp_bump_perturbed", eps=0.05),
                 source=SourceTerm(kind="one"))

@@ -171,9 +171,9 @@ def test_report_matches_stored_reference(sid):
 
 
 def test_report_matches_stored_reference_h64():
-    # at h = 1/64 the weight scans differ from h <= 1/16: _weight_min_C
-    # strides the rows and columns of its nodes, and the rectangle scan
-    # needs more than one band of rows
+    # at h = 1/64 the weight scans differ from h <= 1/16: the square's
+    # 3,969 nodes are more than _SCAN_NODES, so they take every third
+    # row and column
     got = run_scenario(get_scenario("ramp-le-eps05"), h=1.0 / 64.0).to_json()
     ref = (REFERENCE_DIR / "ramp-le-eps05-h64.json").read_text()
     assert _benchmark_gate()(got, ref) == []
