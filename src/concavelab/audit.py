@@ -97,6 +97,15 @@ class Evaluator:
             return u
         return np.maximum(u, 0.0) ** self.alpha
 
+    def _transform_point(self, u: float) -> float:
+        """_transform of one float, as numpy's scalars take it: math.pow
+        is their C pow; math.log can differ from their log by an ulp."""
+        if self.alpha == 1.0:
+            return u
+        if self.alpha == 0.0:
+            return float(np.log(max(u, _POSITIVITY_FLOOR)))
+        return math.pow(max(u, 0.0), self.alpha)
+
     def _u_time(self, t: float) -> float:
         # a snapshot's audit time s^(1/beta) reads s, which t^beta can miss
         return t if math.isinf(t) else self._snap.get(t, t ** self.beta)
@@ -163,7 +172,7 @@ class Evaluator:
                      else (1 - w) * f0.item(n) + w * f1.item(n))
         u = ((1 - tx) * (1 - ty) * g[0] + tx * (1 - ty) * g[1]
              + (1 - tx) * ty * g[2] + tx * ty * g[3])
-        return float(self._transform(u))
+        return self._transform_point(u)
 
     def node_values(self, t: float = 0.0) -> np.ndarray:
         """Transformed values exactly at interior nodes."""
@@ -359,7 +368,7 @@ def min_defect(ev, mode: str, cfg: SamplerConfig | None = None
         na, nb = np.repeat(ra, rb.size)[1:], np.tile(rb, ra.size)[1:]
         u = bilinear_interp(dom, ev.grid(mid_time(ta, tb, lm)),
                             lm * full_pts[nb] + (1 - lm) * full_pts[na])
-        v = (np.array([ev._transform(x) for x in u.tolist()], dtype=float)
+        v = (np.array([ev._transform_point(x) for x in u.tolist()])
              - lm * nodes_at(tb)[nb] - (1 - lm) * nodes_at(ta)[na])
         return ((x, (c, d, ta, tb, lm), 1)
                 for c, d, x in zip(na.tolist(), nb.tolist(), v.tolist()))

@@ -39,25 +39,6 @@ class EnvelopeResult:
     dimension: int
 
 
-def _defect_1d(x: np.ndarray, y: np.ndarray) -> float:
-    """Worst negative concavity-function value over sample triples
-    (endpoints at samples, middle point at every sample between)."""
-    order = np.argsort(x)
-    xs, ys = x[order], y[order]
-    n = len(xs)
-    worst = 0.0
-    for i in range(n - 2):
-        for j in range(i + 2, n):
-            if xs[j] == xs[i]:  # lambda would be 0/0
-                continue
-            lam = (xs[i + 1:j] - xs[i]) / (xs[j] - xs[i])
-            c = ys[i + 1:j] - lam * ys[j] - (1 - lam) * ys[i]
-            m = c.min()
-            if m < worst:
-                worst = m
-    return -worst
-
-
 def _upper_envelope(pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Least concave majorant at samples pts of shape (n, d) via the
     lifted hull: the pointwise minimum of the upper-facet planes."""
@@ -101,7 +82,8 @@ def concave_approximation(f) -> EnvelopeResult:
         if len(np.unique(x)) < 2:
             raise HullDegenerate("need at least 2 distinct sample abscissae")
         g_hat = _upper_envelope(x[:, None], vals)
-        delta, dim = _defect_1d(x, vals), 1
+        # in 1-D the worst sample triple's defect is the hull gap
+        delta, dim = float(np.max(g_hat - vals)), 1
     elif not isinstance(f, Field):
         raise TypeError("expected a Field or a 1-D (x, values) tuple")
     else:

@@ -95,18 +95,20 @@ def advance(problem: Problem, dom: DiscretizedDomain, u: np.ndarray,
     solve per step.  Returns the new node values (u is not written)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if np.any(u < -1e-12):
+    if np.fmin.reduce(u, initial=math.inf) < -1e-12:  # NaN is not below
         raise ValueError("state below the -1e-12 tolerance")
     b = problem.source_values(dom, u, t + dt)
-    rhs, sink = u + dt * b, np.flatnonzero(b < 0)
-    sink = sink[u[sink] > 0]
-    rhs[sink] = u[sink] / (1 - dt * b[sink] / u[sink])
-    vals = solve_shifted_poisson(dom, dt, rhs)
-    if np.max(np.abs(vals)) > BLOWUP_THRESHOLD:
-        raise StateBlowup(f"sup norm {np.max(np.abs(vals)):.3e} exceeds 1e6")
-    if np.any(vals < -1e-12):
+    rhs, sink = dt * b, np.flatnonzero((b < 0) & (u > 0))
+    rhs += u  # u + dt * b
+    us = u[sink]
+    rhs[sink] = us / (1 - dt * b[sink] / us)
+    vals = solve_shifted_poisson(dom, dt, rhs)  # finite: residual checked
+    lo, hi = vals.min(), vals.max()
+    if max(hi, -lo) > BLOWUP_THRESHOLD:
+        raise StateBlowup(f"sup norm {max(hi, -lo):.3e} exceeds 1e6")
+    if lo < -1e-12:
         raise ValueError("integration produced values below -1e-12")
-    return np.maximum(vals, 0.0)
+    return np.maximum(vals, 0.0, out=vals)
 
 
 def solve_trajectory(problem: Problem, dom: DiscretizedDomain, count: int,

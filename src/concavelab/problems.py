@@ -222,7 +222,7 @@ class Problem:
     def source_values(self, dom: DiscretizedDomain, s, t: float):
         """b at all interior nodes for a state vector s."""
         s = np.asarray(s, dtype=float)
-        if np.any(s < -1e-12):
+        if np.fmin.reduce(s, axis=None, initial=math.inf) < -1e-12:
             raise NegativeState(f"state value {s.min()} below -1e-12")
         s = np.maximum(s, 0.0)
         return self.source.compose(self.weight_values(dom, t), s)

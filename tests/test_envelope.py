@@ -134,12 +134,41 @@ def test_1d_majorant_matches_monotone_chain(kind, n):
     assert res.bound_ok == (dist <= res.k_n * res.delta + 1e-12)
 
 
+def _triple_loop_defect(x, y):
+    """Worst negative concavity-function value over sample triples
+    (endpoints at samples, middle point at every sample between), an
+    O(n^3) loop: the reference of the 1-D delta on distinct abscissae."""
+    order = np.argsort(x)
+    xs, ys = x[order], y[order]
+    n = len(xs)
+    worst = 0.0
+    for i in range(n - 2):
+        for j in range(i + 2, n):
+            if xs[j] == xs[i]:  # lambda would be 0/0
+                continue
+            lam = (xs[i + 1:j] - xs[i]) / (xs[j] - xs[i])
+            c = ys[i + 1:j] - lam * ys[j] - (1 - lam) * ys[i]
+            worst = min(worst, c.min())
+    return -worst
+
+
+@pytest.mark.parametrize("n", [3, 5, 17, 64, 200])
+@pytest.mark.parametrize("kind", ["sorted", "unsorted", "collinear"])
+def test_1d_delta_is_the_triple_loop_on_distinct_abscissae(kind, n):
+    # the majorant's largest gap over the samples is the worst triple
+    x, y = _section(kind, n, np.random.default_rng(n))
+    assert np.unique(x).size == n
+    res = concave_approximation((x, y))
+    want = _triple_loop_defect(x, y)
+    assert abs(res.delta - want) <= 1e-13 * np.abs(y).max()
+
+
 @pytest.mark.parametrize("n, want", [(5, "1.2052255934098"),
                                      (17, "3.886469714464373"),
                                      (64, "5.591572481807006")])
 def test_1d_duplicate_abscissae_delta_without_warnings(n, want):
-    # a pair of samples at one abscissa has no middle point (its lambda
-    # would be 0/0): it is skipped, with no RuntimeWarning
+    # delta is the majorant's largest gap over the samples, with no
+    # RuntimeWarning where samples share an abscissa
     x, y = _section("duplicates", n, np.random.default_rng(n))
     with warnings.catch_warnings():
         warnings.simplefilter("error")

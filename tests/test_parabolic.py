@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -16,6 +17,7 @@ from concavelab import (Field, Problem, SourceTerm, Weight,
                         load_field_csv, principal_eigenpair,
                         rectangle, solve_trajectory, unit_square)
 import concavelab.operators as operators_mod
+from concavelab.errors import MaxIterations, StateBlowup
 from concavelab.parabolic import (advance, load_field_binary,
                                   quadratic_snapshots, seed_from_subsolution)
 from concavelab.scenarios import build_problem, get_scenario, run_scenario
@@ -543,3 +545,79 @@ def test_stiff_pair_steps_are_first_order(sid):
     ref = log_u(6400)
     e100, e400 = (np.max(np.abs(log_u(n) - ref)) for n in (100, 400))
     assert math.log(e100 / e400, 4) >= 0.8
+
+
+def _parent_advance(problem, dom, u, t, dt):
+    """advance with the array passes it had before its checks were cut
+    to one min and max: the oracle of its output bits."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if np.any(u < -1e-12):
+        raise ValueError("state below the -1e-12 tolerance")
+    b = problem.source_values(dom, u, t + dt)
+    rhs, sink = u + dt * b, np.flatnonzero(b < 0)
+    sink = sink[u[sink] > 0]
+    rhs[sink] = u[sink] / (1 - dt * b[sink] / u[sink])
+    vals = operators_mod.solve_shifted_poisson(dom, dt, rhs)
+    if np.max(np.abs(vals)) > 1e6:
+        raise StateBlowup(f"sup norm {np.max(np.abs(vals)):.3e} exceeds 1e6")
+    if np.any(vals < -1e-12):
+        raise ValueError("integration produced values below -1e-12")
+    return np.maximum(vals, 0.0)
+
+
+def _step_problem(square16, kind):
+    """A problem of each kind of step and a state to step from: the
+    stiff pair's sinks, a seeded power_q state with zeros and the
+    constant source."""
+    if kind in ("logistic-square", "log-square"):
+        p = build_problem(get_scenario(kind), principal_eigenpair(square16))
+        return p, p.u0_values
+    u = np.random.default_rng(5).uniform(0.0, 1.0, square16.n_interior)
+    u[::7] = 0.0
+    source = SourceTerm(kind="power_q", q=0.3) if kind == "power_q" \
+        else SourceTerm(kind="one")
+    return Problem(domain=unit_square(), weight=Weight(kind="constant", c=2.0),
+                   source=source, u0_values=u, horizon=1.0), u
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1.0 / 64.0, 0.25])
+@pytest.mark.parametrize("kind", ["logistic-square", "log-square", "power_q",
+                                  "one"])
+def test_step_is_the_parent_step_bit_for_bit(square16, kind, dt):
+    p, u = _step_problem(square16, kind)
+    for i in range(3):
+        want = _parent_advance(p, square16, u, 0.1 + i * dt, dt)
+        u = advance(p, square16, u, 0.1 + i * dt, dt)
+        assert u.tobytes() == want.tobytes()
+
+
+def test_step_error_paths(square16):
+    p = _heat_problem(square16, 1.0)
+    u = p.u0_values.copy()
+    u[3] = -2e-12
+    with pytest.raises(ValueError, match="state below the -1e-12 tolerance"):
+        advance(p, square16, u, 0.0, 0.01)
+    u[5] = math.nan  # a NaN is not below the tolerance; -2e-12 still is
+    with pytest.raises(ValueError, match="state below the -1e-12 tolerance"):
+        advance(p, square16, u, 0.0, 0.01)
+    for bad in (math.nan, math.inf):
+        u = p.u0_values.copy()
+        u[5] = bad
+        with pytest.raises(MaxIterations, match="direct solve residual"):
+            advance(p, square16, u, 0.0, 0.01)
+    u = 3e6 * p.u0_values
+    sup = np.max(np.abs(operators_mod.solve_shifted_poisson(square16, 0.01,
+                                                            u)))
+    assert sup > 1e6
+    msg = f"sup norm {sup:.3e} exceeds 1e6"
+    with pytest.raises(StateBlowup, match=f"^{re.escape(msg)}$"):
+        advance(p, square16, u, 0.0, 0.01)
+    # a = -1 with f = 1: b = -1 < 0 at u = 0, which is no sink, so the
+    # solve of dt * b is negative
+    sink = Problem(domain=unit_square(), weight=Weight(kind="constant",
+                                                       c=-1.0),
+                   source=SourceTerm(kind="one"), horizon=1.0)
+    with pytest.raises(ValueError, match="integration produced values "
+                                         "below -1e-12"):
+        advance(sink, square16, np.zeros(square16.n_interior), 0.0, 0.01)

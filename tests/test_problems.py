@@ -11,6 +11,7 @@ from concavelab import (Problem, SourceTerm, Weight, build_discretization,
                         inner_region_mask, sup_slope_lambda, unit_square,
                         weight_concavity_defect)
 from concavelab.domains import _SCAN_NODES, _scan_nodes
+from concavelab.errors import NegativeState
 from concavelab.problems import _concavity_min
 from concavelab.scenarios import _weight_min_C
 
@@ -267,6 +268,21 @@ def test_source_values_compose_bit_for_bit(square16, src, weight):
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
     assert (src.g(s) is None) == (src.kind not in ("logistic", "power_sum"))
+
+
+def test_source_values_state_tolerance(square16):
+    # the -1e-12 test sees past a NaN, passes a NaN alone and quotes
+    # the state's min
+    prob = Problem(domain=unit_square(), source=SourceTerm("identity"))
+    s = np.full(square16.n_interior, 0.5)
+    s[3] = -2e-12
+    with pytest.raises(NegativeState, match=r"^state value -2e-12 below"):
+        prob.source_values(square16, s, 1.0)
+    s[5] = math.nan
+    with pytest.raises(NegativeState, match=r"^state value nan below"):
+        prob.source_values(square16, s, 1.0)
+    s[3] = -1e-12
+    assert np.isnan(prob.source_values(square16, s, 1.0)[5])
 
 
 def _former_sup_slope_numeric(source):
