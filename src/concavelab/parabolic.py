@@ -97,7 +97,8 @@ def advance(problem: Problem, dom: DiscretizedDomain, u: np.ndarray,
         raise ValueError("dt must be positive")
     if np.fmin.reduce(u, initial=math.inf) < -1e-12:  # NaN is not below
         raise ValueError("state below the -1e-12 tolerance")
-    b = problem.source_values(dom, u, t + dt)
+    b = problem.source.compose(problem.weight_values(dom, t + dt),
+                               np.maximum(u, 0.0))  # source_values, u tested
     rhs, sink = dt * b, np.flatnonzero((b < 0) & (u > 0))
     rhs += u  # u + dt * b
     us = u[sink]
@@ -182,6 +183,7 @@ def solve_trajectory(problem: Problem, dom: DiscretizedDomain, count: int,
             u = advance(problem, dom, u, ta + i * step, step)
         times.append(tb)
         fields.append(u)
+    dom._cache.pop("lu", None)  # the domain's factor: no later user
 
     slack = monotone_slack(dom.h)
     monotone = all(np.all(fields[k + 1] >= fields[k] - slack)

@@ -354,12 +354,11 @@ def run_scenario(scn: Scenario, h: float = 1.0 / 64.0,
 
     needs_inf = any(a.mode == "spacetime" for a in scn.audits)
     count = max(12, int(round(0.75 / h))) if needs_inf else 16
+    # the stationary slice first: the Laplacian factor's last user
+    stat = solve_stationary(problem, dom) if needs_inf else None
     traj = solve_trajectory(problem, dom, count, dt)
     report.diagnostics["monotone"] = bool(traj.monotone)
-
-    stat = None
     if needs_inf:
-        stat = solve_stationary(problem, dom)
         traj.stationary = stat.v.values
         report.diagnostics["stationary_residual"] = stat.residual
         report.diagnostics["below_stationary"] = bool(np.all(

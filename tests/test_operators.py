@@ -91,18 +91,22 @@ def test_shifted_poisson_residual(square32):
 
 
 def test_trajectory_keeps_one_shift_factorization(monkeypatch):
+    # one factorization per step size, held in the domain's one slot
+    # while its steps run, and none left when the trajectory returns
     import concavelab.operators as operators
     dom = build_discretization(disk(), 1.0 / 16.0)
     principal_eigenpair(dom)  # its Laplacian LU is not a shift
     p = Problem(domain=disk(), weight=Weight(kind="constant", c=1.0),
                 source=SourceTerm(kind="power_q", q=0.5), horizon=1.0)
-    taus, factored = [], []
+    taus, slots, factored = [], [], []
     shifted = operators.solve_shifted_poisson
     splu = operators.splu
 
     def record_tau(dom, tau, b):
         taus.append(tau)
-        return shifted(dom, tau, b)
+        x = shifted(dom, tau, b)
+        slots.append(dom._cache["lu"][0])
+        return x
 
     def record_splu(M, **kw):
         factored.append(M)
@@ -114,10 +118,9 @@ def test_trajectory_keeps_one_shift_factorization(monkeypatch):
     solve_trajectory(p, dom, 8)
     changes = 1 + sum(a != b for a, b in zip(taus, taus[1:]))
     assert len(set(taus)) > 1
-    assert len(factored) == changes
-    shift_keys = [k for k in dom._cache if "shift" in str(k)]
-    assert shift_keys == ["shift_lu"]
-    assert dom._cache["shift_lu"][0] == taus[-1]
+    assert len(factored) == changes == len(set(taus))
+    assert slots == taus
+    assert "lu" not in dom._cache
 
 
 _SOLVE_SPECS = (unit_square(), disk(), ellipse(1.0, 0.5), convex_polygon(
@@ -171,13 +174,17 @@ def test_cached_order_solve_is_plain_splu(k, tau, seed):
 
 @pytest.mark.parametrize("k", range(len(_SOLVE_SPECS)))
 def test_symmetric_order_thins_the_factors(k):
-    # both cached factors pivot on the diagonal (the shifted one's perm_r
-    # is the identity) and hold at most 0.7 of the L + U entries of a
-    # default splu (COLAMD, partial pivoting) of the same matrix
+    # both factors, each in turn the domain's one, pivot on the diagonal
+    # (the shifted one's perm_r is the identity) and hold at most 0.7 of
+    # the L + U entries of a default splu (COLAMD, partial pivoting) of
+    # the same matrix
     tau, dom = 0.05, build_discretization(_SOLVE_SPECS[k], 1.0 / 32.0)
     N, A = dom.n_interior, neg_laplacian_matrix(dom)
+    poisson_solve(dom, np.ones(N))
+    lap = dom._cache["lu"][2]
     solve_shifted_poisson(dom, tau, np.ones(N))
-    lap, shifted = dom._cache["lap_lu"][0], dom._cache["shift_lu"][2]
+    shifted = dom._cache["lu"][2]
+    assert shifted is not lap and dom._cache["lu"][0] == tau
     assert np.array_equal(lap.perm_r, lap.perm_c)
     assert np.array_equal(shifted.perm_r, np.arange(N))
     for lu, M in ((lap, A), (shifted, sp.identity(N) + tau * A)):
@@ -221,14 +228,14 @@ def test_shifted_solve_leaks_nothing(rejected):
         return solve_shifted_poisson(d, tau, b).tobytes()
 
     solve(dom, b2)
-    Mp = dom._cache["shift_lu"][1]
+    Mp = dom._cache["lu"][1]
     kept = Mp.data.copy()
     if rejected:
         with pytest.raises(MaxIterations):
             solve(dom, b1)
     else:
         solve(dom, b1)
-    assert dom._cache["shift_lu"][1] is Mp
+    assert dom._cache["lu"][1] is Mp
     assert Mp.data.tobytes() == kept.tobytes()
     assert solve(dom, b2) == solve(fresh, b2)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import re
@@ -590,6 +591,42 @@ def test_step_is_the_parent_step_bit_for_bit(square16, kind, dt):
         want = _parent_advance(p, square16, u, 0.1 + i * dt, dt)
         u = advance(p, square16, u, 0.1 + i * dt, dt)
         assert u.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["logistic-square", "power_q"])
+def test_step_source_is_source_values_bit_for_bit(monkeypatch, square16,
+                                                  kind):
+    # advance composes b from the state it has tested, with source_values'
+    # clamp but not its second test: the same bits, on states that hold
+    # -0.0 and entries within the -1e-12 tolerance, the first step of a
+    # trajectory from u0_values among them
+    import concavelab.parabolic as parabolic
+    compose, step, made, stepped = SourceTerm.compose, parabolic.advance, \
+        [], []
+
+    def record_compose(self, a, s):
+        made.append(compose(self, a, s))
+        return made[-1]
+
+    def record_step(problem, dom, u, t, dt):
+        made.clear()
+        out = step(problem, dom, u, t, dt)
+        (b,) = made  # one composition per step
+        want = problem.source_values(dom, u, t + dt)
+        assert b.tobytes() == want.tobytes()
+        stepped.append(u.tobytes())
+        return out
+
+    p, u = _step_problem(square16, kind)
+    u = u.copy()
+    u[1::5], u[2::9] = -0.0, -1e-13
+    p = dataclasses.replace(p, u0_values=u, horizon=0.05)
+    monkeypatch.setattr(SourceTerm, "compose", record_compose)
+    monkeypatch.setattr(parabolic, "advance", record_step)
+    solve_trajectory(p, square16, 2)
+    assert stepped[0] == u.tobytes() and len(stepped) > 1
+    for dt in (1e-3, 0.25):
+        parabolic.advance(p, square16, u, 0.1, dt)
 
 
 def test_step_error_paths(square16):

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
+from scipy.sparse.linalg import SuperLU
 
 from concavelab import (CATALOG, Scenario, disk, get_scenario, run_scenario,
                         run_suite, scenario_ids, unit_square)
@@ -72,6 +73,74 @@ NEEDS_STRONG_CONVEXITY = {
 
 class _Audited(Exception):
     pass
+
+
+def _factors(dom):
+    """The SuperLU factors that the domain's cache holds."""
+    return [x for v in dom._cache.values()
+            for x in (v if isinstance(v, tuple) else (v,))
+            if isinstance(x, SuperLU)]
+
+
+@pytest.fixture(scope="module")
+def lane_emden_factors():
+    """run_scenario of lane-emden-disk at h = 1/16, recording each splu
+    call's permc_spec with the factors then cached, the step sizes of
+    the shifted solves and the factors cached after the trajectory."""
+    import concavelab.operators as operators
+    import concavelab.parabolic as parabolic
+    import concavelab.scenarios as scenarios
+    doms, rec = [], {"splu": [], "taus": [], "after_trajectory": None}
+    build, splu = scenarios.build_discretization, operators.splu
+    shifted, trajectory = parabolic.solve_shifted_poisson, \
+        scenarios.solve_trajectory
+
+    def record_build(*args):
+        doms.append(build(*args))
+        return doms[-1]
+
+    def record_splu(M, **kw):
+        rec["splu"].append((kw["permc_spec"], _factors(doms[0])))
+        return splu(M, **kw)
+
+    def record_tau(dom, tau, b):
+        rec["taus"].append(tau)
+        return shifted(dom, tau, b)
+
+    def record_trajectory(*args):
+        traj = trajectory(*args)
+        rec["after_trajectory"] = _factors(doms[0])
+        return traj
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenarios, "build_discretization", record_build)
+        mp.setattr(operators, "splu", record_splu)
+        mp.setattr(parabolic, "solve_shifted_poisson", record_tau)
+        mp.setattr(scenarios, "solve_trajectory", record_trajectory)
+        run_scenario(get_scenario("lane-emden-disk"), h=1.0 / 16.0)
+    assert len(doms) == 1
+    return rec
+
+
+def test_no_factor_beside_another_at_any_factorization(lane_emden_factors):
+    # the domain holds one factor at a time: the Laplacian's is gone
+    # before the first shifted one is made, and each shifted one before
+    # the next
+    assert all(not held for _, held in lane_emden_factors["splu"])
+
+
+def test_one_laplacian_factor_and_one_per_step_size(lane_emden_factors):
+    # the stationary slice runs before the trajectory, so the eigenpair's
+    # Laplacian factor serves it and is not made a second time
+    taus = lane_emden_factors["taus"]
+    assert len(set(taus)) > 1
+    assert [spec for spec, _ in lane_emden_factors["splu"]] == [
+        "MMD_AT_PLUS_A"] + ["NATURAL"] * len(set(taus))
+
+
+def test_no_factor_stays_after_the_trajectory(lane_emden_factors):
+    # the audit and the bounds run with no factor resident
+    assert lane_emden_factors["after_trajectory"] == []
 
 
 def test_strong_convexity_warning(monkeypatch):
